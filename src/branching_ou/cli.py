@@ -20,7 +20,9 @@ from .harness import (
     emit,
 )
 from .model import InvalidParameterError
-from .simulator import ResourceCapError, simulate_farm
+from .simulator import AllExtinctError, ResourceCapError, simulate_farm
+from .tree_oracle import TreeCapError
+from .ustats import ExpansionCapError
 
 _SUBCOMMANDS = ("simulate", "lln", "clt", "wlaw", "oracle", "variance")
 
@@ -92,7 +94,7 @@ def main(argv=None) -> int:
             return 0
         runner = RUNNERS[args.command]
         report = runner(config)
-    except ConfigError as exc:
+    except (ConfigError, TreeCapError, ExpansionCapError, AllExtinctError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:

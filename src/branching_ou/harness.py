@@ -20,7 +20,6 @@ from scipy import stats as sstats
 
 from .kernels import Factor, Kernel, is_canonical, project
 from .model import ModelParams, RegimeTag, classify, derive
-from .ou import default_rule
 from .limits import (
     critical_limit_sampler,
     fast_limit_sampler,
@@ -71,7 +70,6 @@ class ExperimentConfig:
     limit_draws: int | None = None
     fast_limit_draws: int = 200
     fast_t_approx: float | None = None
-    quad_nodes: int = 64
     kernel_spec: dict | None = None
 
     def __post_init__(self):
@@ -123,7 +121,6 @@ class ExperimentConfig:
                 fast_limit_draws=int(d.get("fast_limit_draws", 200)),
                 fast_t_approx=(float(d["fast_t_approx"])
                                if "fast_t_approx" in d else None),
-                quad_nodes=int(d.get("quad_nodes", 64)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
@@ -146,7 +143,8 @@ class ExperimentConfig:
             "seed": self.seed,
             "regime": self.regime_expected,
             "test": self.test,
-            "caps": {"max_particles": self.caps.max_particles},
+            "caps": {"max_particles": self.caps.max_particles,
+                     "max_generations": self.caps.max_generations},
             "batch_size": self.batch_size,
             "tolerances": {
                 "se_mult": self.se_mult, "ks_level": self.ks_level,
@@ -156,7 +154,8 @@ class ExperimentConfig:
             "g1": {"replicas": self.g1_replicas, "t": self.g1_t,
                    "t_max": self.g1_t_max},
             "limit_draws": self.limit_draws,
-            "quad_nodes": self.quad_nodes,
+            "fast_limit_draws": self.fast_limit_draws,
+            "fast_t_approx": self.fast_t_approx,
         }
 
     def config_hash(self) -> str:
@@ -265,12 +264,11 @@ def run_lln(config: ExperimentConfig, farm=None) -> TestReport:
     """
     start = time.time()
     f = _require_kernel(config)
-    rule = default_rule(config.params, config.quad_nodes)
     farm = farm if farm is not None else _farm(config)
     snaps = farm[-1]
     alive, frac = condition_on_survival(snaps)
     n = f.arity
-    target = project(f, [], config.params, rule)
+    target = project(f, [], config.params)
     vals = np.array([
         u_statistic(s, f) / falling_factorial(s.count, n)
         for s in alive if s.count >= n
@@ -386,13 +384,12 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     params = config.params
     consts = derive(params)
     regime = classify(params)
-    rule = default_rule(params, config.quad_nodes)
     if config.regime_expected and regime.tag is not RegimeTag(config.regime_expected):
         raise ConfigError(
             f"configured regime {config.regime_expected} but parameters imply "
             f"{regime.tag.value}"
         )
-    if not is_canonical(f, params, rule):
+    if not is_canonical(f, params):
         raise ConfigError("CLT test requires a canonical kernel")
     n = f.arity
     t = config.t_grid[-1]
@@ -446,7 +443,7 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
         ))
     else:
         sampler = slow_limit_sampler if regime.is_slow else critical_limit_sampler
-        draws = sampler(f, params, rng, size=n_draws, rule=rule)
+        draws = sampler(f, params, rng, size=n_draws)
         ks = sstats.ks_2samp(stat, draws)
         checks.append(CheckResult(
             name="clt_two_sample_ks",
@@ -476,8 +473,8 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
         ))
         if n == 1 and f.is_tensor_sum:
             fac = _arity1_factor(f)
-            sigma2 = (sigma_slow(fac, params, rule) if regime.is_slow
-                      else sigma_critical(fac, params, rule))
+            sigma2 = (sigma_slow(fac, params) if regime.is_slow
+                      else sigma_critical(fac, params))
             tol = 3.0 * se_vs
             checks.append(CheckResult(
                 name="clt_variance_vs_formula",
@@ -555,14 +552,13 @@ def run_variance(config: ExperimentConfig) -> TestReport:
         raise ConfigError("variance evaluation expects an arity-1 kernel")
     params = config.params
     regime = classify(params)
-    rule = default_rule(params, config.quad_nodes)
     if not f.is_tensor_sum:
         raise ConfigError("variance evaluation expects a tensor-sum kernel")
     fac = _arity1_factor(f)
     if regime.is_slow:
-        val = sigma_slow(fac, params, rule)
+        val = sigma_slow(fac, params)
     elif regime.is_critical:
-        val = sigma_critical(fac, params, rule)
+        val = sigma_critical(fac, params)
     else:
         raise ConfigError("no scalar variance formula in the fast regime")
     checks = [CheckResult(

@@ -416,11 +416,7 @@ def _slot_average(f: Kernel, k: int, params: ModelParams, rule: QuadratureRule):
     if f.arity == 1:
         return _blackbox_total(f, params, rule)
     fn = _blackbox_average(f, (k - 1,), params, rule)
-
-    def reordered(args, _fn=fn):
-        return _fn(args)
-
-    return Kernel.black_box(reordered, arity=f.arity - 1, dim=f.dim,
+    return Kernel.black_box(fn, arity=f.arity - 1, dim=f.dim,
                             poly_bounded=f.poly_bounded)
 
 

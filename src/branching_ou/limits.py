@@ -4,7 +4,10 @@ Slow regime: the normalized U-statistic of a canonical tensor-sum kernel
 converges to a signed sum over partial pairings (Feynman diagrams) of
 products of stationary pair integrals and a centered Gaussian family whose
 covariance adds the stationary product integral and an exponentially tilted
-semigroup time integral.
+semigroup time integral.  For polynomial slot functions the semigroup is
+diagonal in the Hermite basis of the stationary law, so both are finite
+sums over exponentials in closed form; the slow regime accepts polynomial
+slot functions only.
 
 Critical regime: the limit tensorizes into a product of Gaussians indexed
 by the factors, with covariance built from pairings against the gradient
@@ -22,9 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import hermite_e
+from numpy.polynomial.polynomial import polyadd
 
 from .kernels import Factor, Kernel, ProductFunc, factor_1d, is_canonical
 from .model import ModelParams, Regime, classify, derive
@@ -32,11 +36,9 @@ from .ou import (
     Func1D,
     QuadratureRule,
     default_rule,
-    evolve_poly,
     poly_derivative,
-    poly_mul,
     poly_phi_mean,
-    semigroup_apply,
+    stationary_std,
 )
 from .simulator import Caps, h_value, simulate
 
@@ -52,10 +54,6 @@ class CenteringError(ValueError):
 
 class NonPolynomialError(ValueError):
     """Operation requires polynomial (differentiable) factors."""
-
-
-class DivergenceError(RuntimeError):
-    """Time-integral tail failed its decay check."""
 
 
 # ---------------------------------------------------------------------------
@@ -129,87 +127,55 @@ def _as_factor(f) -> Factor:
     raise TypeError(f"cannot interpret {type(f)!r} as a kernel slot")
 
 
-def factor_pair_phi(F: Factor, G: Factor, params: ModelParams,
-                    rule: QuadratureRule | None = None) -> float:
-    """Stationary integral of the product of two slot functions."""
-    rule = rule or default_rule(params)
-    total = 0.0
-    for ca, pa in F.atoms:
-        for cb, pb in G.atoms:
-            total += ca * cb * pa.times(pb).phi_mean(params, rule)
-    return total
+def _pair_spectrum(F: Factor, G: Factor, params: ModelParams) -> np.ndarray:
+    """Coefficients c_1, c_2, ... of <phi, (T_s F)(T_s G)> = sum_n c_n
+    exp(-2 mu n s), for polynomial slot functions.
 
-
-def _evolved_pair_phi(a: Func1D, b: Func1D, s: float, params: ModelParams,
-                      rule: QuadratureRule) -> float:
-    """Stationary integral of (T_s a)(T_s b) for 1-D functions."""
-    if a.is_polynomial and b.is_polynomial:
-        pa = evolve_poly(a.coeffs, s, params)
-        pb = evolve_poly(b.coeffs, s, params)
-        return poly_phi_mean(poly_mul(pa, pb), params)
-    va = semigroup_apply(a, s, rule.nodes, params, rule)
-    vb = semigroup_apply(b, s, rule.nodes, params, rule)
-    return float(np.dot(rule.weights, va * vb))
-
-
-def _evolved_factor_pair_phi(F: Factor, G: Factor, s: float,
-                             params: ModelParams, rule: QuadratureRule) -> float:
-    total = 0.0
-    for ca, pa in F.atoms:
-        for cb, pb in G.atoms:
-            prod = ca * cb
-            for c in range(pa.dim):
-                prod *= _evolved_pair_phi(pa.funcs[c], pb.funcs[c], s, params, rule)
-            total += prod
-    return total
-
-
-@lru_cache(maxsize=None)
-def _leggauss01(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def slow_pair_integral(
-    F: Factor,
-    G: Factor,
-    params: ModelParams,
-    rule: QuadratureRule | None = None,
-    time_nodes: int = 128,
-    tail_tol: float = 1e-8,
-) -> float:
-    """Time integral 2 lam p int_0^inf e^{growth s} <phi, (T_s F)(T_s G)> ds
-    for stationary-centered slot functions.
-
-    The half-line maps to (0, 1] through u = exp(-kappa s) with kappa set
-    to half the known decay rate of the integrand, then a Gauss-Legendre
-    rule applies; a tail check guards against undeclared growth.
+    In the Hermite basis He_k(x / std) of the stationary law the semigroup
+    is diagonal (Mehler: T_s He_k = exp(-mu k s) He_k) and orthogonal with
+    <phi, He_j He_k> = k! [j = k], so each coordinate pair contributes a
+    series in exp(-2 mu s) and a pair of product atoms multiplies them.  The
+    constant term c_0 is the product of the stationary means and is left
+    out: it vanishes for centered slot functions.
     """
-    rule = rule or default_rule(params)
-    consts = derive(params)
-    growth = consts.growth_rate
-    kappa = params.mu - 0.5 * growth
-    if kappa <= 0:
-        raise RegimeError("time integral diverges unless growth < 2 mu")
+    if not (F.is_polynomial and G.is_polynomial):
+        raise NonPolynomialError("slow-regime integrals need polynomial factors")
+    std = stationary_std(params)
+
+    def herme(g) -> np.ndarray:
+        return hermite_e.poly2herme(g.coeffs * std ** np.arange(len(g.coeffs)))
+
+    total = np.zeros(1)
+    for ca, pa in F.atoms:
+        for cb, pb in G.atoms:
+            series = np.array([ca * cb])
+            for a, b in zip(pa.funcs, pb.funcs):
+                ha, hb = herme(a), herme(b)
+                k = min(len(ha), len(hb))
+                norms = [float(math.factorial(j)) for j in range(k)]
+                series = np.convolve(series, ha[:k] * hb[:k] * norms)
+            total = polyadd(total, series)
+    return total[1:]
+
+
+def _tilted_integrals(n_terms: int, params: ModelParams) -> np.ndarray:
+    """2 lam p int_0^inf exp(growth s) exp(-2 mu n s) ds for n = 1..n_terms."""
+    regime = classify(params)
+    if not regime.is_slow:
+        raise RegimeError("slow-regime time integrals need growth < 2 mu")
+    n = np.arange(1, n_terms + 1)
+    return 2.0 * params.lam * params.p / (regime.twice_mu * n - regime.growth_rate)
+
+
+def slow_pair_integral(F: Factor, G: Factor, params: ModelParams) -> float:
+    """Time integral 2 lam p int_0^inf e^{growth s} <phi, (T_s F)(T_s G)> ds
+    for stationary-centered polynomial slot functions, summed in closed
+    form over the exponentials of the pair spectrum."""
+    c = _pair_spectrum(F, G, params)
     for fac in (F, G):
-        if abs(fac.phi_mean(params, rule)) > 1e-9:
+        if abs(fac.phi_mean(params)) > 1e-9:
             raise CenteringError("slot functions must be stationary-centered")
-
-    def integrand(s: float) -> float:
-        return math.exp(growth * s) * _evolved_factor_pair_phi(F, G, s, params, rule)
-
-    u, w = _leggauss01(time_nodes)
-    s_vals = -np.log(u) / kappa
-    total = 0.0
-    for ui, wi, si in zip(u, w, s_vals):
-        total += wi * integrand(float(si)) / (kappa * ui)
-    s_tail = float(s_vals.max())
-    tail = abs(integrand(s_tail))
-    if tail > tail_tol * max(abs(total), 1.0):
-        raise DivergenceError(
-            f"integrand at s={s_tail:.3g} is {tail:.3g}; decay check failed"
-        )
-    return 2.0 * params.lam * params.p * total
+    return float(c @ _tilted_integrals(len(c), params))
 
 
 def grad_density_pairing(F: Factor, l: int, params: ModelParams,
@@ -247,22 +213,11 @@ def gradient_phi_mean(F: Factor, i: int, params: ModelParams) -> float:
 # asymptotic variances
 
 
-def sigma_slow(
-    f,
-    params: ModelParams,
-    rule: QuadratureRule | None = None,
-    time_nodes: int = 128,
-) -> float:
-    """Slow-regime asymptotic variance of the linear statistic of ``f``:
-    the stationary variance of the centered function plus its tilted
-    semigroup time integral."""
-    regime = classify(params)
-    if not regime.is_slow:
-        raise RegimeError("slow-regime variance needs growth < 2 mu")
-    rule = rule or default_rule(params)
-    fac = _as_factor(f).centered(params, rule)
-    return factor_pair_phi(fac, fac, params, rule) + \
-        slow_pair_integral(fac, fac, params, rule, time_nodes)
+def sigma_slow(f, params: ModelParams) -> float:
+    """Slow-regime asymptotic variance of the linear statistic of a
+    polynomial ``f``: the stationary variance of the centered function
+    plus its tilted semigroup time integral."""
+    return float(slow_covariance([_as_factor(f)], params).covariance[0, 0])
 
 
 def sigma_critical(
@@ -318,31 +273,16 @@ def _require_tensor_sum(f: Kernel):
         )
 
 
-def _centered_slots(f: Kernel, params: ModelParams, rule: QuadratureRule):
-    """Per-term centered slot functions; exact rewrite for canonical
-    kernels."""
-    return [
-        (coef, tuple(s.centered(params, rule) for s in slots))
-        for coef, slots in f.terms
-    ]
-
-
-def slow_covariance(
-    funcs: list[Factor],
-    params: ModelParams,
-    rule: QuadratureRule | None = None,
-    time_nodes: int = 128,
-) -> GaussianFamily:
-    """Covariance of the slow-regime Gaussian family over slot functions."""
-    rule = rule or default_rule(params)
+def slow_covariance(funcs: list[Factor], params: ModelParams) -> GaussianFamily:
+    """Covariance of the slow-regime Gaussian family over the centered
+    versions of polynomial slot functions: the stationary covariance plus
+    the tilted semigroup time integral."""
     m = len(funcs)
     cov = np.zeros((m, m))
     for a in range(m):
         for b in range(a, m):
-            cov[a, b] = cov[b, a] = (
-                factor_pair_phi(funcs[a], funcs[b], params, rule)
-                + slow_pair_integral(funcs[a], funcs[b], params, rule, time_nodes)
-            )
+            c = _pair_spectrum(funcs[a], funcs[b], params)
+            cov[a, b] = cov[b, a] = c @ (1.0 + _tilted_integrals(len(c), params))
     return GaussianFamily.from_covariance(cov)
 
 
@@ -352,35 +292,37 @@ def slow_limit_sampler(
     rng: np.random.Generator,
     size: int = 1,
     rule: QuadratureRule | None = None,
-    time_nodes: int = 128,
     tol: float = 1e-9,
 ) -> np.ndarray:
-    """Draws of the slow-regime limit law of a canonical tensor-sum kernel:
-    the signed diagram sum with stationary pair integrals on edges and the
-    Gaussian family on unpaired labels."""
+    """Draws of the slow-regime limit law of a canonical polynomial
+    tensor-sum kernel: the signed diagram sum with stationary pair
+    integrals on edges and the Gaussian family on unpaired labels.
+
+    Canonicity lets every slot be replaced by its centered version, which
+    is what the edge weights and the Gaussian family are computed from."""
     regime = classify(params)
     if not regime.is_slow:
         raise RegimeError("slow sampler needs growth < 2 mu")
     _require_tensor_sum(f)
+    if not f.is_polynomial:
+        raise NonPolynomialError("slow-regime limit needs polynomial factors")
     rule = rule or default_rule(params)
     if not is_canonical(f, params, rule, tol):
         raise CenteringError("slow-regime limit is defined for canonical kernels")
-    terms = _centered_slots(f, params, rule)
     n = f.arity
-    funcs = [s for _, slots in terms for s in slots]
-    family = slow_covariance(funcs, params, rule, time_nodes)
+    funcs = [s for _, slots in f.terms for s in slots]
+    family = slow_covariance(funcs, params)
     draws = family.sample(rng, size)  # (size, L*n)
     edge_w = {}
-    for l, (_, slots) in enumerate(terms):
+    for l, (_, slots) in enumerate(f.terms):
         for j in range(n):
             for k in range(j + 1, n):
-                edge_w[(l, j + 1, k + 1)] = factor_pair_phi(
-                    slots[j], slots[k], params, rule
-                )
+                edge_w[(l, j + 1, k + 1)] = float(
+                    _pair_spectrum(slots[j], slots[k], params).sum())
     out = np.zeros(size)
     for gamma in enumerate_diagrams(n):
         sign = (-1) ** gamma.rank
-        for l, (coef, _) in enumerate(terms):
+        for l, (coef, _) in enumerate(f.terms):
             piece = np.full(size, float(sign) * coef)
             for (j, k) in gamma.edges:
                 piece *= edge_w[(l, j, k)]

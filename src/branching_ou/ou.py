@@ -33,18 +33,8 @@ def relax(dt, mu: float):
     return np.sqrt(-np.expm1(-2.0 * mu * np.asarray(dt, dtype=float)))
 
 
-def tilted_semigroup_factor(t: float, lam: float) -> float:
-    """Exponential tilt exp(lam * t) applied to the semigroup."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return math.exp(lam * t)
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficients ascending in the power basis)
-
-POLY_ONE = np.array([1.0])
-POLY_X = np.array([0.0, 1.0])
 
 
 def _double_factorial(k: int) -> float:
@@ -266,13 +256,6 @@ def invariant_integral(
             rule = rule or default_rule(params)
             out *= rule.integrate(g)
     return out
-
-
-def pair_phi_integral(
-    f: Func1D, g: Func1D, params: ModelParams, rule: QuadratureRule | None = None
-) -> float:
-    """Integral of the product f * g against the 1-D stationary law."""
-    return invariant_integral(f.times(g), params, rule)
 
 
 def invariant_density(x: np.ndarray, params: ModelParams):

@@ -222,15 +222,14 @@ def observe_path(
     rng = _as_rng(rng_or_seed)
     batch = _run_batch(params, t_grid, 1, rng, caps)
     consts = derive(params)
-    counts = np.array([batch[k][0].shape[0] for k in range(len(t_grid))])
-    v_vals = np.exp(-consts.growth_rate * t_grid) * counts
-    h_vals = np.stack([
-        math.exp((params.mu - consts.growth_rate) * t) * batch[k][0].sum(axis=0)
-        if counts[k] else np.zeros(params.dim)
-        for k, t in enumerate(t_grid)
-    ])
-    return TrajectoryObservables(times=t_grid, v_vals=v_vals, h_vals=h_vals,
-                                 counts=counts)
+    snaps = [ParticleSnapshot(t=float(t), positions=batch[k][0])
+             for k, t in enumerate(t_grid)]
+    return TrajectoryObservables(
+        times=t_grid,
+        v_vals=np.array([v_value(s, consts) for s in snaps]),
+        h_vals=np.stack([h_value(s, params, consts) for s in snaps]),
+        counts=np.array([s.count for s in snaps]),
+    )
 
 
 def _as_rng(rng_or_seed) -> np.random.Generator:

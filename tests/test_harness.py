@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -80,6 +81,57 @@ class TestConfig:
     def test_bad_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
+
+    # one raw-config change per field that affects the numbers; the kernel
+    # object is parsed from its spec
+    HASHED = [
+        ("params", ("params", "lambda"), 1.2),
+        ("params", ("params", "p"), 0.8),
+        ("params", ("params", "mu"), 1.5),
+        ("params", ("params", "sigma"), 0.5),
+        ("params", ("params", "x0"), [0.5]),
+        ("t_grid", ("t_grid",), [4.0, 9.0]),
+        ("replicas", ("replicas",), 1600),
+        ("seed", ("seed",), 6),
+        ("kernel", ("kernel",), KERNEL_XX),
+        ("kernel_spec", ("kernel",), KERNEL_XX),
+        ("regime_expected", ("regime",), "slow"),
+        ("test", ("test",), "clt"),
+        ("caps", ("caps", "max_particles"), 1_000_000),
+        ("caps", ("caps", "max_generations"), 500),
+        ("batch_size", ("batch_size",), 500),
+        ("se_mult", ("tolerances", "se_mult"), 3.0),
+        ("ks_level", ("tolerances", "ks_level"), 0.05),
+        ("corr_threshold", ("tolerances", "corr_threshold"), 0.9),
+        ("indep_corr_bound", ("tolerances", "indep_corr_bound"), 0.1),
+        ("g1_replicas", ("g1", "replicas"), 400),
+        ("g1_t", ("g1", "t"), 5.0),
+        ("g1_t_max", ("g1", "t_max"), 12.0),
+        ("limit_draws", ("limit_draws",), 500),
+        ("fast_limit_draws", ("fast_limit_draws",), 300),
+        ("fast_t_approx", ("fast_t_approx",), 9.0),
+    ]
+    SCHEDULE_ONLY = {"threads"}
+
+    @staticmethod
+    def overridden(path, value):
+        raw = json.loads(json.dumps(BASE))
+        node = raw
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        return ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("field, path, value", HASHED)
+    def test_numbers_affecting_field_changes_hash(self, field, path, value):
+        changed = self.overridden(path, value)
+        assert changed.config_hash() != config().config_hash(), field
+
+    def test_every_field_hashed_or_schedule_only(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert names == {f for f, _, _ in self.HASHED} | self.SCHEDULE_ONLY
+        threads = self.overridden(("threads",), 4)
+        assert threads.config_hash() == config().config_hash()
 
 
 class TestEmit:
@@ -307,3 +359,41 @@ class TestCli:
 
     def test_usage_error_exit_2(self, capsys):
         assert cli_main(["frobnicate"]) == 2
+
+    def test_oracle_above_tree_cap_exit_2(self, tmp_path, capsys):
+        kernel = {"arity": 5, "dim": 1, "symmetric": True,
+                  "terms": [{"coef": 1.0, "slots": [[[0.0, 1.0]]] * 5}]}
+        raw = dict(BASE, kernel=kernel, replicas=20, t_grid=[1.0])
+        cfg = self.write_cfg(tmp_path, raw)
+        assert cli_main(["oracle", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: arity 5")
+
+    def test_lln_above_expansion_cap_exit_2(self, tmp_path, capsys):
+        kernel = {"arity": 7, "dim": 1, "symmetric": True,
+                  "terms": [{"coef": 1.0, "slots": [[[0.0, 1.0]]] * 7}]}
+        raw = dict(BASE, kernel=kernel, replicas=20, t_grid=[3.0])
+        cfg = self.write_cfg(tmp_path, raw)
+        assert cli_main(["lln", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: arity 7")
+
+    def test_lln_all_extinct_exit_2(self, tmp_path, capsys):
+        # at seed 1 the single replica is extinct by t = 4
+        raw = dict(BASE, replicas=1, seed=1, t_grid=[4.0])
+        cfg = self.write_cfg(tmp_path, raw)
+        assert cli_main(["lln", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: every replica")
+
+    def test_variance_large_linear_coefficient(self, tmp_path, capsys):
+        # sigma_slow(a x) = a^2 s^2 (1 + 2 lam p / (2 mu - growth)) with
+        # s^2 = 1/2, 2 lam p = 1.5, growth = 0.5
+        kernel = {"arity": 1, "dim": 1, "symmetric": True,
+                  "terms": [{"coef": 3.0, "slots": [[[0.0, 1.0]]]}]}
+        cfg = self.write_cfg(tmp_path, dict(BASE, kernel=kernel))
+        out = tmp_path / "out"
+        assert cli_main(["variance", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "report_variance.jsonl").read_text().splitlines()
+        value = json.loads(rows[1])["value"]
+        assert value == pytest.approx(9.0 * 0.5 * (1.0 + 1.5 / 1.5), rel=1e-12)

@@ -20,6 +20,7 @@ from branching_ou.limits import (
     sigma_critical,
     sigma_slow,
     slow_limit_sampler,
+    slow_pair_integral,
 )
 from branching_ou.model import ModelParams
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
@@ -69,8 +70,32 @@ class TestDiagrams:
 
 
 class TestSigmaSlow:
+    # closed forms at SLOW: stationary variance s^2 = 1/2, 2 lam p = 1.5,
+    # growth 0.5; the degree-n chaos integrates to 1.5 / (2 n - 0.5)
+
     def test_linear_kernel_closed_form(self):
         assert sigma_slow(FUNC_X, SLOW) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("a", [0.5, 3.0, 10.0])
+    def test_scaled_linear_kernel_closed_form(self, a):
+        want = a * a * 0.5 * (1.0 + 1.5 / 1.5)
+        f = Func1D.polynomial([0.0, a])
+        assert sigma_slow(f, SLOW) == pytest.approx(want, rel=1e-12)
+
+    def test_two_dim_multi_atom_closed_form(self):
+        # x_1 + x_1 x_2 splits into chaos degrees 1 and 2
+        params2 = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=2,
+                              x0=(0.0, 0.0))
+        fac = Factor((
+            (1.0, ProductFunc((FUNC_X, FUNC_ONE))),
+            (1.0, ProductFunc((FUNC_X, FUNC_X))),
+        ))
+        want = 0.5 * (1.0 + 1.5 / 1.5) + 0.25 * (1.0 + 1.5 / 3.5)
+        assert sigma_slow(fac, params2) == pytest.approx(want, rel=1e-12)
+
+    def test_black_box_rejected(self):
+        with pytest.raises(NonPolynomialError):
+            sigma_slow(Func1D.black_box(np.sin), SLOW)
 
     def test_constant_kernel(self):
         assert sigma_slow(FUNC_ONE, SLOW) == pytest.approx(0.0, abs=1e-12)
@@ -102,6 +127,21 @@ class TestSigmaSlow:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             sigma_slow(FUNC_X, FAST)
+
+
+class TestSlowPairIntegral:
+    def test_chaos_closed_forms(self):
+        # x is degree-1 chaos with norm 1/2; x^2 - 1/2 is degree 2 with norm 1/2
+        assert slow_pair_integral(factor_of(FUNC_X), factor_of(FUNC_X),
+                                  SLOW) == pytest.approx(0.5, rel=1e-12)
+        centered_sq = factor_of(Func1D.polynomial([-0.5, 0.0, 1.0]))
+        assert slow_pair_integral(centered_sq, centered_sq,
+                                  SLOW) == pytest.approx(3.0 / 14.0, rel=1e-12)
+        assert slow_pair_integral(factor_of(FUNC_X), centered_sq, SLOW) == 0.0
+
+    def test_uncentered_rejected(self):
+        with pytest.raises(CenteringError):
+            slow_pair_integral(factor_of(X2), factor_of(X2), SLOW)
 
 
 class TestSigmaCritical:
@@ -223,6 +263,11 @@ class TestSlowSampler:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             slow_limit_sampler(kernel_xx(), CRIT, np.random.default_rng(1))
+
+    def test_black_box_slot_rejected(self):
+        f = Kernel.from_slot_funcs([Func1D.black_box(np.sin)] * 2, symmetric=True)
+        with pytest.raises(NonPolynomialError):
+            slow_limit_sampler(f, SLOW, np.random.default_rng(1))
 
 
 class TestCriticalSampler:

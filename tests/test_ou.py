@@ -19,7 +19,6 @@ from branching_ou.ou import (
     poly_phi_mean,
     semigroup_apply,
     stationary_std,
-    tilted_semigroup_factor,
 )
 
 from helpers import phi_quad, semigroup_quad
@@ -205,11 +204,3 @@ def test_evolution_semigroup_property(coeffs, s, t):
     twice = evolve_poly(evolve_poly(coeffs, s, PARAMS), t, PARAMS)
     scale = np.max(np.abs(once)) + 1.0
     assert np.allclose(once, twice, atol=1e-10 * scale)
-
-
-def test_tilted_semigroup_factor():
-    assert tilted_semigroup_factor(0.0, 1.7) == 1.0
-    assert tilted_semigroup_factor(5.0, 0.0) == 1.0
-    assert tilted_semigroup_factor(2.0, 0.5) == pytest.approx(math.e, abs=1e-14)
-    with pytest.raises(ValueError):
-        tilted_semigroup_factor(-1.0, 0.5)
