@@ -44,6 +44,26 @@ class ConfigError(ValueError):
     """Malformed experiment configuration."""
 
 
+# The keys a config file may hold, per section; any other key is refused.
+_CONFIG_KEYS = {"params", "kernel", "t_grid", "replicas", "seed", "regime",
+                "test", "caps", "batch_size", "threads", "tolerances", "g1",
+                "limit_draws", "fast_limit_draws", "fast_t_approx"}
+_PARAMS_KEYS = {"lambda", "p", "mu", "sigma", "dim", "x0"}
+_CAPS_KEYS = {"max_particles", "max_generations"}
+_TOLERANCE_KEYS = {"se_mult", "ks_level", "corr_threshold", "indep_corr_bound"}
+_G1_KEYS = {"replicas", "t", "t_max"}
+_KERNEL_KEYS = {"arity", "dim", "symmetric", "terms"}
+_TERM_KEYS = {"coef", "slots"}
+
+
+def _refuse_unknown_keys(section: dict, allowed: set[str], where: str) -> dict:
+    """The section itself, once every key in it is known."""
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
+    return section
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -83,7 +103,8 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         try:
-            pd = dict(d["params"])
+            _refuse_unknown_keys(d, _CONFIG_KEYS, "config")
+            pd = _refuse_unknown_keys(d["params"], _PARAMS_KEYS, "params")
             params = ModelParams(
                 lam=float(pd["lambda"]), p=float(pd["p"]), mu=float(pd["mu"]),
                 sigma=float(pd["sigma"]), dim=int(pd.get("dim", 1)),
@@ -91,13 +112,17 @@ class ExperimentConfig:
             )
             kernel_spec = d.get("kernel")
             kernel = parse_kernel_spec(kernel_spec) if kernel_spec else None
-            caps_d = d.get("caps", {})
+            if kernel is not None and kernel.dim != params.dim:
+                raise ConfigError(f"kernel dim {kernel.dim} does not match "
+                                  f"params dim {params.dim}")
+            caps_d = _refuse_unknown_keys(d.get("caps", {}), _CAPS_KEYS, "caps")
             caps = Caps(
                 max_particles=int(caps_d.get("max_particles", 10_000_000)),
                 max_generations=int(caps_d.get("max_generations", 100_000)),
             )
-            tol = d.get("tolerances", {})
-            g1 = d.get("g1", {})
+            tol = _refuse_unknown_keys(d.get("tolerances", {}), _TOLERANCE_KEYS,
+                                       "tolerances")
+            g1 = _refuse_unknown_keys(d.get("g1", {}), _G1_KEYS, "g1")
             return ExperimentConfig(
                 params=params,
                 t_grid=tuple(float(t) for t in d["t_grid"]),
@@ -165,16 +190,23 @@ class ExperimentConfig:
 
 def parse_kernel_spec(spec: dict) -> Kernel:
     """Kernel from its config form: tensor-sum terms as per-slot lists of
-    per-coordinate polynomial coefficient vectors."""
+    per-coordinate polynomial coefficient vectors.  A declared ``arity``
+    must match the slot count."""
     try:
+        _refuse_unknown_keys(spec, _KERNEL_KEYS, "kernel")
         dim = int(spec.get("dim", 1))
         terms = []
         for term in spec["terms"]:
+            _refuse_unknown_keys(term, _TERM_KEYS, "kernel term")
             coef = float(term.get("coef", 1.0))
             slots = [Factor.from_polys(slot) for slot in term["slots"]]
             terms.append((coef, slots))
-        return Kernel.tensor_sum(terms, dim=dim,
-                                 symmetric=bool(spec.get("symmetric", False)))
+        kernel = Kernel.tensor_sum(terms, dim=dim,
+                                   symmetric=bool(spec.get("symmetric", False)))
+        if "arity" in spec and int(spec["arity"]) != kernel.arity:
+            raise ConfigError(f"kernel arity {spec['arity']} does not match "
+                              f"its {kernel.arity} slots")
+        return kernel
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad kernel spec: {exc}") from exc
 

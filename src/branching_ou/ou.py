@@ -256,21 +256,3 @@ def invariant_integral(
             rule = rule or default_rule(params)
             out *= rule.integrate(g)
     return out
-
-
-def invariant_density(x: np.ndarray, params: ModelParams):
-    """Density of the stationary law at point(s) x of shape (..., dim)."""
-    x = np.asarray(x, dtype=float)
-    var = stationary_std(params) ** 2
-    norm = (2.0 * math.pi * var) ** (-params.dim / 2.0)
-    return norm * np.exp(-0.5 * np.sum(x * x, axis=-1) / var)
-
-
-def invariant_density_gradient(l: int, x: np.ndarray, params: ModelParams):
-    """Partial derivative of the stationary density along coordinate ``l``
-    (1-based), evaluated at point(s) x of shape (..., dim)."""
-    if not 1 <= l <= params.dim:
-        raise ValueError(f"coordinate index {l} outside 1..{params.dim}")
-    x = np.asarray(x, dtype=float)
-    var = stationary_std(params) ** 2
-    return -(x[..., l - 1] / var) * invariant_density(x, params)

@@ -17,9 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import Kernel, center_kernel, degeneracy_order, substitute_partition
-from .model import DerivedConstants, ModelParams, Regime
-from .ou import QuadratureRule
+from .kernels import Kernel, substitute_partition
+from .model import DerivedConstants, Regime
 from .simulator import ParticleSnapshot
 
 
@@ -198,22 +197,6 @@ def normalized_u_statistic(
     if regime.is_critical:
         return u * t ** -(k / 2.0) * m ** -(n - k / 2.0)
     return u * math.exp(-(consts.growth_rate * n - regime.twice_mu / 2.0 * k) * t)
-
-
-def hoeffding_normalized(
-    snap: ParticleSnapshot,
-    f: Kernel,
-    params: ModelParams,
-    consts: DerivedConstants,
-    regime: Regime,
-    rule: QuadratureRule | None = None,
-    tol: float = 1e-9,
-) -> float:
-    """Center the kernel, detect its degeneracy order, and return the
-    regime-normalized U-statistic of the snapshot."""
-    centered = center_kernel(f, params, rule)
-    order, _ = degeneracy_order(centered, params, rule, tol)
-    return normalized_u_statistic(snap, centered, order + 1, regime, consts)
 
 
 def _chunks(iterator, size: int):

@@ -167,7 +167,7 @@ def test_criterion_4_tree_oracle():
         params = ModelParams(lam=1.0, p=0.75, mu=mu, sigma=1.0, x0=(0.5,))
         farm = simulate_farm(params, (t,), 20_000, seed=404, batch_size=4000)
         for n, (facs, kern) in kernels.items():
-            oracle = exact_mixed_moment(n, t, params, facs, n_nodes=48)
+            oracle = exact_mixed_moment(n, t, params, facs)
             vals = np.array([v_statistic(s, kern) for s in farm[0]])
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             z = (vals.mean() - oracle) / se

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +82,42 @@ class TestConfig:
     def test_bad_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "path",
+        [("replica",), ("quad_nodes",), ("params", "lamda"),
+         ("tolerances", "se_mul"), ("caps", "max_particle"), ("g1", "tmax"),
+         ("kernel", "arty"), ("kernel", "terms", 0, "coeff")],
+    )
+    def test_unknown_key_rejected(self, path):
+        raw = json.loads(json.dumps(BASE))
+        node = raw
+        for key in path[:-1]:
+            node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+        node[path[-1]] = 2.0
+        with pytest.raises(ConfigError, match=repr(path[-1])):
+            ExperimentConfig.from_dict(raw)
+
+    def test_kernel_arity_must_match_slots(self):
+        spec = dict(KERNEL_XX, arity=3)
+        with pytest.raises(ConfigError, match="arity 3"):
+            parse_kernel_spec(spec)
+        with pytest.raises(ConfigError, match="arity 3"):
+            config(kernel=spec)
+
+    def test_kernel_dim_must_match_params(self):
+        spec = {"arity": 1, "dim": 2, "terms": [{"slots": [[[0.0, 1.0], [1.0]]]}]}
+        with pytest.raises(ConfigError, match="kernel dim 2"):
+            config(kernel=spec)
+
+    # hashes of the shipped configs; a change here is a documented event
+    SHIPPED = {"oracle.json": "4867086bd28d3805", "slow_clt.json": "af5ea5fd2d127843",
+               "wlaw.json": "94e29649be29c307"}
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_shipped_configs_load(self, name):
+        path = Path(__file__).resolve().parents[1] / "configs" / name
+        assert ExperimentConfig.from_json(path).config_hash() == self.SHIPPED[name]
 
     # one raw-config change per field that affects the numbers; the kernel
     # object is parsed from its spec
@@ -368,6 +405,28 @@ class TestCli:
         assert cli_main(["oracle", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: arity 5")
+
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
+        raw = dict(BASE, tolerances={"se_mul": 2.0})
+        cfg = self.write_cfg(tmp_path, raw)
+        assert cli_main(["lln", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'se_mul'" in err
+
+    def test_kernel_dim_mismatch_exit_2_before_simulating(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_farm(*args, **kwargs):
+            raise AssertionError("the farm was simulated")
+
+        monkeypatch.setattr("branching_ou.harness.simulate_farm", no_farm)
+        kernel = {"arity": 2, "dim": 2, "symmetric": True,
+                  "terms": [{"coef": 1.0, "slots": [[[0.0, 1.0], [0.0, 1.0]]] * 2}]}
+        raw = dict(BASE, kernel=kernel, replicas=50, t_grid=[3.0])
+        cfg = self.write_cfg(tmp_path, raw)
+        assert cli_main(["lln", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_lln_above_expansion_cap_exit_2(self, tmp_path, capsys):
         kernel = {"arity": 7, "dim": 1, "symmetric": True,

@@ -12,8 +12,6 @@ from branching_ou.ou import (
     QuadratureRule,
     evolve_poly,
     gaussian_moment,
-    invariant_density,
-    invariant_density_gradient,
     invariant_integral,
     ou_transition_sample,
     poly_phi_mean,
@@ -170,23 +168,11 @@ class TestInvariantIntegral:
 
 
 class TestDensityGradient:
-    def test_zero_at_origin(self):
-        assert invariant_density_gradient(1, np.zeros(1), PARAMS) == 0.0
-
-    def test_closed_form_at_one(self):
-        got = invariant_density_gradient(1, np.array([1.0]), PARAMS)
-        assert got == pytest.approx(-2.0 * invariant_density(np.array([1.0]), PARAMS),
-                                    abs=1e-14)
-
     def test_integration_by_parts(self):
         # integral of x * dphi/dx over R is -1
         rule = QuadratureRule.for_invariant(PARAMS)
         vals = rule.nodes * (-rule.nodes / derive(PARAMS).stationary_var)
         assert float(np.dot(rule.weights, vals)) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_coordinate_bounds(self):
-        with pytest.raises(ValueError):
-            invariant_density_gradient(3, np.zeros(1), PARAMS)
 
 
 from hypothesis import given, settings, strategies as st

@@ -8,7 +8,6 @@ from branching_ou.model import ModelParams, derive
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
 from branching_ou.tree_oracle import (
     OracleKernelError,
-    QuadratureFailure,
     TreeCapError,
     enumerate_trees,
     exact_mixed_moment,
@@ -16,10 +15,11 @@ from branching_ou.tree_oracle import (
     tree_contribution,
 )
 
-from helpers import second_moment_linear, yule_second_moment
+from helpers import mixed_moment_forward, second_moment_linear, yule_second_moment
 
 SLOW = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(0.5,))
 X2 = Func1D.polynomial([0.0, 0.0, 1.0])
+LIN, SQ, CUBE, MIXED = [0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [0.3, -1.0, 0.5, 1.0]
 
 
 def double_factorial(k):
@@ -147,18 +147,11 @@ class TestTreeContribution:
 
     def test_zero_horizon(self):
         for tree in enumerate_trees(2):
-            val = tree_contribution(tree, 0.0, SLOW, [FUNC_X, FUNC_X], check=False)
+            val = tree_contribution(tree, 0.0, SLOW, [FUNC_X, FUNC_X])
             if tree.inner_nodes:
                 assert val == 0.0
             else:
                 assert val == pytest.approx(0.25, abs=1e-14)
-
-    def test_quadrature_failure_detected(self):
-        params = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0)
-        split = next(t for t in enumerate_trees(2) if t.inner_nodes)
-        with pytest.raises(QuadratureFailure):
-            tree_contribution(split, 30.0, params, [FUNC_ONE, FUNC_ONE],
-                              n_nodes=4, rel_tol=1e-6)
 
 
 class TestExactMixedMoment:
@@ -166,7 +159,20 @@ class TestExactMixedMoment:
         params = ModelParams(lam=1.0, p=1.0, mu=1.0, sigma=1.0)
         for t in (0.5, 1.0, 2.0):
             got = exact_mixed_moment(2, t, params, [FUNC_ONE, FUNC_ONE])
-            assert got == pytest.approx(yule_second_moment(t, 1.0), rel=1e-10)
+            assert got == pytest.approx(yule_second_moment(t, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_yule_higher_moments(self, n):
+        # N_t is geometric with q = e^{-lam t}: E (N)_k = k! (1-q)^{k-1} / q^k,
+        # and E N^n = sum_k S(n, k) E (N)_k with Stirling numbers S
+        stirling = {3: (1, 3, 1), 4: (1, 7, 6, 1)}[n]
+        params = ModelParams(lam=1.0, p=1.0, mu=1.0, sigma=1.0)
+        for t in (0.5, 1.0, 2.0):
+            q = math.exp(-t)
+            want = sum(s * math.factorial(k) * (1 - q) ** (k - 1) / q**k
+                       for k, s in enumerate(stirling, start=1))
+            got = exact_mixed_moment(n, t, params, [FUNC_ONE] * n)
+            assert got == pytest.approx(want, rel=1e-13)
 
     def test_first_moment_formula(self):
         params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(1.0,))
@@ -179,7 +185,7 @@ class TestExactMixedMoment:
         params = ModelParams(lam=1.0, p=0.75, mu=mu, sigma=1.0, x0=(0.5,))
         for t in (1.0, 3.0):
             got = exact_mixed_moment(2, t, params, [FUNC_X, FUNC_X])
-            assert got == pytest.approx(second_moment_linear(t, params), rel=1e-8)
+            assert got == pytest.approx(second_moment_linear(t, params), rel=1e-12)
 
     def test_recursion_consistency(self):
         # the moment solves an integral equation in the tilted semigroup;
@@ -207,6 +213,26 @@ class TestExactMixedMoment:
                 params.p * params.lam * integral
             assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
 
+    @pytest.mark.parametrize("t", [0.1, 2.0])
+    @pytest.mark.parametrize("params, factors", [
+        (ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.3, x0=(-0.7,)),
+         [[MIXED], [CUBE], [MIXED]]),
+        # resonant case: g = 2 mu
+        (ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.2, x0=(-0.4,)),
+         [[CUBE], [LIN], [SQ], [MIXED]]),
+        (ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.0, dim=2, x0=(0.5, -0.3)),
+         [[CUBE, LIN], [LIN, SQ], [MIXED, CUBE]]),
+    ], ids=["n3-cubic", "n4-mixed-degrees", "n3-2d"])
+    def test_higher_degree_against_forward_equations(self, params, factors, t):
+        # cubic factors give leaf moments of degree 4 to 6 in the split
+        # variables; at the short horizon every split lies near the start
+        from branching_ou.kernels import ProductFunc
+
+        fs = [ProductFunc(tuple(Func1D.polynomial(c) for c in f)) for f in factors]
+        got = exact_mixed_moment(len(fs), t, params, fs)
+        want = mixed_moment_forward(t, params, factors)
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+
     def test_normalized_second_moment_stays_bounded(self):
         # canonical tensor square in the slow regime: the exponentially
         # normalized moment approaches a finite limit instead of growing
@@ -224,8 +250,7 @@ class TestExactMixedMoment:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_third_moment_runs(self):
-        got = exact_mixed_moment(3, 1.0, SLOW, [FUNC_X, FUNC_X, FUNC_X],
-                                 n_nodes=24)
+        got = exact_mixed_moment(3, 1.0, SLOW, [FUNC_X, FUNC_X, FUNC_X])
         assert np.isfinite(got)
 
     def test_two_dim_first_moment(self):
@@ -256,6 +281,20 @@ class TestExactMixedMoment:
         )
         farm = simulate_farm(params, (t,), 20_000, seed=71, batch_size=4000)
         vals = np.array([v_statistic(s, f) for s in farm[0]])
+        se = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert abs(vals.mean() - oracle) <= 4 * se
+
+    def test_fourth_moment_vs_squared_v_statistic(self):
+        # the arity-2 V-statistic of x (x) x is <X_t, x>^2
+        from branching_ou.kernels import Kernel
+        from branching_ou.simulator import simulate_farm
+        from branching_ou.ustats import v_statistic
+
+        t = 1.5
+        oracle = exact_mixed_moment(4, t, SLOW, [FUNC_X] * 4)
+        f = Kernel.from_slot_funcs([FUNC_X, FUNC_X])
+        farm = simulate_farm(SLOW, (t,), 20_000, seed=83, batch_size=4000)
+        vals = np.array([v_statistic(s, f) ** 2 for s in farm[0]])
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - oracle) <= 4 * se
 

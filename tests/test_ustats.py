@@ -12,7 +12,7 @@ from branching_ou.ustats import (
     BudgetExceededError,
     ExpansionCapError,
     build_expansion,
-    hoeffding_normalized,
+    normalized_u_statistic,
     partition_coefficients,
     refines,
     set_partitions,
@@ -239,7 +239,7 @@ class TestHoeffdingNormalized:
         f = kernel_xy()
         consts = derive(PARAMS)
         regime = classify(PARAMS)
-        got = hoeffding_normalized(s, f, PARAMS, consts, regime)
+        got = normalized_u_statistic(s, f, 2, regime, consts)
         want = u_statistic(s, f) / 9.0
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -255,7 +255,7 @@ class TestHoeffdingNormalized:
         s = snap(*np.linspace(-1, 1, 4))
         consts = derive(PARAMS)
         regime = classify(PARAMS)
-        got = hoeffding_normalized(s, f, PARAMS, consts, regime)
+        got = normalized_u_statistic(s, f, 1, regime, consts)
         want = u_statistic(s, f) * 4.0 ** -1.5
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -265,12 +265,12 @@ class TestHoeffdingNormalized:
         regime = classify(params)
         s = ParticleSnapshot(t=2.0, positions=np.array([[0.3], [-0.4], [1.0]]))
         f = kernel_xy()
-        got = hoeffding_normalized(s, f, params, consts, regime)
+        got = normalized_u_statistic(s, f, 2, regime, consts)
         want = u_statistic(s, f) * math.exp(-(0.5 * 2 - 0.1 * 2) * 2.0)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_count_error(self):
         empty = ParticleSnapshot(t=1.0, positions=np.empty((0, 1)))
         with pytest.raises(ValueError):
-            hoeffding_normalized(empty, kernel_xy(), PARAMS, derive(PARAMS),
-                                 classify(PARAMS))
+            normalized_u_statistic(empty, kernel_xy(), 2, classify(PARAMS),
+                                   derive(PARAMS))
