@@ -8,6 +8,7 @@ function of (config, seed) regardless of worker count.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -638,11 +639,10 @@ def emit(report: TestReport, fmt: str, out_dir) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         path = out_dir / f"report_{report.test}.csv"
-        lines = [",".join(_CSV_FIELDS)]
-        for check in report.checks:
-            lines.append(",".join(
-                str(v).replace(",", ";") for v in _row(report, check)))
-        path.write_text("\n".join(lines) + "\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_CSV_FIELDS)
+            writer.writerows(_row(report, check) for check in report.checks)
         return path
     if fmt == "jsonl":
         path = out_dir / f"report_{report.test}.jsonl"

@@ -12,6 +12,7 @@ slot function, with no growth in the number of terms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -27,6 +28,16 @@ class KernelShapeError(ValueError):
 
 class ConstantKernelError(ValueError):
     """All Hoeffding projections of positive order vanish."""
+
+
+class BudgetExceededError(RuntimeError):
+    """An enumeration of kernel evaluations would exceed its budget."""
+
+
+# Black-box averages refuse more evaluations than this before evaluating.
+BLACKBOX_BUDGET = 1e8
+# Index tuples per batched black-box call.
+_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +254,14 @@ def _quad_grid(rule: QuadratureRule, dim: int):
     return pts, w
 
 
+def index_chunks(shape: tuple[int, ...]):
+    """Every index tuple of ``shape`` in C order, as one index array per
+    axis, at most ``_CHUNK`` tuples at a time."""
+    total = math.prod(shape)
+    for start in range(0, total, _CHUNK):
+        yield np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
+
+
 def _blackbox_average(kernel: Kernel, slots_out: tuple[int, ...],
                       params: ModelParams, rule: QuadratureRule) -> Callable:
     """Average a black-box kernel over the 0-based slots ``slots_out`` by
@@ -252,20 +271,27 @@ def _blackbox_average(kernel: Kernel, slots_out: tuple[int, ...],
         raise GrowthError("black-box kernel lacks a growth declaration")
     keep = [i for i in range(kernel.arity) if i not in slots_out]
     pts, w = _quad_grid(rule, kernel.dim)
-    n_quad = pts.shape[0]
+    shape_out = (pts.shape[0],) * len(slots_out)
 
     def fn(args):
-        m = np.atleast_2d(args[0]).shape[0] if keep else 1
+        args = [np.atleast_2d(a) for a in args]
+        m = args[0].shape[0] if keep else 1
+        if m * math.prod(shape_out) > BLACKBOX_BUDGET:
+            raise BudgetExceededError(
+                f"{m} x {pts.shape[0]}^{len(slots_out)} black-box evaluations "
+                f"exceed the budget {BLACKBOX_BUDGET:g}"
+            )
         total = np.zeros(m)
-        for combo in itertools.product(range(n_quad), repeat=len(slots_out)):
+        for idx in index_chunks((m,) + shape_out):
             full = [None] * kernel.arity
             for j, i in enumerate(keep):
-                full[i] = np.atleast_2d(args[j])
-            wprod = 1.0
+                full[i] = args[j][idx[0]]
+            wprod = np.ones(idx[0].shape[0])
             for j, i in enumerate(slots_out):
-                full[i] = np.broadcast_to(pts[combo[j]], (m, kernel.dim))
-                wprod *= w[combo[j]]
-            total += wprod * kernel.evaluate(full)
+                full[i] = pts[idx[j + 1]]
+                wprod *= w[idx[j + 1]]
+            total += np.bincount(idx[0], weights=wprod * kernel.evaluate(full),
+                                 minlength=m)
         return total
 
     return fn
@@ -274,11 +300,6 @@ def _blackbox_average(kernel: Kernel, slots_out: tuple[int, ...],
 def _blackbox_total(f: Kernel, params: ModelParams, rule: QuadratureRule) -> float:
     avg = _blackbox_average(f, tuple(range(f.arity)), params, rule)
     return float(avg([])[0])
-
-
-def _subsets(items: tuple):
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
 
 
 def project(
@@ -316,27 +337,32 @@ def project(
                     c *= s.phi_mean(params, rule)
             new_terms.append((c, tuple(kept)))
         return Kernel.tensor_sum(new_terms, dim=f.dim)
-    if not I:
-        return _blackbox_total(f, params, rule)
-    # black-box: expand the product of (delta_x - phi) over the slots of I
+    total = _blackbox_total(f, params, rule)
+    return _blackbox_projection(f, I, total, params, rule) if I else total
+
+
+def _blackbox_projection(f: Kernel, I: Sequence[int], total: float,
+                         params: ModelParams, rule: QuadratureRule) -> Kernel:
+    """Projection of a black box onto the nonempty 1-based slot subset ``I``,
+    given its total integral: the product of (delta_x - phi) over the slots
+    of I, expanded over the subsets S of I; the S = () piece is the total."""
     I0 = tuple(i - 1 for i in I)
     out = tuple(i for i in range(f.arity) if i not in I0)
+    const = (-1) ** len(I0) * total
     pieces = []
-    for S in _subsets(I0):
-        sign = (-1) ** (len(I0) - len(S))
-        averaged = tuple(sorted(set(out) | (set(I0) - set(S))))
-        avg_fn = _blackbox_average(f, averaged, params, rule)
-        positions = [I0.index(i) for i in sorted(S)]
-        pieces.append((sign, avg_fn, positions))
+    for r in range(1, len(I0) + 1):
+        for S in itertools.combinations(I0, r):
+            sign = (-1) ** (len(I0) - len(S))
+            averaged = tuple(sorted(set(out) | (set(I0) - set(S))))
+            avg_fn = _blackbox_average(f, averaged, params, rule)
+            positions = [I0.index(i) for i in S]
+            pieces.append((sign, avg_fn, positions))
 
     def fn(args, _pieces=pieces):
-        m = np.atleast_2d(args[0]).shape[0]
-        total = np.zeros(m)
+        vals = np.full(np.atleast_2d(args[0]).shape[0], const)
         for sign, avg_fn, positions in _pieces:
-            sub_args = [args[j] for j in positions]
-            vals = avg_fn(sub_args)
-            total += sign * (vals if len(positions) else float(vals[0]))
-        return total
+            vals += sign * avg_fn([args[j] for j in positions])
+        return vals
 
     return Kernel.black_box(fn, arity=len(I), dim=f.dim,
                             poly_bounded=f.poly_bounded)
@@ -345,12 +371,14 @@ def project(
 def hoeffding_table(
     f: Kernel, params: ModelParams, rule: QuadratureRule | None = None
 ) -> dict:
-    """All projections keyed by slot subset, plus the constant under ()."""
+    """All projections keyed by slot subset, plus the constant under ().
+    A black box's total integral is computed once for the whole table."""
     rule = rule or default_rule(params)
-    table = {}
-    for r in range(f.arity + 1):
+    table = {(): project(f, [], params, rule)}
+    for r in range(1, f.arity + 1):
         for I in itertools.combinations(range(1, f.arity + 1), r):
-            table[I] = project(f, I, params, rule)
+            table[I] = (project(f, I, params, rule) if f.is_tensor_sum
+                        else _blackbox_projection(f, I, table[()], params, rule))
     return table
 
 

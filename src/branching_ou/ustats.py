@@ -17,13 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import Kernel, substitute_partition
+from .kernels import BudgetExceededError, Kernel, index_chunks, substitute_partition
 from .model import DerivedConstants, Regime
 from .simulator import ParticleSnapshot
-
-
-class BudgetExceededError(RuntimeError):
-    """A naive enumeration would exceed the configured evaluation budget."""
 
 
 class ExpansionCapError(ValueError):
@@ -123,11 +119,8 @@ def v_statistic(
             f"{m}^{f.arity} black-box evaluations exceed the budget {budget:g}"
         )
     total = 0.0
-    idx_iter = itertools.product(range(m), repeat=f.arity)
-    for chunk in _chunks(idx_iter, 4096):
-        idx = np.array(chunk)
-        vals = f.evaluate([snap.positions[idx[:, j]] for j in range(f.arity)])
-        total += float(vals.sum())
+    for idx in index_chunks((m,) * f.arity):
+        total += float(f.evaluate([snap.positions[i] for i in idx]).sum())
     return total
 
 
@@ -155,9 +148,11 @@ def u_statistic(
                 f"{n_tuples} naive evaluations exceed the budget {budget:g}"
             )
         total = 0.0
-        for chunk in _chunks(itertools.permutations(range(m), n), 4096):
-            idx = np.array(chunk)
-            vals = f.evaluate([snap.positions[idx[:, j]] for j in range(n)])
+        for idx in index_chunks((m,) * n):
+            injective = np.ones(idx[0].shape[0], dtype=bool)
+            for a, b in itertools.combinations(idx, 2):
+                injective &= a != b
+            vals = f.evaluate([snap.positions[i[injective]] for i in idx])
             total += float(vals.sum())
         return total
     if strategy == "inclusion-exclusion":
@@ -197,11 +192,3 @@ def normalized_u_statistic(
     if regime.is_critical:
         return u * t ** -(k / 2.0) * m ** -(n - k / 2.0)
     return u * math.exp(-(consts.growth_rate * n - regime.twice_mu / 2.0 * k) * t)
-
-
-def _chunks(iterator, size: int):
-    while True:
-        chunk = list(itertools.islice(iterator, size))
-        if not chunk:
-            return
-        yield chunk

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -189,6 +190,18 @@ class TestEmit:
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert lines[0]["meta"] is True and lines[0]["passed"] is True
         assert lines[1]["check"] == "c" and lines[1]["value"] == 1.25
+
+    def test_csv_field_with_comma_reads_back(self, tmp_path):
+        check = CheckResult(name='mean, "arity 2"', value=1.25, target=None,
+                            tolerance="|diff| <= 0.5", passed=False)
+        path = emit(self.report([check]), "csv", tmp_path)
+        with open(path, newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert dict(zip(header, row)) == {
+            "test": "demo", "check": 'mean, "arity 2"', "value": "1.25",
+            "target": "", "tolerance": "|diff| <= 0.5", "passed": "false",
+            "se": "", "seed": "1", "config_hash": "abc", "survival_fraction": "0.5",
+        }
 
     def test_rerun_byte_identical_numeric_fields(self, tmp_path):
         cfg = config(replicas=400, t_grid=[2.0, 4.0])

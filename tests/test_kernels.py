@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from branching_ou.kernels import (
+    BudgetExceededError,
     ConstantKernelError,
     Factor,
     Kernel,
@@ -10,6 +13,7 @@ from branching_ou.kernels import (
     center_kernel,
     degeneracy_order,
     hoeffding_table,
+    index_chunks,
     is_canonical,
     project,
     reconstruct_from_table,
@@ -19,6 +23,7 @@ from branching_ou.model import ModelParams
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
 
 PARAMS = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
+PARAMS2 = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=2, x0=(0.0, 0.0))
 
 X2 = Func1D.polynomial([0.0, 0.0, 1.0])
 
@@ -259,3 +264,49 @@ class TestMultiDim:
         f = Kernel.tensor_sum([(1.0, (slot, slot))], dim=2, symmetric=True)
         assert project(f, [], params2) == pytest.approx(0.25, abs=1e-12)
         assert not is_canonical(f, params2)
+
+
+class TestBatchedBlackBox:
+    def test_index_chunks_c_order(self):
+        shape = (3, 5, 5000)  # 75,000 tuples: two chunks
+        chunks = list(index_chunks(shape))
+        assert len(chunks) == 2
+        assert all(len(idx) == 3 for idx in chunks)
+        got = np.concatenate([np.stack(idx, axis=1) for idx in chunks])
+        assert np.array_equal(got, np.indices(shape).reshape(3, -1).T)
+
+    def test_budget_refused_up_front(self):
+        # 4096^3 ~ 6.9e10 rows for the constant projection alone
+        bb = Kernel.black_box(
+            lambda args: args[0][:, 0] * args[1][:, 1] * args[2][:, 0],
+            arity=3, dim=2,
+        )
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            hoeffding_table(bb, PARAMS2)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_degeneracy_order_dim2_at_default_rule(self, degenerate):
+        # 4096^2 quadrature rows per constant projection
+        b = 0.0 if degenerate else 0.7
+
+        def fn(args):
+            u, v = args
+            return (u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
+                    + b * u[:, 0] ** 2 * v[:, 0] ** 2)
+
+        def slot(*funcs):
+            return Factor.from_product(ProductFunc(funcs))
+
+        x, y, x2 = slot(FUNC_X, FUNC_ONE), slot(FUNC_ONE, FUNC_X), slot(X2, FUNC_ONE)
+        bb = Kernel.black_box(fn, arity=2, dim=2, symmetric=True)
+        twin = Kernel.tensor_sum([(1.0, (x, x)), (1.0, (y, y)), (b, (x2, x2))],
+                                 dim=2, symmetric=True)
+        order, proj = degeneracy_order(center_kernel(bb, PARAMS2), PARAMS2)
+        want_order, want_proj = degeneracy_order(center_kernel(twin, PARAMS2), PARAMS2)
+        assert order == want_order == (1 if degenerate else 0)
+        pts = rand_points(30, order + 1, dim=2, seed=7)
+        args = [pts[:, j, :] for j in range(order + 1)]
+        assert np.allclose(proj.evaluate(args), want_proj.evaluate(args),
+                           rtol=1e-9, atol=1e-9)

@@ -211,6 +211,44 @@ class TestUStatistic:
         assert u_statistic(s, f.scaled(3.0)) == 3.0 * u_statistic(s, f)
 
 
+
+def positive_black_box_and_twin():
+    """x^2 (1 + y^2)(1 + z^2) + 1 as a black box and as a tensor sum; every
+    value is positive, so the sums carry no cancellation."""
+    def fn(args):
+        x, y, z = (a[:, 0] for a in args)
+        return x**2 * (1.0 + y**2) * (1.0 + z**2) + 1.0
+
+    sq = Factor.from_polys([[0.0, 0.0, 1.0]])
+    one_plus_sq = Factor.from_polys([[1.0, 0.0, 1.0]])
+    twin = Kernel.tensor_sum(
+        [(1.0, (sq, one_plus_sq, one_plus_sq)), (1.0, (Factor.constant(1.0, 1),) * 3)],
+        dim=1,
+    )
+    return Kernel.black_box(fn, arity=3, dim=1), twin
+
+
+class TestBatchedBlackBox:
+    SNAPSHOTS = {
+        "duplicated": snap(0.5, 0.5, -1.0, 2.0, 0.5, -1.0),
+        # 41^3 = 68,921 index tuples: more than one chunk
+        "two_chunks": snap(*np.random.default_rng(11).normal(size=41)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SNAPSHOTS))
+    def test_v_statistic_matches_twin(self, name):
+        bb, twin = positive_black_box_and_twin()
+        s = self.SNAPSHOTS[name]
+        assert v_statistic(s, bb) == pytest.approx(v_statistic(s, twin), rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SNAPSHOTS))
+    def test_naive_u_statistic_matches_twin(self, name):
+        bb, twin = positive_black_box_and_twin()
+        s = self.SNAPSHOTS[name]
+        assert u_statistic(s, bb, "naive") == pytest.approx(u_statistic(s, twin),
+                                                            rel=1e-12)
+
+
 class TestHoeffdingDecompositionOfU:
     @pytest.mark.parametrize("n", [2, 3])
     def test_projection_decomposition_identity(self, n):
