@@ -17,6 +17,7 @@ from .kernels import Factor, Kernel, ProductFunc
 from .simulator import (
     AllExtinctError,
     Caps,
+    FarmLevel,
     ParticleSnapshot,
     ResourceCapError,
     TrajectoryObservables,
@@ -25,13 +26,14 @@ from .simulator import (
     simulate,
     simulate_farm,
 )
-from .ustats import build_expansion, u_statistic, v_statistic
+from .ustats import build_expansion, u_statistic, u_statistics, v_statistic, v_statistics
 
 __all__ = [
     "AllExtinctError",
     "Caps",
     "DerivedConstants",
     "Factor",
+    "FarmLevel",
     "Func1D",
     "InvalidParameterError",
     "Kernel",
@@ -54,7 +56,9 @@ __all__ = [
     "simulate",
     "simulate_farm",
     "u_statistic",
+    "u_statistics",
     "v_statistic",
+    "v_statistics",
     "w_moments",
 ]
 

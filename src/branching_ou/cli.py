@@ -88,7 +88,7 @@ def main(argv=None) -> int:
                 threads=config.threads,
             )
             path = dump_snapshots(farm, config.t_grid, args.out)
-            counts = [sum(1 for s in farm[-1] if s.count > 0), config.replicas]
+            counts = [int((farm[-1].counts > 0).sum()), config.replicas]
             print(f"wrote {path} ({counts[0]}/{counts[1]} replicas surviving "
                   f"at t={config.t_grid[-1]:g})")
             return 0

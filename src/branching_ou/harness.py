@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -29,16 +30,19 @@ from .limits import (
     sigma_slow,
     slow_limit_sampler,
 )
-from .simulator import (
-    Caps,
-    condition_on_survival,
-    h_value,
-    simulate_farm,
-    snapshot_rows,
-    v_value,
-)
+from .simulator import Caps, condition_on_survival, simulate_farm
 from .tree_oracle import exact_mixed_moment
-from .ustats import falling_factorial, normalized_u_statistic, u_statistic, v_statistic
+# The per-snapshot statistics stay importable from here: the benchmark's
+# tracer (benchmarks/tracer.py) patches them by these names.
+from .ustats import (  # noqa: F401
+    falling_factorial,
+    normalized_u_statistic,
+    normalized_u_statistics,
+    u_statistic,
+    u_statistics,
+    v_statistic,
+    v_statistics,
+)
 
 
 class ConfigError(ValueError):
@@ -272,6 +276,11 @@ def _var_se(x: np.ndarray) -> tuple[float, float]:
     return float(m2), se
 
 
+def _v_values(level, consts) -> np.ndarray:
+    """Per-replica normalized population size exp(-growth t) * count."""
+    return math.exp(-consts.growth_rate * level.t) * level.counts
+
+
 # ---------------------------------------------------------------------------
 # runners
 
@@ -298,14 +307,13 @@ def run_lln(config: ExperimentConfig, farm=None) -> TestReport:
     start = time.time()
     f = _require_kernel(config)
     farm = farm if farm is not None else _farm(config)
-    snaps = farm[-1]
-    alive, frac = condition_on_survival(snaps)
+    alive, frac = condition_on_survival(farm[-1])
     n = f.arity
     target = project(f, [], config.params)
-    vals = np.array([
-        u_statistic(s, f) / falling_factorial(s.count, n)
-        for s in alive if s.count >= n
-    ])
+    enough = alive.counts >= n
+    tuples = np.array([float(falling_factorial(int(m), n))
+                       for m in alive.counts[enough]])
+    vals = u_statistics(alive, f)[enough] / tuples
     if len(vals) < 2:
         raise ConfigError("too few replicas with enough particles for the arity")
     mean, se = _mean_se(vals)
@@ -336,10 +344,10 @@ def run_w_law(config: ExperimentConfig, farm=None) -> TestReport:
     if math.exp(-consts.growth_rate * t) >= 0.05:
         raise ConfigError("horizon too short: exp(-growth t) must be < 0.05")
     farm = farm if farm is not None else _farm(config)
-    snaps = farm[-1]
-    alive, frac = condition_on_survival(snaps)
-    v_alive = np.array([v_value(s, consts) for s in alive])
-    v_all = np.array([v_value(s, consts) for s in snaps])
+    level = farm[-1]
+    alive, frac = condition_on_survival(level)
+    v_all = _v_values(level, consts)
+    v_alive = v_all[level.counts > 0]
     w_mean = config.params.p / (2.0 * config.params.p - 1.0)
     ks = sstats.kstest(v_alive, "expon", args=(0.0, w_mean))
     checks = [
@@ -378,16 +386,10 @@ def _g1_coordinate(config: ExperimentConfig) -> CheckResult:
     grid = (config.g1_t, config.g1_t_max)
     farm = _farm(config, t_grid=grid, replicas=config.g1_replicas,
                  seed=config.seed + 104729)
-    stats_vals = []
-    for s_t, s_T in zip(farm[0], farm[1]):
-        if s_t.count == 0:
-            continue
-        v_hat = v_value(s_T, consts)
-        stats_vals.append(
-            (s_t.count - math.exp(consts.growth_rate * s_t.t) * v_hat)
-            / math.sqrt(s_t.count)
-        )
-    stats_vals = np.asarray(stats_vals)
+    alive = farm[0].counts > 0
+    m_t = farm[0].counts[alive]
+    v_hat = _v_values(farm[1], consts)[alive]
+    stats_vals = (m_t - math.exp(consts.growth_rate * farm[0].t) * v_hat) / np.sqrt(m_t)
     target = 1.0 / (2.0 * config.params.p - 1.0)
     var, se = _var_se(stats_vals)
     tol = 5.0 * se
@@ -427,23 +429,19 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     n = f.arity
     t = config.t_grid[-1]
     farm = farm if farm is not None else _farm(config)
-    snaps = farm[-1]
-    alive, frac = condition_on_survival(snaps)
-    alive = [s for s in alive if s.count >= n]
-    stat = np.array([
-        normalized_u_statistic(s, f, n, regime, consts) for s in alive
-    ])
-    w_proxy = np.array([v_value(s, consts) for s in alive])
+    alive, frac = condition_on_survival(farm[-1])
+    alive = alive.select(alive.counts >= n)
+    stat = normalized_u_statistics(alive, f, n, regime, consts)
+    w_proxy = _v_values(alive, consts)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((config.seed, 0xC17))))
     n_draws = config.limit_draws or len(stat)
     checks: list[CheckResult] = []
 
     if regime.is_fast:
-        ref = np.array([
-            h_polynomial_value(f, h_value(s, params, consts), params)
-            for s in alive
-        ])
+        h_vals = math.exp((params.mu - consts.growth_rate) * alive.t) * \
+            alive.segment_sum(alive.positions)
+        ref = np.array([h_polynomial_value(f, h, params) for h in h_vals])
         corr = float(np.corrcoef(stat, ref)[0, 1])
         checks.append(CheckResult(
             name="fast_same_trajectory_correlation",
@@ -560,7 +558,7 @@ def run_oracle_crosscheck(config: ExperimentConfig, farm=None) -> TestReport:
     farm = farm if farm is not None else _farm(config)
     checks = []
     for k, t in enumerate(config.t_grid):
-        vals = np.array([v_statistic(s, f) for s in farm[k]])
+        vals = v_statistics(farm[k], f)
         oracle = coef * exact_mixed_moment(f.arity, t, config.params, factors)
         mean, se = _mean_se(vals)
         tol = config.se_mult * se
@@ -666,20 +664,23 @@ def emit(report: TestReport, fmt: str, out_dir) -> Path:
 
 
 def dump_snapshots(farm, t_grid, out_dir, name: str = "snapshots") -> Path:
-    """Plot-ready long-format CSV: one row per particle per replica per
-    grid time (replica_id, t, coord_1..coord_d)."""
+    """Plot-ready long-format CSV of a ``simulate_farm`` result: one row per
+    particle per replica per grid time (replica_id, t, coord_1..coord_d),
+    written a level at a time from the flat layout.  Floats are written by
+    ``repr``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.csv"
-    dim = farm[0][0].positions.shape[1] if farm and farm[0] else 1
+    dim = farm[0].positions.shape[1] if farm else 1
     header = ["replica_id", "t"] + [f"coord_{i + 1}" for i in range(dim)]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for k, _t in enumerate(t_grid):
-            for rid, snap in enumerate(farm[k]):
-                for row in snapshot_rows(snap, rid):
-                    fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                                      for v in row) + "\n")
+        for level, _t in zip(farm, t_grid):
+            replica_ids = np.repeat(np.arange(len(level)), level.counts)
+            columns = [map(str, replica_ids.tolist()),
+                       itertools.repeat(repr(level.t), replica_ids.size)]
+            columns += [map(repr, level.positions[:, c].tolist()) for c in range(dim)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
     return path
 
 

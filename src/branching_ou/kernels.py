@@ -457,13 +457,17 @@ def degeneracy_order(
     """Smallest k with a non-vanishing order-k projection, as (k - 1, proj).
 
     Requires the symmetric flag; raises ConstantKernelError when every
-    positive-order projection vanishes on the test grid.
+    positive-order projection vanishes on the test grid.  A black box's
+    total integral is computed once for all orders.
     """
     if not f.symmetric:
         raise KernelShapeError("degeneracy order requires a symmetric kernel")
     rule = rule or default_rule(params)
+    total = None if f.is_tensor_sum else _blackbox_total(f, params, rule)
     for k in range(1, f.arity + 1):
-        proj = project(f, range(1, k + 1), params, rule)
+        I = tuple(range(1, k + 1))
+        proj = (project(f, I, params, rule) if f.is_tensor_sum
+                else _blackbox_projection(f, I, total, params, rule))
         pts = _test_points(f, k, params, rule)
         vals = proj.evaluate([pts[:, j, :] for j in range(k)])
         if np.max(np.abs(vals)) > tol:

@@ -58,6 +58,67 @@ class ParticleSnapshot:
         return self.positions.shape[0]
 
 
+class FarmLevel:
+    """Every replica at one grid time, kept flat: ``positions`` holds all
+    particles sorted by replica (in simulation order within a replica),
+    replica ``i`` owning rows ``offsets[i]:offsets[i + 1]``.  Indexing and
+    iterating give read-only ``ParticleSnapshot`` views; per-replica
+    statistics come from ``segment_sum`` without a loop over replicas."""
+
+    def __init__(self, t: float, positions: np.ndarray, counts: np.ndarray):
+        positions = positions.view()
+        positions.flags.writeable = False
+        self.t = t
+        self.positions = positions              # (counts.sum(), dim)
+        self.counts = counts                    # (replicas,) int64
+        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+
+    @staticmethod
+    def from_snapshots(snapshots) -> "FarmLevel":
+        """The flat layout of snapshots taken at one common time."""
+        if isinstance(snapshots, FarmLevel):
+            return snapshots
+        snapshots = list(snapshots)
+        if not snapshots:
+            raise ValueError("no snapshots to combine")
+        times = {s.t for s in snapshots}
+        if len(times) != 1:
+            raise ValueError("snapshots taken at different times")
+        return FarmLevel(times.pop(),
+                         np.concatenate([s.positions for s in snapshots]),
+                         np.array([s.count for s in snapshots], dtype=np.int64))
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    def __getitem__(self, i: int) -> ParticleSnapshot:
+        i = range(len(self))[i]
+        return ParticleSnapshot(
+            t=self.t, positions=self.positions[self.offsets[i]:self.offsets[i + 1]])
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+    def segment_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-replica sums of a per-particle array (rows follow
+        ``positions``); extinct replicas sum to zero."""
+        alive = self.counts > 0
+        if alive.all() and len(self):
+            return np.add.reduceat(values, self.offsets[:-1], axis=0)
+        out = np.zeros((len(self),) + values.shape[1:])
+        if alive.any():
+            out[alive] = np.add.reduceat(values, self.offsets[:-1][alive], axis=0)
+        return out
+
+    def select(self, mask: np.ndarray) -> "FarmLevel":
+        """The replicas where ``mask`` holds, in order; dropping only
+        extinct replicas shares the positions array."""
+        rows = np.repeat(mask, self.counts)
+        positions = self.positions if rows.all() else self.positions[rows]
+        return FarmLevel(self.t, positions, self.counts[mask])
+
+
 @dataclass(frozen=True)
 class TrajectoryObservables:
     """Per-grid-time normalized population size and position-sum martingale
@@ -79,9 +140,10 @@ def _run_batch(
     n_replicas: int,
     rng: np.random.Generator,
     caps: Caps,
-) -> list[list[np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Simulate ``n_replicas`` independent systems, returning, per grid
-    time, per replica, the (count, dim) array of alive positions."""
+    time, the alive positions sorted by replica and the per-replica
+    counts."""
     d = params.dim
     lam, p, mu = params.lam, params.p, params.mu
     s_std = stationary_std(params)
@@ -135,19 +197,15 @@ def _run_batch(
                 t_hit,
             )
 
-    out: list[list[np.ndarray]] = []
+    out = []
     for k in range(len(t_grid)):
         if rec_rep[k]:
             reps = np.concatenate(rec_rep[k])
-            ps = np.concatenate(rec_pos[k], axis=0)
             order = np.argsort(reps, kind="stable")
-            reps = reps[order]
-            ps = ps[order]
-            counts = np.bincount(reps, minlength=n_replicas)
-            splits = np.cumsum(counts)[:-1]
-            out.append(np.split(ps, splits))
+            ps = np.concatenate(rec_pos[k], axis=0)[order]
+            out.append((ps, np.bincount(reps, minlength=n_replicas)))
         else:
-            out.append([np.empty((0, d)) for _ in range(n_replicas)])
+            out.append((np.empty((0, d)), np.zeros(n_replicas, dtype=np.int64)))
     return out
 
 
@@ -159,10 +217,11 @@ def simulate_farm(
     caps: Caps = Caps(),
     batch_size: int = 2000,
     threads: int = 1,
-) -> list[list[ParticleSnapshot]]:
+) -> list[FarmLevel]:
     """Independent replicas observed at the grid times.
 
-    Returns snapshots indexed [grid_index][replica].  Batches own disjoint
+    Returns one ``FarmLevel`` per grid time, so ``farm[k][i]`` is the
+    snapshot of replica ``i`` at the k-th grid time.  Batches own disjoint
     RNG substreams derived from (seed, batch_index) and are combined in
     batch order, so the output is a pure function of the arguments
     regardless of thread count.
@@ -186,12 +245,18 @@ def simulate_farm(
     else:
         batches = [run(i) for i in range(len(starts))]
 
-    out: list[list[ParticleSnapshot]] = []
+    out: list[FarmLevel] = []
     for k, g in enumerate(t_grid):
-        per_time: list[ParticleSnapshot] = []
+        parts = [b[k] for b in batches] or [(np.empty((0, params.dim)),
+                                             np.zeros(0, dtype=np.int64))]
         for b in batches:
-            per_time.extend(ParticleSnapshot(t=float(g), positions=a) for a in b[k])
-        out.append(per_time)
+            b[k] = None  # frees the batch's copy once the level holds it
+        if len(parts) == 1:
+            positions, counts = parts[0]
+        else:
+            positions = np.concatenate([ps for ps, _ in parts])
+            counts = np.concatenate([c for _, c in parts])
+        out.append(FarmLevel(float(g), positions, counts))
     return out
 
 
@@ -205,8 +270,8 @@ def simulate(
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     rng = _as_rng(rng_or_seed)
-    batch = _run_batch(params, np.array([float(t_end)]), 1, rng, caps)
-    return ParticleSnapshot(t=float(t_end), positions=batch[0][0])
+    ((positions, _),) = _run_batch(params, np.array([float(t_end)]), 1, rng, caps)
+    return ParticleSnapshot(t=float(t_end), positions=positions)
 
 
 def observe_path(
@@ -222,8 +287,8 @@ def observe_path(
     rng = _as_rng(rng_or_seed)
     batch = _run_batch(params, t_grid, 1, rng, caps)
     consts = derive(params)
-    snaps = [ParticleSnapshot(t=float(t), positions=batch[k][0])
-             for k, t in enumerate(t_grid)]
+    snaps = [ParticleSnapshot(t=float(t), positions=positions)
+             for t, (positions, _) in zip(t_grid, batch)]
     return TrajectoryObservables(
         times=t_grid,
         v_vals=np.array([v_value(s, consts) for s in snaps]),
@@ -238,14 +303,15 @@ def _as_rng(rng_or_seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(rng_or_seed))))
 
 
-def condition_on_survival(
-    snapshots: list[ParticleSnapshot],
-) -> tuple[list[ParticleSnapshot], float]:
-    """Drop extinct snapshots; returns (survivors, survival fraction)."""
-    alive = [s for s in snapshots if s.count > 0]
-    if not alive:
+def condition_on_survival(snapshots) -> tuple[FarmLevel, float]:
+    """Drop extinct replicas of a ``FarmLevel`` (or of snapshots taken at
+    one time); returns (survivors, survival fraction)."""
+    level = FarmLevel.from_snapshots(snapshots)
+    alive = level.counts > 0
+    n_alive = int(np.count_nonzero(alive))
+    if not n_alive:
         raise AllExtinctError("every replica is extinct")
-    return alive, len(alive) / len(snapshots)
+    return level.select(alive), n_alive / len(level)
 
 
 def v_value(snapshot: ParticleSnapshot, consts: DerivedConstants) -> float:
@@ -261,9 +327,3 @@ def h_value(snapshot: ParticleSnapshot, params: ModelParams,
     return math.exp((params.mu - consts.growth_rate) * snapshot.t) * \
         snapshot.positions.sum(axis=0)
 
-
-def snapshot_rows(snapshot: ParticleSnapshot, replica_id: int) -> list[list]:
-    """CSV-ready rows (replica_id, t, coord_1..coord_d), one per particle."""
-    return [
-        [replica_id, snapshot.t, *map(float, row)] for row in snapshot.positions
-    ]

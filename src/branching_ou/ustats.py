@@ -1,4 +1,4 @@
-"""U- and V-statistics of a particle snapshot.
+"""U- and V-statistics of particle snapshots.
 
 The V-statistic sums the kernel over all index tuples (repeats allowed);
 the U-statistic over injective tuples only.  Tensor-sum kernels admit a
@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernels import BudgetExceededError, Kernel, index_chunks, substitute_partition
 from .model import DerivedConstants, Regime
-from .simulator import ParticleSnapshot
+from .simulator import FarmLevel, ParticleSnapshot
 
 
 class ExpansionCapError(ValueError):
@@ -95,33 +95,79 @@ def build_expansion(n: int, max_n: int = 6) -> PartitionExpansion:
 
 # ---------------------------------------------------------------------------
 # statistics
+#
+# The statistics are computed for every replica of a ``FarmLevel`` at once;
+# a single snapshot is the one-replica case.  A tensor-sum kernel's
+# V-statistic is a product of per-slot particle sums, taken for all
+# replicas by one segment-sum pass per distinct slot function.
 
 
-def v_statistic(
-    snap: ParticleSnapshot, f: Kernel, budget: float = 1e8
-) -> float:
-    """Sum of the kernel over all index tuples (with repetition)."""
-    m = snap.count
-    if m == 0:
-        return 0.0
-    if f.dim != snap.positions.shape[1]:
-        raise ValueError("kernel dimension does not match snapshot")
-    if f.is_tensor_sum:
-        out = 0.0
-        for coef, slots in f.terms:
-            prod = coef
-            for fac in slots:
-                prod *= float(fac(snap.positions).sum())
-            out += prod
-        return out
+def _one_replica(snap: ParticleSnapshot) -> FarmLevel:
+    return FarmLevel(snap.t, snap.positions, np.array([snap.count], dtype=np.int64))
+
+
+def _blackbox_v(positions: np.ndarray, f: Kernel, budget: float) -> float:
+    """V-statistic of a black box on one replica, by batched enumeration."""
+    m = positions.shape[0]
     if m**f.arity > budget:
         raise BudgetExceededError(
             f"{m}^{f.arity} black-box evaluations exceed the budget {budget:g}"
         )
     total = 0.0
     for idx in index_chunks((m,) * f.arity):
-        total += float(f.evaluate([snap.positions[i] for i in idx]).sum())
+        total += float(f.evaluate([positions[i] for i in idx]).sum())
     return total
+
+
+def _v(level: FarmLevel, f: Kernel, budget: float, slot_sums: dict) -> np.ndarray:
+    """Per-replica V-statistics; ``slot_sums`` caches the segment sums of
+    each slot function across the kernels of one call."""
+    if f.dim != level.positions.shape[1]:
+        raise ValueError("kernel dimension does not match snapshot")
+    if not f.is_tensor_sum:
+        return np.array([_blackbox_v(s.positions, f, budget) if s.count else 0.0
+                         for s in level])
+    out = np.zeros(len(level))
+    for coef, slots in f.terms:
+        prod = coef
+        for fac in slots:
+            sums = slot_sums.get(fac)
+            if sums is None:
+                sums = slot_sums[fac] = level.segment_sum(fac(level.positions))
+            prod = prod * sums
+        out += prod
+    return out
+
+
+def v_statistics(level: FarmLevel, f: Kernel, budget: float = 1e8) -> np.ndarray:
+    """Per-replica sums of the kernel over all index tuples (with
+    repetition); extinct replicas give 0."""
+    return _v(level, f, budget, {})
+
+
+def u_statistics(level: FarmLevel, f: Kernel, budget: float = 1e8,
+                 max_n: int = 6) -> np.ndarray:
+    """Per-replica sums of the kernel over pairwise-distinct index tuples,
+    by the partition expansion over merged V-statistics; replicas with
+    fewer particles than the arity give 0."""
+    expansion = build_expansion(f.arity, max_n=max_n)
+    slot_sums: dict = {}
+    total = np.zeros(len(level))
+    for J, a in expansion.terms:
+        if a == 0:
+            continue
+        total += a * _v(level, substitute_partition(f, J), budget, slot_sums)
+    total[level.counts < f.arity] = 0.0
+    return total
+
+
+def v_statistic(
+    snap: ParticleSnapshot, f: Kernel, budget: float = 1e8
+) -> float:
+    """Sum of the kernel over all index tuples (with repetition)."""
+    if snap.count == 0:
+        return 0.0
+    return float(v_statistics(_one_replica(snap), f, budget)[0])
 
 
 def u_statistic(
@@ -156,18 +202,36 @@ def u_statistic(
             total += float(vals.sum())
         return total
     if strategy == "inclusion-exclusion":
-        expansion = build_expansion(n, max_n=max_n)
-        total = 0.0
-        for J, a in expansion.terms:
-            if a == 0:
-                continue
-            total += a * v_statistic(snap, substitute_partition(f, J), budget)
-        return total
+        return float(u_statistics(_one_replica(snap), f, budget, max_n)[0])
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def falling_factorial(m: int, n: int) -> int:
     return math.perm(m, n) if m >= n else 0
+
+
+def normalized_u_statistics(
+    level: FarmLevel,
+    f_centered: Kernel,
+    order_k: int,
+    regime: Regime,
+    consts: DerivedConstants,
+) -> np.ndarray:
+    """Regime- and degeneracy-appropriate normalization of the per-replica
+    U-statistics of an already-centered kernel whose first non-null
+    projection has order ``order_k``."""
+    n = f_centered.arity
+    k = order_k
+    if np.any(level.counts == 0):
+        raise ValueError("empty snapshot cannot be normalized")
+    m = level.counts.astype(float)
+    t = level.t
+    u = u_statistics(level, f_centered)
+    if regime.is_slow:
+        return u * m ** -(n - k / 2.0)
+    if regime.is_critical:
+        return u * t ** -(k / 2.0) * m ** -(n - k / 2.0)
+    return u * math.exp(-(consts.growth_rate * n - regime.twice_mu / 2.0 * k) * t)
 
 
 def normalized_u_statistic(
@@ -177,18 +241,6 @@ def normalized_u_statistic(
     regime: Regime,
     consts: DerivedConstants,
 ) -> float:
-    """Regime- and degeneracy-appropriate normalization of the U-statistic
-    of an already-centered kernel whose first non-null projection has order
-    ``order_k``."""
-    n = f_centered.arity
-    k = order_k
-    m = snap.count
-    if m == 0:
-        raise ValueError("empty snapshot cannot be normalized")
-    t = snap.t
-    u = u_statistic(snap, f_centered)
-    if regime.is_slow:
-        return u * m ** -(n - k / 2.0)
-    if regime.is_critical:
-        return u * t ** -(k / 2.0) * m ** -(n - k / 2.0)
-    return u * math.exp(-(consts.growth_rate * n - regime.twice_mu / 2.0 * k) * t)
+    """The one-replica case of ``normalized_u_statistics``."""
+    return float(normalized_u_statistics(_one_replica(snap), f_centered, order_k,
+                                         regime, consts)[0])

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -222,6 +223,18 @@ class TestEmit:
         lines = path.read_text().splitlines()
         assert lines[0] == "replica_id,t,coord_1"
         assert len(lines) == 1 + sum(s.count for s in farm[0])
+
+    def test_dump_snapshots_bytes_pinned(self, tmp_path):
+        # 2-D farm with extinct replicas at both times; the digest pins the
+        # row order and the repr of every float
+        params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
+                             x0=(1.0, -1.0))
+        farm = simulate_farm(params, (0.5, 2.0), 12, seed=4)
+        assert [sum(s.count == 0 for s in level) for level in farm] == [1, 4]
+        path = dump_snapshots(farm, (0.5, 2.0), tmp_path)
+        assert path.read_text().splitlines()[0] == "replica_id,t,coord_1,coord_2"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6029154d630c6d5c7ee3fa2a9c457e66895d1bac2022b054832ef02417113e93")
 
 
 class TestRunners:

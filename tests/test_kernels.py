@@ -20,7 +20,7 @@ from branching_ou.kernels import (
     substitute_partition,
 )
 from branching_ou.model import ModelParams
-from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
+from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D, default_rule
 
 PARAMS = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 PARAMS2 = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=2, x0=(0.0, 0.0))
@@ -310,3 +310,20 @@ class TestBatchedBlackBox:
         args = [pts[:, j, :] for j in range(order + 1)]
         assert np.allclose(proj.evaluate(args), want_proj.evaluate(args),
                            rtol=1e-9, atol=1e-9)
+
+    def test_degeneracy_order_computes_one_total(self):
+        # rows of evaluator calls on the full tensor grid are total integrals
+        rule = default_rule(PARAMS, n_nodes=16)
+        grid = (np.repeat(rule.nodes, 16), np.tile(rule.nodes, 16))
+        total_rows = []
+
+        def fn(args):
+            u, v = args
+            if all(np.array_equal(a[:, 0], g) for a, g in zip(args, grid)):
+                total_rows.append(u.shape[0])
+            return u[:, 0] * v[:, 0]
+
+        bb = Kernel.black_box(fn, arity=2, dim=1, symmetric=True)
+        order, _ = degeneracy_order(bb, PARAMS, rule)
+        assert order == 1
+        assert total_rows == [16**2]

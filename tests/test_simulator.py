@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -50,6 +51,47 @@ class TestBasics:
         for k in range(2):
             for a, b in zip(f1[k], f2[k]):
                 assert np.array_equal(a.positions, b.positions)
+
+    def test_farm_stream_pinned(self):
+        # three batches, the last partial, on two threads; the digest of
+        # counts and positions pins the RNG stream and the replica order
+        params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
+                             x0=(1.0, -1.0))
+        farm = simulate_farm(params, (2.0, 0.5), 40, seed=3, batch_size=16,
+                             threads=2)
+        assert isinstance(farm, list) and [level.t for level in farm] == [0.5, 2.0]
+        digest = hashlib.sha256()
+        for level in farm:
+            digest.update(farm_counts(level).astype("<i8").tobytes())
+            digest.update(np.concatenate([s.positions for s in level])
+                          .astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "0b2cadf0646bbbe15a9a03b36e0977bd51e0d68489811856dd4674b7e664d059")
+        serial = simulate_farm(params, (0.5, 2.0), 40, seed=3, batch_size=16)
+        for a, b in zip(farm, serial):
+            assert np.array_equal(a.counts, b.counts)
+            assert np.array_equal(a.positions, b.positions)
+
+    def test_farm_level_views(self):
+        level = simulate_farm(SLOW, (3.0,), 50, seed=9, batch_size=20)[0]
+        assert len(level) == 50 and level.counts.sum() == level.positions.shape[0]
+        snaps = list(level)
+        assert all(isinstance(s, ParticleSnapshot) and s.t == 3.0 for s in snaps)
+        assert [s.count for s in snaps] == level.counts.tolist()
+        assert np.array_equal(np.concatenate([s.positions for s in snaps]),
+                              level.positions)
+        assert np.array_equal(level[-1].positions, snaps[-1].positions)
+        with pytest.raises(IndexError):
+            level[50]
+        with pytest.raises(ValueError):
+            level[0].positions[...] = 0.0
+        sums = level.segment_sum(level.positions)
+        for s, got in zip(snaps, sums):
+            assert got == pytest.approx(s.positions.sum(axis=0), rel=1e-12, abs=1e-12)
+        big = level.select(level.counts >= 3)
+        assert [s.count for s in big] == [s.count for s in snaps if s.count >= 3]
+        assert np.array_equal(
+            big.positions, np.concatenate([s.positions for s in snaps if s.count >= 3]))
 
     def test_resource_cap_raises(self):
         with pytest.raises(ResourceCapError) as info:
@@ -210,6 +252,13 @@ class TestConditioning:
         dead = ParticleSnapshot(t=1.0, positions=np.empty((0, 1)))
         with pytest.raises(AllExtinctError):
             condition_on_survival([dead, dead])
+
+    def test_farm_level_shares_positions(self):
+        level = simulate_farm(SLOW, (4.0,), 200, seed=61)[0]
+        alive, frac = condition_on_survival(level)
+        assert np.shares_memory(alive.positions, level.positions)
+        assert alive.counts.tolist() == [c for c in level.counts.tolist() if c]
+        assert frac == np.count_nonzero(level.counts) / 200
 
     def test_survival_fraction_long_horizon(self):
         farm = simulate_farm(SLOW, (10.0,), 6000, seed=59)

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branching_ou.kernels import Factor, Kernel
+from branching_ou.kernels import Factor, Kernel, substitute_partition
 from branching_ou.model import ModelParams, classify, derive
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
-from branching_ou.simulator import ParticleSnapshot
+from branching_ou.simulator import FarmLevel, ParticleSnapshot
 from branching_ou.ustats import (
     BudgetExceededError,
     ExpansionCapError,
     build_expansion,
     normalized_u_statistic,
+    normalized_u_statistics,
     partition_coefficients,
     refines,
     set_partitions,
     u_statistic,
+    u_statistics,
     v_statistic,
+    v_statistics,
 )
 
 from helpers import brute_u, brute_v
@@ -312,3 +315,120 @@ class TestHoeffdingNormalized:
         with pytest.raises(ValueError):
             normalized_u_statistic(empty, kernel_xy(), 2, classify(PARAMS),
                                    derive(PARAMS))
+
+
+def reference_v(positions, f):
+    """Tensor V-statistic of one snapshot from a ``.sum()`` per slot."""
+    out = 0.0
+    for coef, slots in f.terms:
+        prod = coef
+        for fac in slots:
+            prod *= float(fac(positions).sum())
+        out += prod
+    return out
+
+
+def reference_u(positions, f):
+    """(U-statistic, sum of |a_J| |V_J|) of one snapshot: the partition
+    expansion over per-snapshot reference V-statistics."""
+    if positions.shape[0] < f.arity:
+        return 0.0, 0.0
+    pieces = [a * reference_v(positions, substitute_partition(f, J))
+              for J, a in partition_coefficients(f.arity).items() if a]
+    return sum(pieces), sum(abs(p) for p in pieces)
+
+
+def ragged_level(counts, dim, seed):
+    rng = np.random.default_rng(seed)
+    return FarmLevel.from_snapshots(
+        [ParticleSnapshot(t=3.0, positions=rng.normal(0.3, 1.2, size=(m, dim)))
+         for m in counts])
+
+
+POLY_KERNELS = {
+    1: Kernel.tensor_sum([(2.0, (Factor.from_polys([[1.0, -0.5, 0.25]]),)),
+                          (-1.0, (Factor.from_polys([[0.0, 1.0]]),))], dim=1),
+    2: Kernel.tensor_sum([(1.0, (Factor.from_polys([[0.0, 1.0]]),
+                                 Factor.from_polys([[0.0, 1.0]]))),
+                          (0.5, (Factor.from_polys([[-1.0, 0.0, 1.0]]),
+                                 Factor.constant(1.0, 1)))], dim=1),
+    3: Kernel.from_slot_funcs([FUNC_X, Func1D.polynomial([0.0, 0.0, 1.0]), FUNC_X]),
+    4: Kernel.from_slot_funcs([FUNC_X] * 4, symmetric=True),
+}
+# extinct replicas, replicas with fewer particles than the arity, and
+# populations up to a few hundred
+COUNTS = [0, 1, 2, 3, 0, 4, 7, 30, 1, 250, 0, 64]
+
+
+class TestBatchedStatistics:
+    @pytest.mark.parametrize("n", sorted(POLY_KERNELS))
+    def test_matches_per_snapshot_reference(self, n):
+        f = POLY_KERNELS[n]
+        level = ragged_level(COUNTS, 1, seed=n)
+        v = v_statistics(level, f)
+        u = u_statistics(level, f)
+        assert v.shape == u.shape == (len(COUNTS),)
+        for i, s in enumerate(level):
+            want_v = reference_v(s.positions, f)
+            assert v[i] == pytest.approx(want_v, rel=1e-12, abs=1e-300)
+            want_u, scale = reference_u(s.positions, f)
+            assert abs(u[i] - want_u) <= 1e-12 * scale
+            if s.count < n:
+                assert u[i] == 0.0
+            assert u_statistic(s, f) == pytest.approx(u[i], rel=1e-12, abs=1e-12 * scale)
+        assert np.all(v[level.counts == 0] == 0.0)
+
+    def test_two_dim_multi_term_kernel(self):
+        def slot(*coeffs):
+            return Factor.from_polys([list(c) for c in coeffs])
+
+        f = Kernel.tensor_sum(
+            [(1.0, (slot([0, 1], [1]), slot([1], [0, 1]), slot([0, 1], [0, 1]))),
+             (-0.7, (slot([1, 0, 1], [1]), slot([1], [1]), slot([0, 1], [1]))),
+             (0.2, (slot([1], [0, 0, 1]), slot([0, 1], [0, 1]), slot([1], [1])))],
+            dim=2)
+        level = ragged_level(COUNTS, 2, seed=5)
+        v = v_statistics(level, f)
+        u = u_statistics(level, f)
+        for i, s in enumerate(level):
+            assert v[i] == pytest.approx(reference_v(s.positions, f), rel=1e-12)
+            want_u, scale = reference_u(s.positions, f)
+            assert abs(u[i] - want_u) <= 1e-12 * scale
+
+    def test_integer_positions_against_brute_force(self):
+        level = FarmLevel.from_snapshots([snap(1.0, -2.0, 3.0), snap(), snap(0.5, 2.0)])
+        f = Kernel.from_slot_funcs([FUNC_X, Func1D.polynomial([1.0, 1.0])])
+        got = u_statistics(level, f)
+        for i, s in enumerate(level):
+            want = brute_u(s.positions[:, 0], lambda a, b: a * (1.0 + b), 2)
+            assert got[i] == pytest.approx(want, abs=1e-12)
+
+    def test_normalized_matches_per_snapshot(self):
+        f = POLY_KERNELS[2]
+        level = ragged_level([c for c in COUNTS if c], 1, seed=9)
+        consts = derive(PARAMS)
+        regime = classify(PARAMS)
+        got = normalized_u_statistics(level, f, 1, regime, consts)
+        for i, s in enumerate(level):
+            want = normalized_u_statistic(s, f, 1, regime, consts)
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
+        with pytest.raises(ValueError):
+            normalized_u_statistics(ragged_level([2, 0], 1, seed=1), f, 1,
+                                    regime, consts)
+
+    def test_black_box_falls_back_per_replica(self):
+        f = Kernel.black_box(lambda args: args[0][:, 0] * args[1][:, 0] ** 2,
+                             arity=2, dim=1)
+        level = ragged_level([3, 0, 1, 5], 1, seed=2)
+        got_v = v_statistics(level, f)
+        got_u = u_statistics(level, f)
+        for i, s in enumerate(level):
+            x = s.positions[:, 0]
+            assert got_v[i] == pytest.approx(brute_v(x, lambda a, b: a * b * b, 2),
+                                             abs=1e-12)
+            assert got_u[i] == pytest.approx(brute_u(x, lambda a, b: a * b * b, 2),
+                                             abs=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            v_statistics(ragged_level([2, 3], 2, seed=0), kernel_xy())
