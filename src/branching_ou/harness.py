@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sstats
 
 from .kernels import Factor, Kernel, is_canonical, project
 from .model import ModelParams, RegimeTag, classify, derive
@@ -154,11 +153,6 @@ class ExperimentConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
-
-    @staticmethod
-    def from_json(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
 
     def canonical_dict(self) -> dict:
         return {
@@ -337,6 +331,8 @@ def _require_distributional_replicas(config: ExperimentConfig):
 
 def run_w_law(config: ExperimentConfig, farm=None) -> TestReport:
     """Exponential-limit law of the normalized population size."""
+    from scipy import stats as sstats  # slow to import; only the KS tests use it
+
     start = time.time()
     _require_distributional_replicas(config)
     consts = derive(config.params)
@@ -413,6 +409,8 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     Always also records the population-fluctuation coordinate and an
     independence proxy (correlation bound with the normalized size).
     """
+    from scipy import stats as sstats  # slow to import; only the KS tests use it
+
     start = time.time()
     _require_distributional_replicas(config)
     f = _require_kernel(config)

@@ -104,15 +104,6 @@ def enumerate_diagrams(n: int, cap: int = 8) -> list[FeynmanDiagram]:
     return out
 
 
-def involution_number(n: int) -> int:
-    a, b = 1, 1  # I(0), I(1)
-    if n == 0:
-        return 1
-    for k in range(2, n + 1):
-        a, b = b, b + (k - 1) * a
-    return b
-
-
 # ---------------------------------------------------------------------------
 # factor-level integrals
 

@@ -150,15 +150,6 @@ class Func1D:
             and (other.is_polynomial or other.poly_bounded),
         )
 
-    def shifted(self, c: float) -> "Func1D":
-        """This function plus the constant ``c``."""
-        if self.is_polynomial:
-            coeffs = self.coeffs.copy()
-            coeffs[0] += c
-            return Func1D.polynomial(coeffs)
-        f = self
-        return Func1D.black_box(lambda x: f(x) + c, poly_bounded=self.poly_bounded)
-
 
 FUNC_ONE = Func1D.polynomial([1.0])
 FUNC_X = Func1D.polynomial([0.0, 1.0])

@@ -7,11 +7,13 @@ integral over its split times of an explicit Gaussian polynomial moment.
 Split times t_i run backward from the horizon t.  Given them, the leaf
 positions are Gaussian with mean x0 e^{-mu t}, variance s^2 (1 - e^{-2 mu t})
 and, for leaves a != b, covariance s^2 (e^{-2 mu t_L} - e^{-2 mu t}), where
-L is their lowest common inner ancestor.  The moment is therefore a
-polynomial in u_i = (e^{2 mu (t - t_i)} - 1) / (e^{2 mu t} - 1), one
-variable per inner vertex, of total degree at most half the summed degree
-of the factors; each monomial times the growth weight prod_i e^{g t_i}
-integrates exactly over the tree's nested time simplex.
+L is their lowest common inner ancestor.  That covariance is the variance
+times u_L, with u_i = (e^{2 mu (t - t_i)} - 1) / (e^{2 mu t} - 1) one
+variable per inner vertex, so Isserlis' recursion run on coefficient arrays
+gives the leaf moment exactly as a polynomial in the u_i, of total degree at
+most half the summed degree of the factors.  Each of its nonzero monomials
+times the growth weight prod_i e^{g t_i} integrates exactly over the tree's
+nested time simplex; nothing is interpolated or sampled.
 
 Child order does not affect a tree's integrand, so trees are enumerated
 with unordered children and carry the multiplicity 2^(number of inner
@@ -23,6 +25,7 @@ split-time integration and exact Gaussian moments enter.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -143,79 +146,69 @@ def _normalize_assignment(f_assignment, dim: int) -> list[ProductFunc]:
     return out
 
 
-def _leaf_covariance(tree: LabeledTree, t: float, shared: dict[int, float],
-                     params: ModelParams) -> tuple[tuple[int, ...], np.ndarray]:
-    """Per-coordinate covariance matrix of the leaf positions (identical
-    across coordinates); leaves a != b covary by shared[L] at their lowest
-    common inner ancestor L."""
-    s2 = stationary_std(params) ** 2
-    leaves = tree.leaves
+def _leaf_moment_coefficients(tree: LabeledTree, t: float, params: ModelParams,
+                              f_assignment) -> np.ndarray:
+    """Exact coefficients of E prod_a f_a(position of the leaf carrying label
+    a) as a polynomial in the u_i, axis k for the k-th inner vertex.
 
-    def chain(j: int) -> list[int]:
-        return [j, *chain(tree.parent[j])] if j > 0 else []
+    The dim * |leaves| leaf coordinates form one Gaussian vector with mean
+    x0 e^{-mu t}, variance var = s^2 (1 - e^{-2 mu t}), covariance var * u_L
+    between one coordinate of leaves a != b with lowest common inner
+    ancestor L, and none across coordinates.  Isserlis' recursion
+    E Z_a Z^k = mean_a E Z^k + sum_b cov_ab k_b E Z^(k - e_b) runs on
+    coefficient arrays, where a covariance is var times a shift along axis
+    L, so a coefficient that is zero stays exactly zero."""
+    fs = _normalize_assignment(f_assignment, params.dim)
+    leaves, inner, labels = tree.leaves, tree.inner_nodes, tree.labels
+    width = len(leaves)
+    # Gaussian coordinate c * width + k is coordinate c of the k-th leaf
+    polys = [functools.reduce(poly_mul, [fs[a - 1].funcs[c].coeffs
+                                         for a in labels[leaf]])
+             for c in range(params.dim) for leaf in leaves]
+    mean = [params.x0[c] * math.exp(-params.mu * t)
+            for c in range(params.dim) for _ in leaves]
+    degree = sum(sum(len(p) - 1 for p in polys[c * width:(c + 1) * width]) // 2
+                 for c in range(params.dim))
+    var = -stationary_std(params) ** 2 * math.expm1(-2.0 * params.mu * t)
 
-    ancestors = [chain(tree.parent[leaf]) for leaf in leaves]
-    cov = np.full((len(leaves), len(leaves)), -s2 * math.expm1(-2.0 * params.mu * t))
-    for a, b in itertools.combinations(range(len(leaves)), 2):
-        lowest = next(i for i in ancestors[a] if i in ancestors[b])
-        cov[a, b] = cov[b, a] = shared[lowest]
-    return leaves, cov
+    def ancestors(j: int) -> list[int]:
+        return [j, *ancestors(tree.parent[j])] if j > 0 else []
 
+    chains = [ancestors(tree.parent[leaf]) for leaf in leaves]
+    # partners[a]: each b covarying with a, with the axis of u_L (None for b = a)
+    partners = [[(c * width + kb, None if ka == kb else inner.index(
+                     next(i for i in chains[ka] if i in chains[kb])))
+                 for kb in range(width)]
+                for c in range(params.dim) for ka in range(width)]
 
-def _moment_recursive(mean: np.ndarray, cov: np.ndarray,
-                      counts: tuple[int, ...], memo: dict) -> float:
-    if not any(counts):
-        return 1.0
-    if counts in memo:
-        return memo[counts]
-    a = next(i for i, c in enumerate(counts) if c)
-    lowered = list(counts)
-    lowered[a] -= 1
-    lowered_t = tuple(lowered)
-    val = mean[a] * _moment_recursive(mean, cov, lowered_t, memo)
-    for b, k in enumerate(lowered_t):
-        if k and cov[a, b] != 0.0:
-            twice = list(lowered_t)
-            twice[b] -= 1
-            val += cov[a, b] * k * _moment_recursive(mean, cov, tuple(twice), memo)
-    memo[counts] = val
-    return val
+    one = np.zeros((degree + 1,) * len(inner))
+    one[(0,) * len(inner)] = 1.0
+    memo = {(0,) * len(polys): one}
 
+    def moment(counts: tuple[int, ...]) -> np.ndarray:
+        if counts in memo:
+            return memo[counts]
+        a = next(i for i, k in enumerate(counts) if k)
+        lowered = list(counts)
+        lowered[a] -= 1
+        val = mean[a] * moment(tuple(lowered))
+        for b, axis in partners[a]:
+            if lowered[b]:
+                twice = list(lowered)
+                twice[b] -= 1
+                # times u_L: a shift along axis L; the degree bound keeps the
+                # top entry zero, so nothing wraps around
+                term = var * lowered[b] * moment(tuple(twice))
+                val = val + (term if axis is None else np.roll(term, 1, axis))
+        memo[counts] = val
+        return val
 
-def _gaussian_poly_product_moment(mean: np.ndarray, cov: np.ndarray,
-                                  polys: list[np.ndarray]) -> float:
-    """E prod_a P_a(Z_a) for Z ~ N(mean, cov)."""
-    memo: dict = {}
-    total = 0.0
-    ranges = [range(len(p)) for p in polys]
-    for combo in itertools.product(*ranges):
-        coef = 1.0
-        for a, k in enumerate(combo):
-            coef *= polys[a][k]
-        if coef == 0.0:
-            continue
-        total += coef * _moment_recursive(mean, cov, combo, memo)
+    total = np.zeros_like(one)
+    for combo in itertools.product(*(range(len(p)) for p in polys)):
+        coef = math.prod(p[k] for p, k in zip(polys, combo))
+        if coef != 0.0:
+            total += coef * moment(combo)
     return total
-
-
-def _leaf_moment(tree: LabeledTree, t: float, shared: dict[int, float],
-                 params: ModelParams, fs: list[ProductFunc]) -> float:
-    """E prod_a f_a(position of the leaf carrying label a) as a function of
-    the covariances shared[i] set up at the inner vertices; a polynomial
-    in them."""
-    leaves, cov = _leaf_covariance(tree, t, shared, params)
-    labels = tree.labels
-    out = 1.0
-    for c in range(params.dim):
-        polys = []
-        for leaf in leaves:
-            merged = np.array([1.0])
-            for a in labels[leaf]:
-                merged = poly_mul(merged, fs[a - 1].funcs[c].coeffs)
-            polys.append(merged)
-        mean = np.full(len(leaves), params.x0[c] * math.exp(-params.mu * t))
-        out *= _gaussian_poly_product_moment(mean, cov, polys)
-    return out
 
 
 def gaussian_position_moments(
@@ -231,10 +224,15 @@ def gaussian_position_moments(
         parent_t = t if tree.parent[i] == 0 else split_times[tree.parent[i]]
         if not (0.0 <= split_times[i] <= min(t, parent_t) + 1e-12):
             raise ValueError("split times violate the tree constraints")
-    fs = _normalize_assignment(f_assignment, params.dim)
-    shared = {i: -stationary_std(params) ** 2 * math.exp(-2.0 * params.mu * ti)
-              * math.expm1(-2.0 * params.mu * (t - ti)) for i, ti in split_times.items()}
-    return _leaf_moment(tree, t, shared, params, fs)
+    coefs = _leaf_moment_coefficients(tree, t, params, f_assignment)
+    span = -math.expm1(-2.0 * params.mu * t)
+    for i in tree.inner_nodes:
+        # u_i = (e^{-2 mu t_i} - e^{-2 mu t}) / (1 - e^{-2 mu t}); at t = 0
+        # the variance vanishes and u_i does not matter
+        u = -math.exp(-2.0 * params.mu * split_times[i]) * \
+            math.expm1(-2.0 * params.mu * (t - split_times[i])) / span if span else 0.0
+        coefs = np.polynomial.polynomial.polyval(u, coefs)
+    return float(coefs)
 
 
 # ---------------------------------------------------------------------------
@@ -283,36 +281,22 @@ def tree_contribution(tree: LabeledTree, t: float, params: ModelParams,
                       f_assignment) -> float:
     """This tree's share of the mixed moment, multiplicity included.
 
-    Inner vertex i adds the leaf variance times u_i (see ``_chain_integral``)
-    to the covariance, so the leaf moment is a polynomial in the u_i, read
-    off a tensor grid of Chebyshev points (one Vandermonde solve per axis).
-    The time simplex is the union of one chain per parent-first order of the
-    inner vertices, and each monomial is integrated exactly over each."""
-    fs = _normalize_assignment(f_assignment, params.dim)
+    The leaf moment is a polynomial in the u_i (see ``_chain_integral``)
+    whose exact coefficients come from ``_leaf_moment_coefficients``.  The
+    time simplex is the union of one chain per parent-first order of the
+    inner vertices, and each nonzero monomial is integrated exactly over
+    each."""
     growth = derive(params).growth_rate
     inner = tree.inner_nodes
-    degree = sum(sum(len(f.funcs[c].coeffs) - 1 for f in fs) // 2
-                 for c in range(params.dim))
-    var = -stationary_std(params) ** 2 * math.expm1(-2.0 * params.mu * t)
-    nodes = np.polynomial.chebyshev.chebpts1(degree + 1)
-    coefs = np.empty((degree + 1,) * len(inner))
-    for idx in np.ndindex(coefs.shape):
-        shared = {i: var * nodes[k] for i, k in zip(inner, idx)}
-        coefs[idx] = _leaf_moment(tree, t, shared, params, fs)
-    vander = np.vander(nodes, increasing=True)
-    for axis in range(len(inner)):
-        moved = np.moveaxis(coefs, axis, 0)
-        solved = np.linalg.solve(vander, moved.reshape(degree + 1, -1))
-        coefs = np.moveaxis(solved.reshape(moved.shape), 0, axis)
+    coefs = _leaf_moment_coefficients(tree, t, params, f_assignment)
     orders = [o for o in itertools.permutations(inner)
               if all(tree.parent[i] not in o or o.index(tree.parent[i]) < o.index(i)
                      for i in o)]
     total = 0.0
-    for powers in np.ndindex(coefs.shape):
-        if sum(powers) <= degree:
-            total += coefs[powers] * sum(
-                _chain_integral(t, o, dict(zip(inner, powers)), growth, params.mu)
-                for o in orders)
+    for powers in map(tuple, np.argwhere(coefs)):
+        total += coefs[powers] * sum(
+            _chain_integral(t, o, dict(zip(inner, powers)), growth, params.mu)
+            for o in orders)
     return (params.p * params.lam) ** len(inner) * math.exp(growth * t) * \
         tree.multiplicity * total
 

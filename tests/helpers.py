@@ -122,6 +122,14 @@ def mixed_moment_forward(t: float, params, factors) -> float:
     return float(np.sum(final * at_x0))
 
 
+def involution_number(n: int) -> int:
+    """Number of partial pairings of n points by I(n) = I(n-1) + (n-1) I(n-2)."""
+    a, b = 1, 1  # I(0), I(1)
+    for k in range(2, n + 1):
+        a, b = b, b + (k - 1) * a
+    return b
+
+
 def brute_v(positions: np.ndarray, fn, n: int) -> float:
     """V-statistic by direct enumeration; fn takes n scalar/vector args."""
     m = len(positions)

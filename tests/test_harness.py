@@ -61,7 +61,7 @@ class TestConfig:
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(BASE))
-        c = ExperimentConfig.from_json(path)
+        c = ExperimentConfig.from_dict(json.loads(path.read_text()))
         assert c.params.lam == 1.0
         assert c.t_grid == (4.0, 8.0)
 
@@ -119,7 +119,9 @@ class TestConfig:
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_shipped_configs_load(self, name):
         path = Path(__file__).resolve().parents[1] / "configs" / name
-        assert ExperimentConfig.from_json(path).config_hash() == self.SHIPPED[name]
+        with open(path) as fh:
+            assert ExperimentConfig.from_dict(json.load(fh)).config_hash() == \
+                self.SHIPPED[name]
 
     # one raw-config change per field that affects the numbers; the kernel
     # object is parsed from its spec

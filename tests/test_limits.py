@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from branching_ou.kernels import Factor, Kernel, ProductFunc
 from branching_ou.limits import (
@@ -16,7 +15,6 @@ from branching_ou.limits import (
     fast_limit_sampler,
     grad_density_pairing,
     h_polynomial_value,
-    involution_number,
     sigma_critical,
     sigma_slow,
     slow_limit_sampler,
@@ -26,7 +24,7 @@ from branching_ou.model import ModelParams
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
 from branching_ou.simulator import Caps
 
-from helpers import mean_se, phi_quad, semigroup_quad, var_se
+from helpers import involution_number, mean_se, var_se
 
 SLOW = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 CRIT = ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.0)
@@ -106,22 +104,30 @@ class TestSigmaSlow:
         val = sigma_slow(FUNC_X, params)
         assert abs(val - stat_var) <= 0.05 * stat_var
 
-    def test_against_scipy_nested_quadrature(self):
+    def test_against_fixed_rule_quadrature(self):
+        # sigma^2 = phi(fc^2) + 2 lam p int_0^inf e^{gs} phi((T_s fc)^2) ds
+        # for the centered fc = f - phi(f), with fixed rules on grids:
+        # Gauss-Hermite nodes for phi, the Mehler form
+        # T_s h(x) = E h(x e^{-mu s} + std sqrt(1 - e^{-2 mu s}) Z) with
+        # Gauss-Hermite nodes for Z, and composite Gauss-Legendre in s on
+        # [0, 40] (the integrand decays like e^{-3s/2})
         coeffs = [0.0, 1.0, 0.5, -0.2]
         f = Func1D.polynomial(coeffs)
         poly = np.polynomial.polynomial.Polynomial(coeffs)
-        mean = phi_quad(poly, SLOW)
-        centered = lambda x: poly(x) - mean
-
-        def evolved_sq_mean(s):
-            return phi_quad(
-                lambda x: semigroup_quad(centered, s, x, SLOW) ** 2, SLOW
-            )
-
-        integral, _ = integrate.quad(
-            lambda s: math.exp(0.5 * s) * evolved_sq_mean(s), 0.0, 40.0, limit=80
-        )
-        want = phi_quad(lambda x: centered(x) ** 2, SLOW) + 1.5 * integral
+        std = math.sqrt(0.5)
+        z, wz = np.polynomial.hermite_e.hermegauss(12)
+        wz = wz / math.sqrt(2.0 * math.pi)
+        mean = wz @ poly(std * z)
+        y, wy = np.polynomial.legendre.leggauss(10)
+        edges = np.arange(0.0, 40.0, 1.0)
+        s = (edges[:, None] + 0.5 * (y + 1.0)).ravel()
+        ws = np.tile(0.5 * wy, len(edges))
+        decay, mix = np.exp(-s), np.sqrt(-np.expm1(-2.0 * s))
+        # evolved[i, k] = T_{s_i} fc(std z_k)
+        evolved = (poly(std * z[None, :, None] * decay[:, None, None]
+                        + std * mix[:, None, None] * z[None, None, :]) - mean) @ wz
+        integral = ws @ (np.exp(0.5 * s) * ((evolved**2) @ wz))
+        want = wz @ (poly(std * z) - mean) ** 2 + 1.5 * integral
         assert sigma_slow(f, SLOW) == pytest.approx(want, rel=1e-6)
 
     def test_regime_error(self):

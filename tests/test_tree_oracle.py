@@ -213,7 +213,7 @@ class TestExactMixedMoment:
                 params.p * params.lam * integral
             assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
 
-    @pytest.mark.parametrize("t", [0.1, 2.0])
+    @pytest.mark.parametrize("t", [0.1, 2.0, 30.0])
     @pytest.mark.parametrize("params, factors", [
         (ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.3, x0=(-0.7,)),
          [[MIXED], [CUBE], [MIXED]]),
@@ -243,6 +243,38 @@ class TestExactMixedMoment:
         ]
         assert vals[2] < vals[1] * 1.05
         assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
+
+    @pytest.mark.parametrize("t", [80.0, 120.0])
+    def test_slow_second_moment_long_horizon(self, t):
+        # x0 = 0, s^2 = 1/2, g = 1/2: the hand formula of
+        # helpers.second_moment_linear integrates to
+        # e^{-gt} E<X_t, x>^2 = 1 - 2 e^{-3t/2} + e^{-2t}, which is 1 to far
+        # below the tolerance at these horizons
+        params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(0.0,))
+        got = exact_mixed_moment(2, t, params, [FUNC_X, FUNC_X]) * math.exp(-0.5 * t)
+        assert got == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [80.0, 120.0])
+    def test_slow_fourth_moment_long_horizon(self, t):
+        # e^{-gt/2} <X_t, x> tends to sqrt(W) N(0, 1) with W independent of
+        # the Gaussian, E W^2 = 2 p lam / g = 3 (the factorial second moment
+        # of the population) and unit variance from the second-moment test,
+        # so e^{-2gt} E<X_t, x>^4 -> 3 E W^2 = 9
+        params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(0.0,))
+        got = exact_mixed_moment(4, t, params, [FUNC_X] * 4) * math.exp(-t)
+        assert got == pytest.approx(9.0, rel=1e-10)
+
+    @pytest.mark.parametrize("t", [80.0, 120.0])
+    def test_critical_second_moment_long_horizon(self, t):
+        # g = 2 mu = 1/2, s^2 = 2, x0 = 0: in the hand formula of
+        # helpers.second_moment_linear the pair integrand e^{gu} e^{-2 mu u}
+        # is 1, so e^{-gt} E<X_t, x>^2 = s^2 (1 - e^{-gt})
+        # + 2 p lam s^2 (t - (1 - e^{-gt}) / g) = 3 t - 4 (1 - e^{-gt});
+        # divided by t that is 3 - 4/t up to 4 e^{-gt} / t < 1e-17
+        params = ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.0, x0=(0.0,))
+        got = exact_mixed_moment(2, t, params, [FUNC_X, FUNC_X]) * \
+            math.exp(-0.5 * t) / t
+        assert got == pytest.approx(3.0 - 4.0 / t, rel=1e-9)
 
     def test_monotone_horizon_for_nonnegative_kernel(self):
         params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(0.0,))
