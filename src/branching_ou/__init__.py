@@ -20,9 +20,7 @@ from .simulator import (
     FarmLevel,
     ParticleSnapshot,
     ResourceCapError,
-    TrajectoryObservables,
     condition_on_survival,
-    observe_path,
     simulate,
     simulate_farm,
 )
@@ -44,13 +42,11 @@ __all__ = [
     "Regime",
     "RegimeTag",
     "ResourceCapError",
-    "TrajectoryObservables",
     "build_expansion",
     "classify",
     "condition_on_survival",
     "derive",
     "extinction_by",
-    "observe_path",
     "ou_transition_sample",
     "semigroup_apply",
     "simulate",

@@ -41,6 +41,7 @@ from .ou import (
     stationary_std,
 )
 from .simulator import Caps, h_value, simulate
+from .ustats import Partition, partition_coefficients, set_partitions
 
 
 class RegimeError(ValueError):
@@ -57,51 +58,19 @@ class NonPolynomialError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Feynman diagrams
+# Feynman diagrams: a partial pairing is a set partition into blocks of size
+# at most 2, and its sign (-1)^{#edges} is that partition's Moebius weight
 
 
-@dataclass(frozen=True)
-class FeynmanDiagram:
-    """Partial pairing of {1..n}: disjoint edges plus unpaired labels."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    unpaired: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.edges)
-
-
-def enumerate_diagrams(n: int, cap: int = 8) -> list[FeynmanDiagram]:
-    """All partial pairings of {1..n}; the count is the involution number."""
+def enumerate_diagrams(n: int, cap: int = 8) -> list[Partition]:
+    """All partial pairings of {1..n}, as the sorted set partitions whose
+    blocks have size 1 or 2: the 2-blocks are the edges, the 1-blocks the
+    unpaired labels; the count is the involution number."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > cap:
         raise ValueError(f"n={n} above the diagram cap {cap}")
-
-    def rec(labels: tuple[int, ...]):
-        if not labels:
-            yield ()
-            return
-        head, rest = labels[0], labels[1:]
-        # head unpaired
-        for tail in rec(rest):
-            yield tail
-        # head paired with each later label
-        for j, other in enumerate(rest):
-            remaining = rest[:j] + rest[j + 1:]
-            for tail in rec(remaining):
-                yield ((head, other),) + tail
-
-    labels = tuple(range(1, n + 1))
-    out = []
-    for edges in rec(labels):
-        used = {i for e in edges for i in e}
-        unpaired = tuple(i for i in labels if i not in used)
-        out.append(FeynmanDiagram(n=n, edges=tuple(sorted(edges)),
-                                  unpaired=unpaired))
-    return out
+    return [J for J in set_partitions(n) if all(len(b) <= 2 for b in J)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +279,16 @@ def slow_limit_sampler(
             for k in range(j + 1, n):
                 edge_w[(l, j + 1, k + 1)] = float(
                     _pair_spectrum(slots[j], slots[k], params).sum())
+    signs = partition_coefficients(n)
     out = np.zeros(size)
     for gamma in enumerate_diagrams(n):
-        sign = (-1) ** gamma.rank
+        edges = [b for b in gamma if len(b) == 2]
+        unpaired = [r for b in gamma if len(b) == 1 for r in b]
         for l, (coef, _) in enumerate(f.terms):
-            piece = np.full(size, float(sign) * coef)
-            for (j, k) in gamma.edges:
+            piece = np.full(size, float(signs[gamma]) * coef)
+            for (j, k) in edges:
                 piece *= edge_w[(l, j, k)]
-            for r in gamma.unpaired:
+            for r in unpaired:
                 piece = piece * draws[:, l * n + (r - 1)]
             out += piece
     return out

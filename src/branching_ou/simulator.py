@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedConstants, ModelParams, derive
+from .model import DerivedConstants, ModelParams
 from .ou import relax, stationary_std
 
 
@@ -73,21 +73,6 @@ class FarmLevel:
         self.counts = counts                    # (replicas,) int64
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
 
-    @staticmethod
-    def from_snapshots(snapshots) -> "FarmLevel":
-        """The flat layout of snapshots taken at one common time."""
-        if isinstance(snapshots, FarmLevel):
-            return snapshots
-        snapshots = list(snapshots)
-        if not snapshots:
-            raise ValueError("no snapshots to combine")
-        times = {s.t for s in snapshots}
-        if len(times) != 1:
-            raise ValueError("snapshots taken at different times")
-        return FarmLevel(times.pop(),
-                         np.concatenate([s.positions for s in snapshots]),
-                         np.array([s.count for s in snapshots], dtype=np.int64))
-
     def __len__(self) -> int:
         return self.counts.shape[0]
 
@@ -117,17 +102,6 @@ class FarmLevel:
         rows = np.repeat(mask, self.counts)
         positions = self.positions if rows.all() else self.positions[rows]
         return FarmLevel(self.t, positions, self.counts[mask])
-
-
-@dataclass(frozen=True)
-class TrajectoryObservables:
-    """Per-grid-time normalized population size and position-sum martingale
-    values along a single trajectory."""
-
-    times: np.ndarray
-    v_vals: np.ndarray          # exp(-growth t) * count
-    h_vals: np.ndarray          # (len(times), dim): exp((mu - growth) t) * sum of positions
-    counts: np.ndarray
 
 
 def _draw_lifetimes(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
@@ -274,49 +248,20 @@ def simulate(
     return ParticleSnapshot(t=float(t_end), positions=positions)
 
 
-def observe_path(
-    params: ModelParams,
-    t_grid,
-    rng_or_seed,
-    caps: Caps = Caps(),
-) -> TrajectoryObservables:
-    """One trajectory observed consistently at every grid time."""
-    t_grid = np.asarray(sorted(float(t) for t in t_grid))
-    if t_grid.size == 0:
-        raise ValueError("t_grid must be nonempty")
-    rng = _as_rng(rng_or_seed)
-    batch = _run_batch(params, t_grid, 1, rng, caps)
-    consts = derive(params)
-    snaps = [ParticleSnapshot(t=float(t), positions=positions)
-             for t, (positions, _) in zip(t_grid, batch)]
-    return TrajectoryObservables(
-        times=t_grid,
-        v_vals=np.array([v_value(s, consts) for s in snaps]),
-        h_vals=np.stack([h_value(s, params, consts) for s in snaps]),
-        counts=np.array([s.count for s in snaps]),
-    )
-
-
 def _as_rng(rng_or_seed) -> np.random.Generator:
     if isinstance(rng_or_seed, np.random.Generator):
         return rng_or_seed
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(rng_or_seed))))
 
 
-def condition_on_survival(snapshots) -> tuple[FarmLevel, float]:
-    """Drop extinct replicas of a ``FarmLevel`` (or of snapshots taken at
-    one time); returns (survivors, survival fraction)."""
-    level = FarmLevel.from_snapshots(snapshots)
+def condition_on_survival(level: FarmLevel) -> tuple[FarmLevel, float]:
+    """Drop extinct replicas of a ``FarmLevel``; returns (survivors,
+    survival fraction)."""
     alive = level.counts > 0
     n_alive = int(np.count_nonzero(alive))
     if not n_alive:
         raise AllExtinctError("every replica is extinct")
     return level.select(alive), n_alive / len(level)
-
-
-def v_value(snapshot: ParticleSnapshot, consts: DerivedConstants) -> float:
-    """Normalized population size exp(-growth t) * count."""
-    return math.exp(-consts.growth_rate * snapshot.t) * snapshot.count
 
 
 def h_value(snapshot: ParticleSnapshot, params: ModelParams,

@@ -4,26 +4,35 @@ The V-statistic sums the kernel over all index tuples (repeats allowed);
 the U-statistic over injective tuples only.  Tensor-sum kernels admit a
 fast V path through per-slot particle sums, and the U-statistic reduces to
 an integer combination of V-statistics of merged kernels over the set
-partitions of the argument slots; the integer weights come from Moebius
-inversion on the partition lattice.
+partitions of the argument slots, weighted by the closed-form Moebius
+function of the partition lattice.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .kernels import BudgetExceededError, Kernel, index_chunks, substitute_partition
+from .kernels import (
+    BLACKBOX_BUDGET,
+    BudgetExceededError,
+    Kernel,
+    index_chunks,
+    substitute_partition,
+)
 from .model import DerivedConstants, Regime
 from .simulator import FarmLevel, ParticleSnapshot
 
 
 class ExpansionCapError(ValueError):
-    """Requested arity above the configured partition-expansion cap."""
+    """Requested arity above the partition-expansion cap."""
+
+
+# Bell(6) = 203 merged kernels per U-statistic; higher arities are refused.
+MAX_EXPANSION_ARITY = 6
 
 
 Partition = tuple[tuple[int, ...], ...]
@@ -48,49 +57,23 @@ def set_partitions(n: int) -> list[Partition]:
     return sorted(set(rec(tuple(range(1, n + 1)))))
 
 
-def refines(a: Partition, b: Partition) -> bool:
-    """True iff every block of ``a`` is contained in a block of ``b``."""
-    lookup = {}
-    for j, block in enumerate(b):
-        for i in block:
-            lookup[i] = j
-    return all(len({lookup[i] for i in block}) == 1 for block in a)
-
-
 @lru_cache(maxsize=None)
 def partition_coefficients(n: int) -> dict[Partition, int]:
     """Integer weights a_J with sum over injective tuples of f equal to
-    sum_J a_J * (V-statistic of the J-merged kernel).
+    sum_J a_J * (V-statistic of the J-merged kernel), keyed in sorted order.
 
-    Solved triangularly from the requirement that the weights of all
-    partitions finer than or equal to K sum to 1 exactly when K is the
-    discrete partition and to 0 otherwise.
+    These are the Moebius weights mu(J, 1) of the partition lattice:
+    a_J = prod over blocks B of (-1)^(|B| - 1) (|B| - 1)!.
     """
-    parts = set_partitions(n)
-    discrete = tuple((i,) for i in range(1, n + 1))
-    order = sorted(parts, key=len, reverse=True)  # finer first
-    coeffs: dict[Partition, int] = {}
-    for k_part in order:
-        target = 1 if k_part == discrete else 0
-        acc = sum(coeffs[j] for j in coeffs if j != k_part and refines(j, k_part))
-        coeffs[k_part] = target - acc
-    return coeffs
+    return {J: math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in J)
+            for J in set_partitions(n)}
 
 
-@dataclass(frozen=True)
-class PartitionExpansion:
-    """The U-from-V expansion for a given arity."""
-
-    n: int
-    terms: tuple[tuple[Partition, int], ...]
-
-
-def build_expansion(n: int, max_n: int = 6) -> PartitionExpansion:
-    if n > max_n:
-        raise ExpansionCapError(f"arity {n} above the cap {max_n}")
-    coeffs = partition_coefficients(n)
-    terms = tuple(sorted(coeffs.items()))
-    return PartitionExpansion(n=n, terms=terms)
+def build_expansion(n: int) -> list[tuple[Partition, int]]:
+    """The sorted (J, a_J) pairs of the U-from-V expansion at arity ``n``."""
+    if n > MAX_EXPANSION_ARITY:
+        raise ExpansionCapError(f"arity {n} above the cap {MAX_EXPANSION_ARITY}")
+    return sorted(partition_coefficients(n).items())
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +89,12 @@ def _one_replica(snap: ParticleSnapshot) -> FarmLevel:
     return FarmLevel(snap.t, snap.positions, np.array([snap.count], dtype=np.int64))
 
 
-def _blackbox_v(positions: np.ndarray, f: Kernel, budget: float) -> float:
+def _blackbox_v(positions: np.ndarray, f: Kernel) -> float:
     """V-statistic of a black box on one replica, by batched enumeration."""
     m = positions.shape[0]
-    if m**f.arity > budget:
+    if m**f.arity > BLACKBOX_BUDGET:
         raise BudgetExceededError(
-            f"{m}^{f.arity} black-box evaluations exceed the budget {budget:g}"
+            f"{m}^{f.arity} black-box evaluations exceed the budget {BLACKBOX_BUDGET:g}"
         )
     total = 0.0
     for idx in index_chunks((m,) * f.arity):
@@ -119,13 +102,13 @@ def _blackbox_v(positions: np.ndarray, f: Kernel, budget: float) -> float:
     return total
 
 
-def _v(level: FarmLevel, f: Kernel, budget: float, slot_sums: dict) -> np.ndarray:
+def _v(level: FarmLevel, f: Kernel, slot_sums: dict) -> np.ndarray:
     """Per-replica V-statistics; ``slot_sums`` caches the segment sums of
     each slot function across the kernels of one call."""
     if f.dim != level.positions.shape[1]:
         raise ValueError("kernel dimension does not match snapshot")
     if not f.is_tensor_sum:
-        return np.array([_blackbox_v(s.positions, f, budget) if s.count else 0.0
+        return np.array([_blackbox_v(s.positions, f) if s.count else 0.0
                          for s in level])
     out = np.zeros(len(level))
     for coef, slots in f.terms:
@@ -139,43 +122,35 @@ def _v(level: FarmLevel, f: Kernel, budget: float, slot_sums: dict) -> np.ndarra
     return out
 
 
-def v_statistics(level: FarmLevel, f: Kernel, budget: float = 1e8) -> np.ndarray:
+def v_statistics(level: FarmLevel, f: Kernel) -> np.ndarray:
     """Per-replica sums of the kernel over all index tuples (with
     repetition); extinct replicas give 0."""
-    return _v(level, f, budget, {})
+    return _v(level, f, {})
 
 
-def u_statistics(level: FarmLevel, f: Kernel, budget: float = 1e8,
-                 max_n: int = 6) -> np.ndarray:
+def u_statistics(level: FarmLevel, f: Kernel) -> np.ndarray:
     """Per-replica sums of the kernel over pairwise-distinct index tuples,
     by the partition expansion over merged V-statistics; replicas with
     fewer particles than the arity give 0."""
-    expansion = build_expansion(f.arity, max_n=max_n)
     slot_sums: dict = {}
     total = np.zeros(len(level))
-    for J, a in expansion.terms:
-        if a == 0:
-            continue
-        total += a * _v(level, substitute_partition(f, J), budget, slot_sums)
+    for J, a in build_expansion(f.arity):
+        total += a * _v(level, substitute_partition(f, J), slot_sums)
     total[level.counts < f.arity] = 0.0
     return total
 
 
-def v_statistic(
-    snap: ParticleSnapshot, f: Kernel, budget: float = 1e8
-) -> float:
+def v_statistic(snap: ParticleSnapshot, f: Kernel) -> float:
     """Sum of the kernel over all index tuples (with repetition)."""
     if snap.count == 0:
         return 0.0
-    return float(v_statistics(_one_replica(snap), f, budget)[0])
+    return float(v_statistics(_one_replica(snap), f)[0])
 
 
 def u_statistic(
     snap: ParticleSnapshot,
     f: Kernel,
     strategy: str = "inclusion-exclusion",
-    budget: float = 1e8,
-    max_n: int = 6,
 ) -> float:
     """Sum of the kernel over pairwise-distinct index tuples.
 
@@ -189,9 +164,9 @@ def u_statistic(
         return 0.0
     if strategy == "naive":
         n_tuples = math.perm(m, n)
-        if n_tuples > budget:
+        if n_tuples > BLACKBOX_BUDGET:
             raise BudgetExceededError(
-                f"{n_tuples} naive evaluations exceed the budget {budget:g}"
+                f"{n_tuples} naive evaluations exceed the budget {BLACKBOX_BUDGET:g}"
             )
         total = 0.0
         for idx in index_chunks((m,) * n):
@@ -202,7 +177,7 @@ def u_statistic(
             total += float(vals.sum())
         return total
     if strategy == "inclusion-exclusion":
-        return float(u_statistics(_one_replica(snap), f, budget, max_n)[0])
+        return float(u_statistics(_one_replica(snap), f)[0])
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -53,14 +54,14 @@ class TestDiagrams:
         for n in range(8 + 1):
             got = len(enumerate_diagrams(n))
             assert got == involution_number(n)
-            assert got == len({(d.edges, d.unpaired) for d in enumerate_diagrams(n)})
+            assert got == len(set(enumerate_diagrams(n)))
 
     def test_edges_disjoint_and_partitioning(self):
         for d in enumerate_diagrams(5):
-            seen = [i for e in d.edges for i in e]
-            assert len(seen) == len(set(seen))
-            assert sorted(seen + list(d.unpaired)) == list(range(1, 6))
-            assert d.rank == len(d.edges)
+            assert all(len(b) in (1, 2) for b in d)
+            seen = [i for b in d for i in b]
+            assert sorted(seen) == list(range(1, 6))
+            assert list(d) == sorted(d)
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -253,6 +254,25 @@ class TestSlowSampler:
         draws = slow_limit_sampler(kernel_xx(), SLOW, rng, size=200_000)
         ks = sstats.kstest(draws, lambda y: sstats.chi2.cdf(y + 0.5, df=1))
         assert ks.pvalue > 0.01
+
+    def test_draws_pinned(self):
+        # canonical kernels of arity 2, 3 and 4 from one stream; the digest
+        # pins the diagram order, the signs and the Gaussian draws
+        centered_sq = factor_of(Func1D.polynomial([-0.5, 0.0, 1.0]))
+        x = factor_of(FUNC_X)
+        kernels = [
+            kernel_xx(),
+            Kernel.tensor_sum([(1.0, (x, centered_sq, x)),
+                               (-0.5, (centered_sq, x, x))], dim=1),
+            Kernel.from_slot_funcs([FUNC_X] * 4, symmetric=True),
+        ]
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for f in kernels:
+            digest.update(slow_limit_sampler(f, SLOW, rng, size=64)
+                          .astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "2407f0872dc518baa43ece82e8f2c73d04c9befbf9a55c49a0235f5d285e603b")
 
     def test_zero_kernel(self):
         f = Kernel.tensor_sum(

@@ -9,11 +9,11 @@ from branching_ou.model import ModelParams, derive
 from branching_ou.simulator import (
     AllExtinctError,
     Caps,
+    FarmLevel,
     ParticleSnapshot,
     ResourceCapError,
     _draw_lifetimes,
     condition_on_survival,
-    observe_path,
     simulate,
     simulate_farm,
 )
@@ -182,16 +182,13 @@ class TestObservables:
         diff, se = mean_se(v[2] - v[1])
         assert abs(diff) <= 4 * se
 
-    def test_observe_path_shapes_and_absorption(self):
-        grid = (0.5, 1.0, 2.0, 4.0, 6.0)
-        for seed in range(30):
-            path = observe_path(SLOW, grid, seed)
-            assert path.v_vals.shape == (5,)
-            assert path.h_vals.shape == (5, 1)
-            assert np.all(path.v_vals >= 0)
-            dead = np.where(path.counts == 0)[0]
-            if dead.size:
-                assert np.all(path.counts[dead[0]:] == 0)
+    def test_farm_extinction_is_absorbing(self):
+        # a replica with no particles at one grid time has none later
+        farm = simulate_farm(SLOW, (0.5, 1.0, 2.0, 4.0, 6.0), 300, seed=29)
+        counts = np.stack([level.counts for level in farm])
+        assert (counts[0] == 0).any()
+        for k in range(1, len(farm)):
+            assert np.all(counts[k][counts[k - 1] == 0] == 0)
 
     def test_h_martingale_mean_is_start(self):
         params = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0, x0=(0.0,))
@@ -237,21 +234,20 @@ class TestObservables:
 
 class TestConditioning:
     def test_identity_when_all_alive(self):
-        snaps = [ParticleSnapshot(t=1.0, positions=np.ones((2, 1))) for _ in range(5)]
-        alive, frac = condition_on_survival(snaps)
+        level = FarmLevel(1.0, np.ones((10, 1)), np.full(5, 2, dtype=np.int64))
+        alive, frac = condition_on_survival(level)
         assert len(alive) == 5 and frac == 1.0
 
     def test_mixed(self):
-        alive_snap = ParticleSnapshot(t=1.0, positions=np.ones((3, 1)))
-        dead_snap = ParticleSnapshot(t=1.0, positions=np.empty((0, 1)))
-        alive, frac = condition_on_survival([alive_snap, dead_snap, alive_snap])
+        level = FarmLevel(1.0, np.ones((6, 1)), np.array([3, 0, 3], dtype=np.int64))
+        alive, frac = condition_on_survival(level)
         assert len(alive) == 2
         assert frac == pytest.approx(2 / 3)
 
     def test_all_extinct_error(self):
-        dead = ParticleSnapshot(t=1.0, positions=np.empty((0, 1)))
+        dead = FarmLevel(1.0, np.empty((0, 1)), np.zeros(2, dtype=np.int64))
         with pytest.raises(AllExtinctError):
-            condition_on_survival([dead, dead])
+            condition_on_survival(dead)
 
     def test_farm_level_shares_positions(self):
         level = simulate_farm(SLOW, (4.0,), 200, seed=61)[0]
