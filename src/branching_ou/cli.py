@@ -55,12 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> ExperimentConfig:
     with open(args.config) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError("the config must be a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.replicas is not None:
         raw["replicas"] = args.replicas
     if args.t is not None:
-        raw["t_grid"] = [float(v) for v in args.t.split(",")]
+        raw["t_grid"] = args.t.split(",")
     if args.threads is not None:
         raw["threads"] = args.threads
     raw["test"] = args.command

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import Factor, Kernel, is_canonical, project
-from .model import ModelParams, RegimeTag, classify, derive
+from .model import ModelParams, Regime, RegimeTag, classify, derive
 from .limits import (
     critical_limit_sampler,
     fast_limit_sampler,
@@ -48,28 +48,86 @@ class ConfigError(ValueError):
     """Malformed experiment configuration."""
 
 
-# The keys a config file may hold, per section; any other key is refused.
-_CONFIG_KEYS = {"params", "kernel", "t_grid", "replicas", "seed", "regime",
-                "test", "caps", "batch_size", "threads", "tolerances", "g1",
-                "limit_draws", "fast_limit_draws", "fast_t_approx"}
-_PARAMS_KEYS = {"lambda", "p", "mu", "sigma", "dim", "x0"}
-_CAPS_KEYS = {"max_particles", "max_generations"}
-_TOLERANCE_KEYS = {"se_mult", "ks_level", "corr_threshold", "indep_corr_bound"}
-_G1_KEYS = {"replicas", "t", "t_max"}
-_KERNEL_KEYS = {"arity", "dim", "symmetric", "terms"}
-_TERM_KEYS = {"coef", "slots"}
-
-
-def _refuse_unknown_keys(section: dict, allowed: set[str], where: str) -> dict:
-    """The section itself, once every key in it is known."""
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
-    return section
-
-
 # ---------------------------------------------------------------------------
 # configuration
+#
+# One table per config section maps each JSON key to (attribute, cast).
+# ``_read`` refuses a key its table does not hold and casts the others;
+# ``_write`` walks the same table back to JSON.  A cast that is itself a
+# table reads a nested section, into an object of its own or, when the
+# attribute is None, onto the enclosing one.  Defaults live only on
+# ``ExperimentConfig`` and ``Caps``.
+
+
+def _or_none(cast):
+    """``cast`` for a field whose default is None, which a JSON null keeps."""
+    return lambda value: None if value is None else cast(value)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _terms(terms) -> list[dict]:
+    return [_read(term, _TERM, "kernel term") for term in terms]
+
+
+_PARAMS = {"lambda": ("lam", float), "p": ("p", float), "mu": ("mu", float),
+           "sigma": ("sigma", float), "dim": ("dim", int), "x0": ("x0", tuple)}
+_CAPS = {"max_particles": ("max_particles", int),
+         "max_generations": ("max_generations", int)}
+_CONFIG = {
+    "params": ("params", _PARAMS),
+    "kernel": ("kernel_spec", lambda spec: spec),  # read by parse_kernel_spec
+    "t_grid": ("t_grid", _floats),
+    "replicas": ("replicas", int),
+    "seed": ("seed", int),
+    "regime": ("regime_expected", _or_none(lambda tag: RegimeTag(tag).value)),
+    "test": ("test", str),
+    "caps": ("caps", _CAPS),
+    "batch_size": ("batch_size", int),
+    "threads": ("threads", int),
+    "tolerances": (None, {"se_mult": ("se_mult", float),
+                          "ks_level": ("ks_level", float),
+                          "corr_threshold": ("corr_threshold", float),
+                          "indep_corr_bound": ("indep_corr_bound", float)}),
+    "g1": (None, {"replicas": ("g1_replicas", int), "t": ("g1_t", float),
+                  "t_max": ("g1_t_max", float)}),
+    "limit_draws": ("limit_draws", _or_none(int)),
+    "fast_limit_draws": ("fast_limit_draws", int),
+    "fast_t_approx": ("fast_t_approx", _or_none(float)),
+}
+_KERNEL = {"arity": ("arity", int), "dim": ("dim", int),
+           "symmetric": ("symmetric", bool), "terms": ("terms", _terms)}
+_TERM = {"coef": ("coef", float), "slots": ("slots", list)}
+
+
+def _read(raw: dict, table: dict, where: str) -> dict:
+    """{attribute: cast value} for the keys of ``raw``; any key the table
+    does not hold is refused by name."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
+    out = {}
+    for key, value in raw.items():
+        attr, cast = table[key]
+        value = _read(value, cast, key) if isinstance(cast, dict) else cast(value)
+        if attr is None:
+            out.update(value)
+        else:
+            out[attr] = value
+    return out
+
+
+def _write(obj, table: dict) -> dict:
+    """The JSON form of ``obj`` by the table ``_read`` reads it with."""
+    out = {}
+    for key, (attr, cast) in table.items():
+        value = obj if attr is None else getattr(obj, attr)
+        out[key] = _write(value, cast) if isinstance(cast, dict) else value
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,86 +159,37 @@ class ExperimentConfig:
             raise ConfigError("t_grid must be nonempty")
         if list(self.t_grid) != sorted(self.t_grid):
             raise ConfigError("t_grid must be increasing")
+        if self.t_grid[0] < 0:
+            raise ConfigError("grid times must be nonnegative")
         if self.replicas < 1:
             raise ConfigError("replicas must be positive")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be positive")
 
     @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
+    def from_dict(raw: dict) -> "ExperimentConfig":
         try:
-            _refuse_unknown_keys(d, _CONFIG_KEYS, "config")
-            pd = _refuse_unknown_keys(d["params"], _PARAMS_KEYS, "params")
-            params = ModelParams(
-                lam=float(pd["lambda"]), p=float(pd["p"]), mu=float(pd["mu"]),
-                sigma=float(pd["sigma"]), dim=int(pd.get("dim", 1)),
-                x0=tuple(pd.get("x0", [0.0] * int(pd.get("dim", 1)))),
-            )
-            kernel_spec = d.get("kernel")
-            kernel = parse_kernel_spec(kernel_spec) if kernel_spec else None
-            if kernel is not None and kernel.dim != params.dim:
+            kw = _read(raw, _CONFIG, "config")
+            params = kw["params"]
+            params.setdefault("x0", (0.0,) * params.get("dim", 1))
+            kw["params"] = ModelParams(**params)
+            if "caps" in kw:
+                kw["caps"] = Caps(**kw["caps"])
+            spec = kw.get("kernel_spec")
+            kernel = kw["kernel"] = parse_kernel_spec(spec) if spec else None
+            if kernel is not None and kernel.dim != kw["params"].dim:
                 raise ConfigError(f"kernel dim {kernel.dim} does not match "
-                                  f"params dim {params.dim}")
-            caps_d = _refuse_unknown_keys(d.get("caps", {}), _CAPS_KEYS, "caps")
-            caps = Caps(
-                max_particles=int(caps_d.get("max_particles", 10_000_000)),
-                max_generations=int(caps_d.get("max_generations", 100_000)),
-            )
-            tol = _refuse_unknown_keys(d.get("tolerances", {}), _TOLERANCE_KEYS,
-                                       "tolerances")
-            g1 = _refuse_unknown_keys(d.get("g1", {}), _G1_KEYS, "g1")
-            return ExperimentConfig(
-                params=params,
-                t_grid=tuple(float(t) for t in d["t_grid"]),
-                replicas=int(d.get("replicas", 1000)),
-                seed=int(d.get("seed", 0)),
-                kernel=kernel,
-                kernel_spec=kernel_spec,
-                regime_expected=d.get("regime"),
-                test=d.get("test", "lln"),
-                caps=caps,
-                batch_size=int(d.get("batch_size", 2000)),
-                threads=int(d.get("threads", 1)),
-                se_mult=float(tol.get("se_mult", 4.0)),
-                ks_level=float(tol.get("ks_level", 0.01)),
-                corr_threshold=float(tol.get("corr_threshold", 0.95)),
-                indep_corr_bound=float(tol.get("indep_corr_bound", 0.05)),
-                g1_replicas=int(g1.get("replicas", 800)),
-                g1_t=float(g1.get("t", 8.0)),
-                g1_t_max=float(g1.get("t_max", 16.0)),
-                limit_draws=(int(d["limit_draws"]) if "limit_draws" in d else None),
-                fast_limit_draws=int(d.get("fast_limit_draws", 200)),
-                fast_t_approx=(float(d["fast_t_approx"])
-                               if "fast_t_approx" in d else None),
-            )
+                                  f"params dim {kw['params'].dim}")
+            return ExperimentConfig(**kw)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
     def canonical_dict(self) -> dict:
-        return {
-            "params": {
-                "lambda": self.params.lam, "p": self.params.p,
-                "mu": self.params.mu, "sigma": self.params.sigma,
-                "dim": self.params.dim, "x0": list(self.params.x0),
-            },
-            "kernel": self.kernel_spec,
-            "t_grid": list(self.t_grid),
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "regime": self.regime_expected,
-            "test": self.test,
-            "caps": {"max_particles": self.caps.max_particles,
-                     "max_generations": self.caps.max_generations},
-            "batch_size": self.batch_size,
-            "tolerances": {
-                "se_mult": self.se_mult, "ks_level": self.ks_level,
-                "corr_threshold": self.corr_threshold,
-                "indep_corr_bound": self.indep_corr_bound,
-            },
-            "g1": {"replicas": self.g1_replicas, "t": self.g1_t,
-                   "t_max": self.g1_t_max},
-            "limit_draws": self.limit_draws,
-            "fast_limit_draws": self.fast_limit_draws,
-            "fast_t_approx": self.fast_t_approx,
-        }
+        """Every field that changes the numbers, in JSON form: all but
+        ``threads``, which only schedules the work."""
+        out = _write(self, _CONFIG)
+        del out["threads"]
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
@@ -192,18 +201,13 @@ def parse_kernel_spec(spec: dict) -> Kernel:
     per-coordinate polynomial coefficient vectors.  A declared ``arity``
     must match the slot count."""
     try:
-        _refuse_unknown_keys(spec, _KERNEL_KEYS, "kernel")
-        dim = int(spec.get("dim", 1))
-        terms = []
-        for term in spec["terms"]:
-            _refuse_unknown_keys(term, _TERM_KEYS, "kernel term")
-            coef = float(term.get("coef", 1.0))
-            slots = [Factor.from_polys(slot) for slot in term["slots"]]
-            terms.append((coef, slots))
-        kernel = Kernel.tensor_sum(terms, dim=dim,
-                                   symmetric=bool(spec.get("symmetric", False)))
-        if "arity" in spec and int(spec["arity"]) != kernel.arity:
-            raise ConfigError(f"kernel arity {spec['arity']} does not match "
+        kw = _read(spec, _KERNEL, "kernel")
+        terms = [(term.get("coef", 1.0), [Factor.from_polys(s) for s in term["slots"]])
+                 for term in kw["terms"]]
+        kernel = Kernel.tensor_sum(terms, dim=kw.get("dim", 1),
+                                   symmetric=kw.get("symmetric", False))
+        if kw.get("arity", kernel.arity) != kernel.arity:
+            raise ConfigError(f"kernel arity {kw['arity']} does not match "
                               f"its {kernel.arity} slots")
         return kernel
     except (KeyError, TypeError, ValueError) as exc:
@@ -247,14 +251,6 @@ class TestReport:
         return all(c.passed for c in self.checks)
 
 
-def _arity1_factor(f: Kernel) -> Factor:
-    """Collapse an arity-1 tensor-sum kernel to a single slot function."""
-    atoms = []
-    for coef, slots in f.terms:
-        atoms.extend((coef * a, pf) for a, pf in slots[0].atoms)
-    return Factor(tuple(atoms))
-
-
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
     x = np.asarray(x, dtype=float)
     return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
@@ -270,6 +266,47 @@ def _var_se(x: np.ndarray) -> tuple[float, float]:
     return float(m2), se
 
 
+def _se_check(name: str, value, target, se: float, mult: float,
+              other_se: float | None = None, **extra) -> CheckResult:
+    """``value`` against ``target`` within ``mult`` standard errors; a
+    target that is itself an estimate brings ``other_se``, and the two
+    combine into a joint SE."""
+    joint = other_se is not None
+    tol = mult * (math.hypot(se, other_se) if joint else se)
+    return CheckResult(
+        name=name, value=value, target=target,
+        tolerance=f"|diff| <= {mult:g} {'joint ' if joint else ''}SE = {tol:.3g}",
+        passed=abs(value - target) <= tol, se=se, extra=extra,
+    )
+
+
+def _ks_check(name: str, ks, level: float, **extra) -> CheckResult:
+    """A KS test result, passing when its p-value reaches ``level``."""
+    return CheckResult(name=name, value=ks.statistic, target=None,
+                       tolerance=f"KS p-value >= {level:g}",
+                       passed=ks.pvalue >= level,
+                       extra={"p_value": float(ks.pvalue), **extra})
+
+
+def _report(test: str, config: ExperimentConfig, frac: float | None,
+            checks: list[CheckResult], start: float) -> TestReport:
+    return TestReport(test=test, seed=config.seed, config_hash=config.config_hash(),
+                      survival_fraction=frac, checks=checks,
+                      runtime_s=time.time() - start)
+
+
+def _arity1_variance(f: Kernel, params: ModelParams, regime: Regime) -> float:
+    """The slow- or critical-regime asymptotic variance of an arity-1
+    tensor-sum kernel, its terms collapsed to one slot function."""
+    fac = Factor(tuple((coef * a, pf) for coef, slots in f.terms
+                       for a, pf in slots[0].atoms))
+    if regime.is_slow:
+        return sigma_slow(fac, params)
+    if regime.is_critical:
+        return sigma_critical(fac, params)
+    raise ConfigError("no scalar variance formula in the fast regime")
+
+
 def _v_values(level, consts) -> np.ndarray:
     """Per-replica normalized population size exp(-growth t) * count."""
     return math.exp(-consts.growth_rate * level.t) * level.counts
@@ -279,16 +316,24 @@ def _v_values(level, consts) -> np.ndarray:
 # runners
 
 
-def _farm(config: ExperimentConfig, t_grid=None, replicas=None, seed=None):
-    return simulate_farm(
-        config.params,
-        t_grid if t_grid is not None else config.t_grid,
-        replicas if replicas is not None else config.replicas,
-        seed if seed is not None else config.seed,
-        caps=config.caps,
-        batch_size=config.batch_size,
-        threads=config.threads,
-    )
+def _farm(config: ExperimentConfig, **override):
+    """The config's farm; ``override`` may replace its ``t_grid``,
+    ``n_replicas`` or ``seed``."""
+    args = {"t_grid": config.t_grid, "n_replicas": config.replicas,
+            "seed": config.seed, **override}
+    return simulate_farm(config.params, caps=config.caps,
+                         batch_size=config.batch_size, threads=config.threads, **args)
+
+
+def _require_kernel(config: ExperimentConfig) -> Kernel:
+    if config.kernel is None:
+        raise ConfigError(f"test {config.test!r} requires a kernel spec")
+    return config.kernel
+
+
+def _require_distributional_replicas(config: ExperimentConfig):
+    if config.replicas < 100:
+        raise ConfigError("distributional tests need at least 100 replicas")
 
 
 def run_lln(config: ExperimentConfig, farm=None) -> TestReport:
@@ -311,22 +356,9 @@ def run_lln(config: ExperimentConfig, farm=None) -> TestReport:
     if len(vals) < 2:
         raise ConfigError("too few replicas with enough particles for the arity")
     mean, se = _mean_se(vals)
-    tol = config.se_mult * se
-    checks = [CheckResult(
-        name="lln_mean_vs_stationary",
-        value=mean, target=target,
-        tolerance=f"|diff| <= {config.se_mult:g} SE = {tol:.3g}",
-        passed=abs(mean - target) <= tol, se=se,
-        extra={"replicas_used": int(len(vals))},
-    )]
-    return TestReport(test="lln", seed=config.seed, config_hash=config.config_hash(),
-                      survival_fraction=frac, checks=checks,
-                      runtime_s=time.time() - start)
-
-
-def _require_distributional_replicas(config: ExperimentConfig):
-    if config.replicas < 100:
-        raise ConfigError("distributional tests need at least 100 replicas")
+    checks = [_se_check("lln_mean_vs_stationary", mean, target, se, config.se_mult,
+                        replicas_used=int(len(vals)))]
+    return _report("lln", config, frac, checks, start)
 
 
 def run_w_law(config: ExperimentConfig, farm=None) -> TestReport:
@@ -336,38 +368,21 @@ def run_w_law(config: ExperimentConfig, farm=None) -> TestReport:
     start = time.time()
     _require_distributional_replicas(config)
     consts = derive(config.params)
-    t = config.t_grid[-1]
-    if math.exp(-consts.growth_rate * t) >= 0.05:
+    if math.exp(-consts.growth_rate * config.t_grid[-1]) >= 0.05:
         raise ConfigError("horizon too short: exp(-growth t) must be < 0.05")
     farm = farm if farm is not None else _farm(config)
     level = farm[-1]
     alive, frac = condition_on_survival(level)
     v_all = _v_values(level, consts)
-    v_alive = v_all[level.counts > 0]
     w_mean = config.params.p / (2.0 * config.params.p - 1.0)
-    ks = sstats.kstest(v_alive, "expon", args=(0.0, w_mean))
-    checks = [
-        CheckResult(
-            name="w_law_ks_exponential",
-            value=float(ks.statistic), target=None,
-            tolerance=f"KS p-value >= {config.ks_level:g}",
-            passed=bool(ks.pvalue >= config.ks_level),
-            extra={"p_value": float(ks.pvalue), "scale": w_mean,
-                   "survivors": len(alive)},
-        ),
-    ]
+    ks = sstats.kstest(v_all[level.counts > 0], "expon", args=(0.0, w_mean))
     mean, se = _mean_se(v_all)
-    tol = config.se_mult * se
-    checks.append(CheckResult(
-        name="w_law_martingale_mean",
-        value=mean, target=1.0,
-        tolerance=f"|diff| <= {config.se_mult:g} SE = {tol:.3g}",
-        passed=abs(mean - 1.0) <= tol, se=se,
-    ))
-    return TestReport(test="wlaw", seed=config.seed,
-                      config_hash=config.config_hash(),
-                      survival_fraction=frac, checks=checks,
-                      runtime_s=time.time() - start)
+    checks = [
+        _ks_check("w_law_ks_exponential", ks, config.ks_level, scale=w_mean,
+                  survivors=len(alive)),
+        _se_check("w_law_martingale_mean", mean, 1.0, se, config.se_mult),
+    ]
+    return _report("wlaw", config, frac, checks, start)
 
 
 def _g1_coordinate(config: ExperimentConfig) -> CheckResult:
@@ -379,24 +394,16 @@ def _g1_coordinate(config: ExperimentConfig) -> CheckResult:
     gap so that the bias sits well under the 5 SE tolerance.
     """
     consts = derive(config.params)
-    grid = (config.g1_t, config.g1_t_max)
-    farm = _farm(config, t_grid=grid, replicas=config.g1_replicas,
-                 seed=config.seed + 104729)
+    farm = _farm(config, t_grid=(config.g1_t, config.g1_t_max),
+                 n_replicas=config.g1_replicas, seed=config.seed + 104729)
     alive = farm[0].counts > 0
     m_t = farm[0].counts[alive]
     v_hat = _v_values(farm[1], consts)[alive]
     stats_vals = (m_t - math.exp(consts.growth_rate * farm[0].t) * v_hat) / np.sqrt(m_t)
-    target = 1.0 / (2.0 * config.params.p - 1.0)
     var, se = _var_se(stats_vals)
-    tol = 5.0 * se
-    return CheckResult(
-        name="g1_fluctuation_variance",
-        value=var, target=target,
-        tolerance=f"|diff| <= 5 SE = {tol:.3g}",
-        passed=abs(var - target) <= tol, se=se,
-        extra={"t": config.g1_t, "t_max": config.g1_t_max,
-               "replicas": config.g1_replicas},
-    )
+    return _se_check("g1_fluctuation_variance", var, 1.0 / (2.0 * config.params.p - 1.0),
+                     se, 5.0, t=config.g1_t, t_max=config.g1_t_max,
+                     replicas=config.g1_replicas)
 
 
 def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
@@ -425,15 +432,12 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     if not is_canonical(f, params):
         raise ConfigError("CLT test requires a canonical kernel")
     n = f.arity
-    t = config.t_grid[-1]
     farm = farm if farm is not None else _farm(config)
     alive, frac = condition_on_survival(farm[-1])
     alive = alive.select(alive.counts >= n)
     stat = normalized_u_statistics(alive, f, n, regime, consts)
-    w_proxy = _v_values(alive, consts)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((config.seed, 0xC17))))
-    n_draws = config.limit_draws or len(stat)
     checks: list[CheckResult] = []
 
     if regime.is_fast:
@@ -446,84 +450,44 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
             value=corr, target=None,
             tolerance=f"corr >= {config.corr_threshold:g}",
             passed=corr >= config.corr_threshold,
-            extra={"survivors": len(alive), "t": t},
+            extra={"survivors": len(alive), "t": config.t_grid[-1]},
         ))
         mean_stat, se_s = _mean_se(stat)
         mean_ref, se_r = _mean_se(ref)
-        tol = config.se_mult * math.hypot(se_s, se_r)
-        checks.append(CheckResult(
-            name="fast_mean_agreement",
-            value=mean_stat, target=mean_ref,
-            tolerance=f"|diff| <= {config.se_mult:g} joint SE = {tol:.3g}",
-            passed=abs(mean_stat - mean_ref) <= tol, se=se_s,
-        ))
+        checks.append(_se_check("fast_mean_agreement", mean_stat, mean_ref, se_s,
+                                config.se_mult, se_r))
         n_fast = min(config.fast_limit_draws, len(stat))
         draws = fast_limit_sampler(
             f, params, rng, size=n_fast, t_approx=config.fast_t_approx,
             caps=config.caps,
         )
-        ks = sstats.ks_2samp(stat[:n_fast], draws)
-        checks.append(CheckResult(
-            name="clt_two_sample_ks",
-            value=float(ks.statistic), target=None,
-            tolerance=f"KS p-value >= {config.ks_level:g}",
-            passed=bool(ks.pvalue >= config.ks_level),
-            extra={"p_value": float(ks.pvalue), "draws": int(n_fast)},
-        ))
+        checks.append(_ks_check("clt_two_sample_ks", sstats.ks_2samp(stat[:n_fast], draws),
+                                config.ks_level, draws=int(n_fast)))
     else:
+        n_draws = config.limit_draws or len(stat)
         sampler = slow_limit_sampler if regime.is_slow else critical_limit_sampler
         draws = sampler(f, params, rng, size=n_draws)
-        ks = sstats.ks_2samp(stat, draws)
-        checks.append(CheckResult(
-            name="clt_two_sample_ks",
-            value=float(ks.statistic), target=None,
-            tolerance=f"KS p-value >= {config.ks_level:g}",
-            passed=bool(ks.pvalue >= config.ks_level),
-            extra={"p_value": float(ks.pvalue), "survivors": len(alive),
-                   "draws": int(n_draws)},
-        ))
+        checks.append(_ks_check("clt_two_sample_ks", sstats.ks_2samp(stat, draws),
+                                config.ks_level, survivors=len(alive),
+                                draws=int(n_draws)))
         m_stat, se_s = _mean_se(stat)
         m_lim, se_l = _mean_se(draws)
-        tol = config.se_mult * math.hypot(se_s, se_l)
-        checks.append(CheckResult(
-            name="clt_mean_agreement",
-            value=m_stat, target=m_lim,
-            tolerance=f"|diff| <= {config.se_mult:g} joint SE = {tol:.3g}",
-            passed=abs(m_stat - m_lim) <= tol, se=se_s,
-        ))
+        checks.append(_se_check("clt_mean_agreement", m_stat, m_lim, se_s,
+                                config.se_mult, se_l))
         v_stat, se_vs = _var_se(stat)
         v_lim, se_vl = _var_se(draws)
-        tol = config.se_mult * math.hypot(se_vs, se_vl)
-        checks.append(CheckResult(
-            name="clt_variance_agreement",
-            value=v_stat, target=v_lim,
-            tolerance=f"|diff| <= {config.se_mult:g} joint SE = {tol:.3g}",
-            passed=abs(v_stat - v_lim) <= tol, se=se_vs,
-        ))
+        checks.append(_se_check("clt_variance_agreement", v_stat, v_lim, se_vs,
+                                config.se_mult, se_vl))
         if n == 1 and f.is_tensor_sum:
-            fac = _arity1_factor(f)
-            sigma2 = (sigma_slow(fac, params) if regime.is_slow
-                      else sigma_critical(fac, params))
-            tol = 3.0 * se_vs
-            checks.append(CheckResult(
-                name="clt_variance_vs_formula",
-                value=v_stat, target=sigma2,
-                tolerance=f"|diff| <= 3 SE = {tol:.3g}",
-                passed=abs(v_stat - sigma2) <= tol, se=se_vs,
-            ))
-            ks1 = sstats.kstest(stat / math.sqrt(sigma2), "norm")
-            checks.append(CheckResult(
-                name="clt_ks_vs_normal",
-                value=float(ks1.statistic), target=None,
-                tolerance=f"KS p-value >= {config.ks_level:g}",
-                passed=bool(ks1.pvalue >= config.ks_level),
-                extra={"p_value": float(ks1.pvalue)},
-            ))
-
-    if not regime.is_fast:
+            sigma2 = _arity1_variance(f, params, regime)
+            checks.append(_se_check("clt_variance_vs_formula", v_stat, sigma2,
+                                    se_vs, 3.0))
+            checks.append(_ks_check("clt_ks_vs_normal",
+                                    sstats.kstest(stat / math.sqrt(sigma2), "norm"),
+                                    config.ks_level))
         # in the fast regime the joint limit does not separate the size
         # limit from the U-statistic limit, so no decorrelation is claimed
-        rho = float(np.corrcoef(w_proxy, stat)[0, 1])
+        rho = float(np.corrcoef(_v_values(alive, consts), stat)[0, 1])
         bound = max(config.indep_corr_bound, 4.0 / math.sqrt(len(stat)))
         checks.append(CheckResult(
             name="independence_corr_with_size",
@@ -532,10 +496,7 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
             passed=abs(rho) < bound,
         ))
     checks.append(_g1_coordinate(config))
-    return TestReport(test="clt", seed=config.seed,
-                      config_hash=config.config_hash(),
-                      survival_fraction=frac, checks=checks,
-                      runtime_s=time.time() - start)
+    return _report("clt", config, frac, checks, start)
 
 
 def run_oracle_crosscheck(config: ExperimentConfig, farm=None) -> TestReport:
@@ -556,20 +517,11 @@ def run_oracle_crosscheck(config: ExperimentConfig, farm=None) -> TestReport:
     farm = farm if farm is not None else _farm(config)
     checks = []
     for k, t in enumerate(config.t_grid):
-        vals = v_statistics(farm[k], f)
+        mean, se = _mean_se(v_statistics(farm[k], f))
         oracle = coef * exact_mixed_moment(f.arity, t, config.params, factors)
-        mean, se = _mean_se(vals)
-        tol = config.se_mult * se
-        checks.append(CheckResult(
-            name=f"oracle_vs_mc_t{t:g}",
-            value=mean, target=oracle,
-            tolerance=f"|diff| <= {config.se_mult:g} SE = {tol:.3g}",
-            passed=abs(mean - oracle) <= tol, se=se,
-        ))
-    return TestReport(test="oracle", seed=config.seed,
-                      config_hash=config.config_hash(),
-                      survival_fraction=None, checks=checks,
-                      runtime_s=time.time() - start)
+        checks.append(_se_check(f"oracle_vs_mc_t{t:g}", mean, oracle, se,
+                                config.se_mult))
+    return _report("oracle", config, None, checks, start)
 
 
 def run_variance(config: ExperimentConfig) -> TestReport:
@@ -579,33 +531,17 @@ def run_variance(config: ExperimentConfig) -> TestReport:
     f = _require_kernel(config)
     if f.arity != 1:
         raise ConfigError("variance evaluation expects an arity-1 kernel")
-    params = config.params
-    regime = classify(params)
     if not f.is_tensor_sum:
         raise ConfigError("variance evaluation expects a tensor-sum kernel")
-    fac = _arity1_factor(f)
-    if regime.is_slow:
-        val = sigma_slow(fac, params)
-    elif regime.is_critical:
-        val = sigma_critical(fac, params)
-    else:
-        raise ConfigError("no scalar variance formula in the fast regime")
+    regime = classify(config.params)
+    val = _arity1_variance(f, config.params, regime)
     checks = [CheckResult(
         name=f"asymptotic_variance_{regime.tag.value}",
         value=float(val), target=None,
         tolerance="finite and nonnegative",
         passed=bool(np.isfinite(val) and val >= 0.0),
     )]
-    return TestReport(test="variance", seed=config.seed,
-                      config_hash=config.config_hash(),
-                      survival_fraction=None, checks=checks,
-                      runtime_s=time.time() - start)
-
-
-def _require_kernel(config: ExperimentConfig) -> Kernel:
-    if config.kernel is None:
-        raise ConfigError(f"test {config.test!r} requires a kernel spec")
-    return config.kernel
+    return _report("variance", config, None, checks, start)
 
 
 # ---------------------------------------------------------------------------

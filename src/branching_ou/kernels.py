@@ -124,9 +124,6 @@ class Factor:
             return self
         return Factor(self.atoms + ((-m, product_ones(self.dim)),))
 
-    def scaled(self, c: float) -> "Factor":
-        return Factor(tuple((c * a, pf) for a, pf in self.atoms))
-
     def times(self, other: "Factor") -> "Factor":
         atoms = tuple(
             (ca * cb, pa.times(pb))
@@ -224,19 +221,6 @@ class Kernel:
                 prod *= f(args[i])
             out += prod
         return out
-
-    def scaled(self, c: float) -> "Kernel":
-        if self.is_tensor_sum:
-            return Kernel(
-                arity=self.arity, dim=self.dim,
-                terms=tuple((c * a, slots) for a, slots in self.terms),
-                symmetric=self.symmetric,
-            )
-        fn = self.evaluator
-        return Kernel.black_box(
-            lambda args: c * fn(args), self.arity, self.dim,
-            symmetric=self.symmetric, poly_bounded=self.poly_bounded,
-        )
 
 
 # ---------------------------------------------------------------------------

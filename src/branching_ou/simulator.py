@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedConstants, ModelParams
+from .model import DerivedConstants, ModelParams, derive
 from .ou import relax, stationary_std
 
 
@@ -36,6 +36,11 @@ class ResourceCapError(RuntimeError):
 
 class AllExtinctError(RuntimeError):
     """Conditioning on survival received only extinct replicas."""
+
+
+# Expected particles recorded by one farm, summed over its replicas and
+# grid times; a farm expecting more is refused before anything is drawn.
+MAX_FARM_PARTICLES = 1e8
 
 
 @dataclass(frozen=True)
@@ -198,13 +203,21 @@ def simulate_farm(
     snapshot of replica ``i`` at the k-th grid time.  Batches own disjoint
     RNG substreams derived from (seed, batch_index) and are combined in
     batch order, so the output is a pure function of the arguments
-    regardless of thread count.
+    regardless of thread count.  A farm whose expected particle count
+    ``n_replicas * sum_k exp(growth t_k)`` exceeds ``MAX_FARM_PARTICLES``
+    raises ``ResourceCapError`` before any draw.
     """
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     if np.any(t_grid < 0):
         raise ValueError("grid times must be nonnegative")
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        expected = n_replicas * float(np.exp(derive(params).growth_rate * t_grid).sum())
+    if expected > MAX_FARM_PARTICLES:
+        raise ResourceCapError(
+            f"the farm expects {expected:.3g} particles, above the budget "
+            f"MAX_FARM_PARTICLES={MAX_FARM_PARTICLES:g}", 0.0)
     starts = list(range(0, n_replicas, batch_size))
     sizes = [min(batch_size, n_replicas - s) for s in starts]
 

@@ -21,9 +21,9 @@ from branching_ou.ou import (
     ou_transition_sample,
     poly_phi_mean,
 )
-from branching_ou.simulator import simulate_farm
+from branching_ou.simulator import condition_on_survival, simulate_farm
 from branching_ou.tree_oracle import exact_mixed_moment
-from branching_ou.ustats import u_statistic, v_statistic
+from branching_ou.ustats import u_statistic, u_statistics, v_statistics
 from branching_ou.limits import sigma_slow, sigma_critical, slow_limit_sampler
 
 from conftest import CRIT_PARAMS, FAST_PARAMS, SLOW_PARAMS
@@ -168,7 +168,7 @@ def test_criterion_4_tree_oracle():
         farm = simulate_farm(params, (t,), 20_000, seed=404, batch_size=4000)
         for n, (facs, kern) in kernels.items():
             oracle = exact_mixed_moment(n, t, params, facs)
-            vals = np.array([v_statistic(s, kern) for s in farm[0]])
+            vals = v_statistics(farm[0], kern)
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             z = (vals.mean() - oracle) / se
             all_ok &= abs(vals.mean() - oracle) <= 4 * se
@@ -210,8 +210,8 @@ def test_criterion_6_critical_clt_order_one():
 
 
 def _criterion_7_samples(slow_farm):
-    alive = [s for s in slow_farm[2] if s.count > 0][:5000]  # t = 10
-    stat = np.array([u_statistic(s, KERNEL_XX) / s.count for s in alive])
+    alive, _ = condition_on_survival(slow_farm[2])  # t = 10
+    stat = (u_statistics(alive, KERNEL_XX) / alive.counts)[:5000]
     rng = np.random.default_rng(777)
     draws = slow_limit_sampler(KERNEL_XX, SLOW_PARAMS, rng, size=5000)
     return stat, draws
@@ -253,14 +253,10 @@ def test_criterion_8_fast_convergence_in_probability():
     g = derive(params).growth_rate
     t = 14.0
     farm = simulate_farm(params, (t,), 2000, seed=808, batch_size=500)
-    alive = [s for s in farm[0] if s.count > 0]
-    u_norm = np.array([
-        math.exp(-2 * (g - params.mu) * t) * u_statistic(s, KERNEL_XX)
-        for s in alive
-    ])
-    h_sq = np.array([
-        (math.exp((params.mu - g) * t) * s.positions.sum()) ** 2 for s in alive
-    ])
+    alive, _ = condition_on_survival(farm[0])
+    u_norm = math.exp(-2 * (g - params.mu) * t) * u_statistics(alive, KERNEL_XX)
+    h_sq = (math.exp((params.mu - g) * t) *
+            alive.segment_sum(alive.positions)[:, 0]) ** 2
     corr = float(np.corrcoef(u_norm, h_sq)[0, 1])
     ok = corr > 0.95
     assert report(8, "fast same-trajectory correlation", ok,
@@ -275,8 +271,8 @@ def test_criterion_9_degeneracy_driven_normalization(slow_farm):
         ],
         dim=1, symmetric=True,
     )
-    alive = [s for s in slow_farm[2] if s.count > 0]  # t = 10
-    stat = np.array([u_statistic(s, f_sum) * s.count**-1.5 for s in alive])
+    alive, _ = condition_on_survival(slow_farm[2])  # t = 10
+    stat = u_statistics(alive, f_sum) * alive.counts**-1.5
     sigma2 = sigma_slow(FUNC_X, SLOW_PARAMS)  # first projection of f is x
     target = 4.0 * sigma2
     var = stat.var(ddof=1)
@@ -309,7 +305,7 @@ def test_criterion_10_boundedness_proxies():
                     norm = t ** (-n / 2) * math.exp(-n / 2 * g * t)
                 else:
                     norm = math.exp(-n * (g - params.mu) * t)
-                y = np.array([(norm * v_statistic(s, f)) ** 2 for s in farm[0]])
+                y = (norm * v_statistics(farm[0], f)) ** 2
                 points.append((y.mean(), y.std(ddof=1) / math.sqrt(len(y))))
         # independent batches per time: endpoint drift vs joint noise
             (m0, s0), (m3, s3) = points[0], points[-1]

@@ -100,6 +100,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match=repr(path[-1])):
             ExperimentConfig.from_dict(raw)
 
+    def test_unknown_regime_rejected(self):
+        with pytest.raises(ConfigError, match="slwo"):
+            config(regime="slwo")
+
+    @pytest.mark.parametrize("section, key", [("params", "lambda"),
+                                              ("tolerances", "se_mult"),
+                                              ("kernel", "terms")])
+    def test_section_must_be_object(self, section, key):
+        with pytest.raises(ConfigError, match=f"{section} must be a JSON object"):
+            config(**{section: [key]})
+
+    def test_canonical_dict_reads_back(self):
+        raw = json.loads(json.dumps(BASE))
+        raw.update(caps={"max_generations": 500}, tolerances={"ks_level": 0.05},
+                   limit_draws=300, regime="slow", kernel=KERNEL_XX)
+        c = ExperimentConfig.from_dict(raw)
+        again = ExperimentConfig.from_dict(c.canonical_dict())
+        assert again.canonical_dict() == c.canonical_dict()
+        assert again.config_hash() == c.config_hash()
+
     def test_kernel_arity_must_match_slots(self):
         spec = dict(KERNEL_XX, arity=3)
         with pytest.raises(ConfigError, match="arity 3"):
@@ -237,6 +257,33 @@ class TestEmit:
         assert path.read_text().splitlines()[0] == "replica_id,t,coord_1,coord_2"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "6029154d630c6d5c7ee3fa2a9c457e66895d1bac2022b054832ef02417113e93")
+
+
+class TestReportBytes:
+    # SHA-256 of the CSV report of one small config per runner; the digest
+    # covers the tolerance wording, the value formatting and the config
+    # hash, so a change here is a documented event
+    SLOW_CLT = dict(replicas=200, t_grid=[5.0], regime="slow",
+                    g1={"replicas": 150, "t": 3.0, "t_max": 6.0})
+    PINNED = {
+        "lln": (run_lln, dict(kernel=KERNEL_X2Y2, replicas=300, t_grid=[3.0]),
+                "28b86c4ed2505f93b681201ab8008f2c6a3c6e4494992af58ce0d61a6ac47df6"),
+        "wlaw": (run_w_law, dict(replicas=200, t_grid=[6.5]),
+                 "d89c11f0d56430e51fe8cdc0a6aae4139d7ebbafd41152fc31a04d7f675b6312"),
+        "clt": (run_clt, SLOW_CLT,
+                "8361f3eeec1b1750227c398c79860fd3f64d5746313240a9c3a985692f6eb8f1"),
+        "oracle": (run_oracle_crosscheck,
+                   dict(kernel=KERNEL_XX, replicas=300, t_grid=[1.0, 2.0]),
+                   "a7c340559a834b3948d18f8e200de0a4578534a96a8ff3851936a27655f7f422"),
+        "variance": (run_variance, {},
+                     "c2300db94018b782861424af7b6d022b1fc3ddfe510fed82932cf4a3e2a58afe"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_csv_report_pinned(self, name, tmp_path):
+        runner, overrides, digest = self.PINNED[name]
+        path = emit(runner(config(**overrides)), "csv", tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestRunners:
@@ -441,6 +488,42 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "'se_mul'" in err
+
+    def test_t_not_a_number_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, BASE)
+        assert cli_main(["lln", "--config", str(cfg), "--t", "abc",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_negative_grid_time_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, BASE)
+        assert cli_main(["lln", "--config", str(cfg), "--t=-1,2",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "grid times must be nonnegative" in capsys.readouterr().err
+
+    def test_batch_size_zero_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, dict(BASE, batch_size=0))
+        assert cli_main(["lln", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "batch_size must be positive" in capsys.readouterr().err
+
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, [BASE])
+        assert cli_main(["lln", "--config", str(cfg), "--seed", "3",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_farm_above_budget_exit_1_before_simulating(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # 10^4 replicas to t = 30 expect 10^4 e^{15} ~ 3.3e10 particles
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch was simulated")
+
+        monkeypatch.setattr("branching_ou.simulator._run_batch", no_batch)
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "oracle.json"
+        assert cli_main(["lln", "--config", str(cfg), "--t", "30",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("resource cap:")
 
     def test_kernel_dim_mismatch_exit_2_before_simulating(self, tmp_path, capsys,
                                                           monkeypatch):

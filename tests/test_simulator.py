@@ -99,6 +99,27 @@ class TestBasics:
                      caps=Caps(max_particles=50))
         assert 0.0 <= info.value.time_reached <= 8.0
 
+    def test_farm_budget_checked_before_drawing(self, monkeypatch):
+        # at t = 20 a slow-regime replica expects e^{10} = 22026.5 particles,
+        # so 4539 replicas fit the 1e8 farm budget and 4540 do not
+        calls = []
+
+        def fake_batch(params, t_grid, n_replicas, rng, caps):
+            calls.append(n_replicas)
+            return [(np.empty((0, 1)), np.zeros(n_replicas, dtype=np.int64))
+                    for _ in t_grid]
+
+        monkeypatch.setattr("branching_ou.simulator._run_batch", fake_batch)
+        simulate_farm(SLOW, (20.0,), 4539, seed=1, batch_size=5000)
+        assert calls == [4539]
+        with pytest.raises(ResourceCapError, match="MAX_FARM_PARTICLES") as info:
+            simulate_farm(SLOW, (20.0,), 4540, seed=1, batch_size=5000)
+        assert info.value.time_reached == 0.0
+        # the budget sums over the grid: two times at t = 20 need half the replicas
+        with pytest.raises(ResourceCapError):
+            simulate_farm(SLOW, (20.0, 20.0), 2300, seed=1, batch_size=5000)
+        assert calls == [4539]
+
     def test_dim2_positions(self):
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
                              x0=(1.0, -1.0))

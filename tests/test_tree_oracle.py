@@ -301,7 +301,7 @@ class TestExactMixedMoment:
     def test_two_dim_second_moment_vs_monte_carlo(self):
         from branching_ou.kernels import Kernel, ProductFunc
         from branching_ou.simulator import simulate_farm
-        from branching_ou.ustats import v_statistic
+        from branching_ou.ustats import v_statistics
 
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=1.0, dim=2,
                              x0=(0.5, 0.0))
@@ -312,7 +312,7 @@ class TestExactMixedMoment:
             [(1.0, (factor_of(cross), factor_of(cross)))], dim=2
         )
         farm = simulate_farm(params, (t,), 20_000, seed=71, batch_size=4000)
-        vals = np.array([v_statistic(s, f) for s in farm[0]])
+        vals = v_statistics(farm[0], f)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - oracle) <= 4 * se
 
@@ -320,13 +320,13 @@ class TestExactMixedMoment:
         # the arity-2 V-statistic of x (x) x is <X_t, x>^2
         from branching_ou.kernels import Kernel
         from branching_ou.simulator import simulate_farm
-        from branching_ou.ustats import v_statistic
+        from branching_ou.ustats import v_statistics
 
         t = 1.5
         oracle = exact_mixed_moment(4, t, SLOW, [FUNC_X] * 4)
         f = Kernel.from_slot_funcs([FUNC_X, FUNC_X])
         farm = simulate_farm(SLOW, (t,), 20_000, seed=83, batch_size=4000)
-        vals = np.array([v_statistic(s, f) ** 2 for s in farm[0]])
+        vals = v_statistics(farm[0], f) ** 2
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - oracle) <= 4 * se
 

@@ -206,8 +206,10 @@ class TestUStatistic:
 
     def test_scaling_exact(self):
         f = kernel_xy()
+        tripled = Kernel.tensor_sum([(3.0 * c, slots) for c, slots in f.terms],
+                                    dim=f.dim, symmetric=f.symmetric)
         s = snap(0.5, -1.5, 2.0)
-        assert u_statistic(s, f.scaled(3.0)) == 3.0 * u_statistic(s, f)
+        assert u_statistic(s, tripled) == 3.0 * u_statistic(s, f)
 
 
 
