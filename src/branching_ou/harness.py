@@ -64,7 +64,26 @@ def _or_none(cast):
     return lambda value: None if value is None else cast(value)
 
 
+def _int(value) -> int:
+    """A JSON integer; an integral float is taken, a fraction or a bool is
+    not."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _floats(values) -> tuple[float, ...]:
+    """A list of numbers (a tuple in ``canonical_dict``); the CLI's ``--t``
+    hands over its strings."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"expected a list of times, got {values!r}")
     return tuple(float(v) for v in values)
 
 
@@ -73,32 +92,32 @@ def _terms(terms) -> list[dict]:
 
 
 _PARAMS = {"lambda": ("lam", float), "p": ("p", float), "mu": ("mu", float),
-           "sigma": ("sigma", float), "dim": ("dim", int), "x0": ("x0", tuple)}
-_CAPS = {"max_particles": ("max_particles", int),
-         "max_generations": ("max_generations", int)}
+           "sigma": ("sigma", float), "dim": ("dim", _int), "x0": ("x0", tuple)}
+_CAPS = {"max_particles": ("max_particles", _int),
+         "max_generations": ("max_generations", _int)}
 _CONFIG = {
     "params": ("params", _PARAMS),
     "kernel": ("kernel_spec", lambda spec: spec),  # read by parse_kernel_spec
     "t_grid": ("t_grid", _floats),
-    "replicas": ("replicas", int),
-    "seed": ("seed", int),
+    "replicas": ("replicas", _int),
+    "seed": ("seed", _int),
     "regime": ("regime_expected", _or_none(lambda tag: RegimeTag(tag).value)),
     "test": ("test", str),
     "caps": ("caps", _CAPS),
-    "batch_size": ("batch_size", int),
-    "threads": ("threads", int),
+    "batch_size": ("batch_size", _int),
+    "threads": ("threads", _int),
     "tolerances": (None, {"se_mult": ("se_mult", float),
                           "ks_level": ("ks_level", float),
                           "corr_threshold": ("corr_threshold", float),
                           "indep_corr_bound": ("indep_corr_bound", float)}),
-    "g1": (None, {"replicas": ("g1_replicas", int), "t": ("g1_t", float),
+    "g1": (None, {"replicas": ("g1_replicas", _int), "t": ("g1_t", float),
                   "t_max": ("g1_t_max", float)}),
-    "limit_draws": ("limit_draws", _or_none(int)),
-    "fast_limit_draws": ("fast_limit_draws", int),
+    "limit_draws": ("limit_draws", _or_none(_int)),
+    "fast_limit_draws": ("fast_limit_draws", _int),
     "fast_t_approx": ("fast_t_approx", _or_none(float)),
 }
-_KERNEL = {"arity": ("arity", int), "dim": ("dim", int),
-           "symmetric": ("symmetric", bool), "terms": ("terms", _terms)}
+_KERNEL = {"arity": ("arity", _int), "dim": ("dim", _int),
+           "symmetric": ("symmetric", _bool), "terms": ("terms", _terms)}
 _TERM = {"coef": ("coef", float), "slots": ("slots", list)}
 
 
@@ -113,7 +132,13 @@ def _read(raw: dict, table: dict, where: str) -> dict:
     out = {}
     for key, value in raw.items():
         attr, cast = table[key]
-        value = _read(value, cast, key) if isinstance(cast, dict) else cast(value)
+        if isinstance(cast, dict):
+            value = _read(value, cast, key)
+        else:
+            try:
+                value = cast(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
         if attr is None:
             out.update(value)
         else:

@@ -3,15 +3,21 @@
 Each particle lives an Exp(lam) lifetime; at death it is replaced by two
 offspring at its location with probability p, by none otherwise, and moves
 between events by the exact OU transition.  The engine advances whole
-generations at once as flat arrays, recording every particle's position at
-each requested observation time; the joint law at the observation grid is
-exact because every advancement leg is an exact OU transition and the grid
-points are visited in increasing order along each lifetime.
+generations at once as flat arrays.  A generation draws every lifetime and
+branching uniform, then locates once, per lifetime [birth, death), the
+grid times it spans.  Only the particles whose lifetime straddles a grid
+time take OU legs to those times and are recorded there, grid time by grid
+time in increasing order; every other particle goes from its birth straight
+to its branching time in one leg.  The joint law at the observation grid is
+exact because every leg is an exact OU transition and the grid points are
+visited in increasing order along each lifetime.
 
 Reproducibility: a farm derives one RNG substream per replica batch from
 (seed, batch_index), and the within-batch order of draws is a fixed
 function of the configuration, so results do not depend on scheduling or
-worker counts.
+worker counts.  A generation draws its lifetimes, then its branching
+uniforms, then the normals of each grid time's straddlers and last those
+of the branching legs, each set in particle order.
 """
 
 from __future__ import annotations
@@ -113,6 +119,24 @@ def _draw_lifetimes(rng: np.random.Generator, lam: float, size: int) -> np.ndarr
     return rng.exponential(1.0 / lam, size=size)
 
 
+def _ou_leg(x: np.ndarray, dt: np.ndarray, mu: float, s_std: float,
+            rng: np.random.Generator) -> np.ndarray:
+    """Exact OU transition of the rows of ``x`` over the times ``dt``."""
+    scale = relax(dt, mu) * s_std
+    return x * np.exp(-mu * dt)[:, None] + scale[:, None] * \
+        rng.standard_normal(x.shape)
+
+
+def _grid_rank(t_grid: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """How many grid times lie below each ``t``, as ``np.searchsorted``
+    gives it.  One comparison pass per grid time: on grids of a few times
+    this is several times faster than the binary search."""
+    rank = np.zeros(t.shape, dtype=np.intp)
+    for g in t_grid:
+        rank += g < t
+    return rank
+
+
 def _run_batch(
     params: ModelParams,
     t_grid: np.ndarray,
@@ -143,48 +167,60 @@ def _run_batch(
             raise ResourceCapError("generation budget exhausted", float(birth.min()))
         m = rep.size
         death = birth + _draw_lifetimes(rng, lam, m)
-        u_branch = rng.random(m)
-        cur_t = birth.copy()
-        for k, g in enumerate(t_grid):
-            sel = (birth <= g) & (g < death)
-            if sel.any():
-                dt = g - cur_t[sel]
-                decay = np.exp(-mu * dt)
-                scale = relax(dt, mu) * s_std
-                pos[sel] = pos[sel] * decay[:, None] + scale[:, None] * \
-                    rng.standard_normal((int(sel.sum()), d))
-                cur_t[sel] = g
-                rec_rep[k].append(rep[sel].copy())
-                rec_pos[k].append(pos[sel].copy())
-        br = (death < t_end) & (u_branch < p)
-        if not br.any():
+        splits = rng.random(m) < p
+        # the lifetime [birth, death) spans the grid times t_grid[lo:hi]
+        lo, hi = _grid_rank(t_grid, birth), _grid_rank(t_grid, death)
+        strad = np.flatnonzero(lo < hi)
+        if strad.size:
+            s_lo, s_hi = lo[strad], hi[strad]
+            x, cur_t = pos[strad], birth[strad]
+            k0, k1 = int(s_lo.min()), int(s_hi.max())
+            for k in range(k0, k1):
+                if k1 - k0 == 1:  # every straddler spans this one grid time
+                    j = slice(None)
+                else:
+                    j = np.flatnonzero((s_lo <= k) & (k < s_hi))
+                    if not j.size:
+                        continue
+                g = t_grid[k]
+                x_k = _ou_leg(x[j], g - cur_t[j], mu, s_std, rng)
+                x[j] = x_k
+                cur_t[j] = g
+                rec_rep[k].append(rep[strad[j]])
+                rec_pos[k].append(x_k)
+            # a straddler dying by t_end may branch, so it carries its
+            # position and time at the last grid time it reached
+            w = np.flatnonzero(s_hi < t_grid.size)
+            pos[strad[w]] = x[w]
+            birth[strad[w]] = cur_t[w]
+        br = np.flatnonzero(splits & (death < t_end))
+        if not br.size:
             break
-        dt = death[br] - cur_t[br]
-        decay = np.exp(-mu * dt)
-        scale = relax(dt, mu) * s_std
-        at_death = pos[br] * decay[:, None] + scale[:, None] * \
-            rng.standard_normal((int(br.sum()), d))
-        rep = np.repeat(rep[br], 2)
-        birth = np.repeat(death[br], 2)
-        pos = np.repeat(at_death, 2, axis=0)
-        born += np.bincount(rep, minlength=n_replicas)
+        t_split = death[br]
+        at_death = _ou_leg(pos[br], t_split - birth[br], mu, s_std, rng)
+        rep = rep[br]
+        born += 2 * np.bincount(rep, minlength=n_replicas)
         if born.max() > caps.max_particles:
             worst = int(np.argmax(born))
-            t_hit = float(birth[rep == worst].min()) if (rep == worst).any() else t_end
+            mine = rep == worst
             raise ResourceCapError(
                 f"replica {worst} exceeded max_particles={caps.max_particles}",
-                t_hit,
+                float(t_split[mine].min()) if mine.any() else t_end,
             )
+        rep = np.repeat(rep, 2)
+        birth = np.repeat(t_split, 2)
+        pos = np.repeat(at_death, 2, axis=0)
 
     out = []
     for k in range(len(t_grid)):
-        if rec_rep[k]:
-            reps = np.concatenate(rec_rep[k])
-            order = np.argsort(reps, kind="stable")
-            ps = np.concatenate(rec_pos[k], axis=0)[order]
-            out.append((ps, np.bincount(reps, minlength=n_replicas)))
-        else:
+        if not rec_rep[k]:
             out.append((np.empty((0, d)), np.zeros(n_replicas, dtype=np.int64)))
+            continue
+        reps = np.concatenate(rec_rep[k])
+        ps = np.concatenate(rec_pos[k], axis=0)
+        if n_replicas > 1:
+            ps = ps[np.argsort(reps, kind="stable")]
+        out.append((ps, np.bincount(reps, minlength=n_replicas)))
     return out
 
 

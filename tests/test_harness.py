@@ -120,6 +120,30 @@ class TestConfig:
         assert again.canonical_dict() == c.canonical_dict()
         assert again.config_hash() == c.config_hash()
 
+    def test_symmetric_must_be_bool(self):
+        # bool("false") is True, so a string here would flip the kernel
+        spec = dict(KERNEL_XX, symmetric="false")
+        with pytest.raises(ConfigError, match="symmetric: expected true or false"):
+            parse_kernel_spec(spec)
+        with pytest.raises(ConfigError, match="symmetric"):
+            config(kernel=spec)
+
+    def test_t_grid_must_be_list(self):
+        # a string would be read character by character: "12" -> (1.0, 2.0)
+        with pytest.raises(ConfigError, match="t_grid: expected a list"):
+            config(t_grid="12")
+
+    def test_int_field_refuses_fraction(self):
+        with pytest.raises(ConfigError, match="replicas: expected an integer, got 2.7"):
+            config(replicas=2.7)
+        assert config(replicas=2.0).replicas == 2
+
+    def test_int_field_refuses_bool(self):
+        with pytest.raises(ConfigError, match="seed: expected an integer, got True"):
+            config(seed=True)
+        with pytest.raises(ConfigError, match="max_particles"):
+            config(caps={"max_particles": False})
+
     def test_kernel_arity_must_match_slots(self):
         spec = dict(KERNEL_XX, arity=3)
         with pytest.raises(ConfigError, match="arity 3"):
@@ -494,6 +518,12 @@ class TestCli:
         assert cli_main(["lln", "--config", str(cfg), "--t", "abc",
                          "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_fractional_replicas_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, dict(BASE, replicas=2.7))
+        assert cli_main(["lln", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "replicas: expected an integer" in capsys.readouterr().err
 
     def test_negative_grid_time_exit_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, BASE)

@@ -367,6 +367,15 @@ class TestFastSampler:
         draws = fast_limit_sampler(kernel_xx(), FAST, rng, size=50, t_approx=6.0)
         assert np.all(draws >= 0.0)
 
+    def test_draws_pinned(self):
+        # the order-one kernel returns H itself, so the digest pins every
+        # simulator trajectory the sampler draws from the one stream
+        f = Kernel.from_slot_funcs([FUNC_X], symmetric=True)
+        draws = fast_limit_sampler(f, FAST, np.random.default_rng(2024), size=64,
+                                   t_approx=6.0)
+        assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == (
+            "403554243eb4aa236fd6d10f51e7a0e1574bb25ff5743889c96b92b42264a200")
+
     def test_conditioned_variant_runs(self):
         f = Kernel.from_slot_funcs([FUNC_X], symmetric=True)
         rng = np.random.default_rng(131)

@@ -13,6 +13,7 @@ from branching_ou.simulator import (
     ParticleSnapshot,
     ResourceCapError,
     _draw_lifetimes,
+    _grid_rank,
     condition_on_survival,
     simulate,
     simulate_farm,
@@ -72,6 +73,29 @@ class TestBasics:
             assert np.array_equal(a.counts, b.counts)
             assert np.array_equal(a.positions, b.positions)
 
+    def test_farm_stream_pinned_repeated_grid(self):
+        # a t = 0 grid point, a repeated time and lifetimes that straddle
+        # several grid times before they branch
+        params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
+                             x0=(1.0, -1.0))
+        grid = (0.0, 0.5, 0.5, 2.0, 3.0)
+        farm = simulate_farm(params, grid, 40, seed=3, batch_size=16, threads=2)
+        assert [level.t for level in farm] == list(grid)
+        assert [int(level.counts.sum()) for level in farm] == [40, 55, 55, 115, 221]
+        assert np.array_equal(farm[1].positions, farm[2].positions)
+        assert np.array_equal(farm[0].positions, np.tile([1.0, -1.0], (40, 1)))
+        digest = hashlib.sha256()
+        for level in farm:
+            digest.update(level.counts.astype("<i8").tobytes())
+            digest.update(level.positions.astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "e62a2b22b83cb4edb5da9174200c066b1244b4fe43bf3d0895b750d9b68525c0")
+
+    def test_grid_rank_is_searchsorted(self):
+        grid = np.array([0.0, 0.5, 0.5, 2.0, 3.0])
+        t = np.concatenate([grid, np.random.default_rng(3).uniform(-1.0, 4.0, 200)])
+        assert np.array_equal(_grid_rank(grid, t), np.searchsorted(grid, t))
+
     def test_farm_level_views(self):
         level = simulate_farm(SLOW, (3.0,), 50, seed=9, batch_size=20)[0]
         assert len(level) == 50 and level.counts.sum() == level.positions.shape[0]
@@ -98,6 +122,22 @@ class TestBasics:
             simulate(ModelParams(lam=5.0, p=1.0, mu=1.0, sigma=1.0), 8.0, 3,
                      caps=Caps(max_particles=50))
         assert 0.0 <= info.value.time_reached <= 8.0
+
+    def test_resource_cap_names_replica_in_farm(self):
+        # a Yule farm expecting e^5 ~ 148 particles per replica at t = 1:
+        # only some of the 20 replicas pass 200 births, and the one with the
+        # most births at the generation the cap trips is named
+        params = ModelParams(lam=5.0, p=1.0, mu=1.0, sigma=1.0)
+        with pytest.raises(ResourceCapError,
+                           match=r"^replica 3 exceeded max_particles=200$") as info:
+            simulate_farm(params, (1.0,), 20, seed=4, caps=Caps(max_particles=200))
+        assert 0.0 <= info.value.time_reached <= 1.0
+        assert info.value.time_reached == 0.5305468890588537
+        # with p = 1 no particle dies childless: n particles took 2n - 1 births
+        farm = simulate_farm(params, (1.0,), 20, seed=4, caps=Caps(max_particles=10_000))
+        births = 2 * farm[0].counts - 1
+        assert 0 < np.count_nonzero(births > 200) < 20
+        assert int(np.argmax(births)) == 3
 
     def test_farm_budget_checked_before_drawing(self, monkeypatch):
         # at t = 20 a slow-regime replica expects e^{10} = 22026.5 particles,
