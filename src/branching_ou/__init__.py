@@ -12,7 +12,7 @@ from .model import (
     extinction_by,
     w_moments,
 )
-from .ou import Func1D, QuadratureRule, ou_transition_sample, semigroup_apply
+from .ou import Func1D, QuadratureRule, ou_transition_sample
 from .kernels import Factor, Kernel, ProductFunc
 from .simulator import (
     AllExtinctError,
@@ -48,7 +48,6 @@ __all__ = [
     "derive",
     "extinction_by",
     "ou_transition_sample",
-    "semigroup_apply",
     "simulate",
     "simulate_farm",
     "u_statistic",

@@ -62,7 +62,10 @@ def _load_config(args) -> ExperimentConfig:
     if args.replicas is not None:
         raw["replicas"] = args.replicas
     if args.t is not None:
-        raw["t_grid"] = args.t.split(",")
+        try:
+            raw["t_grid"] = [float(v) for v in args.t.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--t: {exc}") from exc
     if args.threads is not None:
         raw["threads"] = args.threads
     raw["test"] = args.command
@@ -89,7 +92,7 @@ def main(argv=None) -> int:
                 caps=config.caps, batch_size=config.batch_size,
                 threads=config.threads,
             )
-            path = dump_snapshots(farm, config.t_grid, args.out)
+            path = dump_snapshots(farm, args.out)
             counts = [int((farm[-1].counts > 0).sum()), config.replicas]
             print(f"wrote {path} ({counts[0]}/{counts[1]} replicas surviving "
                   f"at t={config.t_grid[-1]:g})")

@@ -3,10 +3,12 @@ canonicality and degeneracy-order detection.
 
 A tensor-sum kernel is sum_l coef_l * prod_i F_i^l(x_i) where each slot
 function F_i^l acts on one d-dimensional argument.  Slot functions are kept
-as small linear combinations of coordinate products, which makes Hoeffding
-projections closed-form: averaging a slot multiplies the term coefficient
-by the slot's stationary mean, while projecting onto a slot recenters the
-slot function, with no growth in the number of terms.
+as small linear combinations of products of per-coordinate polynomials,
+which makes Hoeffding projections closed-form and exact: averaging a slot
+multiplies the term coefficient by the slot's stationary mean (a Gaussian
+moment), while projecting onto a slot recenters the slot function, with no
+growth in the number of terms.  A black-box kernel is averaged by tensor
+Gauss-Hermite quadrature; it is the one place a quadrature rule enters.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .model import ModelParams
-from .ou import FUNC_ONE, Func1D, GrowthError, QuadratureRule, default_rule, invariant_integral
+from .ou import FUNC_ONE, Func1D, QuadratureRule, default_rule, invariant_integral
 
 
 class KernelShapeError(ValueError):
@@ -54,10 +56,6 @@ class ProductFunc:
     def dim(self) -> int:
         return len(self.funcs)
 
-    @property
-    def is_polynomial(self) -> bool:
-        return all(g.is_polynomial for g in self.funcs)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # x has shape (m, dim); returns (m,)
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -66,8 +64,8 @@ class ProductFunc:
             out *= g(x[:, c])
         return out
 
-    def phi_mean(self, params: ModelParams, rule: QuadratureRule | None = None):
-        return invariant_integral(self.funcs, params, rule)
+    def phi_mean(self, params: ModelParams) -> float:
+        return invariant_integral(self.funcs, params)
 
     def times(self, other: "ProductFunc") -> "ProductFunc":
         if self.dim != other.dim:
@@ -104,10 +102,6 @@ class Factor:
     def dim(self) -> int:
         return self.atoms[0][1].dim
 
-    @property
-    def is_polynomial(self) -> bool:
-        return all(pf.is_polynomial for _, pf in self.atoms)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(x.shape[0])
@@ -115,11 +109,11 @@ class Factor:
             out += c * pf(x)
         return out
 
-    def phi_mean(self, params: ModelParams, rule: QuadratureRule | None = None) -> float:
-        return float(sum(c * pf.phi_mean(params, rule) for c, pf in self.atoms))
+    def phi_mean(self, params: ModelParams) -> float:
+        return float(sum(c * pf.phi_mean(params) for c, pf in self.atoms))
 
-    def centered(self, params: ModelParams, rule: QuadratureRule | None = None) -> "Factor":
-        m = self.phi_mean(params, rule)
+    def centered(self, params: ModelParams) -> "Factor":
+        m = self.phi_mean(params)
         if m == 0.0:
             return self
         return Factor(self.atoms + ((-m, product_ones(self.dim)),))
@@ -150,7 +144,6 @@ class Kernel:
     terms: tuple[tuple[float, tuple[Factor, ...]], ...] | None = None
     evaluator: Callable | None = None
     symmetric: bool = False
-    poly_bounded: bool = True
 
     @staticmethod
     def tensor_sum(
@@ -180,25 +173,15 @@ class Kernel:
 
     @staticmethod
     def black_box(
-        fn: Callable, arity: int, dim: int, symmetric: bool = False,
-        poly_bounded: bool = True,
+        fn: Callable, arity: int, dim: int, symmetric: bool = False
     ) -> "Kernel":
         """Wrap an evaluator fn(args) where args is a list of ``arity``
         arrays of shape (m, dim) returning (m,) values."""
-        return Kernel(
-            arity=arity, dim=dim, evaluator=fn, symmetric=symmetric,
-            poly_bounded=poly_bounded,
-        )
+        return Kernel(arity=arity, dim=dim, evaluator=fn, symmetric=symmetric)
 
     @property
     def is_tensor_sum(self) -> bool:
         return self.terms is not None
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.is_tensor_sum and all(
-            f.is_polynomial for _, slots in self.terms for f in slots
-        )
 
     def evaluate(self, args: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate on a batch: args is a sequence of ``arity`` arrays of
@@ -251,8 +234,6 @@ def _blackbox_average(kernel: Kernel, slots_out: tuple[int, ...],
     """Average a black-box kernel over the 0-based slots ``slots_out`` by
     tensor quadrature; returns an evaluator of the remaining slots (in their
     original order)."""
-    if not kernel.poly_bounded:
-        raise GrowthError("black-box kernel lacks a growth declaration")
     keep = [i for i in range(kernel.arity) if i not in slots_out]
     pts, w = _quad_grid(rule, kernel.dim)
     shape_out = (pts.shape[0],) * len(slots_out)
@@ -296,17 +277,17 @@ def project(
 
     Slots outside ``I`` are averaged against the stationary law; slots in
     ``I`` are recentered.  Returns a Kernel of arity ``len(I)``, or the
-    scalar total integral when ``I`` is empty.
+    scalar total integral when ``I`` is empty.  Tensor-sum projections are
+    exact; ``rule`` places a black box's averaging nodes.
     """
     I = sorted(set(I))
     if any(i < 1 or i > f.arity for i in I):
         raise KernelShapeError(f"projection slots {I} outside 1..{f.arity}")
-    rule = rule or default_rule(params)
     if f.is_tensor_sum:
         if not I:
             return float(
                 sum(
-                    coef * float(np.prod([s.phi_mean(params, rule) for s in slots]))
+                    coef * float(np.prod([s.phi_mean(params) for s in slots]))
                     for coef, slots in f.terms
                 )
             )
@@ -316,11 +297,12 @@ def project(
             kept = []
             for i, s in enumerate(slots, start=1):
                 if i in I:
-                    kept.append(s.centered(params, rule))
+                    kept.append(s.centered(params))
                 else:
-                    c *= s.phi_mean(params, rule)
+                    c *= s.phi_mean(params)
             new_terms.append((c, tuple(kept)))
         return Kernel.tensor_sum(new_terms, dim=f.dim)
+    rule = rule or default_rule(params)
     total = _blackbox_total(f, params, rule)
     return _blackbox_projection(f, I, total, params, rule) if I else total
 
@@ -348,8 +330,7 @@ def _blackbox_projection(f: Kernel, I: Sequence[int], total: float,
             vals += sign * avg_fn([args[j] for j in positions])
         return vals
 
-    return Kernel.black_box(fn, arity=len(I), dim=f.dim,
-                            poly_bounded=f.poly_bounded)
+    return Kernel.black_box(fn, arity=len(I), dim=f.dim)
 
 
 def hoeffding_table(
@@ -419,7 +400,7 @@ def _slot_average(f: Kernel, k: int, params: ModelParams, rule: QuadratureRule):
     if f.is_tensor_sum:
         terms = []
         for coef, slots in f.terms:
-            c = coef * slots[k - 1].phi_mean(params, rule)
+            c = coef * slots[k - 1].phi_mean(params)
             kept = tuple(s for i, s in enumerate(slots, start=1) if i != k)
             terms.append((c, kept))
         if f.arity == 1:
@@ -428,8 +409,7 @@ def _slot_average(f: Kernel, k: int, params: ModelParams, rule: QuadratureRule):
     if f.arity == 1:
         return _blackbox_total(f, params, rule)
     fn = _blackbox_average(f, (k - 1,), params, rule)
-    return Kernel.black_box(fn, arity=f.arity - 1, dim=f.dim,
-                            poly_bounded=f.poly_bounded)
+    return Kernel.black_box(fn, arity=f.arity - 1, dim=f.dim)
 
 
 def degeneracy_order(
@@ -487,15 +467,13 @@ def substitute_partition(f: Kernel, J: Sequence[Sequence[int]]) -> Kernel:
                 full[i - 1] = args[j]
         return _fn(full)
 
-    return Kernel.black_box(expanded, arity=len(blocks), dim=f.dim,
-                            poly_bounded=f.poly_bounded)
+    return Kernel.black_box(expanded, arity=len(blocks), dim=f.dim)
 
 
 def center_kernel(
     f: Kernel, params: ModelParams, rule: QuadratureRule | None = None
 ) -> Kernel:
     """Subtract the total stationary integral from the kernel."""
-    rule = rule or default_rule(params)
     c = project(f, [], params, rule)
     if c == 0.0:
         return f
@@ -505,7 +483,5 @@ def center_kernel(
             list(f.terms) + [(-c, ones)], dim=f.dim, symmetric=f.symmetric
         )
     fn = f.evaluator
-    return Kernel.black_box(
-        lambda args: fn(args) - c, f.arity, f.dim,
-        symmetric=f.symmetric, poly_bounded=f.poly_bounded,
-    )
+    return Kernel.black_box(lambda args: fn(args) - c, f.arity, f.dim,
+                            symmetric=f.symmetric)

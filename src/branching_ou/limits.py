@@ -1,17 +1,20 @@
 """Asymptotic variances and samplers for the three limit laws.
 
+Every limit law needs only stationary integrals of the kernel's slot
+functions, which are polynomials, so each integral below is an exact
+Gaussian moment in closed form.
+
 Slow regime: the normalized U-statistic of a canonical tensor-sum kernel
 converges to a signed sum over partial pairings (Feynman diagrams) of
 products of stationary pair integrals and a centered Gaussian family whose
 covariance adds the stationary product integral and an exponentially tilted
-semigroup time integral.  For polynomial slot functions the semigroup is
-diagonal in the Hermite basis of the stationary law, so both are finite
-sums over exponentials in closed form; the slow regime accepts polynomial
-slot functions only.
+semigroup time integral.  The semigroup is diagonal in the Hermite basis of
+the stationary law, so both are finite sums over exponentials.
 
 Critical regime: the limit tensorizes into a product of Gaussians indexed
 by the factors, with covariance built from pairings against the gradient
-of the stationary density.
+of the stationary density; by Gaussian integration by parts
+<F, d phi / d x_l> = -<d F / d x_l, phi>.
 
 Fast regime: the limit is a polynomial in the position-sum martingale
 limit, with coefficients given by stationary means of kernel derivatives;
@@ -31,7 +34,7 @@ from numpy.polynomial import hermite_e
 from numpy.polynomial.polynomial import polyadd
 
 from .kernels import Factor, Kernel, ProductFunc, factor_1d, is_canonical
-from .model import ModelParams, Regime, classify, derive
+from .model import ModelParams, classify, derive
 from .ou import (
     Func1D,
     QuadratureRule,
@@ -54,7 +57,7 @@ class CenteringError(ValueError):
 
 
 class NonPolynomialError(ValueError):
-    """Operation requires polynomial (differentiable) factors."""
+    """Operation requires a tensor-sum kernel of polynomial slot functions."""
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +92,7 @@ def _as_factor(f) -> Factor:
 
 def _pair_spectrum(F: Factor, G: Factor, params: ModelParams) -> np.ndarray:
     """Coefficients c_1, c_2, ... of <phi, (T_s F)(T_s G)> = sum_n c_n
-    exp(-2 mu n s), for polynomial slot functions.
+    exp(-2 mu n s).
 
     In the Hermite basis He_k(x / std) of the stationary law the semigroup
     is diagonal (Mehler: T_s He_k = exp(-mu k s) He_k) and orthogonal with
@@ -98,8 +101,6 @@ def _pair_spectrum(F: Factor, G: Factor, params: ModelParams) -> np.ndarray:
     constant term c_0 is the product of the stationary means and is left
     out: it vanishes for centered slot functions.
     """
-    if not (F.is_polynomial and G.is_polynomial):
-        raise NonPolynomialError("slow-regime integrals need polynomial factors")
     std = stationary_std(params)
 
     def herme(g) -> np.ndarray:
@@ -127,36 +128,9 @@ def _tilted_integrals(n_terms: int, params: ModelParams) -> np.ndarray:
     return 2.0 * params.lam * params.p / (regime.twice_mu * n - regime.growth_rate)
 
 
-def slow_pair_integral(F: Factor, G: Factor, params: ModelParams) -> float:
-    """Time integral 2 lam p int_0^inf e^{growth s} <phi, (T_s F)(T_s G)> ds
-    for stationary-centered polynomial slot functions, summed in closed
-    form over the exponentials of the pair spectrum."""
-    c = _pair_spectrum(F, G, params)
-    for fac in (F, G):
-        if abs(fac.phi_mean(params)) > 1e-9:
-            raise CenteringError("slot functions must be stationary-centered")
-    return float(c @ _tilted_integrals(len(c), params))
-
-
-def grad_density_pairing(F: Factor, l: int, params: ModelParams,
-                         rule: QuadratureRule | None = None) -> float:
-    """Pairing <F, d phi / d x_l> = -(2 mu / sigma^2) <x_l F, phi>."""
-    if not 1 <= l <= F.dim:
-        raise ValueError(f"coordinate {l} outside 1..{F.dim}")
-    rule = rule or default_rule(params)
-    scale = -2.0 * params.mu / params.sigma**2
-    total = 0.0
-    for c, pf in F.atoms:
-        funcs = list(pf.funcs)
-        funcs[l - 1] = funcs[l - 1].times(Func1D.polynomial([0.0, 1.0]))
-        total += c * ProductFunc(tuple(funcs)).phi_mean(params, rule)
-    return scale * total
-
-
 def gradient_phi_mean(F: Factor, i: int, params: ModelParams) -> float:
-    """Stationary mean of the partial derivative of F along coordinate i."""
-    if not F.is_polynomial:
-        raise NonPolynomialError("derivative pairings require polynomial factors")
+    """Stationary mean of the partial derivative of F along coordinate i;
+    the pairing of F with the stationary density gradient is its negative."""
     total = 0.0
     for c, pf in F.atoms:
         prod = c
@@ -180,22 +154,16 @@ def sigma_slow(f, params: ModelParams) -> float:
     return float(slow_covariance([_as_factor(f)], params).covariance[0, 0])
 
 
-def sigma_critical(
-    f,
-    params: ModelParams,
-    rule: QuadratureRule | None = None,
-) -> float:
+def sigma_critical(f, params: ModelParams) -> float:
     """Critical-regime asymptotic variance: scaled sum over coordinates of
     the squared pairings with the stationary density gradient."""
     regime = classify(params)
     if not regime.is_critical:
         raise RegimeError("critical-regime variance needs growth = 2 mu")
-    rule = rule or default_rule(params)
     fac = _as_factor(f)
     scale = params.lam * params.p * params.sigma**2 / params.mu
     return scale * sum(
-        grad_density_pairing(fac, l, params, rule) ** 2
-        for l in range(1, fac.dim + 1)
+        gradient_phi_mean(fac, l, params) ** 2 for l in range(1, fac.dim + 1)
     )
 
 
@@ -264,8 +232,6 @@ def slow_limit_sampler(
     if not regime.is_slow:
         raise RegimeError("slow sampler needs growth < 2 mu")
     _require_tensor_sum(f)
-    if not f.is_polynomial:
-        raise NonPolynomialError("slow-regime limit needs polynomial factors")
     rule = rule or default_rule(params)
     if not is_canonical(f, params, rule, tol):
         raise CenteringError("slow-regime limit is defined for canonical kernels")
@@ -299,7 +265,6 @@ def critical_limit_sampler(
     params: ModelParams,
     rng: np.random.Generator,
     size: int = 1,
-    rule: QuadratureRule | None = None,
     tol: float = 1e-9,
 ) -> np.ndarray:
     """Draws of the critical-regime limit law: products over slots of a
@@ -308,18 +273,16 @@ def critical_limit_sampler(
     if not regime.is_critical:
         raise RegimeError("critical sampler needs growth = 2 mu")
     _require_tensor_sum(f)
-    rule = rule or default_rule(params)
     scale = math.sqrt(params.lam * params.p * params.sigma**2 / params.mu)
     vectors = []
     for coef, slots in f.terms:
         for s in slots:
-            if abs(s.phi_mean(params, rule)) > tol:
+            if abs(s.phi_mean(params)) > tol:
                 raise CenteringError(
                     "critical-regime tensorization needs stationary-centered factors"
                 )
             vectors.append(scale * np.array([
-                grad_density_pairing(s, l, params, rule)
-                for l in range(1, f.dim + 1)
+                -gradient_phi_mean(s, l, params) for l in range(1, f.dim + 1)
             ]))
     g = rng.standard_normal((size, f.dim))
     out = np.zeros(size)
@@ -382,8 +345,6 @@ def fast_limit_sampler(
     if not regime.is_fast:
         raise RegimeError("fast sampler needs growth > 2 mu")
     _require_tensor_sum(f)
-    if not f.is_polynomial:
-        raise NonPolynomialError("fast-regime limit needs differentiable factors")
     consts = derive(params)
     if t_approx is None:
         t_approx = default_fast_horizon(params, caps)

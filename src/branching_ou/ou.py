@@ -1,4 +1,4 @@
-"""Exact Ornstein-Uhlenbeck transitions, the associated semigroup, and
+"""Exact Ornstein-Uhlenbeck transitions, the semigroup on polynomials, and
 integration against the stationary Gaussian law.
 
 The transition over a step ``dt`` starting at ``x`` is
@@ -6,21 +6,21 @@ The transition over a step ``dt`` starting at ``x`` is
 stationary law (centered Gaussian, per-coordinate variance
 ``sigma^2 / (2 mu)``) and ``relax(dt) = sqrt(1 - exp(-2 mu dt))``.  This is
 exact in distribution, so no time discretization error enters anywhere.
+
+Slot functions are polynomials, so their stationary integrals are exact
+Gaussian moments and the semigroup maps them to polynomials in closed form.
+The Gauss-Hermite rule here integrates nothing for a slot function: it
+places black-box kernels' averaging nodes and the kernel test points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .model import ModelParams
-
-
-class GrowthError(ValueError):
-    """A black-box function was used without a polynomial growth bound."""
 
 
 def stationary_std(params: ModelParams) -> float:
@@ -96,59 +96,29 @@ def evolve_poly(coeffs: np.ndarray, t: float, params: ModelParams) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# 1-D function descriptors
+# 1-D slot functions
 
 
 @dataclass(frozen=True)
 class Func1D:
-    """A 1-D function factor: an exact polynomial or a black-box callable.
+    """A 1-D polynomial, by its coefficients in ascending powers."""
 
-    Black-box functions must declare polynomially bounded growth
-    (``poly_bounded=True``) before they may be integrated against the
-    stationary law or pushed through the semigroup.
-    """
-
-    poly: tuple[float, ...] | None = None
-    fn: Callable | None = None
-    poly_bounded: bool = True
+    poly: tuple[float, ...]
 
     @staticmethod
     def polynomial(coeffs) -> "Func1D":
         arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
         return Func1D(poly=tuple(arr.tolist()))
 
-    @staticmethod
-    def black_box(fn: Callable, poly_bounded: bool = True) -> "Func1D":
-        return Func1D(poly=None, fn=fn, poly_bounded=poly_bounded)
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.poly is not None
-
     @property
     def coeffs(self) -> np.ndarray:
         return np.asarray(self.poly, dtype=float)
 
     def __call__(self, x):
-        if self.is_polynomial:
-            return poly_eval(self.coeffs, x)
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def check_growth(self):
-        if not self.is_polynomial and not self.poly_bounded:
-            raise GrowthError(
-                "black-box function lacks a polynomial growth declaration"
-            )
+        return poly_eval(self.coeffs, x)
 
     def times(self, other: "Func1D") -> "Func1D":
-        if self.is_polynomial and other.is_polynomial:
-            return Func1D.polynomial(poly_mul(self.coeffs, other.coeffs))
-        f, g = self, other
-        return Func1D.black_box(
-            lambda x: f(x) * g(x),
-            poly_bounded=(self.is_polynomial or self.poly_bounded)
-            and (other.is_polynomial or other.poly_bounded),
-        )
+        return Func1D.polynomial(poly_mul(self.coeffs, other.coeffs))
 
 
 FUNC_ONE = Func1D.polynomial([1.0])
@@ -161,12 +131,14 @@ FUNC_X = Func1D.polynomial([0.0, 1.0])
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Hermite rule rescaled to the stationary law.
+    """Gauss-Hermite rule rescaled to the stationary law, for kernels: it
+    places the averaging nodes of black-box kernels and the points at which
+    canonicality and degeneracy order are tested.
 
     Integrates polynomials up to degree ``2 * len(nodes) - 1`` exactly;
-    the weights are probability weights (they sum to one).  Black-box
-    integrands use this same fixed rule with no adaptive fallback, so
-    accuracy for rough functions is the caller's responsibility.
+    the weights are probability weights (they sum to one).  There is no
+    adaptive fallback, so accuracy for rough kernels is the caller's
+    responsibility.
     """
 
     nodes: np.ndarray
@@ -178,16 +150,13 @@ class QuadratureRule:
         scale = math.sqrt(2.0) * stationary_std(params)
         return QuadratureRule(nodes=x * scale, weights=w / math.sqrt(math.pi))
 
-    def integrate(self, fn: Callable) -> float:
-        return float(np.dot(self.weights, fn(self.nodes)))
-
 
 def default_rule(params: ModelParams, n_nodes: int = 64) -> QuadratureRule:
     return QuadratureRule.for_invariant(params, n_nodes)
 
 
 # ---------------------------------------------------------------------------
-# semigroup operations
+# transitions and stationary integrals
 
 
 def ou_transition_sample(
@@ -205,45 +174,11 @@ def ou_transition_sample(
     return x * decay + scale * rng.standard_normal(x.shape)
 
 
-def semigroup_apply(
-    f: Func1D, t: float, x, params: ModelParams, rule: QuadratureRule | None = None
-):
-    """Conditional expectation of f after an OU step of length t from x.
-
-    Exact for polynomials; black-box functions are integrated with the
-    stationary-law quadrature rule.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    f.check_growth()
-    if f.is_polynomial:
-        return poly_eval(evolve_poly(f.coeffs, t, params), x)
-    rule = rule or default_rule(params)
-    decay = math.exp(-params.mu * t)
-    scale = float(relax(t, params.mu))
-    pts = np.add.outer(np.asarray(x, dtype=float) * decay, scale * rule.nodes)
-    vals = f.fn(pts) @ rule.weights
-    return vals if np.ndim(x) else float(vals)
-
-
-def invariant_integral(
-    f, params: ModelParams, rule: QuadratureRule | None = None
-) -> float:
-    """Integral of ``f`` against the stationary law.
+def invariant_integral(f, params: ModelParams) -> float:
+    """Exact integral of ``f`` against the stationary law.
 
     ``f`` may be a Func1D or a sequence of per-coordinate Func1D (a product
     function on R^d), in which case the tensorized integral factorizes.
     """
-    if isinstance(f, Func1D):
-        factors = (f,)
-    else:
-        factors = tuple(f)
-    out = 1.0
-    for g in factors:
-        g.check_growth()
-        if g.is_polynomial:
-            out *= poly_phi_mean(g.coeffs, params)
-        else:
-            rule = rule or default_rule(params)
-            out *= rule.integrate(g)
-    return out
+    factors = (f,) if isinstance(f, Func1D) else tuple(f)
+    return math.prod(poly_phi_mean(g.coeffs, params) for g in factors)

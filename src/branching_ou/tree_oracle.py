@@ -43,7 +43,7 @@ class TreeCapError(ValueError):
 
 
 class OracleKernelError(ValueError):
-    """The oracle requires polynomial factors."""
+    """A factor assignment does not match the model dimension."""
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,6 @@ def _normalize_assignment(f_assignment, dim: int) -> list[ProductFunc]:
             pf = ProductFunc((Func1D.polynomial(f),))
         if pf.dim != dim:
             raise OracleKernelError("assignment dimension mismatch")
-        if not pf.is_polynomial:
-            raise OracleKernelError("the tree oracle requires polynomial factors")
         out.append(pf)
     return out
 

@@ -26,13 +26,6 @@ def phi_quad(fn, params, limit: float = 12.0) -> float:
     return val
 
 
-def semigroup_quad(fn, t, x, params, limit: float = 12.0) -> float:
-    """E fn(x e^{-mu t} + relax(t) G) via scipy quadrature."""
-    decay = math.exp(-params.mu * t)
-    mix = math.sqrt(1.0 - math.exp(-2.0 * params.mu * t))
-    return phi_quad(lambda y: fn(x * decay + mix * y), params, limit)
-
-
 def extinction_ode(t: float, lam: float, p: float) -> float:
     """Extinction-by-t probability by integrating the backward flow."""
 

@@ -79,6 +79,30 @@ class TestConfig:
             {"params": {"p": 0.75}, "t_grid": [1.0]},
             {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
              "t_grid": [2.0, 1.0]},
+            # numbers are JSON numbers: no bool and no string is cast
+            {"params": {"lambda": True, "p": 0.75, "mu": 1.0, "sigma": 1.0},
+             "t_grid": [1.0]},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": "2"},
+             "t_grid": [1.0]},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0,
+                        "x0": "5"}, "t_grid": [1.0]},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0,
+                        "dim": 2, "x0": "12"}, "t_grid": [1.0]},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0,
+                        "x0": [True]}, "t_grid": [1.0]},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
+             "t_grid": [True]},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
+             "t_grid": ["1.0"]},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
+             "t_grid": [1.0], "tolerances": {"se_mult": True}},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
+             "t_grid": [1.0], "g1": {"t": "8"}},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
+             "t_grid": [1.0], "fast_t_approx": "9"},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
+             "t_grid": [1.0],
+             "kernel": {"terms": [{"coef": True, "slots": [[[0.0, 1.0]]]}]}},
         ],
     )
     def test_bad_configs_rejected(self, bad):
@@ -265,7 +289,7 @@ class TestEmit:
     def test_dump_snapshots(self, tmp_path):
         params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
         farm = simulate_farm(params, (1.0,), 5, seed=2)
-        path = dump_snapshots(farm, (1.0,), tmp_path)
+        path = dump_snapshots(farm, tmp_path)
         lines = path.read_text().splitlines()
         assert lines[0] == "replica_id,t,coord_1"
         assert len(lines) == 1 + sum(s.count for s in farm[0])
@@ -277,7 +301,7 @@ class TestEmit:
                              x0=(1.0, -1.0))
         farm = simulate_farm(params, (0.5, 2.0), 12, seed=4)
         assert [sum(s.count == 0 for s in level) for level in farm] == [1, 4]
-        path = dump_snapshots(farm, (0.5, 2.0), tmp_path)
+        path = dump_snapshots(farm, tmp_path)
         assert path.read_text().splitlines()[0] == "replica_id,t,coord_1,coord_2"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "6029154d630c6d5c7ee3fa2a9c457e66895d1bac2022b054832ef02417113e93")

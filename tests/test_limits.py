@@ -14,12 +14,12 @@ from branching_ou.limits import (
     default_fast_horizon,
     enumerate_diagrams,
     fast_limit_sampler,
-    grad_density_pairing,
+    gradient_phi_mean,
     h_polynomial_value,
     sigma_critical,
     sigma_slow,
+    slow_covariance,
     slow_limit_sampler,
-    slow_pair_integral,
 )
 from branching_ou.model import ModelParams
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
@@ -92,10 +92,6 @@ class TestSigmaSlow:
         want = 0.5 * (1.0 + 1.5 / 1.5) + 0.25 * (1.0 + 1.5 / 3.5)
         assert sigma_slow(fac, params2) == pytest.approx(want, rel=1e-12)
 
-    def test_black_box_rejected(self):
-        with pytest.raises(NonPolynomialError):
-            sigma_slow(Func1D.black_box(np.sin), SLOW)
-
     def test_constant_kernel(self):
         assert sigma_slow(FUNC_ONE, SLOW) == pytest.approx(0.0, abs=1e-12)
 
@@ -136,19 +132,16 @@ class TestSigmaSlow:
             sigma_slow(FUNC_X, FAST)
 
 
-class TestSlowPairIntegral:
+class TestSlowCovariance:
     def test_chaos_closed_forms(self):
-        # x is degree-1 chaos with norm 1/2; x^2 - 1/2 is degree 2 with norm 1/2
-        assert slow_pair_integral(factor_of(FUNC_X), factor_of(FUNC_X),
-                                  SLOW) == pytest.approx(0.5, rel=1e-12)
+        # x is degree-1 chaos with norm 1/2 and time integral 1.5 / 1.5;
+        # x^2 - 1/2 is degree 2 with norm 1/2 and time integral 1.5 / 3.5;
+        # distinct chaos degrees are uncorrelated
         centered_sq = factor_of(Func1D.polynomial([-0.5, 0.0, 1.0]))
-        assert slow_pair_integral(centered_sq, centered_sq,
-                                  SLOW) == pytest.approx(3.0 / 14.0, rel=1e-12)
-        assert slow_pair_integral(factor_of(FUNC_X), centered_sq, SLOW) == 0.0
-
-    def test_uncentered_rejected(self):
-        with pytest.raises(CenteringError):
-            slow_pair_integral(factor_of(X2), factor_of(X2), SLOW)
+        cov = slow_covariance([factor_of(FUNC_X), centered_sq], SLOW).covariance
+        assert cov[0, 0] == pytest.approx(1.0, rel=1e-12)
+        assert cov[1, 1] == pytest.approx(5.0 / 7.0, rel=1e-12)
+        assert cov[0, 1] == 0.0 and cov[1, 0] == 0.0
 
 
 class TestSigmaCritical:
@@ -162,8 +155,9 @@ class TestSigmaCritical:
         assert sigma_critical(FUNC_ONE, CRIT) == pytest.approx(0.0, abs=1e-14)
 
     def test_gradient_pairing_value(self):
+        # <x, d phi / dx> = -<1, phi> = -1 by integration by parts
         fac = Factor.from_polys([[0.0, 1.0]])
-        assert grad_density_pairing(fac, 1, CRIT) == pytest.approx(-1.0, abs=1e-12)
+        assert -gradient_phi_mean(fac, 1, CRIT) == pytest.approx(-1.0, abs=1e-12)
 
     def test_regime_error(self):
         with pytest.raises(RegimeError):
@@ -289,11 +283,6 @@ class TestSlowSampler:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             slow_limit_sampler(kernel_xx(), CRIT, np.random.default_rng(1))
-
-    def test_black_box_slot_rejected(self):
-        f = Kernel.from_slot_funcs([Func1D.black_box(np.sin)] * 2, symmetric=True)
-        with pytest.raises(NonPolynomialError):
-            slow_limit_sampler(f, SLOW, np.random.default_rng(1))
 
 
 class TestCriticalSampler:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from branching_ou.kernels import ProductFunc
 from branching_ou.model import ModelParams, derive
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
 from branching_ou.tree_oracle import (
@@ -131,10 +132,10 @@ class TestGaussianMoments:
             gaussian_position_moments(self.split_tree(), 2.0, {1: 2.5}, SLOW,
                                       [FUNC_X, FUNC_X])
 
-    def test_rejects_black_box(self):
-        bb = Func1D.black_box(np.cos)
+    def test_rejects_dimension_mismatch(self):
+        pf = ProductFunc((FUNC_X, FUNC_X))
         with pytest.raises(OracleKernelError):
-            gaussian_position_moments(self.leaf_tree(), 1.0, {}, SLOW, [bb])
+            gaussian_position_moments(self.leaf_tree(), 1.0, {}, SLOW, [pf])
 
 
 class TestTreeContribution:
@@ -226,8 +227,6 @@ class TestExactMixedMoment:
     def test_higher_degree_against_forward_equations(self, params, factors, t):
         # cubic factors give leaf moments of degree 4 to 6 in the split
         # variables; at the short horizon every split lies near the start
-        from branching_ou.kernels import ProductFunc
-
         fs = [ProductFunc(tuple(Func1D.polynomial(c) for c in f)) for f in factors]
         got = exact_mixed_moment(len(fs), t, params, fs)
         want = mixed_moment_forward(t, params, factors)
