@@ -12,8 +12,8 @@ from .model import (
     extinction_by,
     w_moments,
 )
-from .ou import Func1D, QuadratureRule, ou_transition_sample
-from .kernels import Factor, Kernel, ProductFunc
+from .ou import Factor, Func1D, QuadratureRule, ou_transition_sample
+from .kernels import Kernel
 from .simulator import (
     AllExtinctError,
     Caps,
@@ -37,7 +37,6 @@ __all__ = [
     "Kernel",
     "ModelParams",
     "ParticleSnapshot",
-    "ProductFunc",
     "QuadratureRule",
     "Regime",
     "RegimeTag",

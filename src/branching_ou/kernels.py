@@ -2,13 +2,13 @@
 canonicality and degeneracy-order detection.
 
 A tensor-sum kernel is sum_l coef_l * prod_i F_i^l(x_i) where each slot
-function F_i^l acts on one d-dimensional argument.  Slot functions are kept
-as small linear combinations of products of per-coordinate polynomials,
-which makes Hoeffding projections closed-form and exact: averaging a slot
-multiplies the term coefficient by the slot's stationary mean (a Gaussian
-moment), while projecting onto a slot recenters the slot function, with no
-growth in the number of terms.  A black-box kernel is averaged by tensor
-Gauss-Hermite quadrature; it is the one place a quadrature rule enters.
+function F_i^l is a polynomial on the d-dimensional argument (``Factor``,
+one coefficient array), which makes Hoeffding projections closed-form and
+exact: averaging a slot multiplies the term coefficient by the slot's
+stationary mean (a Gaussian moment), while projecting onto a slot
+recenters the slot function, with no growth in the number of terms.  A
+black-box kernel is averaged by tensor Gauss-Hermite quadrature; it is the
+one place a quadrature rule enters.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .model import ModelParams
-from .ou import FUNC_ONE, Func1D, QuadratureRule, default_rule, invariant_integral
+from .ou import Factor, QuadratureRule, default_rule
 
 
 class KernelShapeError(ValueError):
@@ -40,95 +40,6 @@ class BudgetExceededError(RuntimeError):
 BLACKBOX_BUDGET = 1e8
 # Index tuples per batched black-box call.
 _CHUNK = 1 << 16
-
-
-# ---------------------------------------------------------------------------
-# slot functions
-
-
-@dataclass(frozen=True)
-class ProductFunc:
-    """A product of per-coordinate 1-D functions on R^d."""
-
-    funcs: tuple[Func1D, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.funcs)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        # x has shape (m, dim); returns (m,)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.ones(x.shape[0])
-        for c, g in enumerate(self.funcs):
-            out *= g(x[:, c])
-        return out
-
-    def phi_mean(self, params: ModelParams) -> float:
-        return invariant_integral(self.funcs, params)
-
-    def times(self, other: "ProductFunc") -> "ProductFunc":
-        if self.dim != other.dim:
-            raise KernelShapeError("dimension mismatch in product")
-        return ProductFunc(tuple(a.times(b) for a, b in zip(self.funcs, other.funcs)))
-
-
-def product_ones(dim: int) -> ProductFunc:
-    return ProductFunc((FUNC_ONE,) * dim)
-
-
-@dataclass(frozen=True)
-class Factor:
-    """One kernel slot: a linear combination of coordinate products."""
-
-    atoms: tuple[tuple[float, ProductFunc], ...]
-
-    @staticmethod
-    def from_product(pf: ProductFunc, coef: float = 1.0) -> "Factor":
-        return Factor(((float(coef), pf),))
-
-    @staticmethod
-    def from_polys(coeff_vectors: Sequence, coef: float = 1.0) -> "Factor":
-        """Build a single-product slot from per-coordinate polynomial
-        coefficient vectors (ascending powers)."""
-        pf = ProductFunc(tuple(Func1D.polynomial(c) for c in coeff_vectors))
-        return Factor.from_product(pf, coef)
-
-    @staticmethod
-    def constant(value: float, dim: int) -> "Factor":
-        return Factor.from_product(product_ones(dim), value)
-
-    @property
-    def dim(self) -> int:
-        return self.atoms[0][1].dim
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape[0])
-        for c, pf in self.atoms:
-            out += c * pf(x)
-        return out
-
-    def phi_mean(self, params: ModelParams) -> float:
-        return float(sum(c * pf.phi_mean(params) for c, pf in self.atoms))
-
-    def centered(self, params: ModelParams) -> "Factor":
-        m = self.phi_mean(params)
-        if m == 0.0:
-            return self
-        return Factor(self.atoms + ((-m, product_ones(self.dim)),))
-
-    def times(self, other: "Factor") -> "Factor":
-        atoms = tuple(
-            (ca * cb, pa.times(pb))
-            for ca, pa in self.atoms
-            for cb, pb in other.atoms
-        )
-        return Factor(atoms)
-
-
-def factor_1d(func: Func1D) -> Factor:
-    return Factor.from_product(ProductFunc((func,)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +76,11 @@ class Kernel:
 
     @staticmethod
     def from_slot_funcs(
-        slot_funcs: Sequence[Func1D], symmetric: bool = False
+        slot_funcs: Sequence[Factor], symmetric: bool = False
     ) -> "Kernel":
-        """1-D convenience: one term f_1 x ... x f_n with d = 1."""
-        slots = tuple(factor_1d(f) for f in slot_funcs)
-        return Kernel.tensor_sum([(1.0, slots)], dim=1, symmetric=symmetric)
+        """One term f_1 x ... x f_n with unit coefficient."""
+        return Kernel.tensor_sum([(1.0, slot_funcs)], dim=slot_funcs[0].dim,
+                                 symmetric=symmetric)
 
     @staticmethod
     def black_box(

@@ -31,19 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from numpy.polynomial.polynomial import polyadd
 
-from .kernels import Factor, Kernel, ProductFunc, factor_1d, is_canonical
+from .kernels import Factor, Kernel, is_canonical
 from .model import ModelParams, classify, derive
-from .ou import (
-    Func1D,
-    QuadratureRule,
-    default_rule,
-    poly_derivative,
-    poly_phi_mean,
-    stationary_std,
-)
-from .simulator import Caps, h_value, simulate
+from .ou import QuadratureRule, default_rule, stationary_std
+from .simulator import Caps, simulate
 from .ustats import Partition, partition_coefficients, set_partitions
 
 
@@ -58,6 +50,13 @@ class CenteringError(ValueError):
 
 class NonPolynomialError(ValueError):
     """Operation requires a tensor-sum kernel of polynomial slot functions."""
+
+
+# A covariance eigenvalue below -PSD_CLIP times the largest is refused as
+# not positive semidefinite; smaller negative ones are rounding, set to 0.
+PSD_CLIP = 1e-10
+# Extinct trajectories a conditioned fast-sampler draw discards at most.
+MAX_SURVIVAL_ATTEMPTS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -80,43 +79,40 @@ def enumerate_diagrams(n: int, cap: int = 8) -> list[Partition]:
 # factor-level integrals
 
 
-def _as_factor(f) -> Factor:
-    if isinstance(f, Factor):
-        return f
-    if isinstance(f, ProductFunc):
-        return Factor.from_product(f)
-    if isinstance(f, Func1D):
-        return factor_1d(f)
-    raise TypeError(f"cannot interpret {type(f)!r} as a kernel slot")
+def _poly2herme(v: np.ndarray) -> np.ndarray:
+    h = hermite_e.poly2herme(v)
+    return np.pad(h, (0, len(v) - len(h)))
+
+
+def _herme(F: Factor, std: float, shape: tuple[int, ...]) -> np.ndarray:
+    """F in the Hermite basis prod_c He_{k_c}(x_c / std), zero-padded to
+    ``shape``: the basis change runs along each axis in turn."""
+    out = np.zeros(shape)
+    out[tuple(map(slice, F.coeffs.shape))] = F.coeffs
+    out = out * std ** np.indices(shape).sum(axis=0)
+    for axis in range(out.ndim):
+        out = np.apply_along_axis(_poly2herme, axis, out)
+    return out
 
 
 def _pair_spectrum(F: Factor, G: Factor, params: ModelParams) -> np.ndarray:
     """Coefficients c_1, c_2, ... of <phi, (T_s F)(T_s G)> = sum_n c_n
     exp(-2 mu n s).
 
-    In the Hermite basis He_k(x / std) of the stationary law the semigroup
-    is diagonal (Mehler: T_s He_k = exp(-mu k s) He_k) and orthogonal with
-    <phi, He_j He_k> = k! [j = k], so each coordinate pair contributes a
-    series in exp(-2 mu s) and a pair of product atoms multiplies them.  The
-    constant term c_0 is the product of the stationary means and is left
-    out: it vanishes for centered slot functions.
+    In the Hermite basis He_k(x / std) of the stationary law, multi-indexed
+    over the coordinates, the semigroup is diagonal (Mehler: T_s He_k =
+    exp(-mu |k| s) He_k) and orthogonal with <phi, He_j He_k> = k! [j = k],
+    so c_n = sum over |k| = n of F_k G_k k!.  The constant term c_0 is the
+    product of the stationary means and is left out: it vanishes for
+    centered slot functions.
     """
-    std = stationary_std(params)
-
-    def herme(g) -> np.ndarray:
-        return hermite_e.poly2herme(g.coeffs * std ** np.arange(len(g.coeffs)))
-
-    total = np.zeros(1)
-    for ca, pa in F.atoms:
-        for cb, pb in G.atoms:
-            series = np.array([ca * cb])
-            for a, b in zip(pa.funcs, pb.funcs):
-                ha, hb = herme(a), herme(b)
-                k = min(len(ha), len(hb))
-                norms = [float(math.factorial(j)) for j in range(k)]
-                series = np.convolve(series, ha[:k] * hb[:k] * norms)
-            total = polyadd(total, series)
-    return total[1:]
+    shape = tuple(np.maximum(F.coeffs.shape, G.coeffs.shape))
+    hf = _herme(F, stationary_std(params), shape)
+    hg = _herme(G, stationary_std(params), shape)
+    k = np.indices(shape)
+    norms = np.prod(np.vectorize(math.factorial, otypes=[float])(k), axis=0)
+    series = np.bincount(k.sum(axis=0).ravel(), weights=(hf * hg * norms).ravel())
+    return np.trim_zeros(series, "b")[1:]
 
 
 def _tilted_integrals(n_terms: int, params: ModelParams) -> np.ndarray:
@@ -128,43 +124,32 @@ def _tilted_integrals(n_terms: int, params: ModelParams) -> np.ndarray:
     return 2.0 * params.lam * params.p / (regime.twice_mu * n - regime.growth_rate)
 
 
-def gradient_phi_mean(F: Factor, i: int, params: ModelParams) -> float:
-    """Stationary mean of the partial derivative of F along coordinate i;
-    the pairing of F with the stationary density gradient is its negative."""
-    total = 0.0
-    for c, pf in F.atoms:
-        prod = c
-        for cidx, g in enumerate(pf.funcs, start=1):
-            if cidx == i:
-                prod *= poly_phi_mean(poly_derivative(g.coeffs), params)
-            else:
-                prod *= poly_phi_mean(g.coeffs, params)
-        total += prod
-    return total
+def gradient_phi_mean(F: Factor, params: ModelParams) -> np.ndarray:
+    """Stationary means of the partial derivatives of F, one per
+    coordinate; the pairings of F with the stationary density gradient are
+    their negatives."""
+    return np.array([F.derivative(i).phi_mean(params) for i in range(F.dim)])
 
 
 # ---------------------------------------------------------------------------
 # asymptotic variances
 
 
-def sigma_slow(f, params: ModelParams) -> float:
+def sigma_slow(f: Factor, params: ModelParams) -> float:
     """Slow-regime asymptotic variance of the linear statistic of a
     polynomial ``f``: the stationary variance of the centered function
     plus its tilted semigroup time integral."""
-    return float(slow_covariance([_as_factor(f)], params).covariance[0, 0])
+    return float(slow_covariance([f], params).covariance[0, 0])
 
 
-def sigma_critical(f, params: ModelParams) -> float:
+def sigma_critical(f: Factor, params: ModelParams) -> float:
     """Critical-regime asymptotic variance: scaled sum over coordinates of
     the squared pairings with the stationary density gradient."""
     regime = classify(params)
     if not regime.is_critical:
         raise RegimeError("critical-regime variance needs growth = 2 mu")
-    fac = _as_factor(f)
-    scale = params.lam * params.p * params.sigma**2 / params.mu
-    return scale * sum(
-        gradient_phi_mean(fac, l, params) ** 2 for l in range(1, fac.dim + 1)
-    )
+    w = gradient_phi_mean(f, params)
+    return params.lam * params.p * params.sigma**2 / params.mu * float(w @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +164,11 @@ class GaussianFamily:
     transform: np.ndarray  # draws = standard normals @ transform.T
 
     @staticmethod
-    def from_covariance(cov: np.ndarray, clip: float = 1e-10) -> "GaussianFamily":
+    def from_covariance(cov: np.ndarray) -> "GaussianFamily":
         cov = np.asarray(cov, dtype=float)
         sym = 0.5 * (cov + cov.T)
         vals, vecs = np.linalg.eigh(sym)
-        if vals.min() < -clip * max(1.0, float(vals.max())):
+        if vals.min() < -PSD_CLIP * max(1.0, float(vals.max())):
             raise ValueError(f"covariance not PSD: min eigenvalue {vals.min():.3g}")
         vals = np.clip(vals, 0.0, None)
         return GaussianFamily(covariance=sym, transform=vecs * np.sqrt(vals))
@@ -281,9 +266,7 @@ def critical_limit_sampler(
                 raise CenteringError(
                     "critical-regime tensorization needs stationary-centered factors"
                 )
-            vectors.append(scale * np.array([
-                -gradient_phi_mean(s, l, params) for l in range(1, f.dim + 1)
-            ]))
+            vectors.append(-scale * gradient_phi_mean(s, params))
     g = rng.standard_normal((size, f.dim))
     out = np.zeros(size)
     n = f.arity
@@ -311,19 +294,17 @@ def default_fast_horizon(params: ModelParams, caps: Caps = Caps()) -> float:
     return min(t_theory, t_budget)
 
 
-def h_polynomial_value(f: Kernel, h: np.ndarray, params: ModelParams) -> float:
-    """The fast-regime limit polynomial evaluated at a martingale value:
-    sum over terms of the product over slots of the gradient-mean vector
-    dotted with ``h``."""
+def h_polynomial_value(f: Kernel, h: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The fast-regime limit polynomial at each row of ``h`` (m, dim), a
+    martingale value per row: sum over terms of the product over slots of
+    the slot's gradient-mean vector dotted with the row."""
     _require_tensor_sum(f)
-    h = np.asarray(h, dtype=float)
-    total = 0.0
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    total = np.zeros(h.shape[0])
     for coef, slots in f.terms:
-        prod = coef
+        prod = np.full(h.shape[0], coef)
         for s in slots:
-            w = np.array([gradient_phi_mean(s, i, params)
-                          for i in range(1, f.dim + 1)])
-            prod *= float(w @ h)
+            prod = prod * (h @ gradient_phi_mean(s, params))
         total += prod
     return total
 
@@ -336,11 +317,10 @@ def fast_limit_sampler(
     t_approx: float | None = None,
     condition_on_survival: bool = False,
     caps: Caps = Caps(),
-    max_attempts: int = 10_000,
 ) -> np.ndarray:
     """Draws of the fast-regime limit law: the limit polynomial evaluated
     at the position-sum martingale sampled at a long horizon from fresh
-    simulator trajectories."""
+    simulator trajectories, one at a time."""
     regime = classify(params)
     if not regime.is_fast:
         raise RegimeError("fast sampler needs growth > 2 mu")
@@ -348,16 +328,14 @@ def fast_limit_sampler(
     consts = derive(params)
     if t_approx is None:
         t_approx = default_fast_horizon(params, caps)
-    out = np.empty(size)
+    h = np.empty((size, params.dim))
     for i in range(size):
-        attempts = 0
-        while True:
-            attempts += 1
+        for _ in range(MAX_SURVIVAL_ATTEMPTS):
             snap = simulate(params, t_approx, rng, caps)
             if not condition_on_survival or snap.count > 0:
                 break
-            if attempts >= max_attempts:
-                raise RuntimeError("survival conditioning failed repeatedly")
-        h = h_value(snap, params, consts)
-        out[i] = h_polynomial_value(f, h, params)
-    return out
+        else:
+            raise RuntimeError("survival conditioning failed repeatedly")
+        h[i] = math.exp((params.mu - consts.growth_rate) * snap.t) * \
+            snap.positions.sum(axis=0)
+    return h_polynomial_value(f, h, params)

@@ -28,12 +28,12 @@ class RegimeTag(Enum):
 class ModelParams:
     """Scalar constants of the branching OU system.
 
-    lam    branching rate (events per unit time), > 0
+    lam    branching rate (events per unit time), finite and > 0
     p      probability a branch event yields two offspring, in (1/2, 1]
-    mu     OU mean-reversion rate, > 0
-    sigma  OU diffusion coefficient, > 0
+    mu     OU mean-reversion rate, finite and > 0
+    sigma  OU diffusion coefficient, finite and > 0
     dim    spatial dimension, >= 1
-    x0     start position, length ``dim``
+    x0     start position, length ``dim``, finite
 
     ``p = 1`` (pure birth, no deaths) is admitted as a useful analytic
     test case even though the supercritical window is open at 1.
@@ -50,8 +50,8 @@ class ModelParams:
         if not (0.5 < self.p <= 1.0):
             raise InvalidParameterError(f"p must lie in (1/2, 1], got {self.p}")
         for name in ("lam", "mu", "sigma"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidParameterError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite")
         if self.dim < 1:
             raise InvalidParameterError("dim must be a positive integer")
         x0 = tuple(float(c) for c in self.x0)
@@ -59,6 +59,8 @@ class ModelParams:
             raise InvalidParameterError(
                 f"x0 has length {len(x0)}, expected dim={self.dim}"
             )
+        if not all(map(math.isfinite, x0)):
+            raise InvalidParameterError("x0 must be finite")
         object.__setattr__(self, "x0", x0)
 
 

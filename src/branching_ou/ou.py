@@ -15,10 +15,13 @@ places black-box kernels' averaging nodes and the kernel test points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .model import ModelParams
 
@@ -52,30 +55,8 @@ def gaussian_moment(k: int, std: float) -> float:
     return _double_factorial(k) * std**k
 
 
-def poly_eval(coeffs: np.ndarray, x):
-    return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
-
-
-def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
-def poly_derivative(a: np.ndarray) -> np.ndarray:
-    if len(a) <= 1:
-        return np.zeros(1)
-    return a[1:] * np.arange(1, len(a))
-
-
-def poly_phi_mean(coeffs: np.ndarray, params: ModelParams) -> float:
-    """Integral of the polynomial against the 1-D stationary law."""
-    std = stationary_std(params)
-    return float(
-        sum(c * gaussian_moment(k, std) for k, c in enumerate(coeffs) if c != 0.0)
-    )
-
-
 def evolve_poly(coeffs: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
-    """Closed-form action of the semigroup on a polynomial.
+    """Closed-form action of the semigroup on a 1-D polynomial.
 
     With a = exp(-mu t) and b = relax(t) * stationary_std, the result is
     the polynomial x -> E f(a x + b G), G standard normal.
@@ -96,33 +77,113 @@ def evolve_poly(coeffs: np.ndarray, t: float, params: ModelParams) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# 1-D slot functions
+# slot functions
 
 
-@dataclass(frozen=True)
-class Func1D:
-    """A 1-D polynomial, by its coefficients in ascending powers."""
+class Factor:
+    """One kernel slot: a polynomial on R^d held as one coefficient array,
+    ``coeffs[k_1, ..., k_d]`` multiplying x_1^k_1 ... x_d^k_d.
 
-    poly: tuple[float, ...]
+    Equality and hashing go by value, so equal slots share cached sums.
+    """
+
+    __slots__ = ("coeffs", "_key")
+
+    def __init__(self, coeffs):
+        arr = np.atleast_1d(np.array(coeffs, dtype=float))
+        arr.flags.writeable = False
+        self.coeffs = arr
+        self._key = (arr.shape, tuple(arr.ravel().tolist()))
 
     @staticmethod
-    def polynomial(coeffs) -> "Func1D":
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        return Func1D(poly=tuple(arr.tolist()))
+    def polynomial(coeffs) -> "Factor":
+        """The 1-D polynomial with the given ascending coefficients."""
+        return Factor(np.ravel(coeffs))
+
+    @staticmethod
+    def from_polys(coeff_vectors: Sequence, coef: float = 1.0) -> "Factor":
+        """``coef`` times the product over coordinates of 1-D polynomials,
+        one ascending coefficient vector per coordinate."""
+        vectors = [np.asarray(c, dtype=float) for c in coeff_vectors]
+        if not vectors or any(v.ndim != 1 or not v.size for v in vectors):
+            raise ValueError("a slot needs one nonempty coefficient vector "
+                             "per coordinate")
+        return Factor(coef * functools.reduce(np.multiply.outer, vectors))
+
+    @staticmethod
+    def constant(value: float, dim: int) -> "Factor":
+        return Factor(np.full((1,) * dim, float(value)))
+
+    @staticmethod
+    def combine(terms: Iterable[tuple[float, "Factor"]]) -> "Factor":
+        """The sum of coef * F over the (coef, F) pairs, like terms
+        collected."""
+        terms = list(terms)
+        out = np.zeros(np.max([f.coeffs.shape for _, f in terms], axis=0))
+        for coef, f in terms:
+            out[tuple(map(slice, f.coeffs.shape))] += coef * f.coeffs
+        return Factor(out)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Factor) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"Factor({self.coeffs.tolist()!r})"
 
     @property
-    def coeffs(self) -> np.ndarray:
-        return np.asarray(self.poly, dtype=float)
+    def dim(self) -> int:
+        return self.coeffs.ndim
 
-    def __call__(self, x):
-        return poly_eval(self.coeffs, x)
+    def __call__(self, x) -> np.ndarray:
+        """Values at the rows of ``x``, of shape (m, dim); returns (m,)."""
+        x = np.asarray(x, dtype=float).reshape(-1, self.dim)
+        out = polyval(x[:, 0], self.coeffs)
+        for c in range(1, self.dim):
+            out = polyval(x[:, c], out, tensor=False)
+        return out
 
-    def times(self, other: "Func1D") -> "Func1D":
-        return Func1D.polynomial(poly_mul(self.coeffs, other.coeffs))
+    def phi_mean(self, params: ModelParams) -> float:
+        """Integral against the stationary law: a sum of Gaussian moments."""
+        std = stationary_std(params)
+        return float(sum(
+            c * math.prod(gaussian_moment(k, std) for k in idx)
+            for idx, c in np.ndenumerate(self.coeffs) if c != 0.0))
+
+    def centered(self, params: ModelParams) -> "Factor":
+        m = self.phi_mean(params)
+        if m == 0.0:
+            return self
+        return Factor.combine([(1.0, self), (-m, Factor.constant(1.0, self.dim))])
+
+    def times(self, other: "Factor") -> "Factor":
+        """The product polynomial, like terms collected."""
+        a, b = self.coeffs, other.coeffs
+        if a.ndim != b.ndim:
+            raise ValueError("dimension mismatch in product")
+        if a.ndim == 1:
+            return Factor(np.convolve(a, b))
+        out = np.zeros([i + j - 1 for i, j in zip(a.shape, b.shape)])
+        for idx in zip(*np.nonzero(a)):
+            out[tuple(slice(i, i + n) for i, n in zip(idx, b.shape))] += a[idx] * b
+        return Factor(out)
+
+    def derivative(self, axis: int) -> "Factor":
+        """The partial derivative along the 0-based coordinate ``axis``."""
+        c = np.moveaxis(self.coeffs, axis, 0)
+        if len(c) <= 1:
+            d = np.zeros((1,) + c.shape[1:])
+        else:
+            d = c[1:] * np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+        return Factor(np.moveaxis(d, 0, axis))
 
 
-FUNC_ONE = Func1D.polynomial([1.0])
-FUNC_X = Func1D.polynomial([0.0, 1.0])
+# The 1-D case keeps its own name; ``Func1D.polynomial(c)`` builds it.
+Func1D = Factor
+FUNC_ONE = Factor.polynomial([1.0])
+FUNC_X = Factor.polynomial([0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +217,7 @@ def default_rule(params: ModelParams, n_nodes: int = 64) -> QuadratureRule:
 
 
 # ---------------------------------------------------------------------------
-# transitions and stationary integrals
+# transitions
 
 
 def ou_transition_sample(
@@ -172,13 +233,3 @@ def ou_transition_sample(
     decay = math.exp(-params.mu * dt)
     scale = float(relax(dt, params.mu)) * stationary_std(params)
     return x * decay + scale * rng.standard_normal(x.shape)
-
-
-def invariant_integral(f, params: ModelParams) -> float:
-    """Exact integral of ``f`` against the stationary law.
-
-    ``f`` may be a Func1D or a sequence of per-coordinate Func1D (a product
-    function on R^d), in which case the tensorized integral factorizes.
-    """
-    factors = (f,) if isinstance(f, Func1D) else tuple(f)
-    return math.prod(poly_phi_mean(g.coeffs, params) for g in factors)

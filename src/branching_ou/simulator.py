@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedConstants, ModelParams, derive
+from .model import ModelParams, derive
 from .ou import relax, stationary_std
 
 
@@ -246,8 +246,8 @@ def simulate_farm(
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
-    if np.any(t_grid < 0):
-        raise ValueError("grid times must be nonnegative")
+    if not np.all((t_grid >= 0) & np.isfinite(t_grid)):
+        raise ValueError("grid times must be finite and nonnegative")
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
         expected = n_replicas * float(np.exp(derive(params).growth_rate * t_grid).sum())
     if expected > MAX_FARM_PARTICLES:
@@ -290,8 +290,8 @@ def simulate(
     caps: Caps = Caps(),
 ) -> ParticleSnapshot:
     """One replica observed at ``t_end`` (exact in distribution)."""
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and nonnegative")
     rng = _as_rng(rng_or_seed)
     ((positions, _),) = _run_batch(params, np.array([float(t_end)]), 1, rng, caps)
     return ParticleSnapshot(t=float(t_end), positions=positions)
@@ -311,13 +311,3 @@ def condition_on_survival(level: FarmLevel) -> tuple[FarmLevel, float]:
     if not n_alive:
         raise AllExtinctError("every replica is extinct")
     return level.select(alive), n_alive / len(level)
-
-
-def h_value(snapshot: ParticleSnapshot, params: ModelParams,
-            consts: DerivedConstants) -> np.ndarray:
-    """Position-sum martingale value exp((mu - growth) t) * sum positions."""
-    if snapshot.count == 0:
-        return np.zeros(params.dim)
-    return math.exp((params.mu - consts.growth_rate) * snapshot.t) * \
-        snapshot.positions.sum(axis=0)
-

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ProductFunc
 from .model import ModelParams, derive
-from .ou import Func1D, poly_mul, stationary_std
+from .ou import Factor, stationary_std
 
 
 class TreeCapError(ValueError):
@@ -129,23 +128,8 @@ def enumerate_trees(n: int, cap: int = 4) -> list[LabeledTree]:
 # Gaussian moments of leaf positions
 
 
-def _normalize_assignment(f_assignment, dim: int) -> list[ProductFunc]:
-    out = []
-    for f in f_assignment:
-        if isinstance(f, ProductFunc):
-            pf = f
-        elif isinstance(f, Func1D):
-            pf = ProductFunc((f,))
-        else:
-            pf = ProductFunc((Func1D.polynomial(f),))
-        if pf.dim != dim:
-            raise OracleKernelError("assignment dimension mismatch")
-        out.append(pf)
-    return out
-
-
 def _leaf_moment_coefficients(tree: LabeledTree, t: float, params: ModelParams,
-                              f_assignment) -> np.ndarray:
+                              f_assignment: list[Factor]) -> np.ndarray:
     """Exact coefficients of E prod_a f_a(position of the leaf carrying label
     a) as a polynomial in the u_i, axis k for the k-th inner vertex.
 
@@ -156,17 +140,17 @@ def _leaf_moment_coefficients(tree: LabeledTree, t: float, params: ModelParams,
     E Z_a Z^k = mean_a E Z^k + sum_b cov_ab k_b E Z^(k - e_b) runs on
     coefficient arrays, where a covariance is var times a shift along axis
     L, so a coefficient that is zero stays exactly zero."""
-    fs = _normalize_assignment(f_assignment, params.dim)
+    if any(f.dim != params.dim for f in f_assignment):
+        raise OracleKernelError("assignment dimension mismatch")
     leaves, inner, labels = tree.leaves, tree.inner_nodes, tree.labels
     width = len(leaves)
+    # each leaf's polynomial, the product of the factors it carries
+    polys = [functools.reduce(Factor.times, [f_assignment[a - 1] for a in labels[leaf]])
+             .coeffs for leaf in leaves]
     # Gaussian coordinate c * width + k is coordinate c of the k-th leaf
-    polys = [functools.reduce(poly_mul, [fs[a - 1].funcs[c].coeffs
-                                         for a in labels[leaf]])
-             for c in range(params.dim) for leaf in leaves]
     mean = [params.x0[c] * math.exp(-params.mu * t)
             for c in range(params.dim) for _ in leaves]
-    degree = sum(sum(len(p) - 1 for p in polys[c * width:(c + 1) * width]) // 2
-                 for c in range(params.dim))
+    degree = sum(sum(p.shape[c] - 1 for p in polys) // 2 for c in range(params.dim))
     var = -stationary_std(params) ** 2 * math.expm1(-2.0 * params.mu * t)
 
     def ancestors(j: int) -> list[int]:
@@ -181,7 +165,7 @@ def _leaf_moment_coefficients(tree: LabeledTree, t: float, params: ModelParams,
 
     one = np.zeros((degree + 1,) * len(inner))
     one[(0,) * len(inner)] = 1.0
-    memo = {(0,) * len(polys): one}
+    memo = {(0,) * len(mean): one}
 
     def moment(counts: tuple[int, ...]) -> np.ndarray:
         if counts in memo:
@@ -201,11 +185,14 @@ def _leaf_moment_coefficients(tree: LabeledTree, t: float, params: ModelParams,
         memo[counts] = val
         return val
 
+    # a monomial per leaf, its powers laid out as the Gaussian coordinates
+    monomials = [[(k, p[k]) for k in zip(*np.nonzero(p))] for p in polys]
     total = np.zeros_like(one)
-    for combo in itertools.product(*(range(len(p)) for p in polys)):
-        coef = math.prod(p[k] for p, k in zip(polys, combo))
+    for combo in itertools.product(*monomials):
+        coef = math.prod(c for _, c in combo)
         if coef != 0.0:
-            total += coef * moment(combo)
+            total += coef * moment(tuple(int(k[c]) for c in range(params.dim)
+                                         for k, _ in combo))
     return total
 
 
@@ -254,24 +241,26 @@ def _nonnegative_expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chain_integral(t: float, order: tuple[int, ...], powers: dict[int, int],
-                    growth: float, mu: float) -> float:
-    """Integral of prod_i e^{growth t_i} u_i^{powers[i]} over the chain
-    t >= t_(1) >= ... >= t_(m) >= 0 of the inner vertices in ``order``, where
-    u_i = (e^{2 mu (t - t_i)} - 1) / (e^{2 mu t} - 1) runs from 0 to 1.
+@functools.lru_cache(maxsize=4096)
+def _chain_integral(t: float, powers: tuple[int, ...], growth: float,
+                    mu: float) -> float:
+    """Integral of prod_j e^{growth t_(j)} u_(j)^{powers[j]} over the chain
+    t >= t_(1) >= ... >= t_(m) >= 0, where u_i = (e^{2 mu (t - t_i)} - 1) /
+    (e^{2 mu t} - 1) runs from 0 to 1.  Only the powers along the chain
+    matter, so many parent-first orders of many trees share one value.
     In forward time s = t - t_i the powers (1, u, ..., u^K) solve
     d u^p / ds = 2 mu p (u^p + u^{p-1} / (e^{2 mu t} - 1)) and multiplying by
     u^k shifts them by k, so the integral is a corner entry of the exponential
     of a nonnegative block matrix (Van Loan); resonance needs no special case."""
-    m, size = len(order), sum(powers.values()) + 1
+    m, size = len(powers), sum(powers) + 1
     ramp = 2.0 * mu * t / math.expm1(2.0 * mu * t) if t > 0.0 else 1.0
     k = np.arange(size)
     flow = np.diag(2.0 * mu * t * k) + np.diag(ramp * k[1:], -1)
     gen = np.kron(np.eye(m + 1), flow) + \
         np.kron(np.diag(growth * t * np.arange(m, -1, -1)), np.eye(size))
-    for b, i in enumerate(reversed(order)):
+    for b, k_b in enumerate(reversed(powers)):
         gen[b * size:(b + 1) * size, (b + 1) * size:(b + 2) * size] = \
-            t * np.eye(size, k=powers[i])
+            t * np.eye(size, k=k_b)
     return _nonnegative_expm(gen)[0, m * size]
 
 
@@ -292,8 +281,9 @@ def tree_contribution(tree: LabeledTree, t: float, params: ModelParams,
                      for i in o)]
     total = 0.0
     for powers in map(tuple, np.argwhere(coefs)):
+        power_of = dict(zip(inner, map(int, powers)))
         total += coefs[powers] * sum(
-            _chain_integral(t, o, dict(zip(inner, powers)), growth, params.mu)
+            _chain_integral(t, tuple(power_of[i] for i in o), growth, params.mu)
             for o in orders)
     return (params.p * params.lam) ** len(inner) * math.exp(growth * t) * \
         tree.multiplicity * total
@@ -303,8 +293,8 @@ def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list, cap: int =
                        n_nodes: int = 64, check: bool = True) -> float:
     """E prod_{i=1..n} <X_t, f_i> by summing all tree contributions.
 
-    Equals the expectation of the order-n V-statistic of the tensor kernel
-    with the given 1-D (or product) polynomial factors.  ``n_nodes`` and
+    Equals the expectation of the order-n V-statistic of the one-term
+    tensor kernel f_1 x ... x f_n of polynomial slots (``Factor``).  ``n_nodes`` and
     ``check`` are accepted and unused: the split-time integration is exact,
     and the benchmark's tracer (``benchmarks/tracer.py``) still reads them
     from each call."""

@@ -19,7 +19,6 @@ from branching_ou.ou import (
     Func1D,
     evolve_poly,
     ou_transition_sample,
-    poly_phi_mean,
 )
 from branching_ou.simulator import condition_on_survival, simulate_farm
 from branching_ou.tree_oracle import exact_mixed_moment
@@ -80,8 +79,9 @@ def test_criterion_2_ou_correctness():
             a = np.polynomial.polynomial.polyval(x, once)
             b = np.polynomial.polynomial.polyval(x, twice)
             worst = max(worst, abs(a - b))
-        base = poly_phi_mean(coeffs, params)
-        evolved_mean = poly_phi_mean(evolve_poly(coeffs, s + t, params), params)
+        base = Func1D.polynomial(coeffs).phi_mean(params)
+        evolved_mean = Func1D.polynomial(evolve_poly(coeffs, s + t, params)).phi_mean(
+            params)
         worst = max(worst, abs(base - evolved_mean))
     ok_semi = worst <= 1e-10
     assert report(2, "semigroup + invariance identities", ok_semi,

@@ -103,6 +103,19 @@ class TestConfig:
             {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
              "t_grid": [1.0],
              "kernel": {"terms": [{"coef": True, "slots": [[[0.0, 1.0]]]}]}},
+            # numbers are finite: NaN and the infinities load from JSON
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0,
+                        "sigma": float("inf")}, "t_grid": [1.0]},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": float("inf"),
+                        "sigma": 1.0}, "t_grid": [1.0]},
+            {"params": {"lambda": float("inf"), "p": 0.75, "mu": 1.0,
+                        "sigma": 1.0}, "t_grid": [1.0]},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0,
+                        "x0": [float("nan")]}, "t_grid": [1.0]},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
+             "t_grid": [float("nan")]},
+            {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
+             "t_grid": [float("inf")]},
         ],
     )
     def test_bad_configs_rejected(self, bad):
@@ -542,6 +555,13 @@ class TestCli:
         assert cli_main(["lln", "--config", str(cfg), "--t", "abc",
                          "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_t_nan_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, BASE)
+        assert cli_main(["simulate", "--config", str(cfg), "--t", "nan",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_fractional_replicas_exit_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, dict(BASE, replicas=2.7))

@@ -9,7 +9,6 @@ from branching_ou.kernels import (
     Factor,
     Kernel,
     KernelShapeError,
-    ProductFunc,
     center_kernel,
     degeneracy_order,
     hoeffding_table,
@@ -254,13 +253,19 @@ class TestCenterKernel:
 
 class TestMultiDim:
     def test_product_factor_dim2(self):
-        pf = ProductFunc((FUNC_X, X2))
+        slot = Factor.from_polys([FUNC_X.coeffs, X2.coeffs])
         pts = np.array([[1.0, 2.0], [3.0, -1.0]])
-        assert np.allclose(pf(pts), [4.0, 3.0])
+        assert np.allclose(slot(pts), [4.0, 3.0])
+
+    def test_sum_of_products_dim2(self):
+        # x_1 + 2 x_1 x_2^2 - 1 as one coefficient array
+        slot = Factor([[-1.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
+        pts = np.array([[1.0, 2.0], [3.0, -1.0]])
+        assert np.allclose(slot(pts), [8.0, 8.0])
 
     def test_projection_dim2(self):
         params2 = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=2, x0=(0.0, 0.0))
-        slot = Factor.from_product(ProductFunc((X2, FUNC_ONE)))
+        slot = Factor.from_polys([X2.coeffs, FUNC_ONE.coeffs])
         f = Kernel.tensor_sum([(1.0, (slot, slot))], dim=2, symmetric=True)
         assert project(f, [], params2) == pytest.approx(0.25, abs=1e-12)
         assert not is_canonical(f, params2)
@@ -297,7 +302,7 @@ class TestBatchedBlackBox:
                     + b * u[:, 0] ** 2 * v[:, 0] ** 2)
 
         def slot(*funcs):
-            return Factor.from_product(ProductFunc(funcs))
+            return Factor.from_polys([g.coeffs for g in funcs])
 
         x, y, x2 = slot(FUNC_X, FUNC_ONE), slot(FUNC_ONE, FUNC_X), slot(X2, FUNC_ONE)
         bb = Kernel.black_box(fn, arity=2, dim=2, symmetric=True)

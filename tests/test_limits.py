@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from branching_ou.kernels import Factor, Kernel, ProductFunc
+from branching_ou.kernels import Factor, Kernel
 from branching_ou.limits import (
     CenteringError,
     GaussianFamily,
@@ -36,12 +36,6 @@ X2 = Func1D.polynomial([0.0, 0.0, 1.0])
 
 def kernel_xx(symmetric=True):
     return Kernel.from_slot_funcs([FUNC_X, FUNC_X], symmetric=symmetric)
-
-
-def factor_of(func):
-    from branching_ou.kernels import factor_1d
-
-    return factor_1d(func)
 
 
 class TestDiagrams:
@@ -85,10 +79,7 @@ class TestSigmaSlow:
         # x_1 + x_1 x_2 splits into chaos degrees 1 and 2
         params2 = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=2,
                               x0=(0.0, 0.0))
-        fac = Factor((
-            (1.0, ProductFunc((FUNC_X, FUNC_ONE))),
-            (1.0, ProductFunc((FUNC_X, FUNC_X))),
-        ))
+        fac = Factor([[0.0, 0.0], [1.0, 1.0]])
         want = 0.5 * (1.0 + 1.5 / 1.5) + 0.25 * (1.0 + 1.5 / 3.5)
         assert sigma_slow(fac, params2) == pytest.approx(want, rel=1e-12)
 
@@ -137,8 +128,8 @@ class TestSlowCovariance:
         # x is degree-1 chaos with norm 1/2 and time integral 1.5 / 1.5;
         # x^2 - 1/2 is degree 2 with norm 1/2 and time integral 1.5 / 3.5;
         # distinct chaos degrees are uncorrelated
-        centered_sq = factor_of(Func1D.polynomial([-0.5, 0.0, 1.0]))
-        cov = slow_covariance([factor_of(FUNC_X), centered_sq], SLOW).covariance
+        centered_sq = Func1D.polynomial([-0.5, 0.0, 1.0])
+        cov = slow_covariance([FUNC_X, centered_sq], SLOW).covariance
         assert cov[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert cov[1, 1] == pytest.approx(5.0 / 7.0, rel=1e-12)
         assert cov[0, 1] == 0.0 and cov[1, 0] == 0.0
@@ -157,7 +148,7 @@ class TestSigmaCritical:
     def test_gradient_pairing_value(self):
         # <x, d phi / dx> = -<1, phi> = -1 by integration by parts
         fac = Factor.from_polys([[0.0, 1.0]])
-        assert -gradient_phi_mean(fac, 1, CRIT) == pytest.approx(-1.0, abs=1e-12)
+        assert -gradient_phi_mean(fac, CRIT) == pytest.approx([-1.0], abs=1e-12)
 
     def test_regime_error(self):
         with pytest.raises(RegimeError):
@@ -199,8 +190,8 @@ class TestSlowSampler:
         centered_sq = Func1D.polynomial([-0.5, 0.0, 1.0])
         f = Kernel.tensor_sum(
             [
-                (1.0, (factor_of(FUNC_X), factor_of(FUNC_X))),
-                (2.0, (factor_of(centered_sq), factor_of(centered_sq))),
+                (1.0, (FUNC_X, FUNC_X)),
+                (2.0, (centered_sq, centered_sq)),
             ],
             dim=1, symmetric=True,
         )
@@ -214,8 +205,8 @@ class TestSlowSampler:
         # the sample is 2 (G^2 - 1/2): mean 1, variance 8, support floor -1
         f = Kernel.tensor_sum(
             [
-                (1.0, (factor_of(FUNC_X), factor_of(FUNC_X))),
-                (1.0, (factor_of(FUNC_X), factor_of(FUNC_X))),
+                (1.0, (FUNC_X, FUNC_X)),
+                (1.0, (FUNC_X, FUNC_X)),
             ],
             dim=1, symmetric=True,
         )
@@ -252,8 +243,8 @@ class TestSlowSampler:
     def test_draws_pinned(self):
         # canonical kernels of arity 2, 3 and 4 from one stream; the digest
         # pins the diagram order, the signs and the Gaussian draws
-        centered_sq = factor_of(Func1D.polynomial([-0.5, 0.0, 1.0]))
-        x = factor_of(FUNC_X)
+        centered_sq = Func1D.polynomial([-0.5, 0.0, 1.0])
+        x = FUNC_X
         kernels = [
             kernel_xx(),
             Kernel.tensor_sum([(1.0, (x, centered_sq, x)),
@@ -304,10 +295,7 @@ class TestCriticalSampler:
         # asymptotic variance doubles the 1-D value
         params2 = ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.0, dim=2,
                               x0=(0.0, 0.0))
-        fac = Factor((
-            (1.0, ProductFunc((FUNC_X, FUNC_ONE))),
-            (1.0, ProductFunc((FUNC_ONE, FUNC_X))),
-        ))
+        fac = Factor([[0.0, 1.0], [1.0, 0.0]])
         assert sigma_critical(fac, params2) == pytest.approx(6.0, abs=1e-10)
         f = Kernel.tensor_sum([(1.0, (fac,))], dim=2, symmetric=True)
         draws = critical_limit_sampler(f, params2, np.random.default_rng(17),
@@ -334,9 +322,21 @@ class TestCriticalSampler:
 class TestFastSampler:
     def test_h_polynomial_identities(self):
         f1 = Kernel.from_slot_funcs([FUNC_X])
-        assert h_polynomial_value(f1, np.array([1.7]), FAST) == pytest.approx(1.7)
-        f2 = kernel_xx()
-        assert h_polynomial_value(f2, np.array([-1.3]), FAST) == pytest.approx(1.69)
+        h = np.array([[1.7], [-1.3]])
+        assert h_polynomial_value(f1, h, FAST) == pytest.approx([1.7, -1.3])
+        assert h_polynomial_value(kernel_xx(), h, FAST) == pytest.approx([2.89, 1.69])
+
+    def test_h_polynomial_two_dim(self):
+        # slot gradient means: (1, 0) for x_1 + x_2^2 and (2, 3) for
+        # 2 x_1 + 3 x_2, so H -> 0.5 h_1 (2 h_1 + 3 h_2)
+        params2 = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0, dim=2,
+                              x0=(0.0, 0.0))
+        f = Kernel.tensor_sum(
+            [(0.5, (Factor([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+                    Factor([[0.0, 3.0], [2.0, 0.0]])))], dim=2)
+        h = np.array([[1.0, 2.0], [-0.5, 0.25]])
+        want = 0.5 * h[:, 0] * (2 * h[:, 0] + 3 * h[:, 1])
+        assert h_polynomial_value(f, h, params2) == pytest.approx(want, rel=1e-12)
 
     def test_order_one_mean_matches_start_shift(self):
         # the martingale limit started from x differs by x times the

@@ -82,6 +82,11 @@ def test_pure_birth_admitted():
         dict(lam=1.0, p=0.75, mu=1.0, sigma=-2.0),
         dict(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=0, x0=()),
         dict(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=2, x0=(0.0,)),
+        dict(lam=math.inf, p=0.75, mu=1.0, sigma=1.0),
+        dict(lam=1.0, p=0.75, mu=math.inf, sigma=1.0),
+        dict(lam=1.0, p=0.75, mu=1.0, sigma=math.nan),
+        dict(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(math.nan,)),
+        dict(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=2, x0=(0.0, -math.inf)),
     ],
 )
 def test_invalid_parameters_rejected(kwargs):

@@ -9,12 +9,10 @@ from branching_ou.ou import (
     FUNC_X,
     Func1D,
     QuadratureRule,
+    Factor,
     evolve_poly,
     gaussian_moment,
-    invariant_integral,
     ou_transition_sample,
-    poly_eval,
-    poly_phi_mean,
     stationary_std,
 )
 
@@ -87,7 +85,7 @@ PARAMS2 = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=2, x0=(0.0, 0.0))
 
 def semigroup(f: Func1D, t: float, x):
     """(T_t f)(x) through the closed-form evolved polynomial."""
-    return poly_eval(evolve_poly(f.coeffs, t, PARAMS), x)
+    return Func1D.polynomial(evolve_poly(f.coeffs, t, PARAMS))(x)[0]
 
 
 class TestSemigroup:
@@ -107,7 +105,7 @@ class TestSemigroup:
     def test_time_zero_is_identity(self):
         f = Func1D.polynomial([1.0, -2.0, 0.5, 3.0])
         for x in (-1.0, 0.3):
-            assert semigroup(f, 0.0, x) == pytest.approx(f(x), abs=1e-12)
+            assert semigroup(f, 0.0, x) == pytest.approx(f(x)[0], abs=1e-12)
 
     def test_chapman_kolmogorov_polynomial(self):
         coeffs = np.array([0.5, -1.0, 2.0, 0.25, -0.5])
@@ -125,28 +123,29 @@ class TestSemigroup:
 
     def test_invariance_of_stationary_integral(self):
         f = Func1D.polynomial([1.0, 2.0, -1.0, 0.0, 0.7])
-        base = invariant_integral(f, PARAMS)
+        base = f.phi_mean(PARAMS)
         for t in (0.4, 2.0):
             evolved = Func1D.polynomial(evolve_poly(f.coeffs, t, PARAMS))
-            assert invariant_integral(evolved, PARAMS) == pytest.approx(base, abs=1e-10)
+            assert evolved.phi_mean(PARAMS) == pytest.approx(base, abs=1e-10)
 
 
 class TestInvariantIntegral:
     def test_examples(self):
-        assert invariant_integral(FUNC_X, PARAMS) == 0.0
+        assert FUNC_X.phi_mean(PARAMS) == 0.0
         x2 = Func1D.polynomial([0.0, 0.0, 1.0])
-        assert invariant_integral(x2, PARAMS) == pytest.approx(0.5, abs=1e-14)
-        assert invariant_integral(FUNC_ONE, PARAMS) == 1.0
+        assert x2.phi_mean(PARAMS) == pytest.approx(0.5, abs=1e-14)
+        assert FUNC_ONE.phi_mean(PARAMS) == 1.0
 
     def test_tensorized(self):
-        x2 = Func1D.polynomial([0.0, 0.0, 1.0])
-        got = invariant_integral([x2, x2], PARAMS2)
+        x2 = [0.0, 0.0, 1.0]
+        got = Factor.from_polys([x2, x2]).phi_mean(PARAMS2)
         assert got == pytest.approx(0.25, abs=1e-14)
 
     def test_poly_phi_mean_vs_scipy(self):
         coeffs = np.array([0.3, 1.0, -2.0, 0.0, 1.5])
         numeric = phi_quad(lambda x: np.polynomial.polynomial.polyval(x, coeffs), PARAMS)
-        assert poly_phi_mean(coeffs, PARAMS) == pytest.approx(numeric, abs=1e-9)
+        assert Func1D.polynomial(coeffs).phi_mean(PARAMS) == pytest.approx(numeric,
+                                                                          abs=1e-9)
 
 
 class TestDensityGradient:
@@ -172,3 +171,82 @@ def test_evolution_semigroup_property(coeffs, s, t):
     twice = evolve_poly(evolve_poly(coeffs, s, PARAMS), t, PARAMS)
     scale = np.max(np.abs(once)) + 1.0
     assert np.allclose(once, twice, atol=1e-10 * scale)
+
+
+# ---------------------------------------------------------------------------
+# the one slot type, against numpy's polynomials and the Gauss-Hermite rule
+
+from numpy.polynomial.polynomial import polyder, polyval, polyval2d
+
+from branching_ou.limits import _pair_spectrum, gradient_phi_mean
+
+SLOT_PARAMS = {
+    1: ModelParams(lam=1.0, p=0.75, mu=0.7, sigma=1.3),
+    2: ModelParams(lam=1.0, p=0.75, mu=0.7, sigma=1.3, dim=2, x0=(0.0, 0.0)),
+}
+
+
+@st.composite
+def slots(draw, dim):
+    shape = tuple(draw(st.lists(st.integers(1, 4 if dim == 1 else 3),
+                                min_size=dim, max_size=dim)))
+    size = math.prod(shape)
+    values = draw(st.lists(st.floats(-2, 2), min_size=size, max_size=size))
+    return Factor(np.reshape(values, shape))
+
+
+def numpy_eval(coeffs, pts):
+    """The polynomial at the rows of ``pts`` by numpy's own evaluators."""
+    if coeffs.ndim == 1:
+        return polyval(pts[:, 0], coeffs)
+    return polyval2d(pts[:, 0], pts[:, 1], coeffs)
+
+
+def stationary_grid(params, dim, n_nodes=8):
+    """Tensor Gauss-Hermite nodes and weights of the stationary law on
+    R^dim, exact to degree 15 per coordinate."""
+    rule = QuadratureRule.for_invariant(params, n_nodes)
+    grids = np.meshgrid(*[rule.nodes] * dim, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    w = np.prod(np.meshgrid(*[rule.weights] * dim, indexing="ij"), axis=0).ravel()
+    return pts, w
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 2]))
+def test_slot_polynomial_property(data, dim):
+    params = SLOT_PARAMS[dim]
+    F, G = data.draw(slots(dim)), data.draw(slots(dim))
+    pts, w = stationary_grid(params, dim)
+    scale = 30.0 * (1.0 + np.abs(F.coeffs).sum()) * (1.0 + np.abs(G.coeffs).sum())
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+
+    f_vals, g_vals = numpy_eval(F.coeffs, pts), numpy_eval(G.coeffs, pts)
+    close(F(pts), f_vals)
+    close(F.times(G)(pts), f_vals * g_vals)
+    close(Factor.combine([(0.5, F), (-2.0, G)])(pts), 0.5 * f_vals - 2.0 * g_vals)
+    mean = F.phi_mean(params)
+    close(mean, w @ f_vals)
+    centered = F.centered(params)
+    close(centered(pts), f_vals - mean)
+    close(centered.phi_mean(params), 0.0)
+    for axis in range(dim):
+        derivative = polyder(F.coeffs, axis=axis)
+        close(F.derivative(axis).coeffs, derivative)
+        close(gradient_phi_mean(F, params)[axis], w @ numpy_eval(derivative, pts))
+    # <phi, (T_s F)(T_s G)> = phi(F) phi(G) + sum_n c_n exp(-2 mu n s), with
+    # the semigroup applied by the rule: T_s F(x) = E F(a x + sqrt(1 - a^2) Y)
+    # for Y stationary
+    spectrum = _pair_spectrum(F, G, params)
+    for s in (0.0, 0.6):
+        a = math.exp(-params.mu * s)
+        inner = (a * pts[:, None, :] + math.sqrt(1.0 - a * a) * pts[None, :, :])
+
+        def evolved(coeffs):
+            return numpy_eval(coeffs, inner.reshape(-1, dim)).reshape(len(w), -1) @ w
+
+        n = np.arange(1, len(spectrum) + 1)
+        got = mean * G.phi_mean(params) + spectrum @ np.exp(-2.0 * params.mu * n * s)
+        close(got, w @ (evolved(F.coeffs) * evolved(G.coeffs)))

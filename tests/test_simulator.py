@@ -160,6 +160,13 @@ class TestBasics:
             simulate_farm(SLOW, (20.0, 20.0), 2300, seed=1, batch_size=5000)
         assert calls == [4539]
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_bad_grid_time_refused(self, t):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simulate_farm(SLOW, (1.0, t), 10, seed=1)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simulate(SLOW, t, 1)
+
     def test_dim2_positions(self):
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
                              x0=(1.0, -1.0))

@@ -1,10 +1,13 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from branching_ou.kernels import ProductFunc
+from branching_ou.harness import ExperimentConfig, run_oracle_crosscheck
+from branching_ou.kernels import Factor, Kernel
 from branching_ou.model import ModelParams, derive
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
 from branching_ou.tree_oracle import (
@@ -29,12 +32,6 @@ def double_factorial(k):
         out *= k
         k -= 2
     return out
-
-
-def factor_of(pf):
-    from branching_ou.kernels import Factor
-
-    return Factor.from_product(pf)
 
 
 def independent_tree_count(n):
@@ -133,9 +130,9 @@ class TestGaussianMoments:
                                       [FUNC_X, FUNC_X])
 
     def test_rejects_dimension_mismatch(self):
-        pf = ProductFunc((FUNC_X, FUNC_X))
+        cross = Factor.from_polys([LIN, LIN])
         with pytest.raises(OracleKernelError):
-            gaussian_position_moments(self.leaf_tree(), 1.0, {}, SLOW, [pf])
+            gaussian_position_moments(self.leaf_tree(), 1.0, {}, SLOW, [cross])
 
 
 class TestTreeContribution:
@@ -227,7 +224,7 @@ class TestExactMixedMoment:
     def test_higher_degree_against_forward_equations(self, params, factors, t):
         # cubic factors give leaf moments of degree 4 to 6 in the split
         # variables; at the short horizon every split lies near the start
-        fs = [ProductFunc(tuple(Func1D.polynomial(c) for c in f)) for f in factors]
+        fs = [Factor.from_polys(f) for f in factors]
         got = exact_mixed_moment(len(fs), t, params, fs)
         want = mixed_moment_forward(t, params, factors)
         assert got == pytest.approx(want, rel=1e-11, abs=0.0)
@@ -286,11 +283,9 @@ class TestExactMixedMoment:
 
     def test_two_dim_first_moment(self):
         # coordinates evolve independently: the cross-product mean factorizes
-        from branching_ou.kernels import ProductFunc
-
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=1.0, dim=2,
                              x0=(1.0, -2.0))
-        cross = ProductFunc((FUNC_X, FUNC_X))
+        cross = Factor.from_polys([LIN, LIN])
         for t in (0.8, 2.0):
             got = exact_mixed_moment(1, t, params, [cross])
             want = math.exp(0.5 * t) * (1.0 * math.exp(-0.5 * t)) * \
@@ -298,18 +293,15 @@ class TestExactMixedMoment:
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_two_dim_second_moment_vs_monte_carlo(self):
-        from branching_ou.kernels import Kernel, ProductFunc
         from branching_ou.simulator import simulate_farm
         from branching_ou.ustats import v_statistics
 
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=1.0, dim=2,
                              x0=(0.5, 0.0))
-        cross = ProductFunc((FUNC_X, FUNC_X))
+        cross = Factor.from_polys([LIN, LIN])
         t = 1.5
         oracle = exact_mixed_moment(2, t, params, [cross, cross])
-        f = Kernel.tensor_sum(
-            [(1.0, (factor_of(cross), factor_of(cross)))], dim=2
-        )
+        f = Kernel.tensor_sum([(1.0, (cross, cross))], dim=2)
         farm = simulate_farm(params, (t,), 20_000, seed=71, batch_size=4000)
         vals = v_statistics(farm[0], f)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -317,7 +309,6 @@ class TestExactMixedMoment:
 
     def test_fourth_moment_vs_squared_v_statistic(self):
         # the arity-2 V-statistic of x (x) x is <X_t, x>^2
-        from branching_ou.kernels import Kernel
         from branching_ou.simulator import simulate_farm
         from branching_ou.ustats import v_statistics
 
@@ -334,3 +325,51 @@ class TestExactMixedMoment:
             exact_mixed_moment(2, 1.0, SLOW, [FUNC_X])
         with pytest.raises(TreeCapError):
             exact_mixed_moment(5, 1.0, SLOW, [FUNC_X] * 5)
+
+
+class TestPolynomialKernelCrossCheck:
+    """A two-term 2-D kernel whose slots are sums of coordinate products:
+    the oracle takes each slot as one coefficient array, and the forward
+    equations take one product at a time, so they meet term by term after
+    expanding every slot multilinearly into its products."""
+
+    PARAMS = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=1.0, dim=2, x0=(0.5, -0.3))
+    # (coef, slots); a slot is a list of (weight, per-coordinate vectors)
+    TERMS = [
+        (0.7, [[(1.0, [LIN, [1.0]]), (-0.5, [[1.0], SQ])],
+               [(1.0, [LIN, LIN]), (0.4, [[1.0], [1.0]])]]),
+        (-1.3, [[(1.0, [[1.0], LIN]), (2.0, [SQ, [1.0]])],
+                [(1.0, [LIN, [0.0, 0.5]]), (-1.0, [[1.0], [1.0]])]]),
+    ]
+
+    @staticmethod
+    def slot(atoms) -> Factor:
+        return Factor.combine((w, Factor.from_polys(vectors)) for w, vectors in atoms)
+
+    def kernel(self) -> Kernel:
+        return Kernel.tensor_sum(
+            [(coef, [self.slot(s) for s in slots]) for coef, slots in self.TERMS],
+            dim=2)
+
+    def forward(self, t, slots) -> float:
+        return sum(math.prod(w for w, _ in choice) *
+                   mixed_moment_forward(t, self.PARAMS, [v for _, v in choice])
+                   for choice in itertools.product(*slots))
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_terms_against_forward_equations(self, t):
+        for (coef, slots), (_, factors) in zip(self.TERMS, self.kernel().terms):
+            assert len(np.flatnonzero(factors[0].coeffs)) == 2
+            got = exact_mixed_moment(2, t, self.PARAMS, factors)
+            assert got == pytest.approx(self.forward(t, slots), rel=1e-11, abs=0.0)
+
+    def test_run_oracle_crosscheck(self):
+        config = ExperimentConfig.from_dict({
+            "params": {"lambda": 1.0, "p": 0.75, "mu": 0.5, "sigma": 1.0,
+                       "dim": 2, "x0": [0.5, -0.3]},
+            "t_grid": [0.5, 1.5], "replicas": 4000, "seed": 29})
+        report = run_oracle_crosscheck(dataclasses.replace(config, kernel=self.kernel()))
+        for check, t in zip(report.checks, config.t_grid, strict=True):
+            want = sum(coef * self.forward(t, slots) for coef, slots in self.TERMS)
+            assert check.target == pytest.approx(want, rel=1e-11)
+        assert report.passed, report.checks
