@@ -10,7 +10,6 @@ from .model import (
     classify,
     derive,
     extinction_by,
-    w_moments,
 )
 from .ou import Factor, Func1D, QuadratureRule, ou_transition_sample
 from .kernels import Kernel
@@ -53,7 +52,6 @@ __all__ = [
     "u_statistics",
     "v_statistic",
     "v_statistics",
-    "w_moments",
 ]
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: simulate, lln, clt, wlaw, oracle, variance.  Exit code 0 when
-every check passes, 1 on a test failure, 2 on usage or configuration
-errors.
+every check passes, 1 on a test failure or a refused budget, 2 on usage or
+configuration errors.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from .harness import (
     dump_snapshots,
     emit,
 )
-from .model import InvalidParameterError
+from .model import BudgetExceededError, InvalidParameterError
 from .simulator import AllExtinctError, ResourceCapError, simulate_farm
-from .tree_oracle import TreeCapError
-from .ustats import ExpansionCapError
 
 _SUBCOMMANDS = ("simulate", "lln", "clt", "wlaw", "oracle", "variance")
 
@@ -99,12 +97,15 @@ def main(argv=None) -> int:
             return 0
         runner = RUNNERS[args.command]
         report = runner(config)
-    except (ConfigError, TreeCapError, ExpansionCapError, AllExtinctError) as exc:
+    except (ConfigError, AllExtinctError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc} (time reached {exc.time_reached:g})",
               file=sys.stderr)
+        return 1
+    except BudgetExceededError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
         return 1
 
     path = emit(report, args.format, args.out)

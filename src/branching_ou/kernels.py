@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .model import ModelParams
+from .model import BudgetExceededError, ModelParams
 from .ou import Factor, QuadratureRule, default_rule
 
 
@@ -30,10 +30,6 @@ class KernelShapeError(ValueError):
 
 class ConstantKernelError(ValueError):
     """All Hoeffding projections of positive order vanish."""
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration of kernel evaluations would exceed its budget."""
 
 
 # Black-box averages refuse more evaluations than this before evaluating.

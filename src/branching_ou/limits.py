@@ -64,14 +64,13 @@ MAX_SURVIVAL_ATTEMPTS = 10_000
 # at most 2, and its sign (-1)^{#edges} is that partition's Moebius weight
 
 
-def enumerate_diagrams(n: int, cap: int = 8) -> list[Partition]:
+def enumerate_diagrams(n: int) -> list[Partition]:
     """All partial pairings of {1..n}, as the sorted set partitions whose
     blocks have size 1 or 2: the 2-blocks are the edges, the 1-blocks the
-    unpaired labels; the count is the involution number."""
+    unpaired labels; the count is the involution number.  Arities above
+    ``model.MAX_ARITY`` raise ``ArityCapError``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise ValueError(f"n={n} above the diagram cap {cap}")
     return [J for J in set_partitions(n) if all(len(b) <= 2 for b in J)]
 
 

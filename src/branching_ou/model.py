@@ -14,8 +14,22 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
+# The highest kernel arity any layer supports: the U-from-V expansion
+# merges Bell(6) = 203 kernels, and the exact-moment oracle sums 3,797
+# split trees, at this arity.
+MAX_ARITY = 6
+
+
 class InvalidParameterError(ValueError):
     """Model parameters outside their admissible range."""
+
+
+class ArityCapError(ValueError):
+    """Requested kernel arity above ``MAX_ARITY``."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A computation's up-front work estimate exceeds its budget."""
 
 
 class RegimeTag(Enum):
@@ -71,15 +85,12 @@ class DerivedConstants:
     growth_rate      exponential growth rate of the expected population,
                      (2p - 1) * lam
     extinction_prob  probability of eventual extinction, (1 - p) / p
-    limit_exp_rate   rate of the exponential limit of the normalized
-                     population size conditioned on survival, (2p - 1) / p
     stationary_var   per-coordinate variance of the OU stationary law,
                      sigma^2 / (2 mu)
     """
 
     growth_rate: float
     extinction_prob: float
-    limit_exp_rate: float
     stationary_var: float
 
 
@@ -110,7 +121,6 @@ def derive(params: ModelParams) -> DerivedConstants:
     return DerivedConstants(
         growth_rate=two_p_minus_1 * params.lam,
         extinction_prob=(1.0 - params.p) / params.p,
-        limit_exp_rate=two_p_minus_1 / params.p,
         stationary_var=params.sigma**2 / (2.0 * params.mu),
     )
 
@@ -131,21 +141,6 @@ def classify(params: ModelParams, tol: float = 1e-12) -> Regime:
     else:
         tag = RegimeTag.FAST
     return Regime(tag=tag, growth_rate=growth, twice_mu=twice_mu)
-
-
-def w_moments(consts: DerivedConstants) -> tuple[float, float]:
-    """Mean of the survival-conditioned population limit and the
-    unconditioned limit variance.
-
-    The limit conditioned on survival is exponential with rate
-    ``limit_exp_rate``, so its mean is the reciprocal rate.  The
-    unconditioned limit has variance 1 / (2p - 1).
-    """
-    rate = consts.limit_exp_rate
-    w_mean = 1.0 / rate
-    p = 1.0 / (2.0 - rate)
-    v_inf_var = 1.0 / (2.0 * p - 1.0)
-    return w_mean, v_inf_var
 
 
 def extinction_by(t: float, params: ModelParams) -> float:

@@ -220,6 +220,16 @@ def default_rule(params: ModelParams, n_nodes: int = 64) -> QuadratureRule:
 # transitions
 
 
+def ou_leg(x: np.ndarray, dt: np.ndarray, mu: float, s_std: float,
+           rng: np.random.Generator) -> np.ndarray:
+    """Exact OU transition of the rows of ``x`` over the times ``dt``, one
+    per row; ``s_std`` is the stationary standard deviation.  This is the
+    step the simulator takes."""
+    scale = relax(dt, mu) * s_std
+    return x * np.exp(-mu * dt)[:, None] + scale[:, None] * \
+        rng.standard_normal(x.shape)
+
+
 def ou_transition_sample(
     x: np.ndarray, dt: float, params: ModelParams, rng: np.random.Generator
 ) -> np.ndarray:
@@ -230,6 +240,6 @@ def ou_transition_sample(
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
-    decay = math.exp(-params.mu * dt)
-    scale = float(relax(dt, params.mu)) * stationary_std(params)
-    return x * decay + scale * rng.standard_normal(x.shape)
+    rows = np.atleast_2d(x)
+    return ou_leg(rows, np.full(len(rows), float(dt)), params.mu,
+                  stationary_std(params), rng).reshape(x.shape)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, derive
-from .ou import relax, stationary_std
+from .ou import ou_leg, stationary_std
 
 
 class ResourceCapError(RuntimeError):
@@ -119,14 +119,6 @@ def _draw_lifetimes(rng: np.random.Generator, lam: float, size: int) -> np.ndarr
     return rng.exponential(1.0 / lam, size=size)
 
 
-def _ou_leg(x: np.ndarray, dt: np.ndarray, mu: float, s_std: float,
-            rng: np.random.Generator) -> np.ndarray:
-    """Exact OU transition of the rows of ``x`` over the times ``dt``."""
-    scale = relax(dt, mu) * s_std
-    return x * np.exp(-mu * dt)[:, None] + scale[:, None] * \
-        rng.standard_normal(x.shape)
-
-
 def _grid_rank(t_grid: np.ndarray, t: np.ndarray) -> np.ndarray:
     """How many grid times lie below each ``t``, as ``np.searchsorted``
     gives it.  One comparison pass per grid time: on grids of a few times
@@ -183,7 +175,7 @@ def _run_batch(
                     if not j.size:
                         continue
                 g = t_grid[k]
-                x_k = _ou_leg(x[j], g - cur_t[j], mu, s_std, rng)
+                x_k = ou_leg(x[j], g - cur_t[j], mu, s_std, rng)
                 x[j] = x_k
                 cur_t[j] = g
                 rec_rep[k].append(rep[strad[j]])
@@ -197,7 +189,7 @@ def _run_batch(
         if not br.size:
             break
         t_split = death[br]
-        at_death = _ou_leg(pos[br], t_split - birth[br], mu, s_std, rng)
+        at_death = ou_leg(pos[br], t_split - birth[br], mu, s_std, rng)
         rep = rep[br]
         born += 2 * np.bincount(rep, minlength=n_replicas)
         if born.max() > caps.max_particles:

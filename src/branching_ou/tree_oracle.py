@@ -33,12 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, derive
+from .model import MAX_ARITY, ArityCapError, BudgetExceededError, ModelParams, derive
 from .ou import Factor, stationary_std
 
-
-class TreeCapError(ValueError):
-    """Requested arity above the configured enumeration cap."""
+# A call whose work estimate, in coefficient-array entries, exceeds this is
+# refused before anything is integrated (see ``exact_mixed_moment``).
+ORACLE_BUDGET = 5e7
 
 
 class OracleKernelError(ValueError):
@@ -49,27 +49,23 @@ class OracleKernelError(ValueError):
 class LabeledTree:
     """Rooted split tree; vertex 0 is the root and parents precede children.
 
-    kinds[i] is "root", "inner" or "leaf"; leaf_labels maps each leaf to a
-    block of the label partition; multiplicity counts the ordered-children
-    variants this canonical shape stands for.
+    ``parent`` is the tree's shape: the root and the inner vertices are the
+    vertices with children.  leaf_labels maps each leaf to a block of the
+    label partition; multiplicity counts the ordered-children variants this
+    canonical shape stands for.
     """
 
     parent: tuple[int, ...]
-    kinds: tuple[str, ...]
     leaf_labels: tuple[tuple[int, tuple[int, ...]], ...]
     multiplicity: int
 
     @property
     def inner_nodes(self) -> tuple[int, ...]:
-        return tuple(i for i, k in enumerate(self.kinds) if k == "inner")
+        return _shape(self.parent).inner
 
     @property
     def leaves(self) -> tuple[int, ...]:
-        return tuple(i for i, k in enumerate(self.kinds) if k == "leaf")
-
-    @property
-    def labels(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.leaf_labels)
+        return _shape(self.parent).leaves
 
 
 def _structures(labels: tuple[int, ...]):
@@ -92,7 +88,6 @@ def _structures(labels: tuple[int, ...]):
 
 def _linearize(struct) -> LabeledTree:
     parent = [-1]
-    kinds = ["root"]
     leaf_labels = []
     queue = deque([(struct, 0)])
     while queue:
@@ -100,28 +95,112 @@ def _linearize(struct) -> LabeledTree:
         idx = len(parent)
         parent.append(par)
         if node[0] == "leaf":
-            kinds.append("leaf")
             leaf_labels.append((idx, tuple(sorted(node[1]))))
         else:
-            kinds.append("inner")
             queue.append((node[1], idx))
             queue.append((node[2], idx))
-    n_inner = kinds.count("inner")
-    return LabeledTree(
-        parent=tuple(parent),
-        kinds=tuple(kinds),
-        leaf_labels=tuple(sorted(leaf_labels)),
-        multiplicity=2**n_inner,
-    )
+    n_inner = len(parent) - 1 - len(leaf_labels)
+    return LabeledTree(parent=tuple(parent), leaf_labels=tuple(sorted(leaf_labels)),
+                       multiplicity=2**n_inner)
 
 
-def enumerate_trees(n: int, cap: int = 4) -> list[LabeledTree]:
-    """Duplicate-free enumeration of the split-tree class for arity n."""
+def enumerate_trees(n: int, cap: int = MAX_ARITY) -> list[LabeledTree]:
+    """Duplicate-free enumeration of the split-tree class for arity n; an
+    arity above ``model.MAX_ARITY`` raises ``ArityCapError``.  ``cap`` is
+    accepted and unused: the benchmark's tracer (``benchmarks/tracer.py``)
+    still passes it."""
     if n < 1:
         raise ValueError("arity must be positive")
-    if n > cap:
-        raise TreeCapError(f"arity {n} above the enumeration cap {cap}")
+    if n > MAX_ARITY:
+        raise ArityCapError(f"arity {n} above the maximum {MAX_ARITY}")
     return [_linearize(s) for s in _structures(tuple(range(1, n + 1)))]
+
+
+# ---------------------------------------------------------------------------
+# per-shape work, shared by every labelling and factor assignment
+
+
+@dataclass(frozen=True)
+class _Shape:
+    inner: tuple[int, ...]
+    leaves: tuple[int, ...]
+    # lca[ka][kb]: the axis (position in ``inner``) of the lowest common
+    # inner ancestor of the ka-th and kb-th leaves, None when ka = kb
+    lca: tuple[tuple[int | None, ...], ...]
+    # the parent-first orders of the inner vertices, as tuples of axes
+    orders: tuple[tuple[int, ...], ...]
+
+
+@functools.lru_cache(maxsize=128)
+def _shape(parent: tuple[int, ...]) -> _Shape:
+    inner = tuple(sorted(set(parent[1:]) - {0}))
+    leaves = tuple(i for i in range(1, len(parent)) if i not in parent)
+
+    def ancestors(j: int) -> list[int]:
+        return [j, *ancestors(parent[j])] if j > 0 else []
+
+    chains = [ancestors(parent[leaf]) for leaf in leaves]
+    lca = tuple(tuple(None if ka == kb else inner.index(next(i for i in a if i in b))
+                      for kb, b in enumerate(chains)) for ka, a in enumerate(chains))
+    orders = tuple(tuple(inner.index(i) for i in o)
+                   for o in itertools.permutations(inner)
+                   if all(parent[i] not in o or o.index(parent[i]) < o.index(i)
+                          for i in o))
+    return _Shape(inner, leaves, lca, orders)
+
+
+@functools.lru_cache(maxsize=1)
+def _isserlis(parent: tuple[int, ...], t: float, params: ModelParams, degree: int):
+    """The moments E prod Z^counts of the leaf coordinates of a tree of this
+    shape, as read-only coefficient arrays in the u_i (axis k for the k-th
+    inner vertex, size degree + 1), memoized over count tuples for every
+    labelling and factor assignment.
+
+    The dim * |leaves| leaf coordinates form one Gaussian vector with mean
+    x0 e^{-mu t}, variance var = s^2 (1 - e^{-2 mu t}), covariance var * u_L
+    between one coordinate of leaves a != b with lowest common inner
+    ancestor L, and none across coordinates.  Isserlis' recursion
+    E Z_a Z^k = mean_a E Z^k + sum_b cov_ab k_b E Z^(k - e_b) runs on
+    coefficient arrays, where a covariance is var times a shift along axis
+    L, so a coefficient that is zero stays exactly zero."""
+    shape = _shape(parent)
+    width, n_inner = len(shape.leaves), len(shape.inner)
+    # Gaussian coordinate c * width + k is coordinate c of the k-th leaf
+    mean = [x * math.exp(-params.mu * t) for x in params.x0 for _ in range(width)]
+    var = -stationary_std(params) ** 2 * math.expm1(-2.0 * params.mu * t)
+    # times u_L moves entries one step up axis L; the degree bound keeps the
+    # top entry zero, so nothing is dropped
+    lift = [(slice(None),) * k + (slice(1, None),) for k in range(n_inner)]
+    keep = [(slice(None),) * k + (slice(None, -1),) for k in range(n_inner)]
+    one = np.zeros((degree + 1,) * n_inner)
+    one.flat[0] = 1.0
+    one.flags.writeable = False
+    memo = {(0,) * len(mean): one}
+
+    def moment(counts: tuple[int, ...]) -> np.ndarray:
+        if counts in memo:
+            return memo[counts]
+        a = next(i for i, k in enumerate(counts) if k)
+        lowered = list(counts)
+        lowered[a] -= 1
+        # ``out`` keeps the 0-d case of a tree without inner vertices an array
+        val = np.multiply(mean[a], moment(tuple(lowered)), out=np.empty_like(one))
+        c, ka = divmod(a, width)
+        for kb, axis in enumerate(shape.lca[ka]):
+            b = c * width + kb
+            if lowered[b]:
+                twice = list(lowered)
+                twice[b] -= 1
+                term = var * lowered[b] * moment(tuple(twice))
+                if axis is None:
+                    val += term
+                else:
+                    val[lift[axis]] += term[keep[axis]]
+        val.flags.writeable = False
+        memo[counts] = val
+        return val
+
+    return moment
 
 
 # ---------------------------------------------------------------------------
@@ -131,63 +210,18 @@ def enumerate_trees(n: int, cap: int = 4) -> list[LabeledTree]:
 def _leaf_moment_coefficients(tree: LabeledTree, t: float, params: ModelParams,
                               f_assignment: list[Factor]) -> np.ndarray:
     """Exact coefficients of E prod_a f_a(position of the leaf carrying label
-    a) as a polynomial in the u_i, axis k for the k-th inner vertex.
-
-    The dim * |leaves| leaf coordinates form one Gaussian vector with mean
-    x0 e^{-mu t}, variance var = s^2 (1 - e^{-2 mu t}), covariance var * u_L
-    between one coordinate of leaves a != b with lowest common inner
-    ancestor L, and none across coordinates.  Isserlis' recursion
-    E Z_a Z^k = mean_a E Z^k + sum_b cov_ab k_b E Z^(k - e_b) runs on
-    coefficient arrays, where a covariance is var times a shift along axis
-    L, so a coefficient that is zero stays exactly zero."""
+    a) as a polynomial in the u_i, axis k for the k-th inner vertex: the
+    shape's Isserlis moments summed over a monomial per leaf."""
     if any(f.dim != params.dim for f in f_assignment):
         raise OracleKernelError("assignment dimension mismatch")
-    leaves, inner, labels = tree.leaves, tree.inner_nodes, tree.labels
-    width = len(leaves)
     # each leaf's polynomial, the product of the factors it carries
-    polys = [functools.reduce(Factor.times, [f_assignment[a - 1] for a in labels[leaf]])
-             .coeffs for leaf in leaves]
-    # Gaussian coordinate c * width + k is coordinate c of the k-th leaf
-    mean = [params.x0[c] * math.exp(-params.mu * t)
-            for c in range(params.dim) for _ in leaves]
+    polys = [functools.reduce(Factor.times, [f_assignment[a - 1] for a in block]).coeffs
+             for _, block in tree.leaf_labels]
     degree = sum(sum(p.shape[c] - 1 for p in polys) // 2 for c in range(params.dim))
-    var = -stationary_std(params) ** 2 * math.expm1(-2.0 * params.mu * t)
-
-    def ancestors(j: int) -> list[int]:
-        return [j, *ancestors(tree.parent[j])] if j > 0 else []
-
-    chains = [ancestors(tree.parent[leaf]) for leaf in leaves]
-    # partners[a]: each b covarying with a, with the axis of u_L (None for b = a)
-    partners = [[(c * width + kb, None if ka == kb else inner.index(
-                     next(i for i in chains[ka] if i in chains[kb])))
-                 for kb in range(width)]
-                for c in range(params.dim) for ka in range(width)]
-
-    one = np.zeros((degree + 1,) * len(inner))
-    one[(0,) * len(inner)] = 1.0
-    memo = {(0,) * len(mean): one}
-
-    def moment(counts: tuple[int, ...]) -> np.ndarray:
-        if counts in memo:
-            return memo[counts]
-        a = next(i for i, k in enumerate(counts) if k)
-        lowered = list(counts)
-        lowered[a] -= 1
-        val = mean[a] * moment(tuple(lowered))
-        for b, axis in partners[a]:
-            if lowered[b]:
-                twice = list(lowered)
-                twice[b] -= 1
-                # times u_L: a shift along axis L; the degree bound keeps the
-                # top entry zero, so nothing wraps around
-                term = var * lowered[b] * moment(tuple(twice))
-                val = val + (term if axis is None else np.roll(term, 1, axis))
-        memo[counts] = val
-        return val
-
+    moment = _isserlis(tree.parent, t, params, degree)
     # a monomial per leaf, its powers laid out as the Gaussian coordinates
     monomials = [[(k, p[k]) for k in zip(*np.nonzero(p))] for p in polys]
-    total = np.zeros_like(one)
+    total = np.zeros((degree + 1,) * len(tree.inner_nodes))
     for combo in itertools.product(*monomials):
         coef = math.prod(c for _, c in combo)
         if coef != 0.0:
@@ -274,31 +308,42 @@ def tree_contribution(tree: LabeledTree, t: float, params: ModelParams,
     inner vertices, and each nonzero monomial is integrated exactly over
     each."""
     growth = derive(params).growth_rate
-    inner = tree.inner_nodes
     coefs = _leaf_moment_coefficients(tree, t, params, f_assignment)
-    orders = [o for o in itertools.permutations(inner)
-              if all(tree.parent[i] not in o or o.index(tree.parent[i]) < o.index(i)
-                     for i in o)]
+    orders = _shape(tree.parent).orders
     total = 0.0
     for powers in map(tuple, np.argwhere(coefs)):
-        power_of = dict(zip(inner, map(int, powers)))
         total += coefs[powers] * sum(
-            _chain_integral(t, tuple(power_of[i] for i in o), growth, params.mu)
+            _chain_integral(t, tuple(int(powers[k]) for k in o), growth, params.mu)
             for o in orders)
-    return (params.p * params.lam) ** len(inner) * math.exp(growth * t) * \
+    return (params.p * params.lam) ** len(tree.inner_nodes) * math.exp(growth * t) * \
         tree.multiplicity * total
 
 
-def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list, cap: int = 4,
-                       n_nodes: int = 64, check: bool = True) -> float:
+def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list,
+                       cap: int = MAX_ARITY, n_nodes: int = 64,
+                       check: bool = True) -> float:
     """E prod_{i=1..n} <X_t, f_i> by summing all tree contributions.
 
     Equals the expectation of the order-n V-statistic of the one-term
-    tensor kernel f_1 x ... x f_n of polynomial slots (``Factor``).  ``n_nodes`` and
-    ``check`` are accepted and unused: the split-time integration is exact,
-    and the benchmark's tracer (``benchmarks/tracer.py``) still reads them
-    from each call."""
+    tensor kernel f_1 x ... x f_n of polynomial slots (``Factor``).  An
+    arity above ``model.MAX_ARITY`` raises ``ArityCapError``.  Each tree
+    sums its monomial combinations and each shape memoizes an array per
+    count tuple, all of at most (degree + 1)^(n - 1) entries; when that
+    work exceeds ``ORACLE_BUDGET`` entries, ``BudgetExceededError`` is
+    raised before anything is integrated.  ``cap``, ``n_nodes`` and
+    ``check`` are accepted and unused: the benchmark's tracer
+    (``benchmarks/tracer.py``) still reads them from each call."""
     if len(f_list) != n:
         raise ValueError("need exactly n factors")
-    return sum(tree_contribution(tree, t, params, f_list)
-               for tree in enumerate_trees(n, cap=cap))
+    trees = enumerate_trees(n)
+    degree = sum(sum(f.coeffs.shape) - f.dim for f in f_list) // 2
+    work = (len(trees) * math.prod(np.count_nonzero(f.coeffs) for f in f_list)
+            + math.prod(f.coeffs.size for f in f_list)) * (degree + 1) ** (n - 1)
+    if work > ORACLE_BUDGET:
+        raise BudgetExceededError(f"oracle work estimate {work:.3g} exceeds the "
+                                  f"budget {ORACLE_BUDGET:g} coefficient entries")
+    # one shape at a time keeps one shape's memo in use; the sum keeps the
+    # enumeration order
+    values = {tree: tree_contribution(tree, t, params, f_list)
+              for tree in sorted(trees, key=lambda tree: tree.parent)}
+    return sum(values[tree] for tree in trees)

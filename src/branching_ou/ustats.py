@@ -16,30 +16,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import (
-    BLACKBOX_BUDGET,
+from .kernels import BLACKBOX_BUDGET, Kernel, index_chunks, substitute_partition
+from .model import (
+    MAX_ARITY,
+    ArityCapError,
     BudgetExceededError,
-    Kernel,
-    index_chunks,
-    substitute_partition,
+    DerivedConstants,
+    Regime,
 )
-from .model import DerivedConstants, Regime
 from .simulator import FarmLevel, ParticleSnapshot
-
-
-class ExpansionCapError(ValueError):
-    """Requested arity above the partition-expansion cap."""
-
-
-# Bell(6) = 203 merged kernels per U-statistic; higher arities are refused.
-MAX_EXPANSION_ARITY = 6
 
 
 Partition = tuple[tuple[int, ...], ...]
 
 
 def set_partitions(n: int) -> list[Partition]:
-    """All set partitions of {1..n}, blocks and block lists sorted."""
+    """All set partitions of {1..n}, blocks and block lists sorted; arities
+    above ``MAX_ARITY`` are refused, so the U-from-V expansion and the
+    slow sampler's diagrams share this one check."""
+    if n > MAX_ARITY:
+        raise ArityCapError(f"arity {n} above the maximum {MAX_ARITY}")
 
     def rec(items: tuple[int, ...]) -> list[Partition]:
         if not items:
@@ -71,8 +67,6 @@ def partition_coefficients(n: int) -> dict[Partition, int]:
 
 def build_expansion(n: int) -> list[tuple[Partition, int]]:
     """The sorted (J, a_J) pairs of the U-from-V expansion at arity ``n``."""
-    if n > MAX_EXPANSION_ARITY:
-        raise ExpansionCapError(f"arity {n} above the cap {MAX_EXPANSION_ARITY}")
     return sorted(partition_coefficients(n).items())
 
 

@@ -533,14 +533,34 @@ class TestCli:
     def test_usage_error_exit_2(self, capsys):
         assert cli_main(["frobnicate"]) == 2
 
-    def test_oracle_above_tree_cap_exit_2(self, tmp_path, capsys):
-        kernel = {"arity": 5, "dim": 1, "symmetric": True,
-                  "terms": [{"coef": 1.0, "slots": [[[0.0, 1.0]]] * 5}]}
+    @staticmethod
+    def refuse_farm(monkeypatch):
+        def no_farm(*args, **kwargs):
+            raise AssertionError("the farm was simulated")
+
+        monkeypatch.setattr("branching_ou.harness.simulate_farm", no_farm)
+
+    def test_oracle_above_tree_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        self.refuse_farm(monkeypatch)
+        kernel = {"arity": 7, "dim": 1, "symmetric": True,
+                  "terms": [{"coef": 1.0, "slots": [[[0.0, 1.0]]] * 7}]}
         raw = dict(BASE, kernel=kernel, replicas=20, t_grid=[1.0])
         cfg = self.write_cfg(tmp_path, raw)
         assert cli_main(["oracle", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("config error: arity 5")
+        assert capsys.readouterr().err.startswith("config error: arity 7")
+
+    def test_oracle_over_budget_exit_1_before_simulating(self, tmp_path, capsys,
+                                                         monkeypatch):
+        self.refuse_farm(monkeypatch)
+        slots = [[[0.1 * i, -1.0, 0.5, 1.0]] for i in range(6)]
+        kernel = {"arity": 6, "dim": 1, "terms": [{"coef": 1.0, "slots": slots}]}
+        raw = dict(BASE, kernel=kernel, replicas=20, t_grid=[1.0])
+        cfg = self.write_cfg(tmp_path, raw)
+        assert cli_main(["oracle", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and len(err.splitlines()) == 1
 
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         raw = dict(BASE, tolerances={"se_mul": 2.0})
@@ -601,10 +621,7 @@ class TestCli:
 
     def test_kernel_dim_mismatch_exit_2_before_simulating(self, tmp_path, capsys,
                                                           monkeypatch):
-        def no_farm(*args, **kwargs):
-            raise AssertionError("the farm was simulated")
-
-        monkeypatch.setattr("branching_ou.harness.simulate_farm", no_farm)
+        self.refuse_farm(monkeypatch)
         kernel = {"arity": 2, "dim": 2, "symmetric": True,
                   "terms": [{"coef": 1.0, "slots": [[[0.0, 1.0], [0.0, 1.0]]] * 2}]}
         raw = dict(BASE, kernel=kernel, replicas=50, t_grid=[3.0])
@@ -613,7 +630,8 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    def test_lln_above_expansion_cap_exit_2(self, tmp_path, capsys):
+    def test_lln_above_expansion_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        self.refuse_farm(monkeypatch)
         kernel = {"arity": 7, "dim": 1, "symmetric": True,
                   "terms": [{"coef": 1.0, "slots": [[[0.0, 1.0]]] * 7}]}
         raw = dict(BASE, kernel=kernel, replicas=20, t_grid=[3.0])

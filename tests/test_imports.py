@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Import rules of the package, checked by a stdlib ``ast`` pass.
 
-A stdlib ``ast`` pass stands in for a linter's unused-import rule (F401):
-an import statement carrying ``# noqa: F401`` is exempt, and a package
-``__init__`` uses the names its ``__all__`` lists.
+Every name a package module imports is used in that module: the pass
+stands in for a linter's unused-import rule (F401); an import statement
+carrying ``# noqa: F401`` is exempt, and a package ``__init__`` uses the
+names its ``__all__`` lists.  The exact-moment oracle stays independent of
+the simulator: it reaches no package module but ``model`` and ``ou``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,37 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module's source imports, relatively or by the
+    package name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module.split(".") if node.module else []
+            if node.level:
+                base = ["branching_ou", *base]
+            paths = [[*base, alias.name] for alias in node.names]
+        else:
+            continue
+        # the bare package name stands for its __init__
+        out.update((path[1:] or ["__init__"])[0] for path in paths
+                   if path[0] == "branching_ou")
+    return out
+
+
+def test_oracle_imports_only_model_and_ou():
+    imports = {name: package_imports((PACKAGE / f"{name}.py").read_text())
+               for name in ("tree_oracle", "ou", "model")}
+    assert imports == {"tree_oracle": {"model", "ou"}, "ou": {"model"}, "model": set()}
+    assert package_imports(
+        "from .model import a\nfrom . import ou, simulator\nimport numpy\n"
+        "import branching_ou.ustats\nfrom branching_ou.kernels import b\n"
+        "import branching_ou\n"
+    ) == {"model", "ou", "simulator", "ustats", "kernels", "__init__"}
 
 
 def test_detector_flags_and_exempts():

@@ -21,7 +21,7 @@ from branching_ou.limits import (
     slow_covariance,
     slow_limit_sampler,
 )
-from branching_ou.model import ModelParams
+from branching_ou.model import MAX_ARITY, ArityCapError, ModelParams
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
 from branching_ou.simulator import Caps
 
@@ -45,7 +45,7 @@ class TestDiagrams:
         assert len(enumerate_diagrams(4)) == 10
 
     def test_involution_recurrence(self):
-        for n in range(8 + 1):
+        for n in range(MAX_ARITY + 1):
             got = len(enumerate_diagrams(n))
             assert got == involution_number(n)
             assert got == len(set(enumerate_diagrams(n)))
@@ -58,8 +58,8 @@ class TestDiagrams:
             assert list(d) == sorted(d)
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_diagrams(9)
+        with pytest.raises(ArityCapError):
+            enumerate_diagrams(7)
 
 
 class TestSigmaSlow:

@@ -10,7 +10,6 @@ from branching_ou.model import (
     classify,
     derive,
     extinction_by,
-    w_moments,
 )
 
 from helpers import extinction_ode, phi_quad
@@ -21,10 +20,9 @@ def test_derive_growth_rate():
     assert c.growth_rate == pytest.approx(0.5, abs=1e-15)
 
 
-def test_derive_extinction_and_limit_rate():
+def test_derive_extinction_prob():
     c = derive(ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0))
     assert c.extinction_prob == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert c.limit_exp_rate == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_stationary_var_matches_numerical_integration():
@@ -51,19 +49,6 @@ def test_classify_tolerance_band():
     params = ModelParams(lam=1.0, p=0.75, mu=0.25 * (1 + 1e-14), sigma=1.0)
     assert classify(params).is_critical
     assert classify(params, tol=1e-16).is_slow
-
-
-def test_w_moments():
-    c = derive(ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0))
-    w_mean, v_var = w_moments(c)
-    assert w_mean == pytest.approx(1.5, abs=1e-12)
-    assert v_var == pytest.approx(2.0, abs=1e-12)
-
-
-def test_w_moments_deterministic_branching_limit():
-    c = derive(ModelParams(lam=1.0, p=1.0 - 1e-9, mu=1.0, sigma=1.0))
-    w_mean, _ = w_moments(c)
-    assert w_mean == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pure_birth_admitted():

@@ -48,10 +48,6 @@ class TestTransitionSampler:
         # dt = ln 2 from x = 4: mean 2, per-coordinate variance 0.375
         rng = np.random.default_rng(7)
         dt = math.log(2.0)
-        draws = np.array([
-            ou_transition_sample(np.array([4.0]), dt, PARAMS, rng)[0]
-            for _ in range(0)
-        ])
         x = np.full((100_000, 1), 4.0)
         draws = ou_transition_sample(x, dt, PARAMS, rng)[:, 0]
         mean_se = draws.std(ddof=1) / math.sqrt(len(draws))

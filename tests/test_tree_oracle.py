@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,11 +9,17 @@ from scipy import integrate
 
 from branching_ou.harness import ExperimentConfig, run_oracle_crosscheck
 from branching_ou.kernels import Factor, Kernel
-from branching_ou.model import ModelParams, derive
+from branching_ou import tree_oracle
+from branching_ou.model import (
+    MAX_ARITY,
+    ArityCapError,
+    BudgetExceededError,
+    ModelParams,
+    derive,
+)
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
 from branching_ou.tree_oracle import (
     OracleKernelError,
-    TreeCapError,
     enumerate_trees,
     exact_mixed_moment,
     gaussian_position_moments,
@@ -52,12 +59,12 @@ class TestEnumeration:
         assert len(enumerate_trees(3)) == 7
 
     def test_cross_enumeration_count(self):
-        for n in (1, 2, 3, 4):
-            assert len(enumerate_trees(n, cap=4)) == independent_tree_count(n)
+        for n in range(1, MAX_ARITY + 1):
+            assert len(enumerate_trees(n)) == independent_tree_count(n)
 
     def test_cap(self):
-        with pytest.raises(TreeCapError):
-            enumerate_trees(5)
+        with pytest.raises(ArityCapError):
+            enumerate_trees(7)
 
     def test_structural_invariants(self):
         for tree in enumerate_trees(3):
@@ -77,7 +84,8 @@ class TestEnumeration:
 
     def test_single_tree_for_n1(self):
         (tree,) = enumerate_trees(1)
-        assert tree.kinds == ("root", "leaf")
+        assert tree.parent == (-1, 0)
+        assert (tree.inner_nodes, tree.leaves) == ((), (1,))
         assert tree.leaf_labels == ((1, (1,)),)
         assert tree.multiplicity == 1
 
@@ -229,6 +237,18 @@ class TestExactMixedMoment:
         want = mixed_moment_forward(t, params, factors)
         assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
+    @pytest.mark.parametrize("factors, t", [
+        ([[CUBE], [MIXED], [LIN], [LIN], [SQ]], 2.0),
+        ([[LIN], [LIN], [SQ], [LIN], [[1.0, 1.0]], [LIN]], 0.5),
+    ], ids=["n5-cubic-mixed", "n6-mixed-degrees"])
+    def test_top_arities_against_forward_equations(self, factors, t):
+        # resonant case, g = 2 mu
+        params = ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.2, x0=(-0.4,))
+        fs = [Factor.from_polys(f) for f in factors]
+        got = exact_mixed_moment(len(fs), t, params, fs)
+        want = mixed_moment_forward(t, params, factors)
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+
     def test_normalized_second_moment_stays_bounded(self):
         # canonical tensor square in the slow regime: the exponentially
         # normalized moment approaches a finite limit instead of growing
@@ -259,6 +279,24 @@ class TestExactMixedMoment:
         params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(0.0,))
         got = exact_mixed_moment(4, t, params, [FUNC_X] * 4) * math.exp(-t)
         assert got == pytest.approx(9.0, rel=1e-10)
+
+    def test_slow_sixth_moment_long_horizon(self):
+        # as above, e^{-3gt} E<X_t, x>^6 -> 15 E W^3 = 202.5: W is 0 with
+        # probability 1/3 and otherwise exponential with mean 3/2, so
+        # E W^3 = (2/3) 3! (3/2)^3 = 13.5
+        params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(0.0,))
+        got = exact_mixed_moment(6, 40.0, params, [FUNC_X] * 6) * math.exp(-60.0)
+        assert got == pytest.approx(202.5, rel=1e-8)
+
+    def test_fast_second_moment_long_horizon(self):
+        # g = 1/2 > 2 mu = 1/5, s^2 = 5, x0 = 0: in the hand formula of
+        # helpers.second_moment_linear the pair integral dominates, and
+        # e^{-2(g - mu)t} E<X_t, x>^2 -> 2 p lam s^2 (1/(g - 2 mu) - 1/g) = 10;
+        # the remainder at t = 80 is of order e^{-24}
+        params = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0, x0=(0.0,))
+        got = exact_mixed_moment(2, 80.0, params, [FUNC_X, FUNC_X]) * \
+            math.exp(-0.8 * 80.0)
+        assert got == pytest.approx(10.0, rel=1e-9)
 
     @pytest.mark.parametrize("t", [80.0, 120.0])
     def test_critical_second_moment_long_horizon(self, t):
@@ -323,8 +361,28 @@ class TestExactMixedMoment:
     def test_arity_checks(self):
         with pytest.raises(ValueError):
             exact_mixed_moment(2, 1.0, SLOW, [FUNC_X])
-        with pytest.raises(TreeCapError):
-            exact_mixed_moment(5, 1.0, SLOW, [FUNC_X] * 5)
+        with pytest.raises(ArityCapError):
+            exact_mixed_moment(7, 1.0, SLOW, [FUNC_X] * 7)
+
+    def test_budget_refuses_before_integrating(self, monkeypatch):
+        # six distinct cubics: 3,797 trees x 4^6 monomial combinations x
+        # 10^5 coefficient entries, which would run for minutes
+        def no_tree(*args):
+            raise AssertionError("a tree was integrated")
+
+        monkeypatch.setattr(tree_oracle, "tree_contribution", no_tree)
+        cubics = [Func1D.polynomial([0.1 * i, -1.0, 0.5, 1.0]) for i in range(6)]
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            exact_mixed_moment(6, 10.0, SLOW, cubics)
+        assert time.perf_counter() - start < 1.0
+
+    def test_shape_memo_is_read_only(self):
+        tree = max(enumerate_trees(3), key=lambda tree: len(tree.inner_nodes))
+        moment = tree_oracle._isserlis(tree.parent, 1.0, SLOW, 2)
+        assert moment is tree_oracle._isserlis(tree.parent, 1.0, SLOW, 2)
+        for counts in ((0, 0, 0), (2, 1, 1)):
+            assert not moment(counts).flags.writeable
 
 
 class TestPolynomialKernelCrossCheck:
