@@ -17,13 +17,12 @@ from .simulator import (
     AllExtinctError,
     Caps,
     FarmLevel,
-    ParticleSnapshot,
     ResourceCapError,
     condition_on_survival,
     simulate,
     simulate_farm,
 )
-from .ustats import build_expansion, u_statistic, u_statistics, v_statistic, v_statistics
+from .ustats import u_statistic, u_statistics, v_statistic, v_statistics
 
 __all__ = [
     "AllExtinctError",
@@ -35,12 +34,10 @@ __all__ = [
     "InvalidParameterError",
     "Kernel",
     "ModelParams",
-    "ParticleSnapshot",
     "QuadratureRule",
     "Regime",
     "RegimeTag",
     "ResourceCapError",
-    "build_expansion",
     "classify",
     "condition_on_survival",
     "derive",

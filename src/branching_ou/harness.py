@@ -95,6 +95,13 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(_float(v) for v in values)
 
 
+def _slots(slots) -> list:
+    """Kernel slots, each a list of per-coordinate coefficient vectors."""
+    if not isinstance(slots, list):
+        raise ConfigError(f"expected a list of slots, got {slots!r}")
+    return [[_floats(vector) for vector in slot] for slot in slots]
+
+
 def _terms(terms) -> list[dict]:
     return [_read(term, _TERM, "kernel term") for term in terms]
 
@@ -126,7 +133,7 @@ _CONFIG = {
 }
 _KERNEL = {"arity": ("arity", _int), "dim": ("dim", _int),
            "symmetric": ("symmetric", _bool), "terms": ("terms", _terms)}
-_TERM = {"coef": ("coef", _float), "slots": ("slots", list)}
+_TERM = {"coef": ("coef", _float), "slots": ("slots", _slots)}
 
 
 def _read(raw: dict, table: dict, where: str) -> dict:
@@ -194,10 +201,17 @@ class ExperimentConfig:
             raise ConfigError("t_grid must be increasing")
         if self.t_grid[0] < 0:
             raise ConfigError("grid times must be nonnegative")
-        if self.replicas < 1:
-            raise ConfigError("replicas must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
+        for name in ("replicas", "batch_size", "threads", "g1_replicas",
+                     "limit_draws", "fast_limit_draws"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be positive")
+        if not 0.0 <= self.g1_t < self.g1_t_max:
+            raise ConfigError("g1 needs 0 <= t < t_max")
+        if self.se_mult <= 0.0:
+            raise ConfigError("se_mult must be positive")
+        if not 0.0 < self.ks_level < 1.0:
+            raise ConfigError("ks_level must lie in (0, 1)")
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -480,6 +494,9 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
         h_vals = math.exp((params.mu - consts.growth_rate) * alive.t) * \
             alive.segment_sum(alive.positions)
         ref = h_polynomial_value(f, h_vals, params)
+        if not np.any(ref):
+            raise ConfigError("the fast-regime limit polynomial of the kernel "
+                              "vanishes on every survivor")
         corr = float(np.corrcoef(stat, ref)[0, 1])
         checks.append(CheckResult(
             name="fast_same_trajectory_correlation",
@@ -497,8 +514,11 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
             f, params, rng, size=n_fast, t_approx=config.fast_t_approx,
             caps=config.caps,
         )
+        # the statistic is taken on survivors, and the limit law on survival
+        # is that of the nonzero draws: an extinct trajectory gives exactly 0
+        draws = draws[draws != 0.0]
         checks.append(_ks_check("clt_two_sample_ks", sstats.ks_2samp(stat[:n_fast], draws),
-                                config.ks_level, draws=int(n_fast)))
+                                config.ks_level, draws=int(draws.size)))
     else:
         n_draws = config.limit_draws or len(stat)
         sampler = slow_limit_sampler if regime.is_slow else critical_limit_sampler

@@ -36,6 +36,9 @@ class ConstantKernelError(ValueError):
 BLACKBOX_BUDGET = 1e8
 # Index tuples per batched black-box call.
 _CHUNK = 1 << 16
+# A slot average or projection no larger than this in absolute value at
+# every test point counts as vanishing.
+NULL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +270,13 @@ def reconstruct_from_table(table: dict, args: Sequence[np.ndarray]) -> np.ndarra
     return out
 
 
-def _test_points(f: Kernel, arity: int, params: ModelParams,
-                 rule: QuadratureRule, max_points: int = 256):
-    """Deterministic evaluation points drawn from the quadrature nodes."""
+def _test_points(f: Kernel, arity: int, params: ModelParams, rule: QuadratureRule):
+    """At most 256 deterministic evaluation points drawn from the quadrature
+    nodes."""
     stride = max(1, len(rule.nodes) // 8)
     base = rule.nodes[::stride]
     rng = np.random.default_rng(0)
-    n_pts = min(max_points, len(base) ** (arity * f.dim))
+    n_pts = min(256, len(base) ** (arity * f.dim))
     pts = rng.choice(base, size=(n_pts, arity, f.dim))
     pts[0] = 0.0
     pts[-1] = base[-1]
@@ -281,10 +284,7 @@ def _test_points(f: Kernel, arity: int, params: ModelParams,
 
 
 def is_canonical(
-    f: Kernel,
-    params: ModelParams,
-    rule: QuadratureRule | None = None,
-    tol: float = 1e-9,
+    f: Kernel, params: ModelParams, rule: QuadratureRule | None = None
 ) -> bool:
     """True iff averaging any single slot against the stationary law kills
     the kernel, checked on a deterministic grid of quadrature nodes."""
@@ -292,12 +292,12 @@ def is_canonical(
     for k in range(1, f.arity + 1):
         avg = _slot_average(f, k, params, rule)
         if f.arity == 1:
-            if abs(avg) > tol:
+            if abs(avg) > NULL_TOL:
                 return False
             continue
         pts = _test_points(f, f.arity - 1, params, rule)
         vals = avg.evaluate([pts[:, j, :] for j in range(f.arity - 1)])
-        if np.max(np.abs(vals)) > tol:
+        if np.max(np.abs(vals)) > NULL_TOL:
             return False
     return True
 
@@ -320,10 +320,7 @@ def _slot_average(f: Kernel, k: int, params: ModelParams, rule: QuadratureRule):
 
 
 def degeneracy_order(
-    f: Kernel,
-    params: ModelParams,
-    rule: QuadratureRule | None = None,
-    tol: float = 1e-9,
+    f: Kernel, params: ModelParams, rule: QuadratureRule | None = None
 ) -> tuple[int, Kernel]:
     """Smallest k with a non-vanishing order-k projection, as (k - 1, proj).
 
@@ -341,7 +338,7 @@ def degeneracy_order(
                 else _blackbox_projection(f, I, total, params, rule))
         pts = _test_points(f, k, params, rule)
         vals = proj.evaluate([pts[:, j, :] for j in range(k)])
-        if np.max(np.abs(vals)) > tol:
+        if np.max(np.abs(vals)) > NULL_TOL:
             return k - 1, proj
     raise ConstantKernelError("kernel is constant up to stationary-null terms")
 

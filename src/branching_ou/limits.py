@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .kernels import Factor, Kernel, is_canonical
+from .kernels import NULL_TOL, Factor, Kernel, is_canonical
 from .model import ModelParams, classify, derive
-from .ou import QuadratureRule, default_rule, stationary_std
+from .ou import stationary_std
 from .simulator import Caps, simulate
 from .ustats import Partition, partition_coefficients, set_partitions
 
@@ -55,8 +55,6 @@ class NonPolynomialError(ValueError):
 # A covariance eigenvalue below -PSD_CLIP times the largest is refused as
 # not positive semidefinite; smaller negative ones are rounding, set to 0.
 PSD_CLIP = 1e-10
-# Extinct trajectories a conditioned fast-sampler draw discards at most.
-MAX_SURVIVAL_ATTEMPTS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +201,6 @@ def slow_limit_sampler(
     params: ModelParams,
     rng: np.random.Generator,
     size: int = 1,
-    rule: QuadratureRule | None = None,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Draws of the slow-regime limit law of a canonical polynomial
     tensor-sum kernel: the signed diagram sum with stationary pair
@@ -216,8 +212,7 @@ def slow_limit_sampler(
     if not regime.is_slow:
         raise RegimeError("slow sampler needs growth < 2 mu")
     _require_tensor_sum(f)
-    rule = rule or default_rule(params)
-    if not is_canonical(f, params, rule, tol):
+    if not is_canonical(f, params):
         raise CenteringError("slow-regime limit is defined for canonical kernels")
     n = f.arity
     funcs = [s for _, slots in f.terms for s in slots]
@@ -249,7 +244,6 @@ def critical_limit_sampler(
     params: ModelParams,
     rng: np.random.Generator,
     size: int = 1,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Draws of the critical-regime limit law: products over slots of a
     Gaussian family with gradient-pairing covariance."""
@@ -261,7 +255,7 @@ def critical_limit_sampler(
     vectors = []
     for coef, slots in f.terms:
         for s in slots:
-            if abs(s.phi_mean(params)) > tol:
+            if abs(s.phi_mean(params)) > NULL_TOL:
                 raise CenteringError(
                     "critical-regime tensorization needs stationary-centered factors"
                 )
@@ -314,12 +308,12 @@ def fast_limit_sampler(
     rng: np.random.Generator,
     size: int = 1,
     t_approx: float | None = None,
-    condition_on_survival: bool = False,
     caps: Caps = Caps(),
 ) -> np.ndarray:
     """Draws of the fast-regime limit law: the limit polynomial evaluated
     at the position-sum martingale sampled at a long horizon from fresh
-    simulator trajectories, one at a time."""
+    simulator trajectories, one at a time.  An extinct trajectory gives
+    exactly 0, so the nonzero draws follow the law on survival."""
     regime = classify(params)
     if not regime.is_fast:
         raise RegimeError("fast sampler needs growth > 2 mu")
@@ -329,12 +323,7 @@ def fast_limit_sampler(
         t_approx = default_fast_horizon(params, caps)
     h = np.empty((size, params.dim))
     for i in range(size):
-        for _ in range(MAX_SURVIVAL_ATTEMPTS):
-            snap = simulate(params, t_approx, rng, caps)
-            if not condition_on_survival or snap.count > 0:
-                break
-        else:
-            raise RuntimeError("survival conditioning failed repeatedly")
+        snap = simulate(params, t_approx, rng, caps)
         h[i] = math.exp((params.mu - consts.growth_rate) * snap.t) * \
             snap.positions.sum(axis=0)
     return h_polynomial_value(f, h, params)

@@ -18,6 +18,10 @@ from enum import Enum
 # merges Bell(6) = 203 kernels, and the exact-moment oracle sums 3,797
 # split trees, at this arity.
 MAX_ARITY = 6
+# Relative tolerance within which the growth rate equals 2 mu, so that
+# critical cases constructed analytically (mu = growth_rate / 2) do not
+# fall into a neighbouring regime by rounding.
+CRITICAL_RTOL = 1e-12
 
 
 class InvalidParameterError(ValueError):
@@ -85,13 +89,10 @@ class DerivedConstants:
     growth_rate      exponential growth rate of the expected population,
                      (2p - 1) * lam
     extinction_prob  probability of eventual extinction, (1 - p) / p
-    stationary_var   per-coordinate variance of the OU stationary law,
-                     sigma^2 / (2 mu)
     """
 
     growth_rate: float
     extinction_prob: float
-    stationary_var: float
 
 
 @dataclass(frozen=True)
@@ -121,20 +122,15 @@ def derive(params: ModelParams) -> DerivedConstants:
     return DerivedConstants(
         growth_rate=two_p_minus_1 * params.lam,
         extinction_prob=(1.0 - params.p) / params.p,
-        stationary_var=params.sigma**2 / (2.0 * params.mu),
     )
 
 
-def classify(params: ModelParams, tol: float = 1e-12) -> Regime:
-    """Classify the regime by comparing the growth rate with ``2 mu``.
-
-    Equality is tested with relative tolerance ``tol`` so that critical
-    cases constructed analytically (mu = growth_rate / 2) do not fall into
-    a neighbouring regime by rounding.
-    """
+def classify(params: ModelParams) -> Regime:
+    """Classify the regime by comparing the growth rate with ``2 mu``, equal
+    within the relative tolerance ``CRITICAL_RTOL``."""
     growth = derive(params).growth_rate
     twice_mu = 2.0 * params.mu
-    if abs(growth - twice_mu) <= tol * max(growth, twice_mu):
+    if abs(growth - twice_mu) <= CRITICAL_RTOL * max(growth, twice_mu):
         tag = RegimeTag.CRITICAL
     elif growth < twice_mu:
         tag = RegimeTag.SLOW

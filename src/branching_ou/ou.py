@@ -205,15 +205,12 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @staticmethod
-    def for_invariant(params: ModelParams, n_nodes: int = 64) -> "QuadratureRule":
-        x, w = np.polynomial.hermite.hermgauss(n_nodes)
-        scale = math.sqrt(2.0) * stationary_std(params)
-        return QuadratureRule(nodes=x * scale, weights=w / math.sqrt(math.pi))
-
 
 def default_rule(params: ModelParams, n_nodes: int = 64) -> QuadratureRule:
-    return QuadratureRule.for_invariant(params, n_nodes)
+    """The ``n_nodes``-point rule for the stationary law of ``params``."""
+    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    scale = math.sqrt(2.0) * stationary_std(params)
+    return QuadratureRule(nodes=x * scale, weights=w / math.sqrt(math.pi))
 
 
 # ---------------------------------------------------------------------------

@@ -57,40 +57,36 @@ class Caps:
     max_generations: int = 100_000
 
 
-@dataclass(frozen=True)
-class ParticleSnapshot:
-    """All alive-particle positions at one time; count 0 means extinct."""
-
-    t: float
-    positions: np.ndarray  # (count, dim)
-
-    @property
-    def count(self) -> int:
-        return self.positions.shape[0]
-
-
 class FarmLevel:
     """Every replica at one grid time, kept flat: ``positions`` holds all
     particles sorted by replica (in simulation order within a replica),
-    replica ``i`` owning rows ``offsets[i]:offsets[i + 1]``.  Indexing and
-    iterating give read-only ``ParticleSnapshot`` views; per-replica
+    replica ``i`` owning rows ``offsets[i]:offsets[i + 1]``.  Without
+    ``counts`` the level is one replica holding every row: a snapshot.
+    Indexing and iterating give read-only one-replica views; per-replica
     statistics come from ``segment_sum`` without a loop over replicas."""
 
-    def __init__(self, t: float, positions: np.ndarray, counts: np.ndarray):
+    def __init__(self, t: float, positions: np.ndarray,
+                 counts: np.ndarray | None = None):
         positions = positions.view()
         positions.flags.writeable = False
+        if counts is None:
+            counts = np.array([positions.shape[0]], dtype=np.int64)
         self.t = t
         self.positions = positions              # (counts.sum(), dim)
         self.counts = counts                    # (replicas,) int64
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
 
+    @property
+    def count(self) -> int:
+        """Particles in the level, over all its replicas; 0 means extinct."""
+        return self.positions.shape[0]
+
     def __len__(self) -> int:
         return self.counts.shape[0]
 
-    def __getitem__(self, i: int) -> ParticleSnapshot:
+    def __getitem__(self, i: int) -> "FarmLevel":
         i = range(len(self))[i]
-        return ParticleSnapshot(
-            t=self.t, positions=self.positions[self.offsets[i]:self.offsets[i + 1]])
+        return FarmLevel(self.t, self.positions[self.offsets[i]:self.offsets[i + 1]])
 
     def __iter__(self):
         for i in range(len(self)):
@@ -113,6 +109,11 @@ class FarmLevel:
         rows = np.repeat(mask, self.counts)
         positions = self.positions if rows.all() else self.positions[rows]
         return FarmLevel(self.t, positions, self.counts[mask])
+
+
+# Another name for a one-replica level, kept while ``benchmarks/workloads.py``
+# builds its snapshots by it.
+ParticleSnapshot = FarmLevel
 
 
 def _draw_lifetimes(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
@@ -280,13 +281,13 @@ def simulate(
     t_end: float,
     rng_or_seed,
     caps: Caps = Caps(),
-) -> ParticleSnapshot:
+) -> FarmLevel:
     """One replica observed at ``t_end`` (exact in distribution)."""
     if not 0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
     rng = _as_rng(rng_or_seed)
-    ((positions, _),) = _run_batch(params, np.array([float(t_end)]), 1, rng, caps)
-    return ParticleSnapshot(t=float(t_end), positions=positions)
+    ((positions, counts),) = _run_batch(params, np.array([float(t_end)]), 1, rng, caps)
+    return FarmLevel(float(t_end), positions, counts)
 
 
 def _as_rng(rng_or_seed) -> np.random.Generator:

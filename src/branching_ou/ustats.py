@@ -24,7 +24,7 @@ from .model import (
     DerivedConstants,
     Regime,
 )
-from .simulator import FarmLevel, ParticleSnapshot
+from .simulator import FarmLevel
 
 
 Partition = tuple[tuple[int, ...], ...]
@@ -65,22 +65,14 @@ def partition_coefficients(n: int) -> dict[Partition, int]:
             for J in set_partitions(n)}
 
 
-def build_expansion(n: int) -> list[tuple[Partition, int]]:
-    """The sorted (J, a_J) pairs of the U-from-V expansion at arity ``n``."""
-    return sorted(partition_coefficients(n).items())
-
-
 # ---------------------------------------------------------------------------
 # statistics
 #
 # The statistics are computed for every replica of a ``FarmLevel`` at once;
-# a single snapshot is the one-replica case.  A tensor-sum kernel's
-# V-statistic is a product of per-slot particle sums, taken for all
-# replicas by one segment-sum pass per distinct slot function.
-
-
-def _one_replica(snap: ParticleSnapshot) -> FarmLevel:
-    return FarmLevel(snap.t, snap.positions, np.array([snap.count], dtype=np.int64))
+# a snapshot is a one-replica level, and the per-snapshot functions unpack
+# its one value, so a level of several replicas is refused.  A tensor-sum
+# kernel's V-statistic is a product of per-slot particle sums, taken for
+# all replicas by one segment-sum pass per distinct slot function.
 
 
 def _blackbox_v(positions: np.ndarray, f: Kernel) -> float:
@@ -128,21 +120,20 @@ def u_statistics(level: FarmLevel, f: Kernel) -> np.ndarray:
     fewer particles than the arity give 0."""
     slot_sums: dict = {}
     total = np.zeros(len(level))
-    for J, a in build_expansion(f.arity):
+    for J, a in partition_coefficients(f.arity).items():
         total += a * _v(level, substitute_partition(f, J), slot_sums)
     total[level.counts < f.arity] = 0.0
     return total
 
 
-def v_statistic(snap: ParticleSnapshot, f: Kernel) -> float:
+def v_statistic(snap: FarmLevel, f: Kernel) -> float:
     """Sum of the kernel over all index tuples (with repetition)."""
-    if snap.count == 0:
-        return 0.0
-    return float(v_statistics(_one_replica(snap), f)[0])
+    (value,) = v_statistics(snap, f)
+    return float(value)
 
 
 def u_statistic(
-    snap: ParticleSnapshot,
+    snap: FarmLevel,
     f: Kernel,
     strategy: str = "inclusion-exclusion",
 ) -> float:
@@ -152,27 +143,28 @@ def u_statistic(
     "inclusion-exclusion" (partition expansion over merged V-statistics);
     the two agree as integer-weighted sums of the same kernel evaluations.
     """
-    m = snap.count
+    if strategy == "inclusion-exclusion":
+        (value,) = u_statistics(snap, f)
+        return float(value)
+    if strategy != "naive":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    (m,) = snap.counts
     n = f.arity
     if m < n:
         return 0.0
-    if strategy == "naive":
-        n_tuples = math.perm(m, n)
-        if n_tuples > BLACKBOX_BUDGET:
-            raise BudgetExceededError(
-                f"{n_tuples} naive evaluations exceed the budget {BLACKBOX_BUDGET:g}"
-            )
-        total = 0.0
-        for idx in index_chunks((m,) * n):
-            injective = np.ones(idx[0].shape[0], dtype=bool)
-            for a, b in itertools.combinations(idx, 2):
-                injective &= a != b
-            vals = f.evaluate([snap.positions[i[injective]] for i in idx])
-            total += float(vals.sum())
-        return total
-    if strategy == "inclusion-exclusion":
-        return float(u_statistics(_one_replica(snap), f)[0])
-    raise ValueError(f"unknown strategy {strategy!r}")
+    n_tuples = math.perm(m, n)
+    if n_tuples > BLACKBOX_BUDGET:
+        raise BudgetExceededError(
+            f"{n_tuples} naive evaluations exceed the budget {BLACKBOX_BUDGET:g}"
+        )
+    total = 0.0
+    for idx in index_chunks((m,) * n):
+        injective = np.ones(idx[0].shape[0], dtype=bool)
+        for a, b in itertools.combinations(idx, 2):
+            injective &= a != b
+        vals = f.evaluate([snap.positions[i[injective]] for i in idx])
+        total += float(vals.sum())
+    return total
 
 
 def falling_factorial(m: int, n: int) -> int:
@@ -204,12 +196,12 @@ def normalized_u_statistics(
 
 
 def normalized_u_statistic(
-    snap: ParticleSnapshot,
+    snap: FarmLevel,
     f_centered: Kernel,
     order_k: int,
     regime: Regime,
     consts: DerivedConstants,
 ) -> float:
     """The one-replica case of ``normalized_u_statistics``."""
-    return float(normalized_u_statistics(_one_replica(snap), f_centered, order_k,
-                                         regime, consts)[0])
+    (value,) = normalized_u_statistics(snap, f_centered, order_k, regime, consts)
+    return float(value)

@@ -1,14 +1,19 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from branching_ou import harness
 from branching_ou.cli import main as cli_main
 from branching_ou.harness import (
+    RUNNERS,
     CheckResult,
     ConfigError,
     ExperimentConfig,
@@ -22,6 +27,7 @@ from branching_ou.harness import (
     run_variance,
     run_w_law,
 )
+from branching_ou.limits import fast_limit_sampler
 from branching_ou.model import ModelParams
 from branching_ou.simulator import simulate_farm
 
@@ -37,6 +43,9 @@ BASE = {
                "terms": [{"coef": 1.0, "slots": [[[0.0, 1.0]]]}]},
     "g1": {"replicas": 300, "t": 4.0, "t_max": 10.0},
 }
+
+MINIMAL = {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
+           "t_grid": [1.0]}
 
 KERNEL_XX = {"arity": 2, "dim": 1, "symmetric": True,
              "terms": [{"coef": 1.0, "slots": [[[0.0, 1.0]], [[0.0, 1.0]]]}]}
@@ -116,6 +125,21 @@ class TestConfig:
              "t_grid": [float("nan")]},
             {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
              "t_grid": [float("inf")]},
+            # every count is at least 1, the g1 times are ordered and the
+            # tolerances lie in range
+            {**MINIMAL, "replicas": 0},
+            {**MINIMAL, "threads": 0},
+            {**MINIMAL, "limit_draws": -3},
+            {**MINIMAL, "limit_draws": 0},
+            {**MINIMAL, "fast_limit_draws": 0},
+            {**MINIMAL, "g1": {"replicas": 0}},
+            {**MINIMAL, "g1": {"t": 6.0, "t_max": 3.0}},
+            {**MINIMAL, "g1": {"t": 4.0, "t_max": 4.0}},
+            {**MINIMAL, "g1": {"t": -1.0}},
+            {**MINIMAL, "tolerances": {"ks_level": 5.0}},
+            {**MINIMAL, "tolerances": {"ks_level": 0.0}},
+            {**MINIMAL, "tolerances": {"se_mult": -1.0}},
+            {**MINIMAL, "tolerances": {"se_mult": 0.0}},
         ],
     )
     def test_bad_configs_rejected(self, bad):
@@ -254,6 +278,103 @@ class TestConfig:
         assert names == {f for f, _, _ in self.HASHED} | self.SCHEDULE_ONLY
         threads = self.overridden(("threads",), 4)
         assert threads.config_hash() == config().config_hash()
+
+
+# Values for each schema key, mostly in or near its domain (a kernel and its
+# terms are drawn from their own tables); the property test below injects
+# wrong types, non-finite numbers and unknown keys.
+NUMBER = st.floats(-2.0, 2.0)
+SCHEMA_VALUES = {
+    "lambda": st.floats(0.1, 2.0), "p": st.floats(0.51, 1.0),
+    "mu": st.floats(0.05, 2.0), "sigma": st.floats(0.1, 2.0),
+    "dim": st.just(1), "x0": st.lists(NUMBER, min_size=1, max_size=1),
+    "max_particles": st.integers(0, 10**6), "max_generations": st.integers(0, 10**4),
+    "t_grid": st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3).map(sorted),
+    "replicas": st.integers(0, 3000), "seed": st.integers(-5, 10**6),
+    "regime": st.sampled_from([None, "slow", "critical", "fast"]),
+    "test": st.sampled_from(sorted(RUNNERS)), "batch_size": st.integers(0, 3000),
+    "threads": st.integers(0, 4), "se_mult": st.floats(-1.0, 6.0),
+    "ks_level": st.floats(-0.5, 1.5), "corr_threshold": st.floats(0.0, 1.0),
+    "indep_corr_bound": st.floats(0.0, 0.2), "t": st.floats(-1.0, 10.0),
+    "t_max": st.floats(0.0, 20.0), "limit_draws": st.none() | st.integers(-1, 500),
+    "fast_limit_draws": st.integers(-1, 500),
+    "fast_t_approx": st.none() | st.floats(1.0, 20.0),
+    "kernel": None, "arity": st.integers(1, 2), "symmetric": st.booleans(),
+    "terms": None, "coef": NUMBER,
+    "slots": st.lists(st.lists(st.lists(NUMBER, min_size=1, max_size=3),
+                               min_size=1, max_size=1), min_size=1, max_size=2),
+}
+# keys a section cannot do without
+REQUIRED = {"lambda", "p", "mu", "sigma", "t_grid", "params", "terms", "slots"}
+ODD_VALUES = [True, None, "1", float("nan"), float("inf"), -float("inf"), [], {}]
+
+
+def schema_section(table: dict):
+    """Raw JSON sections drawn key by key from one schema table."""
+    def value(key, cast):
+        if key == "kernel":
+            return schema_section(harness._KERNEL)
+        if key == "terms":
+            return st.lists(schema_section(harness._TERM), min_size=1, max_size=2)
+        return schema_section(cast) if isinstance(cast, dict) else SCHEMA_VALUES[key]
+
+    strategies = {key: value(key, cast) for key, (_, cast) in table.items()}
+    return st.fixed_dictionaries(
+        {k: v for k, v in strategies.items() if k in REQUIRED},
+        optional={k: v for k, v in strategies.items() if k not in REQUIRED})
+
+
+def schema_paths(node, path=()):
+    """The path of every value in a raw config, into nested sections and
+    lists."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from schema_paths(value, path + (key,))
+
+
+def loads_and_reads_back(raw: dict) -> bool:
+    """False when the config is refused with ``ConfigError``; otherwise
+    checks that its canonical form holds only finite numbers and reads back
+    to the same hash."""
+    try:
+        config = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return False
+    canonical = config.canonical_dict()
+    json.dumps(canonical, allow_nan=False)
+    assert ExperimentConfig.from_dict(canonical).config_hash() == config.config_hash()
+    return True
+
+
+class TestConfigProperty:
+    def test_every_schema_key_has_values(self):
+        keys = set()
+        for table in (harness._CONFIG, harness._PARAMS, harness._CAPS,
+                      harness._KERNEL, harness._TERM):
+            keys |= {k for k, (_, cast) in table.items() if not isinstance(cast, dict)}
+            keys |= {k for _, cast in table.values() if isinstance(cast, dict)
+                     for k in cast}
+        assert keys == set(SCHEMA_VALUES)
+
+    @settings(max_examples=100, deadline=None)
+    @given(schema_section(harness._CONFIG), st.integers(0, len(ODD_VALUES) - 1))
+    def test_refused_or_reads_back(self, raw, shift):
+        # the drawn config, then one copy per value with that value replaced
+        # by a wrong type or a non-finite number, and one copy per section
+        # with an unknown key added, which must be refused
+        loads_and_reads_back(raw)
+        for i, path in enumerate(schema_paths(raw)):
+            changed = json.loads(json.dumps(raw))
+            *parents, last = path
+            node = functools.reduce(operator.getitem, parents, changed)
+            if isinstance(node[last], dict):
+                node[last]["unknown"] = 1.0
+                assert not loads_and_reads_back(changed), path
+                node[last].pop("unknown")
+            node[last] = ODD_VALUES[(i + shift) % len(ODD_VALUES)]
+            loads_and_reads_back(changed)
+        assert not loads_and_reads_back(dict(raw, unknown=1.0))
 
 
 class TestEmit:
@@ -443,6 +564,38 @@ class TestRunners:
                     if c.name == "fast_same_trajectory_correlation")
         assert corr.value == pytest.approx(1.0, abs=1e-9)  # n=1: same quantity
         assert report.passed, [c for c in report.checks if not c.passed]
+
+    FAST_SMALL = dict(params=dict(BASE["params"], mu=0.1), replicas=100,
+                      t_grid=[6.0], regime="fast", fast_limit_draws=60,
+                      fast_t_approx=6.0, g1={"replicas": 100, "t": 3.0, "t_max": 6.0})
+
+    def test_run_clt_fast_ks_takes_nonzero_draws(self, monkeypatch):
+        # an extinct trajectory gives a limit draw of exactly 0; the
+        # statistic is taken on survivors, so the KS check keeps the
+        # nonzero draws (the limit law on survival) and records their number
+        sampled = []
+
+        def recording(*args, **kwargs):
+            sampled.append(fast_limit_sampler(*args, **kwargs))
+            return sampled[-1]
+
+        monkeypatch.setattr(harness, "fast_limit_sampler", recording)
+        report = run_clt(config(**self.FAST_SMALL))
+        (draws,) = sampled
+        ks = next(c for c in report.checks if c.name == "clt_two_sample_ks")
+        assert draws.size == 60 and 0 < np.count_nonzero(draws) < draws.size
+        assert ks.extra["draws"] == np.count_nonzero(draws)
+
+    def test_run_clt_fast_refuses_vanishing_limit(self, monkeypatch):
+        # x^2 - 5 has stationary mean 0 at mu = 0.1 (variance 5) and its
+        # derivative has mean 0 too, so the limit polynomial is identically
+        # 0: refused before the sampler draws anything
+        monkeypatch.setattr(harness, "fast_limit_sampler", None)
+        slot = [[-5.0, 0.0, 1.0]]
+        spec = {"arity": 2, "dim": 1, "symmetric": True,
+                "terms": [{"coef": 1.0, "slots": [slot, slot]}]}
+        with pytest.raises(ConfigError, match="vanishes"):
+            run_clt(config(**dict(self.FAST_SMALL, kernel=spec)))
 
     def test_run_clt_requires_canonical(self):
         cfg = config(kernel=KERNEL_X2Y2)

@@ -365,13 +365,6 @@ class TestFastSampler:
         assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == (
             "403554243eb4aa236fd6d10f51e7a0e1574bb25ff5743889c96b92b42264a200")
 
-    def test_conditioned_variant_runs(self):
-        f = Kernel.from_slot_funcs([FUNC_X], symmetric=True)
-        rng = np.random.default_rng(131)
-        draws = fast_limit_sampler(f, FAST, rng, size=50, t_approx=6.0,
-                                   condition_on_survival=True)
-        assert draws.shape == (50,)
-
     def test_default_horizon(self):
         t = default_fast_horizon(FAST, Caps(max_particles=10_000_000))
         assert 0 < t <= 14.0 / 0.3 + 1e-9

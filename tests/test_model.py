@@ -11,6 +11,7 @@ from branching_ou.model import (
     derive,
     extinction_by,
 )
+from branching_ou.ou import stationary_std
 
 from helpers import extinction_ode, phi_quad
 
@@ -25,12 +26,11 @@ def test_derive_extinction_prob():
     assert c.extinction_prob == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
-def test_stationary_var_matches_numerical_integration():
+def test_stationary_std_matches_numerical_integration():
     params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
-    c = derive(params)
     numeric = phi_quad(lambda x: x * x, params)
-    assert c.stationary_var == pytest.approx(0.5, abs=1e-12)
-    assert c.stationary_var == pytest.approx(numeric, abs=1e-9)
+    assert stationary_std(params) ** 2 == pytest.approx(0.5, abs=1e-12)
+    assert stationary_std(params) ** 2 == pytest.approx(numeric, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -48,7 +48,8 @@ def test_classify_examples(mu, tag):
 def test_classify_tolerance_band():
     params = ModelParams(lam=1.0, p=0.75, mu=0.25 * (1 + 1e-14), sigma=1.0)
     assert classify(params).is_critical
-    assert classify(params, tol=1e-16).is_slow
+    params = ModelParams(lam=1.0, p=0.75, mu=0.25 * (1 + 1e-10), sigma=1.0)
+    assert classify(params).is_slow
 
 
 def test_pure_birth_admitted():

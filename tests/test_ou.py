@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from branching_ou.model import ModelParams, derive
+from branching_ou.model import ModelParams
 from branching_ou.ou import (
     FUNC_ONE,
     FUNC_X,
     Func1D,
-    QuadratureRule,
     Factor,
+    default_rule,
     evolve_poly,
     gaussian_moment,
     ou_transition_sample,
@@ -23,11 +23,11 @@ PARAMS = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 
 class TestQuadrature:
     def test_weights_sum_to_one(self):
-        rule = QuadratureRule.for_invariant(PARAMS)
+        rule = default_rule(PARAMS)
         assert abs(rule.weights.sum() - 1.0) < 1e-12
 
     def test_polynomial_exactness(self):
-        rule = QuadratureRule.for_invariant(PARAMS, n_nodes=16)
+        rule = default_rule(PARAMS, n_nodes=16)
         std = stationary_std(PARAMS)
         for k in range(0, 31):
             quad = float(np.dot(rule.weights, rule.nodes**k))
@@ -38,7 +38,7 @@ class TestQuadrature:
             )
 
     def test_matches_scipy_for_nonpolynomial(self):
-        rule = QuadratureRule.for_invariant(PARAMS)
+        rule = default_rule(PARAMS)
         got = float(np.dot(rule.weights, np.cos(rule.nodes)))
         assert got == pytest.approx(phi_quad(math.cos, PARAMS), abs=1e-10)
 
@@ -147,8 +147,8 @@ class TestInvariantIntegral:
 class TestDensityGradient:
     def test_integration_by_parts(self):
         # integral of x * dphi/dx over R is -1
-        rule = QuadratureRule.for_invariant(PARAMS)
-        vals = rule.nodes * (-rule.nodes / derive(PARAMS).stationary_var)
+        rule = default_rule(PARAMS)
+        vals = rule.nodes * (-rule.nodes / stationary_std(PARAMS) ** 2)
         assert float(np.dot(rule.weights, vals)) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -201,7 +201,7 @@ def numpy_eval(coeffs, pts):
 def stationary_grid(params, dim, n_nodes=8):
     """Tensor Gauss-Hermite nodes and weights of the stationary law on
     R^dim, exact to degree 15 per coordinate."""
-    rule = QuadratureRule.for_invariant(params, n_nodes)
+    rule = default_rule(params, n_nodes)
     grids = np.meshgrid(*[rule.nodes] * dim, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     w = np.prod(np.meshgrid(*[rule.weights] * dim, indexing="ij"), axis=0).ravel()

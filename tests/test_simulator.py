@@ -10,7 +10,6 @@ from branching_ou.simulator import (
     AllExtinctError,
     Caps,
     FarmLevel,
-    ParticleSnapshot,
     ResourceCapError,
     _draw_lifetimes,
     _grid_rank,
@@ -100,7 +99,7 @@ class TestBasics:
         level = simulate_farm(SLOW, (3.0,), 50, seed=9, batch_size=20)[0]
         assert len(level) == 50 and level.counts.sum() == level.positions.shape[0]
         snaps = list(level)
-        assert all(isinstance(s, ParticleSnapshot) and s.t == 3.0 for s in snaps)
+        assert all(isinstance(s, FarmLevel) and len(s) == 1 and s.t == 3.0 for s in snaps)
         assert [s.count for s in snaps] == level.counts.tolist()
         assert np.array_equal(np.concatenate([s.positions for s in snaps]),
                               level.positions)

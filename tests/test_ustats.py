@@ -10,7 +10,6 @@ from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
 from branching_ou.simulator import FarmLevel, ParticleSnapshot
 from branching_ou.ustats import (
     BudgetExceededError,
-    build_expansion,
     normalized_u_statistic,
     normalized_u_statistics,
     partition_coefficients,
@@ -74,13 +73,13 @@ class TestPartitions:
                     want *= (-1) ** (len(b) - 1) * math.factorial(len(b) - 1)
                 assert a == want
 
-    def test_build_expansion_n1(self):
-        assert build_expansion(1) == [(((1,),), 1)]
+    def test_expansion_n1(self):
+        assert list(partition_coefficients(1).items()) == [(((1,),), 1)]
 
     def test_expansion_cap(self):
-        assert len(build_expansion(6)) == 203
+        assert len(partition_coefficients(6)) == 203
         with pytest.raises(ArityCapError):
-            build_expansion(7)
+            partition_coefficients(7)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_inversion_against_brute_force(self, n):
@@ -136,6 +135,18 @@ class TestVStatistic:
             v_statistic(
                 ParticleSnapshot(t=0.0, positions=np.zeros((3, 2))), kernel_xy()
             )
+
+    def test_level_of_several_replicas_refused(self):
+        # a snapshot is a one-replica level; a wider one is not read as its
+        # first replica
+        level = FarmLevel(1.0, np.arange(4.0).reshape(-1, 1), np.array([2, 2]))
+        for strategy in ("naive", "inclusion-exclusion"):
+            with pytest.raises(ValueError):
+                u_statistic(level, kernel_xy(), strategy)
+        with pytest.raises(ValueError):
+            v_statistic(level, kernel_xy())
+        with pytest.raises(ValueError):
+            normalized_u_statistic(level, kernel_xy(), 2, classify(PARAMS), derive(PARAMS))
 
 
 class TestUStatistic:
