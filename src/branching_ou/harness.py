@@ -79,6 +79,14 @@ def _bool(value) -> bool:
     return value
 
 
+def _test_name(value) -> str:
+    """The name of a ``RUNNERS`` test or ``simulate``."""
+    names = [*RUNNERS, "simulate"]
+    if not isinstance(value, str) or value not in names:
+        raise ConfigError(f"expected one of {', '.join(names)}, got {value!r}")
+    return value
+
+
 def _float(value) -> float:
     """A finite JSON number; a bool, a string, NaN or an infinity is not
     one."""
@@ -117,7 +125,7 @@ _CONFIG = {
     "replicas": ("replicas", _int),
     "seed": ("seed", _int),
     "regime": ("regime_expected", _or_none(lambda tag: RegimeTag(tag).value)),
-    "test": ("test", str),
+    "test": ("test", _test_name),
     "caps": ("caps", _CAPS),
     "batch_size": ("batch_size", _int),
     "threads": ("threads", _int),

@@ -18,7 +18,9 @@ of the stationary density; by Gaussian integration by parts
 
 Fast regime: the limit is a polynomial in the position-sum martingale
 limit, with coefficients given by stationary means of kernel derivatives;
-the martingale limit is approximated by its value at a long finite horizon.
+the martingale limit is approximated by its value at a long finite horizon,
+where the position sum is drawn from its exact Gaussian law given the
+genealogy.
 
 All limit laws are sampled through these finite Gaussian-polynomial
 representations, which are exact in distribution for tensor-sum kernels.
@@ -35,7 +37,10 @@ from numpy.polynomial import hermite_e
 from .kernels import NULL_TOL, Factor, Kernel, is_canonical
 from .model import ModelParams, classify, derive
 from .ou import stationary_std
-from .simulator import Caps, simulate
+from .simulator import Caps, position_sum
+# ``benchmarks/tracer.py`` binds its simulator shim to ``limits.simulate``,
+# so the name stays here although the sampler no longer calls it
+from .simulator import simulate  # noqa: F401
 from .ustats import Partition, partition_coefficients, set_partitions
 
 
@@ -311,8 +316,9 @@ def fast_limit_sampler(
     caps: Caps = Caps(),
 ) -> np.ndarray:
     """Draws of the fast-regime limit law: the limit polynomial evaluated
-    at the position-sum martingale sampled at a long horizon from fresh
-    simulator trajectories, one at a time.  An extinct trajectory gives
+    at the position-sum martingale at a long horizon, one fresh replica per
+    draw, its position sum drawn by ``simulator.position_sum`` from the
+    exact Gaussian law given its genealogy.  An extinct replica gives
     exactly 0, so the nonzero draws follow the law on survival."""
     regime = classify(params)
     if not regime.is_fast:
@@ -321,9 +327,8 @@ def fast_limit_sampler(
     consts = derive(params)
     if t_approx is None:
         t_approx = default_fast_horizon(params, caps)
+    scale = math.exp((params.mu - consts.growth_rate) * t_approx)
     h = np.empty((size, params.dim))
     for i in range(size):
-        snap = simulate(params, t_approx, rng, caps)
-        h[i] = math.exp((params.mu - consts.growth_rate) * snap.t) * \
-            snap.positions.sum(axis=0)
+        h[i] = scale * position_sum(params, t_approx, rng, caps)[1]
     return h_polynomial_value(f, h, params)

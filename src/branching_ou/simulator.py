@@ -18,6 +18,10 @@ function of the configuration, so results do not depend on scheduling or
 worker counts.  A generation draws its lifetimes, then its branching
 uniforms, then the normals of each grid time's straddlers and last those
 of the branching legs, each set in particle order.
+
+``position_sum`` draws only the genealogy of one replica and then its
+position sum at one time from the sum's exact Gaussian law given that
+genealogy; this is all the fast-regime limit sampler needs.
 """
 
 from __future__ import annotations
@@ -288,6 +292,74 @@ def simulate(
     rng = _as_rng(rng_or_seed)
     ((positions, counts),) = _run_batch(params, np.array([float(t_end)]), 1, rng, caps)
     return FarmLevel(float(t_end), positions, counts)
+
+
+def position_sum(
+    params: ModelParams,
+    t_end: float,
+    rng: np.random.Generator,
+    caps: Caps = Caps(),
+) -> tuple[int, np.ndarray]:
+    """One replica's particle count N and position sum S at ``t_end``,
+    drawn exactly in law without drawing a single position.
+
+    Given the genealogy, S is Gaussian.  Two particles alive at T =
+    ``t_end`` whose lines parted at a split time tau have position
+    covariance s^2 (exp(-2 mu (T - tau)) - exp(-2 mu T)) per coordinate,
+    s = ``stationary_std``, and each one alone has variance
+    s^2 (1 - exp(-2 mu T)).  So S has mean N x0 exp(-mu T) and
+    per-coordinate variance
+
+        s^2 [ N (1 - exp(-2 mu T))
+              + 2 exp(-2 mu T) sum over splits of n_a n_b expm1(2 mu tau) ],
+
+    with n_a, n_b the two children's numbers of descendants alive at T;
+    every term is nonnegative.  The genealogy is drawn generation by
+    generation, lifetimes then branching uniforms as ``simulate`` draws
+    them, and a backward pass gives each split its n_a and n_b.  S takes
+    one normal draw per coordinate; an extinct replica returns (0, 0)
+    exactly and draws none.  Caps raise ``ResourceCapError`` as in
+    ``simulate``.
+    """
+    if not 0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and nonnegative")
+    lam, p, mu = params.lam, params.p, params.mu
+    birth = np.zeros(1)
+    born = 1
+    # per generation: who is alive at t_end, who splits, and expm1(2 mu tau)
+    gens: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    while True:
+        if len(gens) == caps.max_generations:
+            raise ResourceCapError("generation budget exhausted", float(birth.min()))
+        death = birth + _draw_lifetimes(rng, lam, birth.size)
+        splits = rng.random(birth.size) < p
+        br = np.flatnonzero(splits & (death < t_end))
+        t_split = death[br]
+        gens.append((death > t_end, br, np.expm1(2.0 * mu * t_split)))
+        if not br.size:
+            break
+        born += 2 * br.size
+        if born > caps.max_particles:
+            raise ResourceCapError(
+                f"replica 0 exceeded max_particles={caps.max_particles}",
+                float(t_split.min()))
+        birth = np.repeat(t_split, 2)
+
+    n = np.zeros(0)  # descendants alive at t_end, per particle of a generation
+    pairs = 0.0
+    for alive, br, tilt in reversed(gens):
+        a, b = n[0::2], n[1::2]
+        n = alive.astype(float)
+        n[br] = a + b
+        pairs += float((a * b) @ tilt)
+    count = int(n[0])
+    if not count:
+        return 0, np.zeros(params.dim)
+    var = count * -math.expm1(-2.0 * mu * t_end) + \
+        2.0 * math.exp(-2.0 * mu * t_end) * pairs
+    mean = count * math.exp(-mu * t_end) * np.asarray(params.x0, dtype=float)
+    return count, mean + stationary_std(params) * math.sqrt(var) * \
+        rng.standard_normal(params.dim)
 
 
 def _as_rng(rng_or_seed) -> np.random.Generator:

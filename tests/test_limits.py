@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from branching_ou import limits, simulator
 from branching_ou.kernels import Factor, Kernel
 from branching_ou.limits import (
     CenteringError,
@@ -21,9 +22,11 @@ from branching_ou.limits import (
     slow_covariance,
     slow_limit_sampler,
 )
-from branching_ou.model import MAX_ARITY, ArityCapError, ModelParams
+from branching_ou.model import (MAX_ARITY, ArityCapError, ModelParams, derive,
+                                extinction_by)
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
-from branching_ou.simulator import Caps
+from branching_ou.simulator import Caps, ResourceCapError
+from branching_ou.tree_oracle import exact_mixed_moment
 
 from helpers import involution_number, mean_se, var_se
 
@@ -358,12 +361,61 @@ class TestFastSampler:
 
     def test_draws_pinned(self):
         # the order-one kernel returns H itself, so the digest pins every
-        # simulator trajectory the sampler draws from the one stream
+        # genealogy and position-sum draw the sampler takes from the stream
         f = Kernel.from_slot_funcs([FUNC_X], symmetric=True)
         draws = fast_limit_sampler(f, FAST, np.random.default_rng(2024), size=64,
                                    t_approx=6.0)
         assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == (
-            "403554243eb4aa236fd6d10f51e7a0e1574bb25ff5743889c96b92b42264a200")
+            "86eb72e2e4ecee403685a98d73ac475d5f5ddd129ed5f7075a7feeaeeab22baf")
+
+    @pytest.mark.parametrize("t, n", [(8.0, 4000), (2.0, 8000)])
+    def test_moments_match_oracle_at_horizon(self, t, n):
+        # the order-one kernel returns H = exp((mu - g) t) S, so E H^k is
+        # an exact oracle moment E S^k scaled to the sampler's horizon.  H^4
+        # has a heavy right tail, which skews the mean's z-score low (median
+        # about -0.7 over 60 seeds at t = 8), so its band is wider
+        params = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0, x0=(0.5,))
+        f = Kernel.from_slot_funcs([FUNC_X], symmetric=True)
+        draws = fast_limit_sampler(f, params, np.random.default_rng(131), size=n,
+                                   t_approx=t)
+        scale = math.exp((params.mu - derive(params).growth_rate) * t)
+        for k, band in ((1, 4), (2, 4), (4, 5)):
+            want = scale**k * exact_mixed_moment(k, t, params, [FUNC_X] * k)
+            m, se = mean_se(draws**k)
+            assert abs(m - want) <= band * se, (k, m, want, se)
+
+    def test_zero_draws_are_the_extinct_replicas(self):
+        # an extinct replica gives H = 0 exactly and a survivor started off
+        # the origin never does, so the zeros estimate extinction_by(t)
+        params = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0, x0=(1.0,))
+        f = Kernel.from_slot_funcs([FUNC_X], symmetric=True)
+        n, t = 2000, 4.0
+        draws = fast_limit_sampler(f, params, np.random.default_rng(137), size=n,
+                                   t_approx=t)
+        q = extinction_by(t, params)
+        assert abs(np.mean(draws == 0.0) - q) <= 4 * math.sqrt(q * (1 - q) / n)
+
+    def test_never_simulates_positions(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("positions were simulated")
+
+        for module, name in ((limits, "simulate"), (simulator, "simulate"),
+                             (simulator, "_run_batch")):
+            monkeypatch.setattr(module, name, refuse)
+        draws = fast_limit_sampler(kernel_xx(), FAST, np.random.default_rng(139),
+                                   size=20, t_approx=6.0)
+        assert draws.shape == (20,) and np.all(draws >= 0.0)
+
+    @pytest.mark.parametrize("caps, match", [
+        (Caps(max_particles=50), "max_particles=50"),
+        (Caps(max_generations=3), "generation budget"),
+    ], ids=["particles", "generations"])
+    def test_caps_raise(self, caps, match):
+        f = Kernel.from_slot_funcs([FUNC_X], symmetric=True)
+        with pytest.raises(ResourceCapError, match=match) as info:
+            fast_limit_sampler(f, FAST, np.random.default_rng(149), size=50,
+                               t_approx=30.0, caps=caps)
+        assert 0.0 <= info.value.time_reached <= 30.0
 
     def test_default_horizon(self):
         t = default_fast_horizon(FAST, Caps(max_particles=10_000_000))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from branching_ou.model import ModelParams, derive
+from branching_ou.model import ModelParams, derive, extinction_by
 from branching_ou.simulator import (
     AllExtinctError,
     Caps,
@@ -14,6 +14,7 @@ from branching_ou.simulator import (
     _draw_lifetimes,
     _grid_rank,
     condition_on_survival,
+    position_sum,
     simulate,
     simulate_farm,
 )
@@ -329,3 +330,62 @@ class TestConditioning:
         want = 1.0 - derive(SLOW).extinction_prob
         se = math.sqrt(want * (1 - want) / 6000)
         assert abs(frac - want) <= 3 * se
+
+
+class TestPositionSum:
+    """``position_sum`` draws (N, S) from the genealogy and the exact
+    Gaussian law of S given it; it must agree in law with summing the
+    positions ``simulate`` draws."""
+
+    @pytest.mark.parametrize("params, t", [
+        (FAST, 4.0),
+        (ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0, dim=2, x0=(2.0, -1.0)), 2.0),
+    ], ids=["dim1", "dim2"])
+    def test_law_matches_simulated_sum(self, params, t):
+        rng = np.random.default_rng(71)
+        n = 1500
+        new = np.array([position_sum(params, t, rng)[1] for _ in range(n)])
+        old = np.array([simulate(params, t, rng).positions.sum(axis=0)
+                        for _ in range(n)])
+        for u in np.vstack([np.eye(params.dim), np.ones(params.dim)]):
+            assert sstats.ks_2samp(new @ u, old @ u).pvalue > 0.01
+
+    def test_count_law(self):
+        # N is the population size, so its mean is exp(growth t) and the
+        # extinct fraction is extinction_by(t)
+        rng = np.random.default_rng(73)
+        t = 4.0
+        counts = np.array([position_sum(FAST, t, rng)[0] for _ in range(3000)])
+        m, se = mean_se(counts)
+        assert abs(m - math.exp(derive(FAST).growth_rate * t)) <= 4 * se
+        q = extinction_by(t, FAST)
+        assert abs(np.mean(counts == 0) - q) <= 4 * math.sqrt(q * (1 - q) / 3000)
+
+    def test_extinct_sum_is_exactly_zero(self):
+        params = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0, dim=2, x0=(-2.0, 3.0))
+        rng = np.random.default_rng(79)
+        draws = [position_sum(params, 3.0, rng) for _ in range(200)]
+        extinct = [s for count, s in draws if count == 0]
+        assert extinct
+        for s in extinct:
+            assert s.tolist() == [0.0, 0.0]
+        assert all(np.all(s != 0.0) for count, s in draws if count)
+
+    def test_time_zero_is_the_start(self):
+        params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(2.5,))
+        count, s = position_sum(params, 0.0, np.random.default_rng(1))
+        assert count == 1 and s.tolist() == [2.5]
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_bad_time_refused(self, t):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            position_sum(FAST, t, np.random.default_rng(1))
+
+    def test_caps_raise_as_in_simulate(self):
+        params = ModelParams(lam=5.0, p=1.0, mu=1.0, sigma=1.0)
+        for caps, match in ((Caps(max_particles=50), "max_particles=50"),
+                            (Caps(max_generations=3), "generation budget")):
+            for draw in (position_sum, simulate):
+                with pytest.raises(ResourceCapError, match=match) as info:
+                    draw(params, 8.0, np.random.default_rng(3), caps)
+                assert 0.0 <= info.value.time_reached <= 8.0
