@@ -297,7 +297,8 @@ SCHEMA_VALUES = {
     "t_grid": st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3).map(sorted),
     "replicas": st.integers(0, 3000), "seed": st.integers(-5, 10**6),
     "regime": st.sampled_from([None, "slow", "critical", "fast"]),
-    "test": st.sampled_from([*sorted(RUNNERS), "simulate"]), "batch_size": st.integers(0, 3000),
+    "test": st.sampled_from([*sorted(RUNNERS), "simulate"]),
+    "batch_size": st.integers(0, 3000),
     "threads": st.integers(0, 4), "se_mult": st.floats(-1.0, 6.0),
     "ks_level": st.floats(-0.5, 1.5), "corr_threshold": st.floats(0.0, 1.0),
     "indep_corr_bound": st.floats(0.0, 0.2), "t": st.floats(-1.0, 10.0),

@@ -372,8 +372,8 @@ class TestFastSampler:
     def test_moments_match_oracle_at_horizon(self, t, n):
         # the order-one kernel returns H = exp((mu - g) t) S, so E H^k is
         # an exact oracle moment E S^k scaled to the sampler's horizon.  H^4
-        # has a heavy right tail, which skews the mean's z-score low (median
-        # about -0.7 over 60 seeds at t = 8), so its band is wider
+        # has a heavy right tail, which skews the mean's z-score low (mean
+        # about -0.8 over 60 seeds at t = 8), so its band is wider
         params = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0, x0=(0.5,))
         f = Kernel.from_slot_funcs([FUNC_X], symmetric=True)
         draws = fast_limit_sampler(f, params, np.random.default_rng(131), size=n,

