@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -134,6 +135,27 @@ class TestHoeffdingReconstruction:
             got = project(bb, I, PARAMS).evaluate(args)
             want = project(ts, I, PARAMS).evaluate(args)
             assert np.allclose(got, want, atol=1e-8)
+
+
+    def test_multi_term_table_pinned(self):
+        # non-unit coefficients on three terms whose slots all have nonzero
+        # means: the digest pins the order in which each projection and the
+        # total multiply a coefficient by slot means, to the last bit
+        poly = Func1D.polynomial
+        a, b = poly([0.3, 1.1, 0.7]), poly([1.3, -0.4, 0.9])
+        f = Kernel.tensor_sum([
+            (1.1, (a, b, poly([-0.2, 0.5, 1.7, 0.25]))),
+            (-0.35, (poly([0.8, 0.0, 1.3]), a, poly([1.7, 0.2]))),
+            (0.77, (poly([-0.6, 0.9, 0.0, 0.4]), poly([0.45, 0.0, 1.1]), b)),
+        ], dim=1)
+        table = hoeffding_table(f, PARAMS)
+        pts = np.random.default_rng(31).normal(0.0, 1.5, size=(16, 3, 1))
+        digest = hashlib.sha256(np.float64(table[()]).astype("<f8").tobytes())
+        for I in sorted(k for k in table if k):
+            digest.update(table[I].evaluate([pts[:, j, :] for j in range(len(I))])
+                          .astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "3e0774039ac7166e9b089b9e7b0fc3f3091d43210345151f20288af029674421")
 
 
 class TestCanonicality:

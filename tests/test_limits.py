@@ -321,6 +321,31 @@ class TestCriticalSampler:
         with pytest.raises(RegimeError):
             critical_limit_sampler(kernel_xx(), SLOW, np.random.default_rng(1))
 
+    def test_draws_pinned(self):
+        # multi-term kernels of arity 2 and 3 with non-unit coefficients, and
+        # a 2-D kernel, from one stream; the digest pins the gradient
+        # pairings, the order of the products and the Gaussian draws
+        x3 = Func1D.polynomial([0.0, 0.5, 0.0, 1.0])
+        crit2 = ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.0, dim=2,
+                            x0=(0.0, 0.0))
+        cases = [
+            (CRIT, Kernel.tensor_sum([(1.0, (FUNC_X, FUNC_X)),
+                                      (-0.7, (FUNC_X, x3)),
+                                      (2.5, (x3, FUNC_X))], dim=1)),
+            (CRIT, Kernel.tensor_sum([(0.3, (x3, FUNC_X, x3)),
+                                      (-1.9, (FUNC_X, FUNC_X, FUNC_X))], dim=1)),
+            (crit2, Kernel.tensor_sum([(1.3, (Factor([[0.0, 1.0], [0.7, 0.0]]),
+                                              Factor([[0.0, -0.4], [1.1, 0.0]])))],
+                                      dim=2)),
+        ]
+        rng = np.random.default_rng(2025)
+        digest = hashlib.sha256()
+        for params, f in cases:
+            digest.update(critical_limit_sampler(f, params, rng, size=64)
+                          .astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "982227a8da8772f4dbae083bffdc65f693bd0d5e8be1e101845a8833428194d0")
+
 
 class TestFastSampler:
     def test_h_polynomial_identities(self):
