@@ -106,14 +106,21 @@ class Kernel:
                 raise KernelShapeError("argument dimension mismatch")
         if not self.is_tensor_sum:
             return np.asarray(self.evaluator(args), dtype=float)
-        m = args[0].shape[0]
-        out = np.zeros(m)
+        return self.contract(lambda i, f: f(args[i]))
+
+    def contract(self, value: Callable):
+        """The multilinear form of a tensor-sum kernel at ``value``:
+        sum_l coef_l * prod_i value(i, F_i^l), for ``value(i, F)`` the value
+        standing in for slot i's function F (an array per batch, or a
+        number).  The coefficient is multiplied first, then the slots left
+        to right."""
+        total = 0.0
         for coef, slots in self.terms:
-            prod = np.full(m, coef)
+            prod = coef
             for i, f in enumerate(slots):
-                prod *= f(args[i])
-            out += prod
-        return out
+                prod = prod * value(i, f)
+            total = total + prod
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +179,24 @@ def _blackbox_average(kernel: Kernel, slots_out: tuple[int, ...],
     return fn
 
 
-def _blackbox_total(f: Kernel, params: ModelParams, rule: QuadratureRule) -> float:
-    avg = _blackbox_average(f, tuple(range(f.arity)), params, rule)
-    return float(avg([])[0])
+def _average(f: Kernel, out: tuple[int, ...], params: ModelParams,
+             rule: QuadratureRule | None):
+    """Average the 0-based slots ``out`` (ascending) against the stationary
+    law: a kernel of the remaining slots, in their order, or the total
+    integral when none remain.  A tensor-sum term multiplies its coefficient
+    by the averaged slots' means left to right, except that the total takes
+    the product of a term's means first; ``rule`` (default
+    ``default_rule``) places a black box's averaging nodes."""
+    keep = [i for i in range(f.arity) if i not in out]
+    if f.is_tensor_sum:
+        if not keep:
+            return float(sum(coef * float(np.prod([s.phi_mean(params) for s in slots]))
+                             for coef, slots in f.terms))
+        terms = [(math.prod((slots[i].phi_mean(params) for i in out), start=coef),
+                  tuple(slots[i] for i in keep)) for coef, slots in f.terms]
+        return Kernel.tensor_sum(terms, dim=f.dim)
+    avg = _blackbox_average(f, out, params, rule or default_rule(params))
+    return Kernel.black_box(avg, arity=len(keep), dim=f.dim) if keep else float(avg([])[0])
 
 
 def project(
@@ -193,28 +215,14 @@ def project(
     I = sorted(set(I))
     if any(i < 1 or i > f.arity for i in I):
         raise KernelShapeError(f"projection slots {I} outside 1..{f.arity}")
-    if f.is_tensor_sum:
-        if not I:
-            return float(
-                sum(
-                    coef * float(np.prod([s.phi_mean(params) for s in slots]))
-                    for coef, slots in f.terms
-                )
-            )
-        new_terms = []
-        for coef, slots in f.terms:
-            c = coef
-            kept = []
-            for i, s in enumerate(slots, start=1):
-                if i in I:
-                    kept.append(s.centered(params))
-                else:
-                    c *= s.phi_mean(params)
-            new_terms.append((c, tuple(kept)))
-        return Kernel.tensor_sum(new_terms, dim=f.dim)
-    rule = rule or default_rule(params)
-    total = _blackbox_total(f, params, rule)
-    return _blackbox_projection(f, I, total, params, rule) if I else total
+    if not I:
+        return _average(f, tuple(range(f.arity)), params, rule)
+    if not f.is_tensor_sum:
+        rule = rule or default_rule(params)
+        return _blackbox_projection(f, I, project(f, [], params, rule), params, rule)
+    avg = _average(f, tuple(i for i in range(f.arity) if i + 1 not in I), params, rule)
+    return Kernel.tensor_sum([(c, tuple(s.centered(params) for s in slots))
+                              for c, slots in avg.terms], dim=f.dim)
 
 
 def _blackbox_projection(f: Kernel, I: Sequence[int], total: float,
@@ -289,8 +297,8 @@ def is_canonical(
     """True iff averaging any single slot against the stationary law kills
     the kernel, checked on a deterministic grid of quadrature nodes."""
     rule = rule or default_rule(params)
-    for k in range(1, f.arity + 1):
-        avg = _slot_average(f, k, params, rule)
+    for k in range(f.arity):
+        avg = _average(f, (k,), params, rule)
         if f.arity == 1:
             if abs(avg) > NULL_TOL:
                 return False
@@ -300,23 +308,6 @@ def is_canonical(
         if np.max(np.abs(vals)) > NULL_TOL:
             return False
     return True
-
-
-def _slot_average(f: Kernel, k: int, params: ModelParams, rule: QuadratureRule):
-    """Average slot ``k`` (1-based); result has arity - 1 (or is a float)."""
-    if f.is_tensor_sum:
-        terms = []
-        for coef, slots in f.terms:
-            c = coef * slots[k - 1].phi_mean(params)
-            kept = tuple(s for i, s in enumerate(slots, start=1) if i != k)
-            terms.append((c, kept))
-        if f.arity == 1:
-            return float(sum(c for c, _ in terms))
-        return Kernel.tensor_sum(terms, dim=f.dim)
-    if f.arity == 1:
-        return _blackbox_total(f, params, rule)
-    fn = _blackbox_average(f, (k - 1,), params, rule)
-    return Kernel.black_box(fn, arity=f.arity - 1, dim=f.dim)
 
 
 def degeneracy_order(
@@ -331,7 +322,7 @@ def degeneracy_order(
     if not f.symmetric:
         raise KernelShapeError("degeneracy order requires a symmetric kernel")
     rule = rule or default_rule(params)
-    total = None if f.is_tensor_sum else _blackbox_total(f, params, rule)
+    total = None if f.is_tensor_sum else _average(f, tuple(range(f.arity)), params, rule)
     for k in range(1, f.arity + 1):
         I = tuple(range(1, k + 1))
         proj = (project(f, I, params, rule) if f.is_tensor_sum

@@ -256,24 +256,13 @@ def critical_limit_sampler(
     if not regime.is_critical:
         raise RegimeError("critical sampler needs growth = 2 mu")
     _require_tensor_sum(f)
+    if any(abs(s.phi_mean(params)) > NULL_TOL for _, slots in f.terms for s in slots):
+        raise CenteringError(
+            "critical-regime tensorization needs stationary-centered factors"
+        )
     scale = math.sqrt(params.lam * params.p * params.sigma**2 / params.mu)
-    vectors = []
-    for coef, slots in f.terms:
-        for s in slots:
-            if abs(s.phi_mean(params)) > NULL_TOL:
-                raise CenteringError(
-                    "critical-regime tensorization needs stationary-centered factors"
-                )
-            vectors.append(-scale * gradient_phi_mean(s, params))
     g = rng.standard_normal((size, f.dim))
-    out = np.zeros(size)
-    n = f.arity
-    for l, (coef, _) in enumerate(f.terms):
-        piece = np.full(size, coef)
-        for j in range(n):
-            piece = piece * (g @ vectors[l * n + j])
-        out += piece
-    return out
+    return f.contract(lambda _, s: g @ (-scale * gradient_phi_mean(s, params)))
 
 
 def default_fast_horizon(params: ModelParams, caps: Caps = Caps()) -> float:
@@ -298,13 +287,7 @@ def h_polynomial_value(f: Kernel, h: np.ndarray, params: ModelParams) -> np.ndar
     the slot's gradient-mean vector dotted with the row."""
     _require_tensor_sum(f)
     h = np.atleast_2d(np.asarray(h, dtype=float))
-    total = np.zeros(h.shape[0])
-    for coef, slots in f.terms:
-        prod = np.full(h.shape[0], coef)
-        for s in slots:
-            prod = prod * (h @ gradient_phi_mean(s, params))
-        total += prod
-    return total
+    return f.contract(lambda _, s: h @ gradient_phi_mean(s, params))
 
 
 def fast_limit_sampler(

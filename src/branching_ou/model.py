@@ -9,6 +9,7 @@ Ornstein-Uhlenbeck diffusion with drift ``mu`` and diffusion coefficient
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -18,6 +19,19 @@ from enum import Enum
 # merges Bell(6) = 203 kernels, and the exact-moment oracle sums 3,797
 # split trees, at this arity.
 MAX_ARITY = 6
+
+
+def head_splits(labels: tuple[int, ...]):
+    """Each split of a nonempty label tuple into the block holding its first
+    label and the labels left over, as (block, rest) pairs: blocks by size,
+    then in combination order.  Set partitions and split trees both recurse
+    on the rest."""
+    head, rest = labels[0], labels[1:]
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            yield (head, *extra), tuple(i for i in rest if i not in extra)
+
+
 # Relative tolerance within which the growth rate equals 2 mu, so that
 # critical cases constructed analytically (mu = growth_rate / 2) do not
 # fall into a neighbouring regime by rounding.

@@ -238,13 +238,16 @@ def simulate_farm(
     batch order, so the output is a pure function of the arguments
     regardless of thread count.  A farm whose expected particle count
     ``n_replicas * sum_k exp(growth t_k)`` exceeds ``MAX_FARM_PARTICLES``
-    raises ``ResourceCapError`` before any draw.
+    raises ``ResourceCapError`` before any draw, and a replica count or
+    batch size below 1 raises ``ValueError``.
     """
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     if not np.all((t_grid >= 0) & np.isfinite(t_grid)):
         raise ValueError("grid times must be finite and nonnegative")
+    if n_replicas < 1 or batch_size < 1:
+        raise ValueError("n_replicas and batch_size must be at least 1")
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
         expected = n_replicas * float(np.exp(derive(params).growth_rate * t_grid).sum())
     if expected > MAX_FARM_PARTICLES:
@@ -267,8 +270,7 @@ def simulate_farm(
 
     out: list[FarmLevel] = []
     for k, g in enumerate(t_grid):
-        parts = [b[k] for b in batches] or [(np.empty((0, params.dim)),
-                                             np.zeros(0, dtype=np.int64))]
+        parts = [b[k] for b in batches]
         for b in batches:
             b[k] = None  # frees the batch's copy once the level holds it
         if len(parts) == 1:

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAX_ARITY, ArityCapError, BudgetExceededError, ModelParams, derive
+from .model import (MAX_ARITY, ArityCapError, BudgetExceededError, ModelParams, derive,
+                    head_splits)
 from .ou import Factor, stationary_std
 
 # A call whose work estimate, in coefficient-array entries, exceeds this is
@@ -69,21 +70,12 @@ class LabeledTree:
 
 
 def _structures(labels: tuple[int, ...]):
-    """All canonical subtree structures over a nonempty label tuple."""
-    out = [("leaf", labels)]
-    if len(labels) == 1:
-        return out
-    head, rest = labels[0], labels[1:]
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            left = (head, *extra)
-            right = tuple(i for i in rest if i not in extra)
-            if not right:
-                continue
-            for ls in _structures(left):
-                for rs in _structures(right):
-                    out.append(("split", ls, rs))
-    return out
+    """All canonical subtree structures over a nonempty label tuple: a leaf,
+    or a split whose left subtree holds the first label."""
+    return [("leaf", labels)] + [("split", ls, rs)
+                                 for left, right in head_splits(labels) if right
+                                 for ls in _structures(left)
+                                 for rs in _structures(right)]
 
 
 def _linearize(struct) -> LabeledTree:
@@ -332,9 +324,12 @@ def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list,
     work exceeds ``ORACLE_BUDGET`` entries, ``BudgetExceededError`` is
     raised before anything is integrated.  ``cap``, ``n_nodes`` and
     ``check`` are accepted and unused: the benchmark's tracer
-    (``benchmarks/tracer.py``) still reads them from each call."""
+    (``benchmarks/tracer.py``) still reads them from each call.  A horizon
+    ``t`` that is not finite and nonnegative raises ``ValueError``."""
     if len(f_list) != n:
         raise ValueError("need exactly n factors")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     trees = enumerate_trees(n)
     degree = sum(sum(f.coeffs.shape) - f.dim for f in f_list) // 2
     work = (len(trees) * math.prod(np.count_nonzero(f.coeffs) for f in f_list)

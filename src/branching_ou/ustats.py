@@ -23,6 +23,7 @@ from .model import (
     BudgetExceededError,
     DerivedConstants,
     Regime,
+    head_splits,
 )
 from .simulator import FarmLevel
 
@@ -40,15 +41,8 @@ def set_partitions(n: int) -> list[Partition]:
     def rec(items: tuple[int, ...]) -> list[Partition]:
         if not items:
             return [()]
-        head, rest = items[0], items[1:]
-        out = []
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                block = (head, *extra)
-                remaining = tuple(i for i in rest if i not in extra)
-                for sub in rec(remaining):
-                    out.append(tuple(sorted((block,) + sub)))
-        return out
+        return [tuple(sorted((block,) + sub))
+                for block, rest in head_splits(items) for sub in rec(rest)]
 
     return sorted(set(rec(tuple(range(1, n + 1)))))
 
@@ -96,16 +90,13 @@ def _v(level: FarmLevel, f: Kernel, slot_sums: dict) -> np.ndarray:
     if not f.is_tensor_sum:
         return np.array([_blackbox_v(s.positions, f) if s.count else 0.0
                          for s in level])
-    out = np.zeros(len(level))
-    for coef, slots in f.terms:
-        prod = coef
-        for fac in slots:
-            sums = slot_sums.get(fac)
-            if sums is None:
-                sums = slot_sums[fac] = level.segment_sum(fac(level.positions))
-            prod = prod * sums
-        out += prod
-    return out
+
+    def sums(_, fac):
+        if fac not in slot_sums:
+            slot_sums[fac] = level.segment_sum(fac(level.positions))
+        return slot_sums[fac]
+
+    return f.contract(sums)
 
 
 def v_statistics(level: FarmLevel, f: Kernel) -> np.ndarray:

@@ -10,6 +10,7 @@ from branching_ou.model import (
     classify,
     derive,
     extinction_by,
+    head_splits,
 )
 from branching_ou.ou import stationary_std
 
@@ -108,3 +109,11 @@ def test_extinction_by_matches_ode_flow():
         )
     assert extinction_by(0.0, params) == 0.0
     assert extinction_by(200.0, params) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def test_head_splits_order():
+    # the block holding the first label grows by size, then in combination
+    # order; the last split leaves nothing over
+    assert list(head_splits((1, 2, 3))) == [
+        ((1,), (2, 3)), ((1, 2), (3,)), ((1, 3), (2,)), ((1, 2, 3), ())]
+    assert list(head_splits((4,))) == [((4,), ())]

@@ -167,6 +167,12 @@ class TestBasics:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             simulate(SLOW, t, 1)
 
+    @pytest.mark.parametrize("n_replicas, batch_size", [(0, 10), (-3, 10), (10, 0),
+                                                        (10, -1)])
+    def test_bad_count_refused(self, n_replicas, batch_size):
+        with pytest.raises(ValueError, match="at least 1"):
+            simulate_farm(SLOW, (1.0,), n_replicas, seed=1, batch_size=batch_size)
+
     def test_dim2_positions(self):
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
                              x0=(1.0, -1.0))

@@ -364,6 +364,17 @@ class TestExactMixedMoment:
         with pytest.raises(ArityCapError):
             exact_mixed_moment(7, 1.0, SLOW, [FUNC_X] * 7)
 
+    @pytest.mark.parametrize("t", [-1.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bad_horizon_refused(self, n, t):
+        # a negative horizon gives the split-time generator negative
+        # entries, on which the series in ``_nonnegative_expm`` never
+        # stops at n = 2; it is refused before any tree is integrated
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            exact_mixed_moment(n, t, SLOW, [FUNC_X] * n)
+        assert time.perf_counter() - start < 1.0
+
     def test_budget_refuses_before_integrating(self, monkeypatch):
         # six distinct cubics: 3,797 trees x 4^6 monomial combinations x
         # 10^5 coefficient entries, which would run for minutes
