@@ -8,6 +8,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from .simulator import AllExtinctError, ResourceCapError, simulate_farm
 _SUBCOMMANDS = ("simulate", "lln", "clt", "wlaw", "oracle", "variance")
 
 
+@functools.cache  # built once per process: building costs far more than parsing
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="branching-ou",

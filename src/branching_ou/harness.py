@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import math
 import time
@@ -29,7 +28,8 @@ from .limits import (
     sigma_slow,
     slow_limit_sampler,
 )
-from .simulator import Caps, condition_on_survival, simulate_farm
+from .simulator import (Caps, condition_on_survival, farm_counts, simulate_farm,
+                        surviving)
 from .tree_oracle import exact_mixed_moment
 # The per-snapshot statistics stay importable from here: the benchmark's
 # tracer (benchmarks/tracer.py) patches them by these names.
@@ -365,22 +365,24 @@ def _arity1_variance(f: Kernel, params: ModelParams, regime: Regime) -> float:
     raise ConfigError("no scalar variance formula in the fast regime")
 
 
-def _v_values(level, consts) -> np.ndarray:
+def _v_values(counts: np.ndarray, t: float, consts) -> np.ndarray:
     """Per-replica normalized population size exp(-growth t) * count."""
-    return math.exp(-consts.growth_rate * level.t) * level.counts
+    return math.exp(-consts.growth_rate * t) * counts
 
 
 # ---------------------------------------------------------------------------
 # runners
 
 
-def _farm(config: ExperimentConfig, **override):
-    """The config's farm; ``override`` may replace its ``t_grid``,
-    ``n_replicas`` or ``seed``."""
+def _farm(config: ExperimentConfig, counts_only: bool = False, **override):
+    """The config's farm, or with ``counts_only`` its per-grid-time count
+    arrays drawn without OU motion; ``override`` may replace its
+    ``t_grid``, ``n_replicas`` or ``seed``."""
     args = {"t_grid": config.t_grid, "n_replicas": config.replicas,
             "seed": config.seed, **override}
-    return simulate_farm(config.params, caps=config.caps,
-                         batch_size=config.batch_size, threads=config.threads, **args)
+    simulate = farm_counts if counts_only else simulate_farm
+    return simulate(config.params, caps=config.caps,
+                    batch_size=config.batch_size, threads=config.threads, **args)
 
 
 def _require_kernel(config: ExperimentConfig) -> Kernel:
@@ -420,7 +422,9 @@ def run_lln(config: ExperimentConfig, farm=None) -> TestReport:
 
 
 def run_w_law(config: ExperimentConfig, farm=None) -> TestReport:
-    """Exponential-limit law of the normalized population size."""
+    """Exponential-limit law of the normalized population size.  The law
+    depends on the genealogy alone, so without a ``farm`` the replicas are
+    simulated without OU motion."""
     from scipy import stats as sstats  # slow to import; only the KS tests use it
 
     start = time.time()
@@ -428,16 +432,18 @@ def run_w_law(config: ExperimentConfig, farm=None) -> TestReport:
     consts = derive(config.params)
     if math.exp(-consts.growth_rate * config.t_grid[-1]) >= 0.05:
         raise ConfigError("horizon too short: exp(-growth t) must be < 0.05")
-    farm = farm if farm is not None else _farm(config)
-    level = farm[-1]
-    alive, frac = condition_on_survival(level)
-    v_all = _v_values(level, consts)
+    if farm is not None:
+        t, counts = farm[-1].t, farm[-1].counts
+    else:
+        t, counts = config.t_grid[-1], _farm(config, counts_only=True)[-1]
+    alive, frac = surviving(counts)
+    v_all = _v_values(counts, t, consts)
     w_mean = config.params.p / (2.0 * config.params.p - 1.0)
-    ks = sstats.kstest(v_all[level.counts > 0], "expon", args=(0.0, w_mean))
+    ks = sstats.kstest(v_all[alive], "expon", args=(0.0, w_mean))
     mean, se = _mean_se(v_all)
     checks = [
         _ks_check("w_law_ks_exponential", ks, config.ks_level, scale=w_mean,
-                  survivors=len(alive)),
+                  survivors=int(np.count_nonzero(alive))),
         _se_check("w_law_martingale_mean", mean, 1.0, se, config.se_mult),
     ]
     return _report("wlaw", config, frac, checks, start)
@@ -449,15 +455,19 @@ def _g1_coordinate(config: ExperimentConfig) -> CheckResult:
 
     The limit estimate plugs in the terminal-time normalized size, whose
     quantifiable bias shrinks like exp(-growth (t_max - t)); configure the
-    gap so that the bias sits well under the 5 SE tolerance.
+    gap so that the bias sits well under the 5 SE tolerance.  The
+    coordinate depends on the genealogy alone, so its replicas are
+    simulated without OU motion.
     """
     consts = derive(config.params)
-    farm = _farm(config, t_grid=(config.g1_t, config.g1_t_max),
-                 n_replicas=config.g1_replicas, seed=config.seed + 104729)
-    alive = farm[0].counts > 0
-    m_t = farm[0].counts[alive]
-    v_hat = _v_values(farm[1], consts)[alive]
-    stats_vals = (m_t - math.exp(consts.growth_rate * farm[0].t) * v_hat) / np.sqrt(m_t)
+    counts_t, counts_max = _farm(config, counts_only=True,
+                                 t_grid=(config.g1_t, config.g1_t_max),
+                                 n_replicas=config.g1_replicas,
+                                 seed=config.seed + 104729)
+    alive = counts_t > 0
+    m_t = counts_t[alive]
+    v_hat = _v_values(counts_max, config.g1_t_max, consts)[alive]
+    stats_vals = (m_t - math.exp(consts.growth_rate * config.g1_t) * v_hat) / np.sqrt(m_t)
     var, se = _var_se(stats_vals)
     return _se_check("g1_fluctuation_variance", var, 1.0 / (2.0 * config.params.p - 1.0),
                      se, 5.0, t=config.g1_t, t_max=config.g1_t_max,
@@ -551,7 +561,7 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
                                     config.ks_level))
         # in the fast regime the joint limit does not separate the size
         # limit from the U-statistic limit, so no decorrelation is claimed
-        rho = float(np.corrcoef(_v_values(alive, consts), stat)[0, 1])
+        rho = float(np.corrcoef(_v_values(alive.counts, alive.t, consts), stat)[0, 1])
         bound = max(config.indep_corr_bound, 4.0 / math.sqrt(len(stat)))
         checks.append(CheckResult(
             name="independence_corr_with_size",
@@ -670,11 +680,17 @@ def dump_snapshots(farm, out_dir) -> Path:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for level in farm:
-            replica_ids = np.repeat(np.arange(len(level)), level.counts)
-            columns = [map(str, replica_ids.tolist()),
-                       itertools.repeat(repr(level.t), replica_ids.size)]
-            columns += [map(repr, level.positions[:, c].tolist()) for c in range(dim)]
-            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+            if not level.count:
+                continue
+            # a list's repr is the repr of each float, joined by ", "
+            columns = [repr(level.positions[:, c].tolist())[1:-1].split(", ")
+                       for c in range(dim)]
+            rows = columns[0] if dim == 1 else list(map(",".join, zip(*columns)))
+            offsets, t = level.offsets.tolist(), repr(level.t)
+            for i in np.flatnonzero(level.counts).tolist():
+                prefix = f"{i},{t},"
+                fh.write(prefix + ("\n" + prefix).join(rows[offsets[i]:offsets[i + 1]])
+                         + "\n")
     return path
 
 

@@ -157,12 +157,14 @@ def extinction_by(t: float, params: ModelParams) -> float:
     """Probability that the population has died out by time ``t``.
 
     Closed-form solution of the backward flow q' = lam (p q^2 - q + 1 - p),
-    q(0) = 0; increases to ``extinction_prob`` as t grows.
+    q(0) = 0; increases to ``extinction_prob`` as t grows, which it equals
+    at t = inf.  A negative or NaN ``t`` is refused.
     """
-    if t < 0:
-        raise InvalidParameterError("t must be nonnegative")
+    if not t >= 0:
+        raise InvalidParameterError(f"t must be nonnegative, got {t}")
     c = derive(params)
     if params.p == 1.0:
         return 0.0
-    e = math.exp(c.growth_rate * t)
-    return c.extinction_prob * (e - 1.0) / (e - c.extinction_prob)
+    e = math.exp(-c.growth_rate * t)  # in (0, 1], so nothing overflows
+    q = c.extinction_prob
+    return q * (1.0 - e) / (1.0 - q * e)

@@ -19,6 +19,14 @@ worker counts.  A generation draws its lifetimes, then its branching
 uniforms, then the normals of each grid time's straddlers and last those
 of the branching legs, each set in particle order.
 
+``farm_counts`` runs the same loop on the same substreams without OU
+motion: it draws the lifetimes and branching uniforms alone and records
+only per-replica counts.  Since it draws no normals, every generation after
+the first draws its genealogy from a different point of the stream, so its
+counts differ from those of ``simulate_farm`` at the same seed; they equal
+the counts of a positions run whose normals come from a generator of their
+own.
+
 ``position_sum`` draws only the genealogy of one replica and then its
 position sum at one time from the sum's exact Gaussian law given that
 genealogy; this is all the fast-regime limit sampler needs.
@@ -140,10 +148,14 @@ def _run_batch(
     n_replicas: int,
     rng: np.random.Generator,
     caps: Caps,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+    normals: np.random.Generator | None,
+) -> list[tuple[np.ndarray | None, np.ndarray]]:
     """Simulate ``n_replicas`` independent systems, returning, per grid
     time, the alive positions sorted by replica and the per-replica
-    counts."""
+    counts.  ``rng`` draws the genealogy and ``normals`` the OU legs; with
+    ``normals`` None no leg is taken and every position is None, while the
+    genealogy, the counts and the caps are those of a run whose legs come
+    from a generator of their own."""
     d = params.dim
     lam, p, mu = params.lam, params.p, params.mu
     s_std = stationary_std(params)
@@ -170,7 +182,8 @@ def _run_batch(
         strad = np.flatnonzero(lo < hi)
         if strad.size:
             s_lo, s_hi = lo[strad], hi[strad]
-            x, cur_t = pos[strad], birth[strad]
+            if normals is not None:
+                x, cur_t = pos[strad], birth[strad]
             k0, k1 = int(s_lo.min()), int(s_hi.max())
             for k in range(k0, k1):
                 if k1 - k0 == 1:  # every straddler spans this one grid time
@@ -179,22 +192,26 @@ def _run_batch(
                     j = np.flatnonzero((s_lo <= k) & (k < s_hi))
                     if not j.size:
                         continue
-                g = t_grid[k]
-                x_k = ou_leg(x[j], g - cur_t[j], mu, s_std, rng)
-                x[j] = x_k
-                cur_t[j] = g
                 rec_rep[k].append(rep[strad[j]])
-                rec_pos[k].append(x_k)
-            # a straddler dying by t_end may branch, so it carries its
-            # position and time at the last grid time it reached
-            w = np.flatnonzero(s_hi < t_grid.size)
-            pos[strad[w]] = x[w]
-            birth[strad[w]] = cur_t[w]
+                if normals is not None:
+                    g = t_grid[k]
+                    x_k = ou_leg(x[j], g - cur_t[j], mu, s_std, normals)
+                    x[j] = x_k
+                    cur_t[j] = g
+                    rec_pos[k].append(x_k)
+            if normals is not None:
+                # a straddler dying by t_end may branch, so it carries its
+                # position and time at the last grid time it reached
+                w = np.flatnonzero(s_hi < t_grid.size)
+                pos[strad[w]] = x[w]
+                birth[strad[w]] = cur_t[w]
         br = np.flatnonzero(splits & (death < t_end))
         if not br.size:
             break
         t_split = death[br]
-        at_death = ou_leg(pos[br], t_split - birth[br], mu, s_std, rng)
+        if normals is not None:
+            pos = np.repeat(ou_leg(pos[br], t_split - birth[br], mu, s_std, normals),
+                            2, axis=0)
         rep = rep[br]
         born += 2 * np.bincount(rep, minlength=n_replicas)
         if born.max() > caps.max_particles:
@@ -206,19 +223,51 @@ def _run_batch(
             )
         rep = np.repeat(rep, 2)
         birth = np.repeat(t_split, 2)
-        pos = np.repeat(at_death, 2, axis=0)
 
     out = []
     for k in range(len(t_grid)):
-        if not rec_rep[k]:
-            out.append((np.empty((0, d)), np.zeros(n_replicas, dtype=np.int64)))
-            continue
-        reps = np.concatenate(rec_rep[k])
-        ps = np.concatenate(rec_pos[k], axis=0)
-        if n_replicas > 1:
-            ps = ps[np.argsort(reps, kind="stable")]
+        reps = np.concatenate(rec_rep[k]) if rec_rep[k] else np.zeros(0, dtype=np.int64)
+        ps = None
+        if normals is not None:
+            ps = np.concatenate(rec_pos[k], axis=0) if rec_pos[k] else np.empty((0, d))
+            if n_replicas > 1:
+                ps = ps[np.argsort(reps, kind="stable")]
         out.append((ps, np.bincount(reps, minlength=n_replicas)))
     return out
+
+
+def _farm_batches(params, t_grid, n_replicas, seed, caps, batch_size, threads,
+                  motion: bool):
+    """The sorted grid and the ``_run_batch`` results of every batch of a
+    farm, in batch order, after the farm's argument and budget checks.
+    Batch ``idx`` draws from the substream (seed, idx); with ``motion``
+    false no batch draws an OU leg."""
+    t_grid = np.asarray(sorted(float(t) for t in t_grid))
+    if t_grid.size == 0:
+        raise ValueError("t_grid must be nonempty")
+    if not np.all((t_grid >= 0) & np.isfinite(t_grid)):
+        raise ValueError("grid times must be finite and nonnegative")
+    if n_replicas < 1 or batch_size < 1:
+        raise ValueError("n_replicas and batch_size must be at least 1")
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        expected = n_replicas * float(np.exp(derive(params).growth_rate * t_grid).sum())
+    if expected > MAX_FARM_PARTICLES:
+        raise ResourceCapError(
+            f"the farm expects {expected:.3g} particles, above the budget "
+            f"MAX_FARM_PARTICLES={MAX_FARM_PARTICLES:g}", 0.0)
+    starts = list(range(0, n_replicas, batch_size))
+    sizes = [min(batch_size, n_replicas - s) for s in starts]
+
+    def run(idx: int):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((int(seed), idx))))
+        return _run_batch(params, t_grid, sizes[idx], rng, caps,
+                          rng if motion else None)
+
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return t_grid, list(pool.map(run, range(len(starts))))
+    return t_grid, [run(i) for i in range(len(starts))]
 
 
 def simulate_farm(
@@ -241,33 +290,8 @@ def simulate_farm(
     raises ``ResourceCapError`` before any draw, and a replica count or
     batch size below 1 raises ``ValueError``.
     """
-    t_grid = np.asarray(sorted(float(t) for t in t_grid))
-    if t_grid.size == 0:
-        raise ValueError("t_grid must be nonempty")
-    if not np.all((t_grid >= 0) & np.isfinite(t_grid)):
-        raise ValueError("grid times must be finite and nonnegative")
-    if n_replicas < 1 or batch_size < 1:
-        raise ValueError("n_replicas and batch_size must be at least 1")
-    with np.errstate(over="ignore"):  # an overflow to inf is refused below
-        expected = n_replicas * float(np.exp(derive(params).growth_rate * t_grid).sum())
-    if expected > MAX_FARM_PARTICLES:
-        raise ResourceCapError(
-            f"the farm expects {expected:.3g} particles, above the budget "
-            f"MAX_FARM_PARTICLES={MAX_FARM_PARTICLES:g}", 0.0)
-    starts = list(range(0, n_replicas, batch_size))
-    sizes = [min(batch_size, n_replicas - s) for s in starts]
-
-    def run(idx: int):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((int(seed), idx))))
-        return _run_batch(params, t_grid, sizes[idx], rng, caps)
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(run, range(len(starts))))
-    else:
-        batches = [run(i) for i in range(len(starts))]
-
+    t_grid, batches = _farm_batches(params, t_grid, n_replicas, seed, caps,
+                                    batch_size, threads, motion=True)
     out: list[FarmLevel] = []
     for k, g in enumerate(t_grid):
         parts = [b[k] for b in batches]
@@ -282,6 +306,25 @@ def simulate_farm(
     return out
 
 
+def farm_counts(
+    params: ModelParams,
+    t_grid,
+    n_replicas: int,
+    seed: int,
+    caps: Caps = Caps(),
+    batch_size: int = 2000,
+    threads: int = 1,
+) -> list[np.ndarray]:
+    """Per-replica particle counts at the grid times, in increasing time
+    order, from the genealogy alone: no OU leg is drawn.  Batching,
+    substreams, threads, caps and refusals are those of ``simulate_farm``,
+    but with no normals drawn the counts differ from that farm's at the
+    same seed."""
+    _, batches = _farm_batches(params, t_grid, n_replicas, seed, caps,
+                               batch_size, threads, motion=False)
+    return [np.concatenate([c for _, c in level]) for level in zip(*batches)]
+
+
 def simulate(
     params: ModelParams,
     t_end: float,
@@ -292,7 +335,8 @@ def simulate(
     if not 0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
     rng = _as_rng(rng_or_seed)
-    ((positions, counts),) = _run_batch(params, np.array([float(t_end)]), 1, rng, caps)
+    ((positions, counts),) = _run_batch(params, np.array([float(t_end)]), 1, rng,
+                                         caps, rng)
     return FarmLevel(float(t_end), positions, counts)
 
 
@@ -370,11 +414,18 @@ def _as_rng(rng_or_seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(rng_or_seed))))
 
 
-def condition_on_survival(level: FarmLevel) -> tuple[FarmLevel, float]:
-    """Drop extinct replicas of a ``FarmLevel``; returns (survivors,
-    survival fraction)."""
-    alive = level.counts > 0
+def surviving(counts: np.ndarray) -> tuple[np.ndarray, float]:
+    """The mask of surviving replicas in per-replica ``counts`` and the
+    survival fraction; ``AllExtinctError`` when none survives."""
+    alive = counts > 0
     n_alive = int(np.count_nonzero(alive))
     if not n_alive:
         raise AllExtinctError("every replica is extinct")
-    return level.select(alive), n_alive / len(level)
+    return alive, n_alive / counts.shape[0]
+
+
+def condition_on_survival(level: FarmLevel) -> tuple[FarmLevel, float]:
+    """Drop extinct replicas of a ``FarmLevel``; returns (survivors,
+    survival fraction)."""
+    alive, frac = surviving(level.counts)
+    return level.select(alive), frac

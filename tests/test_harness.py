@@ -457,9 +457,9 @@ class TestReportBytes:
         "lln": (run_lln, dict(kernel=KERNEL_X2Y2, replicas=300, t_grid=[3.0]),
                 "28b86c4ed2505f93b681201ab8008f2c6a3c6e4494992af58ce0d61a6ac47df6"),
         "wlaw": (run_w_law, dict(replicas=200, t_grid=[6.5]),
-                 "d89c11f0d56430e51fe8cdc0a6aae4139d7ebbafd41152fc31a04d7f675b6312"),
+                 "3f4ee7b07460345626399df8b89af32c80734f66af0e5da1967357a898fd2670"),
         "clt": (run_clt, SLOW_CLT,
-                "8361f3eeec1b1750227c398c79860fd3f64d5746313240a9c3a985692f6eb8f1"),
+                "64902ad1fde737b42951a8302dbc024fd5333b6aaa8cfb67ea0523b36ff048dd"),
         "oracle": (run_oracle_crosscheck,
                    dict(kernel=KERNEL_XX, replicas=300, t_grid=[1.0, 2.0]),
                    "a7c340559a834b3948d18f8e200de0a4578534a96a8ff3851936a27655f7f422"),
@@ -516,6 +516,16 @@ class TestRunners:
         cfg = config(replicas=3000, t_grid=[8.0])
         report = run_w_law(cfg)
         assert report.passed, [c.name for c in report.checks if not c.passed]
+
+    def test_w_law_and_g1_draw_no_motion(self, monkeypatch):
+        # both depend on the genealogy alone, so neither takes an OU leg
+        def no_leg(*args, **kwargs):
+            raise AssertionError("an OU leg was drawn")
+
+        monkeypatch.setattr("branching_ou.simulator.ou_leg", no_leg)
+        assert len(run_w_law(config(replicas=200, t_grid=[6.5])).checks) == 2
+        check = harness._g1_coordinate(config(**TestReportBytes.SLOW_CLT))
+        assert check.name == "g1_fluctuation_variance"
 
     def test_run_w_law_rejects_short_horizon(self):
         with pytest.raises(ConfigError):
@@ -670,6 +680,24 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out" / "snapshots.csv").exists()
+
+    def test_parser_built_once_and_reused(self, tmp_path, capsys):
+        # one parser serves every call, and a usage error or --help in one
+        # call leaves the next call's arguments and exit code its own
+        from branching_ou import cli
+
+        assert cli._build_parser() is cli._build_parser()
+        cfg = self.write_cfg(tmp_path, BASE)
+        assert cli_main(["--help"]) == 0
+        assert cli_main(["variance", "--config", str(cfg), "--bogus"]) == 2
+        assert cli_main(["variance", "--config", str(cfg), "--seed", "4",
+                         "--format", "csv", "--out", str(tmp_path / "a")]) == 0
+        assert cli_main(["variance", "--config", str(cfg),
+                         "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "report_variance.csv").exists()
+        assert not (tmp_path / "b" / "report_variance.csv").exists()
+        assert json.loads((tmp_path / "b" / "report_variance.jsonl")
+                          .read_text().splitlines()[0])["seed"] == 5
 
     def test_seed_and_t_overrides(self, tmp_path):
         raw = dict(BASE, kernel=KERNEL_X2Y2, replicas=800)

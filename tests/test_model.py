@@ -111,6 +111,21 @@ def test_extinction_by_matches_ode_flow():
     assert extinction_by(200.0, params) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+
+@pytest.mark.parametrize("t", [1500.0, math.inf])
+def test_extinction_by_saturates_at_long_horizons(t):
+    # exp(growth t) overflows a float at t = 1500, and the limit at inf is
+    # the eventual extinction probability
+    params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
+    assert extinction_by(t, params) == derive(params).extinction_prob
+    assert extinction_by(t, ModelParams(lam=1.0, p=1.0, mu=1.0, sigma=1.0)) == 0.0
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0, -math.inf])
+def test_extinction_by_refuses_bad_horizon(t):
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        extinction_by(t, ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0))
+
 def test_head_splits_order():
     # the block holding the first label grows by size, then in combination
     # order; the last split leaves nothing over

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from branching_ou.model import ModelParams, derive
+from branching_ou import simulator
+from branching_ou.model import ModelParams, derive, extinction_by
 from branching_ou.simulator import (
     AllExtinctError,
     Caps,
@@ -13,6 +14,7 @@ from branching_ou.simulator import (
     ResourceCapError,
     _draw_lifetimes,
     _grid_rank,
+    _run_batch,
     condition_on_survival,
     position_sum,
     simulate,
@@ -144,7 +146,7 @@ class TestBasics:
         # so 4539 replicas fit the 1e8 farm budget and 4540 do not
         calls = []
 
-        def fake_batch(params, t_grid, n_replicas, rng, caps):
+        def fake_batch(params, t_grid, n_replicas, rng, caps, normals):
             calls.append(n_replicas)
             return [(np.empty((0, 1)), np.zeros(n_replicas, dtype=np.int64))
                     for _ in t_grid]
@@ -196,6 +198,84 @@ class TestBasics:
             m, se = mean_se(m2[:, c])
             assert abs(m - want2[c]) <= 4 * se
 
+
+
+def generator(seed) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+class TestCountsOnly:
+    DIM2 = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2, x0=(1.0, -1.0))
+    YULE = ModelParams(lam=5.0, p=1.0, mu=1.0, sigma=1.0)
+
+    def test_counts_equal_a_full_batch_with_its_own_normals(self):
+        # the genealogy stream alone fixes the counts: a full batch whose
+        # legs draw from a second generator counts the same particles
+        grid = np.array([0.5, 2.0])
+        for seed in range(5):
+            full = _run_batch(self.DIM2, grid, 40, generator(seed), Caps(),
+                              generator((seed, 1)))
+            counts = _run_batch(self.DIM2, grid, 40, generator(seed), Caps(), None)
+            for (positions, want), (none, got) in zip(full, counts):
+                assert none is None
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert positions.shape == (want.sum(), 2)
+        assert (counts[0][1] == 0).any() and (counts[1][1] == 0).any()
+        assert np.all(counts[0][1][counts[1][1] > 0] > 0)  # no resurrection
+
+    def test_law_extinction_and_mean(self):
+        t, n = 4.0, 4000
+        (counts,) = simulator.farm_counts(SLOW, (t,), n, seed=71)
+        q = extinction_by(t, SLOW)
+        assert abs(np.mean(counts == 0) - q) <= 4 * math.sqrt(q * (1 - q) / n)
+        m, se = mean_se(counts)
+        assert abs(m - math.exp(derive(SLOW).growth_rate * t)) <= 4 * se
+
+    @pytest.mark.parametrize("batch_size", [7, 16, 40])
+    def test_threads_and_batches(self, batch_size):
+        # levels come in increasing time order, are the same on any number of
+        # threads, and batch b holds the counts of substream (seed, b)
+        serial = simulator.farm_counts(self.DIM2, (2.0, 0.5), 40, seed=3,
+                                       batch_size=batch_size)
+        pooled = simulator.farm_counts(self.DIM2, (2.0, 0.5), 40, seed=3,
+                                       batch_size=batch_size, threads=3)
+        assert [c.shape for c in serial] == [(40,), (40,)]
+        for a, b in zip(serial, pooled):
+            assert np.array_equal(a, b)
+        grid = np.array([0.5, 2.0])
+        for b, lo in enumerate(range(0, 40, batch_size)):
+            size = min(batch_size, 40 - lo)
+            batch = _run_batch(self.DIM2, grid, size, generator((3, b)), Caps(), None)
+            for level, (_, want) in zip(serial, batch):
+                assert np.array_equal(level[lo:lo + size], want)
+
+    @pytest.mark.parametrize("caps", [Caps(max_particles=200), Caps(max_generations=3)],
+                             ids=["particles", "generations"])
+    def test_caps_raise_as_in_a_full_batch(self, caps):
+        grid = np.array([1.0])
+        with pytest.raises(ResourceCapError) as full:
+            _run_batch(self.YULE, grid, 20, generator(4), caps, generator(5))
+        with pytest.raises(ResourceCapError) as counts:
+            _run_batch(self.YULE, grid, 20, generator(4), caps, None)
+        assert str(counts.value) == str(full.value)
+        assert counts.value.time_reached == full.value.time_reached
+        with pytest.raises(ResourceCapError, match=r"^(replica \d+ exceeded "
+                           r"max_particles=200|generation budget exhausted)$"):
+            simulator.farm_counts(self.YULE, (1.0,), 20, seed=4, caps=caps)
+
+    def test_refusals_as_in_a_full_farm(self, monkeypatch):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch was simulated")
+
+        monkeypatch.setattr(simulator, "_run_batch", no_batch)
+        for farm in (simulate_farm, simulator.farm_counts):
+            with pytest.raises(ResourceCapError, match="MAX_FARM_PARTICLES") as info:
+                farm(SLOW, (20.0,), 4540, seed=1, batch_size=5000)
+            assert info.value.time_reached == 0.0
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                farm(SLOW, (1.0, math.nan), 10, seed=1)
+            with pytest.raises(ValueError, match="at least 1"):
+                farm(SLOW, (1.0,), 0, seed=1)
 
 class TestBranchingLaw:
     def test_lifetimes_are_exponential(self):
