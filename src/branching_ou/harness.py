@@ -28,8 +28,8 @@ from .limits import (
     sigma_slow,
     slow_limit_sampler,
 )
-from .simulator import (Caps, condition_on_survival, farm_counts, simulate_farm,
-                        surviving)
+from .simulator import (AllExtinctError, Caps, condition_on_survival, farm_counts,
+                        simulate_farm)
 from .tree_oracle import exact_mixed_moment
 # The per-snapshot statistics stay importable from here: the benchmark's
 # tracer (benchmarks/tracer.py) patches them by these names.
@@ -375,9 +375,8 @@ def _v_values(counts: np.ndarray, t: float, consts) -> np.ndarray:
 
 
 def _farm(config: ExperimentConfig, counts_only: bool = False, **override):
-    """The config's farm, or with ``counts_only`` its per-grid-time count
-    arrays drawn without OU motion; ``override`` may replace its
-    ``t_grid``, ``n_replicas`` or ``seed``."""
+    """The config's farm, with ``counts_only`` drawn without OU motion;
+    ``override`` may replace its ``t_grid``, ``n_replicas`` or ``seed``."""
     args = {"t_grid": config.t_grid, "n_replicas": config.replicas,
             "seed": config.seed, **override}
     simulate = farm_counts if counts_only else simulate_farm
@@ -391,12 +390,13 @@ def _require_kernel(config: ExperimentConfig) -> Kernel:
     return config.kernel
 
 
-def _require_distributional_replicas(config: ExperimentConfig):
-    if config.replicas < 100:
-        raise ConfigError("distributional tests need at least 100 replicas")
+def _require_distributional_replicas(replicas: int, key: str = "replicas"):
+    if replicas < 100:
+        raise ConfigError(f"distributional tests need at least 100 replicas, "
+                          f"got {key} = {replicas}")
 
 
-def run_lln(config: ExperimentConfig, farm=None) -> TestReport:
+def run_lln(config: ExperimentConfig) -> TestReport:
     """Law of large numbers: the injective-tuple average converges to the
     tensorized stationary mean.
 
@@ -405,8 +405,7 @@ def run_lln(config: ExperimentConfig, farm=None) -> TestReport:
     """
     start = time.time()
     f = _require_kernel(config)
-    farm = farm if farm is not None else _farm(config)
-    alive, frac = condition_on_survival(farm[-1])
+    alive, frac = condition_on_survival(_farm(config)[-1])
     n = f.arity
     target = project(f, [], config.params)
     enough = alive.counts >= n
@@ -421,29 +420,26 @@ def run_lln(config: ExperimentConfig, farm=None) -> TestReport:
     return _report("lln", config, frac, checks, start)
 
 
-def run_w_law(config: ExperimentConfig, farm=None) -> TestReport:
+def run_w_law(config: ExperimentConfig) -> TestReport:
     """Exponential-limit law of the normalized population size.  The law
-    depends on the genealogy alone, so without a ``farm`` the replicas are
-    simulated without OU motion."""
+    depends on the genealogy alone, so the replicas are simulated without
+    OU motion."""
     from scipy import stats as sstats  # slow to import; only the KS tests use it
 
     start = time.time()
-    _require_distributional_replicas(config)
+    _require_distributional_replicas(config.replicas)
     consts = derive(config.params)
     if math.exp(-consts.growth_rate * config.t_grid[-1]) >= 0.05:
         raise ConfigError("horizon too short: exp(-growth t) must be < 0.05")
-    if farm is not None:
-        t, counts = farm[-1].t, farm[-1].counts
-    else:
-        t, counts = config.t_grid[-1], _farm(config, counts_only=True)[-1]
-    alive, frac = surviving(counts)
-    v_all = _v_values(counts, t, consts)
+    level = _farm(config, counts_only=True)[-1]
+    alive, frac = condition_on_survival(level)
     w_mean = config.params.p / (2.0 * config.params.p - 1.0)
-    ks = sstats.kstest(v_all[alive], "expon", args=(0.0, w_mean))
-    mean, se = _mean_se(v_all)
+    ks = sstats.kstest(_v_values(alive.counts, level.t, consts), "expon",
+                       args=(0.0, w_mean))
+    mean, se = _mean_se(_v_values(level.counts, level.t, consts))
     checks = [
         _ks_check("w_law_ks_exponential", ks, config.ks_level, scale=w_mean,
-                  survivors=int(np.count_nonzero(alive))),
+                  survivors=len(alive)),
         _se_check("w_law_martingale_mean", mean, 1.0, se, config.se_mult),
     ]
     return _report("wlaw", config, frac, checks, start)
@@ -460,13 +456,13 @@ def _g1_coordinate(config: ExperimentConfig) -> CheckResult:
     simulated without OU motion.
     """
     consts = derive(config.params)
-    counts_t, counts_max = _farm(config, counts_only=True,
-                                 t_grid=(config.g1_t, config.g1_t_max),
-                                 n_replicas=config.g1_replicas,
-                                 seed=config.seed + 104729)
-    alive = counts_t > 0
-    m_t = counts_t[alive]
-    v_hat = _v_values(counts_max, config.g1_t_max, consts)[alive]
+    level_t, level_max = _farm(config, counts_only=True,
+                               t_grid=(config.g1_t, config.g1_t_max),
+                               n_replicas=config.g1_replicas,
+                               seed=config.seed + 104729)
+    alive = level_t.counts > 0
+    m_t = level_t.counts[alive]
+    v_hat = _v_values(level_max.counts, level_max.t, consts)[alive]
     stats_vals = (m_t - math.exp(consts.growth_rate * config.g1_t) * v_hat) / np.sqrt(m_t)
     var, se = _var_se(stats_vals)
     return _se_check("g1_fluctuation_variance", var, 1.0 / (2.0 * config.params.p - 1.0),
@@ -487,7 +483,8 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     from scipy import stats as sstats  # slow to import; only the KS tests use it
 
     start = time.time()
-    _require_distributional_replicas(config)
+    _require_distributional_replicas(config.replicas)
+    _require_distributional_replicas(config.g1_replicas, "g1.replicas")
     f = _require_kernel(config)
     params = config.params
     consts = derive(params)
@@ -535,6 +532,9 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
         # the statistic is taken on survivors, and the limit law on survival
         # is that of the nonzero draws: an extinct trajectory gives exactly 0
         draws = draws[draws != 0.0]
+        if not draws.size:
+            raise AllExtinctError("every fast limit draw is extinct; "
+                                  "raise fast_limit_draws")
         checks.append(_ks_check("clt_two_sample_ks", sstats.ks_2samp(stat[:n_fast], draws),
                                 config.ks_level, draws=int(draws.size)))
     else:
@@ -573,7 +573,7 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     return _report("clt", config, frac, checks, start)
 
 
-def run_oracle_crosscheck(config: ExperimentConfig, farm=None) -> TestReport:
+def run_oracle_crosscheck(config: ExperimentConfig) -> TestReport:
     """Monte Carlo mean of the order-n V-statistic against the exact
     tree-expansion moment, at every grid time.  The V-statistic is linear
     in the kernel, so its mean is the coefficient-weighted sum of one
@@ -585,9 +585,8 @@ def run_oracle_crosscheck(config: ExperimentConfig, farm=None) -> TestReport:
     # the exact targets come first, so a kernel the oracle refuses costs no farm
     targets = [sum(coef * exact_mixed_moment(f.arity, t, config.params, slots)
                    for coef, slots in f.terms) for t in config.t_grid]
-    farm = farm if farm is not None else _farm(config)
     checks = []
-    for level, t, target in zip(farm, config.t_grid, targets):
+    for level, t, target in zip(_farm(config), config.t_grid, targets):
         mean, se = _mean_se(v_statistics(level, f))
         checks.append(_se_check(f"oracle_vs_mc_t{t:g}", mean, target, se,
                                 config.se_mult))

@@ -101,14 +101,14 @@ class Factor:
         return Factor(np.ravel(coeffs))
 
     @staticmethod
-    def from_polys(coeff_vectors: Sequence, coef: float = 1.0) -> "Factor":
-        """``coef`` times the product over coordinates of 1-D polynomials,
-        one ascending coefficient vector per coordinate."""
+    def from_polys(coeff_vectors: Sequence) -> "Factor":
+        """The product over coordinates of 1-D polynomials, one ascending
+        coefficient vector per coordinate."""
         vectors = [np.asarray(c, dtype=float) for c in coeff_vectors]
         if not vectors or any(v.ndim != 1 or not v.size for v in vectors):
             raise ValueError("a slot needs one nonempty coefficient vector "
                              "per coordinate")
-        return Factor(coef * functools.reduce(np.multiply.outer, vectors))
+        return Factor(functools.reduce(np.multiply.outer, vectors))
 
     @staticmethod
     def constant(value: float, dim: int) -> "Factor":

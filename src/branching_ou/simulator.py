@@ -20,12 +20,13 @@ uniforms, then the normals of each grid time's straddlers and last those
 of the branching legs, each set in particle order.
 
 ``farm_counts`` runs the same loop on the same substreams without OU
-motion: it draws the lifetimes and branching uniforms alone and records
-only per-replica counts.  Since it draws no normals, every generation after
-the first draws its genealogy from a different point of the stream, so its
-counts differ from those of ``simulate_farm`` at the same seed; they equal
-the counts of a positions run whose normals come from a generator of their
-own.
+motion: it draws the lifetimes and branching uniforms alone and returns the
+same ``FarmLevel`` layout, but a level drawn without motion has positions
+with no columns, so only its counts carry information.  Since it draws no
+normals, every generation after the first draws its genealogy from a
+different point of the stream, so its counts differ from those of
+``simulate_farm`` at the same seed; they equal the counts of a positions
+run whose normals come from a generator of their own.
 
 ``position_sum`` draws only the genealogy of one replica and then its
 position sum at one time from the sum's exact Gaussian law given that
@@ -73,7 +74,9 @@ class FarmLevel:
     """Every replica at one grid time, kept flat: ``positions`` holds all
     particles sorted by replica (in simulation order within a replica),
     replica ``i`` owning rows ``offsets[i]:offsets[i + 1]``.  Without
-    ``counts`` the level is one replica holding every row: a snapshot.
+    ``counts`` the level is one replica holding every row: a snapshot.  A
+    level drawn without motion (``farm_counts``) has positions with no
+    columns: one empty row per particle.
     Indexing and iterating give read-only one-replica views; per-replica
     statistics come from ``segment_sum`` without a loop over replicas."""
 
@@ -149,13 +152,13 @@ def _run_batch(
     rng: np.random.Generator,
     caps: Caps,
     normals: np.random.Generator | None,
-) -> list[tuple[np.ndarray | None, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Simulate ``n_replicas`` independent systems, returning, per grid
     time, the alive positions sorted by replica and the per-replica
     counts.  ``rng`` draws the genealogy and ``normals`` the OU legs; with
-    ``normals`` None no leg is taken and every position is None, while the
-    genealogy, the counts and the caps are those of a run whose legs come
-    from a generator of their own."""
+    ``normals`` None no leg is taken and the positions have no columns,
+    while the genealogy, the counts and the caps are those of a run whose
+    legs come from a generator of their own."""
     d = params.dim
     lam, p, mu = params.lam, params.p, params.mu
     s_std = stationary_std(params)
@@ -227,8 +230,9 @@ def _run_batch(
     out = []
     for k in range(len(t_grid)):
         reps = np.concatenate(rec_rep[k]) if rec_rep[k] else np.zeros(0, dtype=np.int64)
-        ps = None
-        if normals is not None:
+        if normals is None:
+            ps = np.empty((reps.size, 0))
+        else:
             ps = np.concatenate(rec_pos[k], axis=0) if rec_pos[k] else np.empty((0, d))
             if n_replicas > 1:
                 ps = ps[np.argsort(reps, kind="stable")]
@@ -236,12 +240,12 @@ def _run_batch(
     return out
 
 
-def _farm_batches(params, t_grid, n_replicas, seed, caps, batch_size, threads,
-                  motion: bool):
-    """The sorted grid and the ``_run_batch`` results of every batch of a
-    farm, in batch order, after the farm's argument and budget checks.
-    Batch ``idx`` draws from the substream (seed, idx); with ``motion``
-    false no batch draws an OU leg."""
+def _levels(params, t_grid, n_replicas, seed, caps, batch_size, threads,
+            motion: bool) -> list[FarmLevel]:
+    """The farm's levels in increasing time order, after its argument and
+    budget checks.  Batch ``idx`` draws from the substream (seed, idx), and
+    the batches join in batch order; with ``motion`` false no batch draws an
+    OU leg."""
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
@@ -266,32 +270,9 @@ def _farm_batches(params, t_grid, n_replicas, seed, caps, batch_size, threads,
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return t_grid, list(pool.map(run, range(len(starts))))
-    return t_grid, [run(i) for i in range(len(starts))]
-
-
-def simulate_farm(
-    params: ModelParams,
-    t_grid,
-    n_replicas: int,
-    seed: int,
-    caps: Caps = Caps(),
-    batch_size: int = 2000,
-    threads: int = 1,
-) -> list[FarmLevel]:
-    """Independent replicas observed at the grid times.
-
-    Returns one ``FarmLevel`` per grid time, so ``farm[k][i]`` is the
-    snapshot of replica ``i`` at the k-th grid time.  Batches own disjoint
-    RNG substreams derived from (seed, batch_index) and are combined in
-    batch order, so the output is a pure function of the arguments
-    regardless of thread count.  A farm whose expected particle count
-    ``n_replicas * sum_k exp(growth t_k)`` exceeds ``MAX_FARM_PARTICLES``
-    raises ``ResourceCapError`` before any draw, and a replica count or
-    batch size below 1 raises ``ValueError``.
-    """
-    t_grid, batches = _farm_batches(params, t_grid, n_replicas, seed, caps,
-                                    batch_size, threads, motion=True)
+            batches = list(pool.map(run, range(len(starts))))
+    else:
+        batches = [run(i) for i in range(len(starts))]
     out: list[FarmLevel] = []
     for k, g in enumerate(t_grid):
         parts = [b[k] for b in batches]
@@ -306,6 +287,30 @@ def simulate_farm(
     return out
 
 
+def simulate_farm(
+    params: ModelParams,
+    t_grid,
+    n_replicas: int,
+    seed: int,
+    caps: Caps = Caps(),
+    batch_size: int = 2000,
+    threads: int = 1,
+) -> list[FarmLevel]:
+    """Independent replicas observed at the grid times.
+
+    Returns one ``FarmLevel`` per grid time, in increasing time order, so
+    ``farm[k][i]`` is the snapshot of replica ``i`` at the k-th grid time.
+    Batches own disjoint RNG substreams derived from (seed, batch_index)
+    and are combined in batch order, so the output is a pure function of
+    the arguments regardless of thread count.  A farm whose expected
+    particle count ``n_replicas * sum_k exp(growth t_k)`` exceeds
+    ``MAX_FARM_PARTICLES`` raises ``ResourceCapError`` before any draw, and
+    a replica count or batch size below 1 raises ``ValueError``.
+    """
+    return _levels(params, t_grid, n_replicas, seed, caps, batch_size, threads,
+                   motion=True)
+
+
 def farm_counts(
     params: ModelParams,
     t_grid,
@@ -314,15 +319,14 @@ def farm_counts(
     caps: Caps = Caps(),
     batch_size: int = 2000,
     threads: int = 1,
-) -> list[np.ndarray]:
-    """Per-replica particle counts at the grid times, in increasing time
-    order, from the genealogy alone: no OU leg is drawn.  Batching,
-    substreams, threads, caps and refusals are those of ``simulate_farm``,
-    but with no normals drawn the counts differ from that farm's at the
-    same seed."""
-    _, batches = _farm_batches(params, t_grid, n_replicas, seed, caps,
-                               batch_size, threads, motion=False)
-    return [np.concatenate([c for _, c in level]) for level in zip(*batches)]
+) -> list[FarmLevel]:
+    """The farm's levels drawn from the genealogy alone: no OU leg is
+    taken, so each level's positions have no columns and only its counts
+    carry information.  Batching, substreams, threads, caps and refusals
+    are those of ``simulate_farm``, but with no normals drawn the counts
+    differ from that farm's at the same seed."""
+    return _levels(params, t_grid, n_replicas, seed, caps, batch_size, threads,
+                   motion=False)
 
 
 def simulate(
@@ -414,18 +418,11 @@ def _as_rng(rng_or_seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(rng_or_seed))))
 
 
-def surviving(counts: np.ndarray) -> tuple[np.ndarray, float]:
-    """The mask of surviving replicas in per-replica ``counts`` and the
-    survival fraction; ``AllExtinctError`` when none survives."""
-    alive = counts > 0
+def condition_on_survival(level: FarmLevel) -> tuple[FarmLevel, float]:
+    """Drop extinct replicas of a ``FarmLevel``; returns (survivors,
+    survival fraction), or raises ``AllExtinctError`` when none survives."""
+    alive = level.counts > 0
     n_alive = int(np.count_nonzero(alive))
     if not n_alive:
         raise AllExtinctError("every replica is extinct")
-    return alive, n_alive / counts.shape[0]
-
-
-def condition_on_survival(level: FarmLevel) -> tuple[FarmLevel, float]:
-    """Drop extinct replicas of a ``FarmLevel``; returns (survivors,
-    survival fraction)."""
-    alive, frac = surviving(level.counts)
-    return level.select(alive), frac
+    return level.select(alive), n_alive / len(level)

@@ -29,7 +29,7 @@ from branching_ou.harness import (
 )
 from branching_ou.limits import fast_limit_sampler
 from branching_ou.model import ModelParams
-from branching_ou.simulator import simulate_farm
+from branching_ou.simulator import AllExtinctError, simulate_farm
 
 SLOW_P = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 
@@ -628,6 +628,35 @@ class TestRunners:
             run_clt(config(replicas=50))
         with pytest.raises(ConfigError):
             run_w_law(config(replicas=50, t_grid=[8.0]))
+
+    @pytest.mark.parametrize("g1_replicas", [1, 2, 99])
+    def test_g1_check_needs_replicas(self, g1_replicas, monkeypatch, tmp_path, capsys):
+        # one replica gave an SE of NaN and two an SE of 4.9: the floor of
+        # the other distributional checks holds before any farm is drawn
+        def no_farm(*args, **kwargs):
+            raise AssertionError("a farm was drawn")
+
+        monkeypatch.setattr(harness, "simulate_farm", no_farm)
+        monkeypatch.setattr(harness, "farm_counts", no_farm)
+        g1 = {"replicas": g1_replicas, "t": 4.0, "t_max": 10.0}
+        with pytest.raises(ConfigError, match=f"g1.replicas = {g1_replicas}$"):
+            run_clt(config(g1=g1))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(BASE, g1=g1)))
+        assert cli_main(["clt", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "g1.replicas" in capsys.readouterr().err
+
+    def test_run_clt_fast_refuses_all_extinct_draws(self, monkeypatch, tmp_path, capsys):
+        # no nonzero limit draw leaves the KS check no sample: refused
+        # rather than reported as NaN
+        monkeypatch.setattr(harness, "fast_limit_sampler",
+                            lambda *args, size, **kwargs: np.zeros(size))
+        with pytest.raises(AllExtinctError, match="raise fast_limit_draws"):
+            run_clt(config(**self.FAST_SMALL))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(BASE, **self.FAST_SMALL)))
+        assert cli_main(["clt", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "every fast limit draw is extinct" in capsys.readouterr().err
 
     def test_run_oracle_crosscheck(self):
         cfg = config(kernel=KERNEL_XX, replicas=4000, t_grid=[1.0, 2.0])

@@ -5,11 +5,16 @@ stands in for a linter's unused-import rule (F401); an import statement
 carrying ``# noqa: F401`` is exempt, and a package ``__init__`` uses the
 names its ``__all__`` lists.  The exact-moment oracle stays independent of
 the simulator: it reaches no package module but ``model`` and ``ou``.
+Importing the package and its CLI loads no scipy module, which takes over
+a second to import and serves only the KS checks.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +88,12 @@ def test_detector_flags_and_exempts():
               "from .a import (  # noqa: F401\n    b,\n)\n"
               "from .c import d, e\nprint(d)\n")
     assert unused_imports(source) == ["line 1: math", "line 6: e"]
+
+
+def test_package_and_cli_import_no_scipy():
+    code = ("import sys, branching_ou, branching_ou.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

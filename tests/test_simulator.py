@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
 from branching_ou import simulator
@@ -20,8 +21,10 @@ from branching_ou.simulator import (
     simulate,
     simulate_farm,
 )
+from branching_ou.kernels import Kernel
 from branching_ou.tree_oracle import exact_mixed_moment
 from branching_ou.ou import FUNC_X
+from branching_ou.ustats import v_statistics
 
 from helpers import extinction_ode, mean_se
 
@@ -216,8 +219,8 @@ class TestCountsOnly:
             full = _run_batch(self.DIM2, grid, 40, generator(seed), Caps(),
                               generator((seed, 1)))
             counts = _run_batch(self.DIM2, grid, 40, generator(seed), Caps(), None)
-            for (positions, want), (none, got) in zip(full, counts):
-                assert none is None
+            for (positions, want), (empty, got) in zip(full, counts):
+                assert empty.shape == (want.sum(), 0)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
                 assert positions.shape == (want.sum(), 2)
         assert (counts[0][1] == 0).any() and (counts[1][1] == 0).any()
@@ -225,7 +228,8 @@ class TestCountsOnly:
 
     def test_law_extinction_and_mean(self):
         t, n = 4.0, 4000
-        (counts,) = simulator.farm_counts(SLOW, (t,), n, seed=71)
+        (level,) = simulator.farm_counts(SLOW, (t,), n, seed=71)
+        counts = level.counts
         q = extinction_by(t, SLOW)
         assert abs(np.mean(counts == 0) - q) <= 4 * math.sqrt(q * (1 - q) / n)
         m, se = mean_se(counts)
@@ -239,15 +243,17 @@ class TestCountsOnly:
                                        batch_size=batch_size)
         pooled = simulator.farm_counts(self.DIM2, (2.0, 0.5), 40, seed=3,
                                        batch_size=batch_size, threads=3)
-        assert [c.shape for c in serial] == [(40,), (40,)]
+        assert [level.t for level in serial] == [0.5, 2.0]
+        assert [level.counts.shape for level in serial] == [(40,), (40,)]
         for a, b in zip(serial, pooled):
-            assert np.array_equal(a, b)
+            assert a.positions.shape == (a.counts.sum(), 0)
+            assert np.array_equal(a.counts, b.counts)
         grid = np.array([0.5, 2.0])
         for b, lo in enumerate(range(0, 40, batch_size)):
             size = min(batch_size, 40 - lo)
             batch = _run_batch(self.DIM2, grid, size, generator((3, b)), Caps(), None)
             for level, (_, want) in zip(serial, batch):
-                assert np.array_equal(level[lo:lo + size], want)
+                assert np.array_equal(level.counts[lo:lo + size], want)
 
     @pytest.mark.parametrize("caps", [Caps(max_particles=200), Caps(max_generations=3)],
                              ids=["particles", "generations"])
@@ -276,6 +282,36 @@ class TestCountsOnly:
                 farm(SLOW, (1.0, math.nan), 10, seed=1)
             with pytest.raises(ValueError, match="at least 1"):
                 farm(SLOW, (1.0,), 0, seed=1)
+
+    def test_statistics_refuse_a_level_without_positions(self):
+        (level,) = simulator.farm_counts(SLOW, (2.0,), 10, seed=1)
+        with pytest.raises(ValueError, match="dimension"):
+            v_statistics(level, Kernel.from_slot_funcs([FUNC_X], symmetric=True))
+
+
+class TestCapsProperty:
+    # every small run either finishes or stops at a cap, and a cap reports a
+    # time inside the horizon
+    @settings(max_examples=50, deadline=None)
+    @given(params=st.sampled_from([SLOW, FAST, ModelParams(lam=3.0, p=1.0, mu=1.0,
+                                                           sigma=1.0)]),
+           replicas=st.integers(1, 20), max_particles=st.integers(1, 500),
+           max_generations=st.integers(1, 50), t=st.floats(0.0, 8.0),
+           seed=st.integers(0, 2**16))
+    def test_runs_finish_or_stop_at_a_cap(self, params, replicas, max_particles,
+                                          max_generations, t, seed):
+        caps = Caps(max_particles=max_particles, max_generations=max_generations)
+        calls = [
+            lambda: simulate_farm(params, (t / 2, t), replicas, seed, caps=caps),
+            lambda: simulator.farm_counts(params, (t / 2, t), replicas, seed,
+                                          caps=caps),
+            lambda: position_sum(params, t, generator(seed), caps=caps),
+        ]
+        for call in calls:
+            try:
+                call()
+            except ResourceCapError as exc:
+                assert 0.0 <= exc.time_reached <= t
 
 class TestBranchingLaw:
     def test_lifetimes_are_exponential(self):

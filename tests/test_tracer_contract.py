@@ -78,3 +78,15 @@ def test_calls_of_the_workloads_keep_their_signatures():
     assert tracer.counts["ustats.a2.calls"] == 2 + len(alive)
     assert tracer.counts["simulator.particles"] == farm[-1].count
     assert canonical and order == 1
+
+
+def test_after_simulate_counts_the_particles_of_a_counts_only_farm():
+    # a counts-only farm is a list of levels like any farm, so the
+    # simulator shim counts its particles as it counts a positions farm's
+    module = load_tracer()
+    tracer = module.Tracer()
+    farm = simulator.farm_counts(SLOW, (1.0, 3.0), 12, seed=4)
+    module._after_simulate(tracer, 0.0, True, {}, farm)
+    want = sum(int(level.counts.sum()) for level in farm)
+    assert want > 0
+    assert tracer.counts["simulator.particles"] == want
