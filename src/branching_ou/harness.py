@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import Factor, Kernel, is_canonical, project
+from .ks import ks_1samp, ks_2samp
 from .model import MAX_ARITY, ModelParams, Regime, RegimeTag, classify, derive
 from .limits import (
     critical_limit_sampler,
@@ -339,12 +340,20 @@ def _se_check(name: str, value, target, se: float, mult: float,
     )
 
 
-def _ks_check(name: str, ks, level: float, **extra) -> CheckResult:
-    """A KS test result, passing when its p-value reaches ``level``."""
-    return CheckResult(name=name, value=ks.statistic, target=None,
+def _ks_check(name: str, ks: tuple[float, float], level: float,
+              **extra) -> CheckResult:
+    """A KS (statistic, p-value) pair, passing when the p-value reaches
+    ``level``."""
+    statistic, p_value = ks
+    return CheckResult(name=name, value=statistic, target=None,
                        tolerance=f"KS p-value >= {level:g}",
-                       passed=ks.pvalue >= level,
-                       extra={"p_value": float(ks.pvalue), **extra})
+                       passed=p_value >= level,
+                       extra={"p_value": p_value, **extra})
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, element by element."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
 
 
 def _report(test: str, config: ExperimentConfig, frac: float | None,
@@ -424,8 +433,6 @@ def run_w_law(config: ExperimentConfig) -> TestReport:
     """Exponential-limit law of the normalized population size.  The law
     depends on the genealogy alone, so the replicas are simulated without
     OU motion."""
-    from scipy import stats as sstats  # slow to import; only the KS tests use it
-
     start = time.time()
     _require_distributional_replicas(config.replicas)
     consts = derive(config.params)
@@ -434,8 +441,8 @@ def run_w_law(config: ExperimentConfig) -> TestReport:
     level = _farm(config, counts_only=True)[-1]
     alive, frac = condition_on_survival(level)
     w_mean = config.params.p / (2.0 * config.params.p - 1.0)
-    ks = sstats.kstest(_v_values(alive.counts, level.t, consts), "expon",
-                       args=(0.0, w_mean))
+    ks = ks_1samp(_v_values(alive.counts, level.t, consts),
+                  lambda v: -np.expm1(-(v / w_mean)))
     mean, se = _mean_se(_v_values(level.counts, level.t, consts))
     checks = [
         _ks_check("w_law_ks_exponential", ks, config.ks_level, scale=w_mean,
@@ -480,8 +487,6 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     Always also records the population-fluctuation coordinate and an
     independence proxy (correlation bound with the normalized size).
     """
-    from scipy import stats as sstats  # slow to import; only the KS tests use it
-
     start = time.time()
     _require_distributional_replicas(config.replicas)
     _require_distributional_replicas(config.g1_replicas, "g1.replicas")
@@ -500,6 +505,8 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     farm = farm if farm is not None else _farm(config)
     alive, frac = condition_on_survival(farm[-1])
     alive = alive.select(alive.counts >= n)
+    if len(alive) < 2:
+        raise ConfigError("too few replicas with enough particles for the arity")
     stat = normalized_u_statistics(alive, f, n, regime, consts)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((config.seed, 0xC17))))
@@ -535,13 +542,13 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
         if not draws.size:
             raise AllExtinctError("every fast limit draw is extinct; "
                                   "raise fast_limit_draws")
-        checks.append(_ks_check("clt_two_sample_ks", sstats.ks_2samp(stat[:n_fast], draws),
+        checks.append(_ks_check("clt_two_sample_ks", ks_2samp(stat[:n_fast], draws),
                                 config.ks_level, draws=int(draws.size)))
     else:
         n_draws = config.limit_draws or len(stat)
         sampler = slow_limit_sampler if regime.is_slow else critical_limit_sampler
         draws = sampler(f, params, rng, size=n_draws)
-        checks.append(_ks_check("clt_two_sample_ks", sstats.ks_2samp(stat, draws),
+        checks.append(_ks_check("clt_two_sample_ks", ks_2samp(stat, draws),
                                 config.ks_level, survivors=len(alive),
                                 draws=int(n_draws)))
         m_stat, se_s = _mean_se(stat)
@@ -557,7 +564,7 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
             checks.append(_se_check("clt_variance_vs_formula", v_stat, sigma2,
                                     se_vs, 3.0))
             checks.append(_ks_check("clt_ks_vs_normal",
-                                    sstats.kstest(stat / math.sqrt(sigma2), "norm"),
+                                    ks_1samp(stat / math.sqrt(sigma2), _normal_cdf),
                                     config.ks_level))
         # in the fast regime the joint limit does not separate the size
         # limit from the U-statistic limit, so no decorrelation is claimed

@@ -658,6 +658,28 @@ class TestRunners:
         assert cli_main(["clt", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "every fast limit draw is extinct" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("regime", ["slow", "fast"])
+    def test_run_clt_refuses_too_few_carriers(self, regime, monkeypatch, tmp_path,
+                                              capsys):
+        # at t = 0.001 almost every replica holds one particle, too few for
+        # an arity-2 kernel: fewer than 2 carriers are refused as a config
+        # error before any limit draw, not reported as a failed check (slow)
+        # or as every limit draw being extinct (fast)
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a limit law was sampled")
+
+        for name in ("slow_limit_sampler", "fast_limit_sampler"):
+            monkeypatch.setattr(harness, name, no_draw)
+        raw = {**BASE, **(self.FAST_SMALL if regime == "fast" else {}),
+               "kernel": KERNEL_XX, "t_grid": [0.001], "replicas": 100,
+               "regime": regime}
+        with pytest.raises(ConfigError, match="too few replicas"):
+            run_clt(ExperimentConfig.from_dict(raw))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["clt", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "too few replicas" in capsys.readouterr().err
+
     def test_run_oracle_crosscheck(self):
         cfg = config(kernel=KERNEL_XX, replicas=4000, t_grid=[1.0, 2.0])
         report = run_oracle_crosscheck(cfg)

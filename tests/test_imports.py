@@ -5,13 +5,15 @@ stands in for a linter's unused-import rule (F401); an import statement
 carrying ``# noqa: F401`` is exempt, and a package ``__init__`` uses the
 names its ``__all__`` lists.  The exact-moment oracle stays independent of
 the simulator: it reaches no package module but ``model`` and ``ou``.
-Importing the package and its CLI loads no scipy module, which takes over
-a second to import and serves only the KS checks.
+The package loads no scipy module at all, not on import and not in a
+``wlaw`` or ``clt`` run, whose KS checks are computed in numpy: importing
+``scipy.stats`` takes over a second.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -90,10 +92,26 @@ def test_detector_flags_and_exempts():
     assert unused_imports(source) == ["line 1: math", "line 6: e"]
 
 
-def test_package_and_cli_import_no_scipy():
-    code = ("import sys, branching_ou, branching_ou.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_package_and_cli_import_no_scipy(tmp_path):
+    # a size-law run and a slow CLT run, which go through every KS check
+    params = {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0}
+    wlaw = {"params": params, "t_grid": [7.0], "replicas": 100, "seed": 3}
+    clt = {"params": params, "t_grid": [4.0], "replicas": 100, "seed": 3,
+           "kernel": {"arity": 1, "dim": 1, "symmetric": True,
+                      "terms": [{"coef": 1.0, "slots": [[[0.0, 1.0]]]}]},
+           "g1": {"replicas": 100, "t": 3.0, "t_max": 6.0}}
+    runs = []
+    for test, raw in (("wlaw", wlaw), ("clt", clt)):
+        path = tmp_path / f"{test}.json"
+        path.write_text(json.dumps(raw))
+        runs.append([test, "--config", str(path), "--out", str(tmp_path / test)])
+    code = ("import json, sys, branching_ou, branching_ou.cli\n"
+            f"codes = [branching_ou.cli.main(args) for args in {runs!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+            "                                if m.split('.')[0] == 'scipy')]))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    codes, loaded = json.loads(out.splitlines()[-1])
+    assert set(codes) <= {0, 1}
+    assert loaded == []
