@@ -383,14 +383,11 @@ def _v_values(counts: np.ndarray, t: float, consts) -> np.ndarray:
 # runners
 
 
-def _farm(config: ExperimentConfig, counts_only: bool = False, **override):
-    """The config's farm, with ``counts_only`` drawn without OU motion;
-    ``override`` may replace its ``t_grid``, ``n_replicas`` or ``seed``."""
-    args = {"t_grid": config.t_grid, "n_replicas": config.replicas,
-            "seed": config.seed, **override}
-    simulate = farm_counts if counts_only else simulate_farm
-    return simulate(config.params, caps=config.caps,
-                    batch_size=config.batch_size, threads=config.threads, **args)
+def _farm(config: ExperimentConfig):
+    """The config's farm."""
+    return simulate_farm(config.params, config.t_grid, config.replicas, config.seed,
+                         caps=config.caps, batch_size=config.batch_size,
+                         threads=config.threads)
 
 
 def _require_kernel(config: ExperimentConfig) -> Kernel:
@@ -431,14 +428,13 @@ def run_lln(config: ExperimentConfig) -> TestReport:
 
 def run_w_law(config: ExperimentConfig) -> TestReport:
     """Exponential-limit law of the normalized population size.  The law
-    depends on the genealogy alone, so the replicas are simulated without
-    OU motion."""
+    depends on the counts alone, so they come from ``farm_counts``."""
     start = time.time()
     _require_distributional_replicas(config.replicas)
     consts = derive(config.params)
     if math.exp(-consts.growth_rate * config.t_grid[-1]) >= 0.05:
         raise ConfigError("horizon too short: exp(-growth t) must be < 0.05")
-    level = _farm(config, counts_only=True)[-1]
+    level = farm_counts(config.params, config.t_grid, config.replicas, config.seed)[-1]
     alive, frac = condition_on_survival(level)
     w_mean = config.params.p / (2.0 * config.params.p - 1.0)
     ks = ks_1samp(_v_values(alive.counts, level.t, consts),
@@ -459,14 +455,13 @@ def _g1_coordinate(config: ExperimentConfig) -> CheckResult:
     The limit estimate plugs in the terminal-time normalized size, whose
     quantifiable bias shrinks like exp(-growth (t_max - t)); configure the
     gap so that the bias sits well under the 5 SE tolerance.  The
-    coordinate depends on the genealogy alone, so its replicas are
-    simulated without OU motion.
+    coordinate depends on the counts alone, so they come from
+    ``farm_counts``, drawn from the birth-death transition law at the two
+    times without simulating a genealogy.
     """
     consts = derive(config.params)
-    level_t, level_max = _farm(config, counts_only=True,
-                               t_grid=(config.g1_t, config.g1_t_max),
-                               n_replicas=config.g1_replicas,
-                               seed=config.seed + 104729)
+    level_t, level_max = farm_counts(config.params, (config.g1_t, config.g1_t_max),
+                                     config.g1_replicas, config.seed + 104729)
     alive = level_t.counts > 0
     m_t = level_t.counts[alive]
     v_hat = _v_values(level_max.counts, level_max.t, consts)[alive]

@@ -19,14 +19,17 @@ worker counts.  A generation draws its lifetimes, then its branching
 uniforms, then the normals of each grid time's straddlers and last those
 of the branching legs, each set in particle order.
 
-``farm_counts`` runs the same loop on the same substreams without OU
-motion: it draws the lifetimes and branching uniforms alone and returns the
-same ``FarmLevel`` layout, but a level drawn without motion has positions
-with no columns, so only its counts carry information.  Since it draws no
-normals, every generation after the first draws its genealogy from a
-different point of the stream, so its counts differ from those of
-``simulate_farm`` at the same seed; they equal the counts of a positions
-run whose normals come from a generator of their own.
+``farm_counts`` draws no genealogy at all.  Branching does not depend on
+position, so a replica's count is a linear birth-death chain, +1 at rate
+lam p and -1 at rate lam (1 - p), whose transition law over a step dt is
+closed-form (Kendall 1948): with r = lam (2p - 1), h = expm1(r dt) / r and
+b = lam p, each of N particles leaves descendants with probability
+exp(r dt) / (1 + b h), and each line that does leaves a Geometric number of
+them on {1, 2, ...} with success probability 1 / (1 + b h).  The farm draws
+that law from grid time to grid time for all replicas at once, so its cost
+does not grow with the population.  It returns the same ``FarmLevel``
+layout with positions of no columns; its counts are a different draw from
+those of ``simulate_farm`` at the same seed.
 
 ``position_sum`` draws only the genealogy of one replica and then its
 position sum at one time from the sum's exact Gaussian law given that
@@ -64,7 +67,9 @@ MAX_FARM_PARTICLES = 1e8
 
 @dataclass(frozen=True)
 class Caps:
-    """Resource limits for a single replica."""
+    """Resource limits for a single replica of ``simulate_farm``,
+    ``simulate`` or ``position_sum``; ``farm_counts`` draws nothing that
+    grows with the population and takes none."""
 
     max_particles: int = 10_000_000
     max_generations: int = 100_000
@@ -75,8 +80,8 @@ class FarmLevel:
     particles sorted by replica (in simulation order within a replica),
     replica ``i`` owning rows ``offsets[i]:offsets[i + 1]``.  Without
     ``counts`` the level is one replica holding every row: a snapshot.  A
-    level drawn without motion (``farm_counts``) has positions with no
-    columns: one empty row per particle.
+    level of ``farm_counts`` has positions with no columns: one empty row
+    per particle.
     Indexing and iterating give read-only one-replica views; per-replica
     statistics come from ``segment_sum`` without a loop over replicas."""
 
@@ -151,14 +156,10 @@ def _run_batch(
     n_replicas: int,
     rng: np.random.Generator,
     caps: Caps,
-    normals: np.random.Generator | None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Simulate ``n_replicas`` independent systems, returning, per grid
     time, the alive positions sorted by replica and the per-replica
-    counts.  ``rng`` draws the genealogy and ``normals`` the OU legs; with
-    ``normals`` None no leg is taken and the positions have no columns,
-    while the genealogy, the counts and the caps are those of a run whose
-    legs come from a generator of their own."""
+    counts."""
     d = params.dim
     lam, p, mu = params.lam, params.p, params.mu
     s_std = stationary_std(params)
@@ -185,8 +186,7 @@ def _run_batch(
         strad = np.flatnonzero(lo < hi)
         if strad.size:
             s_lo, s_hi = lo[strad], hi[strad]
-            if normals is not None:
-                x, cur_t = pos[strad], birth[strad]
+            x, cur_t = pos[strad], birth[strad]
             k0, k1 = int(s_lo.min()), int(s_hi.max())
             for k in range(k0, k1):
                 if k1 - k0 == 1:  # every straddler spans this one grid time
@@ -196,25 +196,22 @@ def _run_batch(
                     if not j.size:
                         continue
                 rec_rep[k].append(rep[strad[j]])
-                if normals is not None:
-                    g = t_grid[k]
-                    x_k = ou_leg(x[j], g - cur_t[j], mu, s_std, normals)
-                    x[j] = x_k
-                    cur_t[j] = g
-                    rec_pos[k].append(x_k)
-            if normals is not None:
-                # a straddler dying by t_end may branch, so it carries its
-                # position and time at the last grid time it reached
-                w = np.flatnonzero(s_hi < t_grid.size)
-                pos[strad[w]] = x[w]
-                birth[strad[w]] = cur_t[w]
+                g = t_grid[k]
+                x_k = ou_leg(x[j], g - cur_t[j], mu, s_std, rng)
+                x[j] = x_k
+                cur_t[j] = g
+                rec_pos[k].append(x_k)
+            # a straddler dying by t_end may branch, so it carries its
+            # position and time at the last grid time it reached
+            w = np.flatnonzero(s_hi < t_grid.size)
+            pos[strad[w]] = x[w]
+            birth[strad[w]] = cur_t[w]
         br = np.flatnonzero(splits & (death < t_end))
         if not br.size:
             break
         t_split = death[br]
-        if normals is not None:
-            pos = np.repeat(ou_leg(pos[br], t_split - birth[br], mu, s_std, normals),
-                            2, axis=0)
+        pos = np.repeat(ou_leg(pos[br], t_split - birth[br], mu, s_std, rng),
+                        2, axis=0)
         rep = rep[br]
         born += 2 * np.bincount(rep, minlength=n_replicas)
         if born.max() > caps.max_particles:
@@ -230,61 +227,31 @@ def _run_batch(
     out = []
     for k in range(len(t_grid)):
         reps = np.concatenate(rec_rep[k]) if rec_rep[k] else np.zeros(0, dtype=np.int64)
-        if normals is None:
-            ps = np.empty((reps.size, 0))
-        else:
-            ps = np.concatenate(rec_pos[k], axis=0) if rec_pos[k] else np.empty((0, d))
-            if n_replicas > 1:
-                ps = ps[np.argsort(reps, kind="stable")]
+        ps = np.concatenate(rec_pos[k], axis=0) if rec_pos[k] else np.empty((0, d))
+        if n_replicas > 1:
+            ps = ps[np.argsort(reps, kind="stable")]
         out.append((ps, np.bincount(reps, minlength=n_replicas)))
     return out
 
 
-def _levels(params, t_grid, n_replicas, seed, caps, batch_size, threads,
-            motion: bool) -> list[FarmLevel]:
-    """The farm's levels in increasing time order, after its argument and
-    budget checks.  Batch ``idx`` draws from the substream (seed, idx), and
-    the batches join in batch order; with ``motion`` false no batch draws an
-    OU leg."""
+def _checked_grid(params: ModelParams, t_grid, n_replicas: int) -> np.ndarray:
+    """The sorted grid, after the refusals every farm makes before any
+    draw: an empty or non-finite grid, fewer than one replica, or more
+    expected particles than ``MAX_FARM_PARTICLES``."""
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     if not np.all((t_grid >= 0) & np.isfinite(t_grid)):
         raise ValueError("grid times must be finite and nonnegative")
-    if n_replicas < 1 or batch_size < 1:
-        raise ValueError("n_replicas and batch_size must be at least 1")
+    if n_replicas < 1:
+        raise ValueError("n_replicas must be at least 1")
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
         expected = n_replicas * float(np.exp(derive(params).growth_rate * t_grid).sum())
     if expected > MAX_FARM_PARTICLES:
         raise ResourceCapError(
             f"the farm expects {expected:.3g} particles, above the budget "
             f"MAX_FARM_PARTICLES={MAX_FARM_PARTICLES:g}", 0.0)
-    starts = list(range(0, n_replicas, batch_size))
-    sizes = [min(batch_size, n_replicas - s) for s in starts]
-
-    def run(idx: int):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((int(seed), idx))))
-        return _run_batch(params, t_grid, sizes[idx], rng, caps,
-                          rng if motion else None)
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(run, range(len(starts))))
-    else:
-        batches = [run(i) for i in range(len(starts))]
-    out: list[FarmLevel] = []
-    for k, g in enumerate(t_grid):
-        parts = [b[k] for b in batches]
-        for b in batches:
-            b[k] = None  # frees the batch's copy once the level holds it
-        if len(parts) == 1:
-            positions, counts = parts[0]
-        else:
-            positions = np.concatenate([ps for ps, _ in parts])
-            counts = np.concatenate([c for _, c in parts])
-        out.append(FarmLevel(float(g), positions, counts))
-    return out
+    return t_grid
 
 
 def simulate_farm(
@@ -307,26 +274,63 @@ def simulate_farm(
     ``MAX_FARM_PARTICLES`` raises ``ResourceCapError`` before any draw, and
     a replica count or batch size below 1 raises ``ValueError``.
     """
-    return _levels(params, t_grid, n_replicas, seed, caps, batch_size, threads,
-                   motion=True)
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    t_grid = _checked_grid(params, t_grid, n_replicas)
+    starts = list(range(0, n_replicas, batch_size))
+    sizes = [min(batch_size, n_replicas - s) for s in starts]
+
+    def run(idx: int):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((int(seed), idx))))
+        return _run_batch(params, t_grid, sizes[idx], rng, caps)
+
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            batches = list(pool.map(run, range(len(starts))))
+    else:
+        batches = [run(i) for i in range(len(starts))]
+    out: list[FarmLevel] = []
+    for k, g in enumerate(t_grid):
+        parts = [b[k] for b in batches]
+        for b in batches:
+            b[k] = None  # frees the batch's copy once the level holds it
+        if len(parts) == 1:
+            positions, counts = parts[0]
+        else:
+            positions = np.concatenate([ps for ps, _ in parts])
+            counts = np.concatenate([c for _, c in parts])
+        out.append(FarmLevel(float(g), positions, counts))
+    return out
 
 
-def farm_counts(
-    params: ModelParams,
-    t_grid,
-    n_replicas: int,
-    seed: int,
-    caps: Caps = Caps(),
-    batch_size: int = 2000,
-    threads: int = 1,
-) -> list[FarmLevel]:
-    """The farm's levels drawn from the genealogy alone: no OU leg is
-    taken, so each level's positions have no columns and only its counts
-    carry information.  Batching, substreams, threads, caps and refusals
-    are those of ``simulate_farm``, but with no normals drawn the counts
-    differ from that farm's at the same seed."""
-    return _levels(params, t_grid, n_replicas, seed, caps, batch_size, threads,
-                   motion=False)
+def farm_counts(params: ModelParams, t_grid, n_replicas: int,
+                seed: int) -> list[FarmLevel]:
+    """The farm's per-replica counts alone, drawn exactly from the
+    birth-death transition law between consecutive grid times (see the
+    module docstring); each level's positions have no columns.  Every
+    draw comes from one substream of ``seed``: per step, the surviving
+    lines of all replicas, then their extra descendants; a step of length
+    0 draws nothing.  Refusals are those of ``simulate_farm``."""
+    t_grid = _checked_grid(params, t_grid, n_replicas)
+    # a substream of its own, apart from every batch's (seed, idx)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(int(seed), spawn_key=(1,))))
+    r = derive(params).growth_rate
+    b, d = params.lam * params.p, params.lam * (1.0 - params.p)
+    counts = np.ones(n_replicas, dtype=np.int64)
+    out, t_prev = [], 0.0
+    for t in t_grid:
+        if t > t_prev:
+            h = math.expm1(r * (t - t_prev)) / r
+            # a line dies out with probability 1 - exp(r dt) / (1 + b h),
+            # which is d h / (1 + b h): exactly 0 when p = 1
+            lines = rng.binomial(counts, 1.0 - d * h / (1.0 + b * h))
+            extra = rng.negative_binomial(np.maximum(lines, 1), 1.0 / (1.0 + b * h))
+            counts = np.where(lines > 0, lines + extra, 0)
+            t_prev = t
+        out.append(FarmLevel(float(t), np.empty((int(counts.sum()), 0)), counts))
+    return out
 
 
 def simulate(
@@ -340,7 +344,7 @@ def simulate(
         raise ValueError("t_end must be finite and nonnegative")
     rng = _as_rng(rng_or_seed)
     ((positions, counts),) = _run_batch(params, np.array([float(t_end)]), 1, rng,
-                                         caps, rng)
+                                         caps)
     return FarmLevel(float(t_end), positions, counts)
 
 

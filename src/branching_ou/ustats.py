@@ -99,6 +99,15 @@ def _v(level: FarmLevel, f: Kernel, slot_sums: dict) -> np.ndarray:
     return f.contract(sums)
 
 
+@lru_cache(maxsize=4)
+def _expansion(f: Kernel) -> tuple[tuple[int, Kernel], ...]:
+    """The (weight, merged kernel) pairs of the U-from-V expansion of
+    ``f``, memoized for the last few kernels, so a loop over snapshots
+    merges its kernel once."""
+    return tuple((a, substitute_partition(f, J))
+                 for J, a in partition_coefficients(f.arity).items())
+
+
 def v_statistics(level: FarmLevel, f: Kernel) -> np.ndarray:
     """Per-replica sums of the kernel over all index tuples (with
     repetition); extinct replicas give 0."""
@@ -111,8 +120,11 @@ def u_statistics(level: FarmLevel, f: Kernel) -> np.ndarray:
     fewer particles than the arity give 0."""
     slot_sums: dict = {}
     total = np.zeros(len(level))
-    for J, a in partition_coefficients(f.arity).items():
-        total += a * _v(level, substitute_partition(f, J), slot_sums)
+    # a black box merges into a mere closure, and callers build fresh ones
+    # call by call, so only tensor sums are cached
+    expand = _expansion if f.is_tensor_sum else _expansion.__wrapped__
+    for a, g in expand(f):
+        total += a * _v(level, g, slot_sums)
     total[level.counts < f.arity] = 0.0
     return total
 

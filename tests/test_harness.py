@@ -457,9 +457,9 @@ class TestReportBytes:
         "lln": (run_lln, dict(kernel=KERNEL_X2Y2, replicas=300, t_grid=[3.0]),
                 "28b86c4ed2505f93b681201ab8008f2c6a3c6e4494992af58ce0d61a6ac47df6"),
         "wlaw": (run_w_law, dict(replicas=200, t_grid=[6.5]),
-                 "3f4ee7b07460345626399df8b89af32c80734f66af0e5da1967357a898fd2670"),
+                 "131c30984e6ee62e5cd6135cd7e55a994335fed65f7a597e8d7cd4cc17971b94"),
         "clt": (run_clt, SLOW_CLT,
-                "64902ad1fde737b42951a8302dbc024fd5333b6aaa8cfb67ea0523b36ff048dd"),
+                "9aaa528c8c3df1cd14d8f26b885364581d456c5edaf72f90161831504f882ee8"),
         "oracle": (run_oracle_crosscheck,
                    dict(kernel=KERNEL_XX, replicas=300, t_grid=[1.0, 2.0]),
                    "a7c340559a834b3948d18f8e200de0a4578534a96a8ff3851936a27655f7f422"),

@@ -149,7 +149,7 @@ class TestBasics:
         # so 4539 replicas fit the 1e8 farm budget and 4540 do not
         calls = []
 
-        def fake_batch(params, t_grid, n_replicas, rng, caps, normals):
+        def fake_batch(params, t_grid, n_replicas, rng, caps):
             calls.append(n_replicas)
             return [(np.empty((0, 1)), np.zeros(n_replicas, dtype=np.int64))
                     for _ in t_grid]
@@ -211,20 +211,17 @@ class TestCountsOnly:
     DIM2 = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2, x0=(1.0, -1.0))
     YULE = ModelParams(lam=5.0, p=1.0, mu=1.0, sigma=1.0)
 
-    def test_counts_equal_a_full_batch_with_its_own_normals(self):
-        # the genealogy stream alone fixes the counts: a full batch whose
-        # legs draw from a second generator counts the same particles
-        grid = np.array([0.5, 2.0])
-        for seed in range(5):
-            full = _run_batch(self.DIM2, grid, 40, generator(seed), Caps(),
-                              generator((seed, 1)))
-            counts = _run_batch(self.DIM2, grid, 40, generator(seed), Caps(), None)
-            for (positions, want), (empty, got) in zip(full, counts):
-                assert empty.shape == (want.sum(), 0)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-                assert positions.shape == (want.sum(), 2)
-        assert (counts[0][1] == 0).any() and (counts[1][1] == 0).any()
-        assert np.all(counts[0][1][counts[1][1] > 0] > 0)  # no resurrection
+    @pytest.mark.parametrize("p", [0.55, 0.75, 0.9, 1.0])
+    def test_counts_match_a_positions_farm_in_law(self, p):
+        # the transition-law draw and the simulated genealogy give the same
+        # counts in law at both grid times and on the increment between them
+        params = ModelParams(lam=1.0, p=p, mu=1.0, sigma=1.0)
+        grid, n = (1.5, 3.0), 3000
+        want = [level.counts for level in simulate_farm(params, grid, n, seed=17)]
+        got = [level.counts for level in simulator.farm_counts(params, grid, n, seed=17)]
+        pairs = list(zip(got, want)) + [(got[1] - got[0], want[1] - want[0])]
+        for a, b in pairs:
+            assert sstats.ks_2samp(a, b).pvalue > 0.01
 
     def test_law_extinction_and_mean(self):
         t, n = 4.0, 4000
@@ -235,39 +232,83 @@ class TestCountsOnly:
         m, se = mean_se(counts)
         assert abs(m - math.exp(derive(SLOW).growth_rate * t)) <= 4 * se
 
+    @pytest.mark.parametrize("params", [SLOW, YULE], ids=["slow", "yule"])
+    def test_exact_second_moments(self, params):
+        # E N_t^2 = e^{gt} + 2 lam p e^{gt} (e^{gt} - 1) / g, reached in two
+        # steps, and E N_s N_t = e^{g(t - s)} E N_s^2 across the step
+        g = derive(params).growth_rate
+        s, t = (0.3, 0.6) if params is self.YULE else (1.0, 3.0)
+        level_s, level_t = simulator.farm_counts(params, (s, t), 20_000, seed=73)
+
+        def second(u):
+            e = math.exp(g * u)
+            return e + 2.0 * params.lam * params.p * e * (e - 1.0) / g
+
+        n_s, n_t = level_s.counts.astype(float), level_t.counts.astype(float)
+        m, se = mean_se(n_t**2)
+        assert abs(m - second(t)) <= 4 * se
+        m, se = mean_se(n_s * n_t)
+        assert abs(m - math.exp(g * (t - s)) * second(s)) <= 4 * se
+
+    def test_paths_and_determinism(self):
+        # levels come in increasing time order; t = 0 holds the root; a
+        # repeated time draws nothing; an extinct replica stays extinct;
+        # one seed gives one farm
+        grid = (2.0, 0.0, 0.5, 2.0)
+        farm = simulator.farm_counts(SLOW, grid, 400, seed=3)
+        assert [level.t for level in farm] == [0.0, 0.5, 2.0, 2.0]
+        for level in farm:
+            assert level.counts.shape == (400,)
+            assert level.positions.shape == (level.counts.sum(), 0)
+        assert np.all(farm[0].counts == 1)
+        assert np.array_equal(farm[2].counts, farm[3].counts)
+        assert (farm[1].counts == 0).any()
+        assert np.all(farm[2].counts[farm[1].counts == 0] == 0)
+        again = simulator.farm_counts(SLOW, grid, 400, seed=3)
+        assert all(np.array_equal(a.counts, b.counts) for a, b in zip(farm, again))
+        other = simulator.farm_counts(SLOW, grid, 400, seed=4)
+        assert not np.array_equal(farm[2].counts, other[2].counts)
+
+    def test_pure_birth_never_dies(self):
+        (level,) = simulator.farm_counts(self.YULE, (1.0,), 2000, seed=5)
+        assert level.counts.min() >= 1
+
     @pytest.mark.parametrize("batch_size", [7, 16, 40])
     def test_threads_and_batches(self, batch_size):
-        # levels come in increasing time order, are the same on any number of
-        # threads, and batch b holds the counts of substream (seed, b)
-        serial = simulator.farm_counts(self.DIM2, (2.0, 0.5), 40, seed=3,
-                                       batch_size=batch_size)
-        pooled = simulator.farm_counts(self.DIM2, (2.0, 0.5), 40, seed=3,
-                                       batch_size=batch_size, threads=3)
+        # positions farms come in increasing time order, are the same on any
+        # number of threads, and batch b holds substream (seed, b)
+        serial = simulate_farm(self.DIM2, (2.0, 0.5), 40, seed=3, batch_size=batch_size)
+        pooled = simulate_farm(self.DIM2, (2.0, 0.5), 40, seed=3, batch_size=batch_size,
+                               threads=3)
         assert [level.t for level in serial] == [0.5, 2.0]
         assert [level.counts.shape for level in serial] == [(40,), (40,)]
         for a, b in zip(serial, pooled):
-            assert a.positions.shape == (a.counts.sum(), 0)
             assert np.array_equal(a.counts, b.counts)
+            assert np.array_equal(a.positions, b.positions)
         grid = np.array([0.5, 2.0])
         for b, lo in enumerate(range(0, 40, batch_size)):
             size = min(batch_size, 40 - lo)
-            batch = _run_batch(self.DIM2, grid, size, generator((3, b)), Caps(), None)
-            for level, (_, want) in zip(serial, batch):
+            batch = _run_batch(self.DIM2, grid, size, generator((3, b)), Caps())
+            for level, (positions, want) in zip(serial, batch):
+                rows = slice(level.offsets[lo], level.offsets[lo + size])
                 assert np.array_equal(level.counts[lo:lo + size], want)
+                assert np.array_equal(level.positions[rows], positions)
 
     @pytest.mark.parametrize("caps", [Caps(max_particles=200), Caps(max_generations=3)],
                              ids=["particles", "generations"])
     def test_caps_raise_as_in_a_full_batch(self, caps):
+        # a one-batch farm trips a cap as its batch does on substream
+        # (seed, 0); the counts farm grows nothing and takes no caps
         grid = np.array([1.0])
-        with pytest.raises(ResourceCapError) as full:
-            _run_batch(self.YULE, grid, 20, generator(4), caps, generator(5))
-        with pytest.raises(ResourceCapError) as counts:
-            _run_batch(self.YULE, grid, 20, generator(4), caps, None)
-        assert str(counts.value) == str(full.value)
-        assert counts.value.time_reached == full.value.time_reached
+        with pytest.raises(ResourceCapError) as batch:
+            _run_batch(self.YULE, grid, 20, generator((4, 0)), caps)
         with pytest.raises(ResourceCapError, match=r"^(replica \d+ exceeded "
-                           r"max_particles=200|generation budget exhausted)$"):
-            simulator.farm_counts(self.YULE, (1.0,), 20, seed=4, caps=caps)
+                           r"max_particles=200|generation budget exhausted)$") as farm:
+            simulate_farm(self.YULE, (1.0,), 20, seed=4, caps=caps)
+        assert str(farm.value) == str(batch.value)
+        assert farm.value.time_reached == batch.value.time_reached
+        (level,) = simulator.farm_counts(self.YULE, (1.0,), 20, seed=4)
+        assert level.counts.max() > 200
 
     def test_refusals_as_in_a_full_farm(self, monkeypatch):
         def no_batch(*args, **kwargs):
@@ -276,7 +317,7 @@ class TestCountsOnly:
         monkeypatch.setattr(simulator, "_run_batch", no_batch)
         for farm in (simulate_farm, simulator.farm_counts):
             with pytest.raises(ResourceCapError, match="MAX_FARM_PARTICLES") as info:
-                farm(SLOW, (20.0,), 4540, seed=1, batch_size=5000)
+                farm(SLOW, (20.0,), 4540, seed=1)
             assert info.value.time_reached == 0.0
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 farm(SLOW, (1.0, math.nan), 10, seed=1)
@@ -291,7 +332,8 @@ class TestCountsOnly:
 
 class TestCapsProperty:
     # every small run either finishes or stops at a cap, and a cap reports a
-    # time inside the horizon
+    # time inside the horizon; the counts farm takes no caps and finishes
+    # unless the farm budget refuses it before any draw
     @settings(max_examples=50, deadline=None)
     @given(params=st.sampled_from([SLOW, FAST, ModelParams(lam=3.0, p=1.0, mu=1.0,
                                                            sigma=1.0)]),
@@ -303,8 +345,6 @@ class TestCapsProperty:
         caps = Caps(max_particles=max_particles, max_generations=max_generations)
         calls = [
             lambda: simulate_farm(params, (t / 2, t), replicas, seed, caps=caps),
-            lambda: simulator.farm_counts(params, (t / 2, t), replicas, seed,
-                                          caps=caps),
             lambda: position_sum(params, t, generator(seed), caps=caps),
         ]
         for call in calls:
@@ -312,6 +352,10 @@ class TestCapsProperty:
                 call()
             except ResourceCapError as exc:
                 assert 0.0 <= exc.time_reached <= t
+        try:
+            simulator.farm_counts(params, (t / 2, t), replicas, seed)
+        except ResourceCapError as exc:
+            assert "MAX_FARM_PARTICLES" in str(exc) and exc.time_reached == 0.0
 
 class TestBranchingLaw:
     def test_lifetimes_are_exponential(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from branching_ou.kernels import Factor, Kernel, substitute_partition
 from branching_ou.model import ArityCapError, ModelParams, classify, derive
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
+from branching_ou import ustats
 from branching_ou.simulator import FarmLevel, ParticleSnapshot
 from branching_ou.ustats import (
     BudgetExceededError,
@@ -214,6 +215,27 @@ class TestUStatistic:
         rnd.shuffle(shuffled)
         f = kernel_xy()
         assert u_statistic(snap(*values), f) == u_statistic(snap(*shuffled), f)
+
+    def test_merged_kernels_memoized_and_bounded(self, monkeypatch):
+        # an equal kernel reuses its merged kernels and gives the same bits;
+        # a stream of fresh kernels stays within the cache bound, and black
+        # boxes are not cached
+        s = snap(0.5, -1.5, 2.0, 1.0)
+        first = u_statistic(s, kernel_xy())
+
+        def no_merge(*args):
+            raise AssertionError("a merged kernel was built again")
+
+        with monkeypatch.context() as m:
+            m.setattr(ustats, "substitute_partition", no_merge)
+            assert u_statistic(s, kernel_xy()) == first
+        for c in range(20):
+            u_statistic(s, Kernel.from_slot_funcs(
+                [FUNC_X, Func1D.polynomial([float(c), 1.0])]))
+        info = ustats._expansion.cache_info()
+        assert info.currsize == info.maxsize
+        u_statistic(s, Kernel.black_box(lambda xs: xs[0][:, 0], arity=2, dim=1))
+        assert ustats._expansion.cache_info() == info
 
     def test_scaling_exact(self):
         f = kernel_xy()
