@@ -11,7 +11,7 @@ from .model import (
     derive,
     extinction_by,
 )
-from .ou import Factor, Func1D, QuadratureRule, ou_transition_sample
+from .ou import Factor, Func1D, QuadratureRule
 from .kernels import Kernel
 from .simulator import (
     AllExtinctError,
@@ -42,7 +42,6 @@ __all__ = [
     "condition_on_survival",
     "derive",
     "extinction_by",
-    "ou_transition_sample",
     "simulate",
     "simulate_farm",
     "u_statistic",

@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", type=Path, default=Path("out"),
                          help="output directory")
         cmd.add_argument("--format", choices=("csv", "jsonl"), default="jsonl")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="worker pool size for the replica farm")
     return parser
 
 
@@ -66,8 +64,6 @@ def _load_config(args) -> ExperimentConfig:
             raw["t_grid"] = [float(v) for v in args.t.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--t: {exc}") from exc
-    if args.threads is not None:
-        raw["threads"] = args.threads
     raw["test"] = args.command
     return ExperimentConfig.from_dict(raw)
 
@@ -90,7 +86,6 @@ def main(argv=None) -> int:
             farm = simulate_farm(
                 config.params, config.t_grid, config.replicas, config.seed,
                 caps=config.caps, batch_size=config.batch_size,
-                threads=config.threads,
             )
             path = dump_snapshots(farm, args.out)
             counts = [int((farm[-1].counts > 0).sum()), config.replicas]

@@ -3,7 +3,7 @@ distributional tests, and machine-readable reports.
 
 Every check records the tolerance it was judged against.  Farms derive
 batch RNG substreams from the experiment seed, and reports are a pure
-function of (config, seed) regardless of worker count.
+function of (config, seed).
 """
 
 from __future__ import annotations
@@ -23,14 +23,16 @@ from .ks import ks_1samp, ks_2samp
 from .model import MAX_ARITY, ModelParams, Regime, RegimeTag, classify, derive
 from .limits import (
     critical_limit_sampler,
+    default_fast_horizon,
+    expected_births,
     fast_limit_sampler,
     h_polynomial_value,
     sigma_critical,
     sigma_slow,
     slow_limit_sampler,
 )
-from .simulator import (AllExtinctError, Caps, condition_on_survival, farm_counts,
-                        simulate_farm)
+from .simulator import (MAX_FARM_PARTICLES, AllExtinctError, Caps, ResourceCapError,
+                        condition_on_survival, farm_counts, simulate_farm)
 from .tree_oracle import exact_mixed_moment
 # The per-snapshot statistics stay importable from here: the benchmark's
 # tracer (benchmarks/tracer.py) patches them by these names.
@@ -129,7 +131,6 @@ _CONFIG = {
     "test": ("test", _test_name),
     "caps": ("caps", _CAPS),
     "batch_size": ("batch_size", _int),
-    "threads": ("threads", _int),
     "tolerances": (None, {"se_mult": ("se_mult", _float),
                           "ks_level": ("ks_level", _float),
                           "corr_threshold": ("corr_threshold", _float),
@@ -190,7 +191,6 @@ class ExperimentConfig:
     test: str = "lln"
     caps: Caps = field(default_factory=Caps)
     batch_size: int = 2000
-    threads: int = 1
     se_mult: float = 4.0
     ks_level: float = 0.01
     corr_threshold: float = 0.95
@@ -210,8 +210,8 @@ class ExperimentConfig:
             raise ConfigError("t_grid must be increasing")
         if self.t_grid[0] < 0:
             raise ConfigError("grid times must be nonnegative")
-        for name in ("replicas", "batch_size", "threads", "g1_replicas",
-                     "limit_draws", "fast_limit_draws"):
+        for name in ("replicas", "batch_size", "g1_replicas", "limit_draws",
+                     "fast_limit_draws"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be positive")
@@ -243,11 +243,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
     def canonical_dict(self) -> dict:
-        """Every field that changes the numbers, in JSON form: all but
-        ``threads``, which only schedules the work."""
-        out = _write(self, _CONFIG)
-        del out["threads"]
-        return out
+        """Every field in JSON form, as ``config_hash`` hashes it."""
+        return _write(self, _CONFIG)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
@@ -386,8 +383,7 @@ def _v_values(counts: np.ndarray, t: float, consts) -> np.ndarray:
 def _farm(config: ExperimentConfig):
     """The config's farm."""
     return simulate_farm(config.params, config.t_grid, config.replicas, config.seed,
-                         caps=config.caps, batch_size=config.batch_size,
-                         threads=config.threads)
+                         caps=config.caps, batch_size=config.batch_size)
 
 
 def _require_kernel(config: ExperimentConfig) -> Kernel:
@@ -452,12 +448,12 @@ def _g1_coordinate(config: ExperimentConfig) -> CheckResult:
     """Second coordinate of the joint limit: the variance of the normalized
     population fluctuation around its terminal-value estimate.
 
-    The limit estimate plugs in the terminal-time normalized size, whose
-    quantifiable bias shrinks like exp(-growth (t_max - t)); configure the
-    gap so that the bias sits well under the 5 SE tolerance.  The
-    coordinate depends on the counts alone, so they come from
-    ``farm_counts``, drawn from the birth-death transition law at the two
-    times without simulating a genealogy.
+    The statistic is (N_t - exp(-g s) N_{t_max}) / sqrt(N_t), g the growth
+    rate and s = t_max - t.  Given N_t, N_{t_max} sums N_t independent
+    copies of N_s, of mean exp(g s) and variance exp(g s) (exp(g s) - 1) /
+    (2p - 1) (Kendall), so the statistic has mean 0 and variance
+    (1 - exp(-g s)) / (2p - 1) given any N_t: the target, not its limit
+    1 / (2p - 1).  The counts come from ``farm_counts``.
     """
     consts = derive(config.params)
     level_t, level_max = farm_counts(config.params, (config.g1_t, config.g1_t_max),
@@ -467,9 +463,10 @@ def _g1_coordinate(config: ExperimentConfig) -> CheckResult:
     v_hat = _v_values(level_max.counts, level_max.t, consts)[alive]
     stats_vals = (m_t - math.exp(consts.growth_rate * config.g1_t) * v_hat) / np.sqrt(m_t)
     var, se = _var_se(stats_vals)
-    return _se_check("g1_fluctuation_variance", var, 1.0 / (2.0 * config.params.p - 1.0),
-                     se, 5.0, t=config.g1_t, t_max=config.g1_t_max,
-                     replicas=config.g1_replicas)
+    target = -math.expm1(-consts.growth_rate * (config.g1_t_max - config.g1_t)) / \
+        (2.0 * config.params.p - 1.0)
+    return _se_check("g1_fluctuation_variance", var, target, se, 5.0, t=config.g1_t,
+                     t_max=config.g1_t_max, replicas=config.g1_replicas)
 
 
 def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
@@ -480,7 +477,9 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     convergence is in probability, so the primary check correlates the
     statistic with the limit polynomial evaluated on the same trajectory.
     Always also records the population-fluctuation coordinate and an
-    independence proxy (correlation bound with the normalized size).
+    independence proxy (correlation bound with the normalized size).  Fast
+    limit draws whose expected births exceed ``MAX_FARM_PARTICLES`` are
+    refused with ``ResourceCapError`` before the farm.
     """
     start = time.time()
     _require_distributional_replicas(config.replicas)
@@ -496,6 +495,15 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
         )
     if not is_canonical(f, params):
         raise ConfigError("CLT test requires a canonical kernel")
+    if regime.is_fast:
+        t_approx = config.fast_t_approx
+        if t_approx is None:
+            t_approx = default_fast_horizon(params, config.caps)
+        births = config.fast_limit_draws * expected_births(params, t_approx)
+        if births > MAX_FARM_PARTICLES:
+            raise ResourceCapError(
+                f"the fast limit draws expect {births:.3g} births, above the "
+                f"budget MAX_FARM_PARTICLES={MAX_FARM_PARTICLES:g}", 0.0)
     n = f.arity
     farm = farm if farm is not None else _farm(config)
     alive, frac = condition_on_survival(farm[-1])
@@ -527,10 +535,8 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
         checks.append(_se_check("fast_mean_agreement", mean_stat, mean_ref, se_s,
                                 config.se_mult, se_r))
         n_fast = min(config.fast_limit_draws, len(stat))
-        draws = fast_limit_sampler(
-            f, params, rng, size=n_fast, t_approx=config.fast_t_approx,
-            caps=config.caps,
-        )
+        draws = fast_limit_sampler(f, params, rng, size=n_fast, t_approx=t_approx,
+                                   caps=config.caps)
         # the statistic is taken on survivors, and the limit law on survival
         # is that of the nonzero draws: an extinct trajectory gives exactly 0
         draws = draws[draws != 0.0]

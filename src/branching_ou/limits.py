@@ -265,18 +265,26 @@ def critical_limit_sampler(
     return f.contract(lambda _, s: g @ (-scale * gradient_phi_mean(s, params)))
 
 
+def expected_births(params: ModelParams, t: float) -> float:
+    """Expected births of one replica by time ``t``, about (2 p lam / growth)
+    exp(growth t); the fast horizon's cap and the fast draws' budget."""
+    growth = derive(params).growth_rate
+    with np.errstate(over="ignore"):
+        return 2.0 * params.p * params.lam / growth * float(np.exp(growth * t))
+
+
 def default_fast_horizon(params: ModelParams, caps: Caps = Caps()) -> float:
-    """Horizon for approximating the position-sum martingale limit: long
-    enough for the squared approximation gap (decay rate growth - 2 mu) to
-    be negligible, capped so the expected particle budget stays moderate."""
+    """Horizon for approximating the position-sum martingale limit: 14 /
+    (growth - 2 mu), for a negligible squared gap, capped where a replica
+    expects 1% of ``caps.max_particles`` births.  At lam = 1, p = 0.75,
+    mu = 0.1 and the default caps the cap binds: 20.83, not 14/0.3 = 46.7."""
     consts = derive(params)
     gap_rate = consts.growth_rate - 2.0 * params.mu
     if gap_rate <= 0:
         raise RegimeError("fast horizon needs growth > 2 mu")
     t_theory = 14.0 / gap_rate
-    births_per_growth = 2.0 * params.p * params.lam / consts.growth_rate
     t_budget = math.log(
-        max(2.0, 0.01 * caps.max_particles / births_per_growth)
+        max(2.0, 0.01 * caps.max_particles / expected_births(params, 0.0))
     ) / consts.growth_rate
     return min(t_theory, t_budget)
 

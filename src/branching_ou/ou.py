@@ -1,5 +1,5 @@
-"""Exact Ornstein-Uhlenbeck transitions, the semigroup on polynomials, and
-integration against the stationary Gaussian law.
+"""Exact Ornstein-Uhlenbeck transitions and integration against the
+stationary Gaussian law.
 
 The transition over a step ``dt`` starting at ``x`` is
 ``x * exp(-mu dt) + relax(dt) * G`` where ``G`` is a draw from the
@@ -8,9 +8,9 @@ stationary law (centered Gaussian, per-coordinate variance
 exact in distribution, so no time discretization error enters anywhere.
 
 Slot functions are polynomials, so their stationary integrals are exact
-Gaussian moments and the semigroup maps them to polynomials in closed form.
-The Gauss-Hermite rule here integrates nothing for a slot function: it
-places black-box kernels' averaging nodes and the kernel test points.
+Gaussian moments.  The Gauss-Hermite rule here integrates nothing for a
+slot function: it places black-box kernels' averaging nodes and the kernel
+test points.
 """
 
 from __future__ import annotations
@@ -53,27 +53,6 @@ def gaussian_moment(k: int, std: float) -> float:
     if k % 2:
         return 0.0
     return _double_factorial(k) * std**k
-
-
-def evolve_poly(coeffs: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
-    """Closed-form action of the semigroup on a 1-D polynomial.
-
-    With a = exp(-mu t) and b = relax(t) * stationary_std, the result is
-    the polynomial x -> E f(a x + b G), G standard normal.
-    """
-    a = math.exp(-params.mu * t)
-    b = float(relax(t, params.mu)) * stationary_std(params)
-    deg = len(coeffs) - 1
-    out = np.zeros(deg + 1)
-    for k, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        for m in range(k + 1):
-            j = k - m
-            if j % 2:
-                continue
-            out[m] += c * math.comb(k, m) * a**m * _double_factorial(j) * b**j
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +204,3 @@ def ou_leg(x: np.ndarray, dt: np.ndarray, mu: float, s_std: float,
     scale = relax(dt, mu) * s_std
     return x * np.exp(-mu * dt)[:, None] + scale[:, None] * \
         rng.standard_normal(x.shape)
-
-
-def ou_transition_sample(
-    x: np.ndarray, dt: float, params: ModelParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact-in-distribution OU step of length ``dt`` from position(s) x.
-
-    Works on a single position of shape (dim,) or a batch (m, dim).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(x)
-    return ou_leg(rows, np.full(len(rows), float(dt)), params.mu,
-                  stationary_std(params), rng).reshape(x.shape)

@@ -14,10 +14,9 @@ visited in increasing order along each lifetime.
 
 Reproducibility: a farm derives one RNG substream per replica batch from
 (seed, batch_index), and the within-batch order of draws is a fixed
-function of the configuration, so results do not depend on scheduling or
-worker counts.  A generation draws its lifetimes, then its branching
-uniforms, then the normals of each grid time's straddlers and last those
-of the branching legs, each set in particle order.
+function of the configuration.  A generation draws its lifetimes, then its
+branching uniforms, then the normals of each grid time's straddlers and
+last those of the branching legs, each set in particle order.
 
 ``farm_counts`` draws no genealogy at all.  Branching does not depend on
 position, so a replica's count is a linear birth-death chain, +1 at rate
@@ -39,7 +38,6 @@ genealogy; this is all the fast-regime limit sampler needs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,35 +259,27 @@ def simulate_farm(
     seed: int,
     caps: Caps = Caps(),
     batch_size: int = 2000,
-    threads: int = 1,
 ) -> list[FarmLevel]:
     """Independent replicas observed at the grid times.
 
     Returns one ``FarmLevel`` per grid time, in increasing time order, so
     ``farm[k][i]`` is the snapshot of replica ``i`` at the k-th grid time.
     Batches own disjoint RNG substreams derived from (seed, batch_index)
-    and are combined in batch order, so the output is a pure function of
-    the arguments regardless of thread count.  A farm whose expected
-    particle count ``n_replicas * sum_k exp(growth t_k)`` exceeds
-    ``MAX_FARM_PARTICLES`` raises ``ResourceCapError`` before any draw, and
-    a replica count or batch size below 1 raises ``ValueError``.
+    and run one after another in batch order, so the output is a pure
+    function of the arguments.  A farm whose expected particle count
+    ``n_replicas * sum_k exp(growth t_k)`` exceeds ``MAX_FARM_PARTICLES``
+    raises ``ResourceCapError`` before any draw, and a replica count or
+    batch size below 1 raises ``ValueError``.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     t_grid = _checked_grid(params, t_grid, n_replicas)
-    starts = list(range(0, n_replicas, batch_size))
-    sizes = [min(batch_size, n_replicas - s) for s in starts]
-
-    def run(idx: int):
+    batches = []
+    for idx, start in enumerate(range(0, n_replicas, batch_size)):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((int(seed), idx))))
-        return _run_batch(params, t_grid, sizes[idx], rng, caps)
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(run, range(len(starts))))
-    else:
-        batches = [run(i) for i in range(len(starts))]
+        batches.append(_run_batch(params, t_grid,
+                                  min(batch_size, n_replicas - start), rng, caps))
     out: list[FarmLevel] = []
     for k, g in enumerate(t_grid):
         parts = [b[k] for b in batches]

@@ -222,30 +222,6 @@ def _leaf_moment_coefficients(tree: LabeledTree, t: float, params: ModelParams,
     return total
 
 
-def gaussian_position_moments(
-    tree: LabeledTree,
-    t: float,
-    split_times: dict[int, float],
-    params: ModelParams,
-    f_assignment,
-) -> float:
-    """E prod_a f_a(position of the leaf carrying label a) for the branching
-    walk on the tree with the given split times, started at params.x0."""
-    for i in tree.inner_nodes:
-        parent_t = t if tree.parent[i] == 0 else split_times[tree.parent[i]]
-        if not (0.0 <= split_times[i] <= min(t, parent_t) + 1e-12):
-            raise ValueError("split times violate the tree constraints")
-    coefs = _leaf_moment_coefficients(tree, t, params, f_assignment)
-    span = -math.expm1(-2.0 * params.mu * t)
-    for i in tree.inner_nodes:
-        # u_i = (e^{-2 mu t_i} - e^{-2 mu t}) / (1 - e^{-2 mu t}); at t = 0
-        # the variance vanishes and u_i does not matter
-        u = -math.exp(-2.0 * params.mu * split_times[i]) * \
-            math.expm1(-2.0 * params.mu * (t - split_times[i])) / span if span else 0.0
-        coefs = np.polynomial.polynomial.polyval(u, coefs)
-    return float(coefs)
-
-
 # ---------------------------------------------------------------------------
 # split-time integration
 

@@ -13,13 +13,7 @@ from scipy import stats as sstats
 
 from branching_ou.kernels import Factor, Kernel, hoeffding_table, reconstruct_from_table
 from branching_ou.model import ModelParams, classify, derive, extinction_by
-from branching_ou.ou import (
-    FUNC_ONE,
-    FUNC_X,
-    Func1D,
-    evolve_poly,
-    ou_transition_sample,
-)
+from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D, ou_leg, stationary_std
 from branching_ou.simulator import condition_on_survival, simulate_farm
 from branching_ou.tree_oracle import exact_mixed_moment
 from branching_ou.ustats import u_statistic, u_statistics, v_statistics
@@ -68,28 +62,42 @@ def test_criterion_1_galton_watson_laws():
                   f"survivors={len(v)}")
 
 
+class FixedNormals:
+    """A generator stand-in whose every standard normal is ``value``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def standard_normal(self, shape):
+        return np.full(shape, self.value)
+
+
 def test_criterion_2_ou_correctness():
+    # ou_leg maps x to a x + b G over a step dt; read a and b off it and
+    # check the semigroup (two legs s, t have the law of one leg s + t) and
+    # the invariance of the stationary law (a^2 std^2 + b^2 = std^2)
     params = SLOW_PARAMS
-    coeffs = np.array([0.5, -1.0, 2.0, 0.25, -0.5])
+    std = stationary_std(params)
+
+    def leg(x, dt, normal):
+        return float(ou_leg(np.array([[x]]), np.array([dt]), params.mu, std,
+                            FixedNormals(normal))[0, 0])
+
     worst = 0.0
     for s, t in ((0.3, 0.9), (1.1, 2.3)):
-        once = evolve_poly(coeffs, s + t, params)
-        twice = evolve_poly(evolve_poly(coeffs, s, params), t, params)
-        for x in (-2.0, 0.0, 1.5):
-            a = np.polynomial.polynomial.polyval(x, once)
-            b = np.polynomial.polynomial.polyval(x, twice)
-            worst = max(worst, abs(a - b))
-        base = Func1D.polynomial(coeffs).phi_mean(params)
-        evolved_mean = Func1D.polynomial(evolve_poly(coeffs, s + t, params)).phi_mean(
-            params)
-        worst = max(worst, abs(base - evolved_mean))
+        (a_s, b_s), (a_t, b_t), (a_st, b_st) = [
+            (leg(1.0, dt, 0.0), leg(0.0, dt, 1.0)) for dt in (s, t, s + t)]
+        worst = max(worst, abs(a_st - a_s * a_t),
+                    abs(b_st**2 - (a_t * b_s) ** 2 - b_t**2),
+                    abs((a_st * std) ** 2 + b_st**2 - std**2))
     ok_semi = worst <= 1e-10
     assert report(2, "semigroup + invariance identities", ok_semi,
                   f"max defect={worst:.2e} <= 1e-10")
 
     rng = np.random.default_rng(7)
     dt = math.log(2.0)
-    draws = ou_transition_sample(np.full((100_000, 1), 4.0), dt, params, rng)[:, 0]
+    draws = ou_leg(np.full((100_000, 1), 4.0), np.full(100_000, dt), params.mu, std,
+                   rng)[:, 0]
     mean_se_v = draws.std(ddof=1) / math.sqrt(len(draws))
     var, se_var = var_se(draws)
     ok_mean = abs(draws.mean() - 2.0) <= 4 * mean_se_v

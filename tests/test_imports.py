@@ -7,7 +7,9 @@ names its ``__all__`` lists.  The exact-moment oracle stays independent of
 the simulator: it reaches no package module but ``model`` and ``ou``.
 The package loads no scipy module at all, not on import and not in a
 ``wlaw`` or ``clt`` run, whose KS checks are computed in numpy: importing
-``scipy.stats`` takes over a second.
+``scipy.stats`` takes over a second.  Every top-level function and class
+of the package has a caller outside its own unit tests: some package
+module, the package ``__all__`` or a benchmark script names it.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "branching_ou"
+BENCHMARKS = PACKAGE.parents[1] / "benchmarks"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -115,3 +119,34 @@ def test_package_and_cli_import_no_scipy(tmp_path):
     codes, loaded = json.loads(out.splitlines()[-1])
     assert set(codes) <= {0, 1}
     assert loaded == []
+
+
+def named(nodes) -> set[str]:
+    """Every name the ``nodes`` mention: a variable, an attribute, an
+    imported name or a string constant such as an ``__all__`` entry."""
+    out = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_definition_has_a_caller():
+    statements = [(path.name, node, named([node])) for path in PACKAGE.glob("*.py")
+                  for node in ast.parse(path.read_text()).body]
+    # how many top-level statements of the package name each identifier; a
+    # definition that names itself (a recursion) does not count as a caller
+    naming = Counter(name for _, _, names in statements for name in names)
+    benchmarks = named(ast.parse(path.read_text()) for path in BENCHMARKS.glob("*.py"))
+    orphans = [f"{module}: {node.name}" for module, node, names in sorted(
+                   statements, key=lambda s: (s[0], s[1].lineno))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name not in benchmarks
+               and naming[node.name] == int(node.name in names)]
+    assert orphans == []

@@ -10,9 +10,8 @@ from branching_ou.ou import (
     Func1D,
     Factor,
     default_rule,
-    evolve_poly,
     gaussian_moment,
-    ou_transition_sample,
+    ou_leg,
     stationary_std,
 )
 
@@ -44,12 +43,18 @@ class TestQuadrature:
 
 
 class TestTransitionSampler:
+    """``ou_leg``, the exact OU step the simulator takes."""
+
+    @staticmethod
+    def leg(x, dt, params, rng):
+        return ou_leg(x, np.full(len(x), dt), params.mu, stationary_std(params), rng)
+
     def test_moments_match_closed_form(self):
         # dt = ln 2 from x = 4: mean 2, per-coordinate variance 0.375
         rng = np.random.default_rng(7)
         dt = math.log(2.0)
         x = np.full((100_000, 1), 4.0)
-        draws = ou_transition_sample(x, dt, PARAMS, rng)[:, 0]
+        draws = self.leg(x, dt, PARAMS, rng)[:, 0]
         mean_se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - 2.0) <= 4 * mean_se
         var = draws.var(ddof=1)
@@ -59,7 +64,7 @@ class TestTransitionSampler:
     def test_long_horizon_forgets_start(self):
         rng = np.random.default_rng(8)
         x = np.full((100_000, 1), 9.0)
-        draws = ou_transition_sample(x, 1e6, PARAMS, rng)[:, 0]
+        draws = self.leg(x, 1e6, PARAMS, rng)[:, 0]
         std = stationary_std(PARAMS)
         assert abs(draws.mean()) <= 4 * std / math.sqrt(len(draws))
         var = draws.var(ddof=1)
@@ -67,62 +72,12 @@ class TestTransitionSampler:
 
     def test_zero_start_symmetric(self):
         rng = np.random.default_rng(9)
-        draws = ou_transition_sample(np.zeros((50_000, 2)), 0.3, PARAMS2, rng)
+        draws = self.leg(np.zeros((50_000, 2)), 0.3, PARAMS2, rng)
         se = draws.std(ddof=1) / math.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0)) <= 4 * se)
 
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            ou_transition_sample(np.zeros(1), 0.0, PARAMS, np.random.default_rng(0))
-
 
 PARAMS2 = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=2, x0=(0.0, 0.0))
-
-
-def semigroup(f: Func1D, t: float, x):
-    """(T_t f)(x) through the closed-form evolved polynomial."""
-    return Func1D.polynomial(evolve_poly(f.coeffs, t, PARAMS))(x)[0]
-
-
-class TestSemigroup:
-    def test_identity_on_linear(self):
-        for t in (0.1, 1.0, 3.0):
-            for x in (-2.0, 0.0, 1.5):
-                got = semigroup(FUNC_X, t, x)
-                assert got == pytest.approx(x * math.exp(-t), abs=1e-12)
-
-    def test_second_moment_closed_form(self):
-        f = Func1D.polynomial([0.0, 0.0, 1.0])
-        for t in (0.2, 1.0):
-            for x in (-1.0, 2.0):
-                want = x**2 * math.exp(-2 * t) + 0.5 * (1 - math.exp(-2 * t))
-                assert semigroup(f, t, x) == pytest.approx(want, abs=1e-12)
-
-    def test_time_zero_is_identity(self):
-        f = Func1D.polynomial([1.0, -2.0, 0.5, 3.0])
-        for x in (-1.0, 0.3):
-            assert semigroup(f, 0.0, x) == pytest.approx(f(x)[0], abs=1e-12)
-
-    def test_chapman_kolmogorov_polynomial(self):
-        coeffs = np.array([0.5, -1.0, 2.0, 0.25, -0.5])
-        s, t = 0.7, 1.3
-        once = evolve_poly(coeffs, s + t, PARAMS)
-        twice = evolve_poly(evolve_poly(coeffs, s, PARAMS), t, PARAMS)
-        assert np.allclose(once, twice, atol=1e-10)
-        xs = np.linspace(-3, 3, 11)
-        f = Func1D.polynomial(coeffs)
-        inner = Func1D.polynomial(evolve_poly(coeffs, s, PARAMS))
-        for x in xs:
-            assert semigroup(inner, t, x) == pytest.approx(
-                semigroup(f, s + t, x), abs=1e-10
-            )
-
-    def test_invariance_of_stationary_integral(self):
-        f = Func1D.polynomial([1.0, 2.0, -1.0, 0.0, 0.7])
-        base = f.phi_mean(PARAMS)
-        for t in (0.4, 2.0):
-            evolved = Func1D.polynomial(evolve_poly(f.coeffs, t, PARAMS))
-            assert evolved.phi_mean(PARAMS) == pytest.approx(base, abs=1e-10)
 
 
 class TestInvariantIntegral:
@@ -153,20 +108,6 @@ class TestDensityGradient:
 
 
 from hypothesis import given, settings, strategies as st
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=5),
-    s=st.floats(0.05, 3.0),
-    t=st.floats(0.05, 3.0),
-)
-def test_evolution_semigroup_property(coeffs, s, t):
-    coeffs = np.asarray(coeffs)
-    once = evolve_poly(coeffs, s + t, PARAMS)
-    twice = evolve_poly(evolve_poly(coeffs, s, PARAMS), t, PARAMS)
-    scale = np.max(np.abs(once)) + 1.0
-    assert np.allclose(once, twice, atol=1e-10 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -49,22 +49,12 @@ class TestBasics:
         assert a.count == b.count
         assert np.array_equal(a.positions, b.positions)
 
-    def test_farm_thread_invariance(self):
-        f1 = simulate_farm(SLOW, (2.0, 4.0), 900, seed=5, batch_size=300,
-                           threads=1)
-        f2 = simulate_farm(SLOW, (2.0, 4.0), 900, seed=5, batch_size=300,
-                           threads=3)
-        for k in range(2):
-            for a, b in zip(f1[k], f2[k]):
-                assert np.array_equal(a.positions, b.positions)
-
     def test_farm_stream_pinned(self):
-        # three batches, the last partial, on two threads; the digest of
-        # counts and positions pins the RNG stream and the replica order
+        # three batches, the last partial; the digest of counts and
+        # positions pins the RNG stream and the replica order
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
                              x0=(1.0, -1.0))
-        farm = simulate_farm(params, (2.0, 0.5), 40, seed=3, batch_size=16,
-                             threads=2)
+        farm = simulate_farm(params, (2.0, 0.5), 40, seed=3, batch_size=16)
         assert isinstance(farm, list) and [level.t for level in farm] == [0.5, 2.0]
         digest = hashlib.sha256()
         for level in farm:
@@ -73,8 +63,8 @@ class TestBasics:
                           .astype("<f8").tobytes())
         assert digest.hexdigest() == (
             "0b2cadf0646bbbe15a9a03b36e0977bd51e0d68489811856dd4674b7e664d059")
-        serial = simulate_farm(params, (0.5, 2.0), 40, seed=3, batch_size=16)
-        for a, b in zip(farm, serial):
+        in_order = simulate_farm(params, (0.5, 2.0), 40, seed=3, batch_size=16)
+        for a, b in zip(farm, in_order):
             assert np.array_equal(a.counts, b.counts)
             assert np.array_equal(a.positions, b.positions)
 
@@ -84,7 +74,7 @@ class TestBasics:
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
                              x0=(1.0, -1.0))
         grid = (0.0, 0.5, 0.5, 2.0, 3.0)
-        farm = simulate_farm(params, grid, 40, seed=3, batch_size=16, threads=2)
+        farm = simulate_farm(params, grid, 40, seed=3, batch_size=16)
         assert [level.t for level in farm] == list(grid)
         assert [int(level.counts.sum()) for level in farm] == [40, 55, 55, 115, 221]
         assert np.array_equal(farm[1].positions, farm[2].positions)
@@ -274,22 +264,17 @@ class TestCountsOnly:
         assert level.counts.min() >= 1
 
     @pytest.mark.parametrize("batch_size", [7, 16, 40])
-    def test_threads_and_batches(self, batch_size):
-        # positions farms come in increasing time order, are the same on any
-        # number of threads, and batch b holds substream (seed, b)
-        serial = simulate_farm(self.DIM2, (2.0, 0.5), 40, seed=3, batch_size=batch_size)
-        pooled = simulate_farm(self.DIM2, (2.0, 0.5), 40, seed=3, batch_size=batch_size,
-                               threads=3)
-        assert [level.t for level in serial] == [0.5, 2.0]
-        assert [level.counts.shape for level in serial] == [(40,), (40,)]
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a.counts, b.counts)
-            assert np.array_equal(a.positions, b.positions)
+    def test_batches_hold_their_substreams(self, batch_size):
+        # positions farms come in increasing time order, and batch b holds
+        # substream (seed, b)
+        farm = simulate_farm(self.DIM2, (2.0, 0.5), 40, seed=3, batch_size=batch_size)
+        assert [level.t for level in farm] == [0.5, 2.0]
+        assert [level.counts.shape for level in farm] == [(40,), (40,)]
         grid = np.array([0.5, 2.0])
         for b, lo in enumerate(range(0, 40, batch_size)):
             size = min(batch_size, 40 - lo)
             batch = _run_batch(self.DIM2, grid, size, generator((3, b)), Caps())
-            for level, (positions, want) in zip(serial, batch):
+            for level, (positions, want) in zip(farm, batch):
                 rows = slice(level.offsets[lo], level.offsets[lo + size])
                 assert np.array_equal(level.counts[lo:lo + size], want)
                 assert np.array_equal(level.positions[rows], positions)

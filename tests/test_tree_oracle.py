@@ -22,7 +22,6 @@ from branching_ou.tree_oracle import (
     OracleKernelError,
     enumerate_trees,
     exact_mixed_moment,
-    gaussian_position_moments,
     tree_contribution,
 )
 
@@ -88,59 +87,6 @@ class TestEnumeration:
         assert (tree.inner_nodes, tree.leaves) == ((), (1,))
         assert tree.leaf_labels == ((1, (1,)),)
         assert tree.multiplicity == 1
-
-
-class TestGaussianMoments:
-    def leaf_tree(self):
-        return enumerate_trees(1)[0]
-
-    def split_tree(self):
-        return next(t for t in enumerate_trees(2) if len(t.leaves) == 2)
-
-    def test_constant_functions(self):
-        assert gaussian_position_moments(
-            self.split_tree(), 2.0, {1: 0.7}, SLOW, [FUNC_ONE, FUNC_ONE]
-        ) == pytest.approx(1.0)
-
-    def test_single_leaf_mean(self):
-        got = gaussian_position_moments(self.leaf_tree(), 2.0, {}, SLOW, [FUNC_X])
-        assert got == pytest.approx(0.5 * math.exp(-2.0), abs=1e-14)
-
-    def test_two_leaf_covariance_formula(self):
-        params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(0.0,))
-        t, t1 = 2.0, 0.7
-        got = gaussian_position_moments(self.split_tree(), t, {1: t1}, params,
-                                        [FUNC_X, FUNC_X])
-        want = math.exp(-2 * t1) * (1 - math.exp(-2 * (t - t1))) * 0.5
-        assert got == pytest.approx(want, abs=1e-14)
-
-    def test_two_leaf_covariance_vs_direct_simulation(self):
-        # replay the two-segment construction directly: common leg to the
-        # split, then two conditionally independent legs
-        params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(0.0,))
-        t, t1 = 2.0, 0.7
-        rng = np.random.default_rng(61)
-        n = 400_000
-        std = params.sigma / math.sqrt(2 * params.mu)
-        mix = lambda dt: math.sqrt(1 - math.exp(-2 * params.mu * dt))
-        y = mix(t - t1) * std * rng.standard_normal(n)
-        z1 = y * math.exp(-params.mu * t1) + mix(t1) * std * rng.standard_normal(n)
-        z2 = y * math.exp(-params.mu * t1) + mix(t1) * std * rng.standard_normal(n)
-        emp = float(np.mean(z1 * z2))
-        se = float(np.std(z1 * z2, ddof=1) / math.sqrt(n))
-        want = gaussian_position_moments(self.split_tree(), t, {1: t1}, params,
-                                         [FUNC_X, FUNC_X])
-        assert abs(emp - want) <= 4 * se
-
-    def test_constraint_validation(self):
-        with pytest.raises(ValueError):
-            gaussian_position_moments(self.split_tree(), 2.0, {1: 2.5}, SLOW,
-                                      [FUNC_X, FUNC_X])
-
-    def test_rejects_dimension_mismatch(self):
-        cross = Factor.from_polys([LIN, LIN])
-        with pytest.raises(OracleKernelError):
-            gaussian_position_moments(self.leaf_tree(), 1.0, {}, SLOW, [cross])
 
 
 class TestTreeContribution:
@@ -363,6 +309,11 @@ class TestExactMixedMoment:
             exact_mixed_moment(2, 1.0, SLOW, [FUNC_X])
         with pytest.raises(ArityCapError):
             exact_mixed_moment(7, 1.0, SLOW, [FUNC_X] * 7)
+
+    def test_rejects_dimension_mismatch(self):
+        cross = Factor.from_polys([LIN, LIN])
+        with pytest.raises(OracleKernelError):
+            exact_mixed_moment(1, 1.0, SLOW, [cross])
 
     @pytest.mark.parametrize("t", [-1.0, -0.5, math.nan, math.inf])
     @pytest.mark.parametrize("n", [1, 2])
