@@ -23,7 +23,7 @@ from .harness import (
 from .model import BudgetExceededError, InvalidParameterError
 from .simulator import AllExtinctError, ResourceCapError, simulate_farm
 
-_SUBCOMMANDS = ("simulate", "lln", "clt", "wlaw", "oracle", "variance")
+_SUBCOMMANDS = ("simulate", *RUNNERS)
 
 
 @functools.cache  # built once per process: building costs far more than parsing
@@ -64,7 +64,6 @@ def _load_config(args) -> ExperimentConfig:
             raw["t_grid"] = [float(v) for v in args.t.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--t: {exc}") from exc
-    raw["test"] = args.command
     return ExperimentConfig.from_dict(raw)
 
 
@@ -83,10 +82,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "simulate":
-            farm = simulate_farm(
-                config.params, config.t_grid, config.replicas, config.seed,
-                caps=config.caps, batch_size=config.batch_size,
-            )
+            farm = simulate_farm(config.params, config.t_grid, config.replicas,
+                                 config.seed, caps=config.caps)
             path = dump_snapshots(farm, args.out)
             counts = [int((farm[-1].counts > 0).sum()), config.replicas]
             print(f"wrote {path} ({counts[0]}/{counts[1]} replicas surviving "

@@ -31,13 +31,12 @@ from .limits import (
     sigma_slow,
     slow_limit_sampler,
 )
-from .simulator import (MAX_FARM_PARTICLES, AllExtinctError, Caps, ResourceCapError,
-                        condition_on_survival, farm_counts, simulate_farm)
+from .simulator import (AllExtinctError, Caps, check_budget, condition_on_survival,
+                        farm_counts, simulate_farm, substream)
 from .tree_oracle import exact_mixed_moment
 # The per-snapshot statistics stay importable from here: the benchmark's
 # tracer (benchmarks/tracer.py) patches them by these names.
 from .ustats import (  # noqa: F401
-    falling_factorial,
     normalized_u_statistic,
     normalized_u_statistics,
     u_statistic,
@@ -82,14 +81,6 @@ def _bool(value) -> bool:
     return value
 
 
-def _test_name(value) -> str:
-    """The name of a ``RUNNERS`` test or ``simulate``."""
-    names = [*RUNNERS, "simulate"]
-    if not isinstance(value, str) or value not in names:
-        raise ConfigError(f"expected one of {', '.join(names)}, got {value!r}")
-    return value
-
-
 def _float(value) -> float:
     """A finite JSON number; a bool, a string, NaN or an infinity is not
     one."""
@@ -128,9 +119,7 @@ _CONFIG = {
     "replicas": ("replicas", _int),
     "seed": ("seed", _int),
     "regime": ("regime_expected", _or_none(lambda tag: RegimeTag(tag).value)),
-    "test": ("test", _test_name),
     "caps": ("caps", _CAPS),
-    "batch_size": ("batch_size", _int),
     "tolerances": (None, {"se_mult": ("se_mult", _float),
                           "ks_level": ("ks_level", _float),
                           "corr_threshold": ("corr_threshold", _float),
@@ -188,9 +177,7 @@ class ExperimentConfig:
     seed: int = 0
     kernel: Kernel | None = None
     regime_expected: str | None = None
-    test: str = "lln"
     caps: Caps = field(default_factory=Caps)
-    batch_size: int = 2000
     se_mult: float = 4.0
     ks_level: float = 0.01
     corr_threshold: float = 0.95
@@ -210,11 +197,12 @@ class ExperimentConfig:
             raise ConfigError("t_grid must be increasing")
         if self.t_grid[0] < 0:
             raise ConfigError("grid times must be nonnegative")
-        for name in ("replicas", "batch_size", "g1_replicas", "limit_draws",
-                     "fast_limit_draws"):
+        for name in ("replicas", "g1_replicas", "limit_draws", "fast_limit_draws"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.fast_t_approx is not None and self.fast_t_approx <= 0.0:
+            raise ConfigError("fast_t_approx must be positive")
         if not 0.0 <= self.g1_t < self.g1_t_max:
             raise ConfigError("g1 needs 0 <= t < t_max")
         if self.se_mult <= 0.0:
@@ -383,12 +371,12 @@ def _v_values(counts: np.ndarray, t: float, consts) -> np.ndarray:
 def _farm(config: ExperimentConfig):
     """The config's farm."""
     return simulate_farm(config.params, config.t_grid, config.replicas, config.seed,
-                         caps=config.caps, batch_size=config.batch_size)
+                         caps=config.caps)
 
 
 def _require_kernel(config: ExperimentConfig) -> Kernel:
     if config.kernel is None:
-        raise ConfigError(f"test {config.test!r} requires a kernel spec")
+        raise ConfigError("the test requires a kernel spec")
     return config.kernel
 
 
@@ -403,7 +391,8 @@ def run_lln(config: ExperimentConfig) -> TestReport:
     tensorized stationary mean.
 
     The estimator divides the U-statistic by the falling factorial of the
-    population size so the deterministic tuple-count factor drops out.
+    population size, its number of injective tuples, so the deterministic
+    tuple-count factor drops out.
     """
     start = time.time()
     f = _require_kernel(config)
@@ -411,7 +400,7 @@ def run_lln(config: ExperimentConfig) -> TestReport:
     n = f.arity
     target = project(f, [], config.params)
     enough = alive.counts >= n
-    tuples = np.array([float(falling_factorial(int(m), n))
+    tuples = np.array([float(math.perm(int(m), n))
                        for m in alive.counts[enough]])
     vals = u_statistics(alive, f)[enough] / tuples
     if len(vals) < 2:
@@ -496,14 +485,9 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     if not is_canonical(f, params):
         raise ConfigError("CLT test requires a canonical kernel")
     if regime.is_fast:
-        t_approx = config.fast_t_approx
-        if t_approx is None:
-            t_approx = default_fast_horizon(params, config.caps)
-        births = config.fast_limit_draws * expected_births(params, t_approx)
-        if births > MAX_FARM_PARTICLES:
-            raise ResourceCapError(
-                f"the fast limit draws expect {births:.3g} births, above the "
-                f"budget MAX_FARM_PARTICLES={MAX_FARM_PARTICLES:g}", 0.0)
+        t_approx = config.fast_t_approx or default_fast_horizon(params, config.caps)
+        check_budget(config.fast_limit_draws * expected_births(params, t_approx),
+                     "the fast limit draws expect {:.3g} births")
     n = f.arity
     farm = farm if farm is not None else _farm(config)
     alive, frac = condition_on_survival(farm[-1])
@@ -511,8 +495,7 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     if len(alive) < 2:
         raise ConfigError("too few replicas with enough particles for the arity")
     stat = normalized_u_statistics(alive, f, n, regime, consts)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((config.seed, 0xC17))))
+    rng = substream((config.seed, 0xC17))
     checks: list[CheckResult] = []
 
     if regime.is_fast:
@@ -703,8 +686,8 @@ def dump_snapshots(farm, out_dir) -> Path:
 
 RUNNERS = {
     "lln": run_lln,
-    "wlaw": run_w_law,
     "clt": run_clt,
+    "wlaw": run_w_law,
     "oracle": run_oracle_crosscheck,
     "variance": run_variance,
 }

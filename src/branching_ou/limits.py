@@ -303,21 +303,22 @@ def fast_limit_sampler(
     params: ModelParams,
     rng: np.random.Generator,
     size: int = 1,
-    t_approx: float | None = None,
+    *,
+    t_approx: float,
     caps: Caps = Caps(),
 ) -> np.ndarray:
     """Draws of the fast-regime limit law: the limit polynomial evaluated
-    at the position-sum martingale at a long horizon, one fresh replica per
-    draw, its position sum drawn by ``simulator.position_sum`` from the
-    exact Gaussian law given its genealogy.  An extinct replica gives
-    exactly 0, so the nonzero draws follow the law on survival."""
+    at the position-sum martingale at the horizon ``t_approx``, one fresh
+    replica per draw, its position sum drawn by ``simulator.position_sum``
+    from the exact Gaussian law given its genealogy.  An extinct replica
+    gives exactly 0, so the nonzero draws follow the law on survival.  The
+    caller picks the horizon: ``harness.run_clt`` takes the config's or
+    ``default_fast_horizon``."""
     regime = classify(params)
     if not regime.is_fast:
         raise RegimeError("fast sampler needs growth > 2 mu")
     _require_tensor_sum(f)
     consts = derive(params)
-    if t_approx is None:
-        t_approx = default_fast_horizon(params, caps)
     scale = math.exp((params.mu - consts.growth_rate) * t_approx)
     h = np.empty((size, params.dim))
     for i in range(size):

@@ -62,15 +62,42 @@ class AllExtinctError(RuntimeError):
 # grid times; a farm expecting more is refused before anything is drawn.
 MAX_FARM_PARTICLES = 1e8
 
+# Replicas per batch of ``simulate_farm``: a batch holds every particle of
+# its replicas at once, so this bounds the memory of a large farm.  Each
+# batch draws from its own substream, so the value fixes the farm's draws.
+FARM_BATCH = 2000
+
+
+def check_budget(expected: float, claim: str) -> None:
+    """Refuse work expecting more than ``MAX_FARM_PARTICLES`` particles or
+    births with ``ResourceCapError`` at time 0, before anything is drawn;
+    ``claim`` formats ``expected`` for the message."""
+    if expected > MAX_FARM_PARTICLES:
+        raise ResourceCapError(
+            f"{claim.format(expected)}, above the budget "
+            f"MAX_FARM_PARTICLES={MAX_FARM_PARTICLES:g}", 0.0)
+
+
+def substream(entropy, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
+    """A PCG64 generator seeded by the ``SeedSequence`` of ``entropy`` and
+    ``spawn_key``: every stream the package derives from a seed."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy, spawn_key=spawn_key)))
+
 
 @dataclass(frozen=True)
 class Caps:
     """Resource limits for a single replica of ``simulate_farm``,
-    ``simulate`` or ``position_sum``; ``farm_counts`` draws nothing that
-    grows with the population and takes none."""
+    ``simulate`` or ``position_sum``, each at least 1; ``farm_counts``
+    draws nothing that grows with the population and takes none."""
 
     max_particles: int = 10_000_000
     max_generations: int = 100_000
+
+    def __post_init__(self):
+        for name in ("max_particles", "max_generations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 class FarmLevel:
@@ -245,10 +272,7 @@ def _checked_grid(params: ModelParams, t_grid, n_replicas: int) -> np.ndarray:
         raise ValueError("n_replicas must be at least 1")
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
         expected = n_replicas * float(np.exp(derive(params).growth_rate * t_grid).sum())
-    if expected > MAX_FARM_PARTICLES:
-        raise ResourceCapError(
-            f"the farm expects {expected:.3g} particles, above the budget "
-            f"MAX_FARM_PARTICLES={MAX_FARM_PARTICLES:g}", 0.0)
+    check_budget(expected, "the farm expects {:.3g} particles")
     return t_grid
 
 
@@ -258,28 +282,23 @@ def simulate_farm(
     n_replicas: int,
     seed: int,
     caps: Caps = Caps(),
-    batch_size: int = 2000,
 ) -> list[FarmLevel]:
     """Independent replicas observed at the grid times.
 
     Returns one ``FarmLevel`` per grid time, in increasing time order, so
     ``farm[k][i]`` is the snapshot of replica ``i`` at the k-th grid time.
-    Batches own disjoint RNG substreams derived from (seed, batch_index)
-    and run one after another in batch order, so the output is a pure
-    function of the arguments.  A farm whose expected particle count
-    ``n_replicas * sum_k exp(growth t_k)`` exceeds ``MAX_FARM_PARTICLES``
-    raises ``ResourceCapError`` before any draw, and a replica count or
-    batch size below 1 raises ``ValueError``.
+    The replicas run in batches of ``FARM_BATCH``, one after another in
+    batch order, and batch ``idx`` draws from the substream (seed, idx),
+    so the output is a pure function of the arguments.  A farm whose
+    expected particle count ``n_replicas * sum_k exp(growth t_k)`` exceeds
+    ``MAX_FARM_PARTICLES`` raises ``ResourceCapError`` before any draw, and
+    a replica count below 1 raises ``ValueError``.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
     t_grid = _checked_grid(params, t_grid, n_replicas)
     batches = []
-    for idx, start in enumerate(range(0, n_replicas, batch_size)):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((int(seed), idx))))
-        batches.append(_run_batch(params, t_grid,
-                                  min(batch_size, n_replicas - start), rng, caps))
+    for idx, start in enumerate(range(0, n_replicas, FARM_BATCH)):
+        batches.append(_run_batch(params, t_grid, min(FARM_BATCH, n_replicas - start),
+                                  substream((int(seed), idx)), caps))
     out: list[FarmLevel] = []
     for k, g in enumerate(t_grid):
         parts = [b[k] for b in batches]
@@ -304,8 +323,7 @@ def farm_counts(params: ModelParams, t_grid, n_replicas: int,
     0 draws nothing.  Refusals are those of ``simulate_farm``."""
     t_grid = _checked_grid(params, t_grid, n_replicas)
     # a substream of its own, apart from every batch's (seed, idx)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(int(seed), spawn_key=(1,))))
+    rng = substream(int(seed), (1,))
     r = derive(params).growth_rate
     b, d = params.lam * params.p, params.lam * (1.0 - params.p)
     counts = np.ones(n_replicas, dtype=np.int64)
@@ -409,7 +427,7 @@ def position_sum(
 def _as_rng(rng_or_seed) -> np.random.Generator:
     if isinstance(rng_or_seed, np.random.Generator):
         return rng_or_seed
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(rng_or_seed))))
+    return substream(int(rng_or_seed))
 
 
 def condition_on_survival(level: FarmLevel) -> tuple[FarmLevel, float]:

@@ -170,10 +170,6 @@ def u_statistic(
     return total
 
 
-def falling_factorial(m: int, n: int) -> int:
-    return math.perm(m, n) if m >= n else 0
-
-
 def normalized_u_statistics(
     level: FarmLevel,
     f_centered: Kernel,

@@ -22,5 +22,4 @@ FAST_PARAMS = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0)
 @pytest.fixture(scope="session")
 def slow_farm():
     """Shared slow-regime farm for the CLT-style acceptance criteria."""
-    return simulate_farm(SLOW_PARAMS, (6.0, 8.0, 10.0, 12.0), 10_000,
-                         seed=2025, batch_size=2000)
+    return simulate_farm(SLOW_PARAMS, (6.0, 8.0, 10.0, 12.0), 10_000, seed=2025)

@@ -3,6 +3,8 @@ with the measured value and the tolerance it was judged against.
 
 Statistical criteria run at fixed seeds so the whole suite is a pure
 function of the code; tolerances are the stated ones, never recalibrated.
+The batch size fixes a farm's draws, so a criterion whose sample was drawn
+in batches of another size sets ``simulator.FARM_BATCH`` to that size.
 """
 
 import math
@@ -14,6 +16,7 @@ from scipy import stats as sstats
 from branching_ou.kernels import Factor, Kernel, hoeffding_table, reconstruct_from_table
 from branching_ou.model import ModelParams, classify, derive, extinction_by
 from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D, ou_leg, stationary_std
+from branching_ou import simulator
 from branching_ou.simulator import condition_on_survival, simulate_farm
 from branching_ou.tree_oracle import exact_mixed_moment
 from branching_ou.ustats import u_statistic, u_statistics, v_statistics
@@ -35,9 +38,11 @@ def report(num: int, label: str, passed: bool, detail: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_galton_watson_laws():
+def test_criterion_1_galton_watson_laws(monkeypatch):
     # extinction fraction at t=8 over 2e4 replicas within 0.02 of 1/3
-    farm = simulate_farm(SLOW_PARAMS, (8.0,), 20_000, seed=111, batch_size=4000)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "FARM_BATCH", 4000)
+        farm = simulate_farm(SLOW_PARAMS, (8.0,), 20_000, seed=111)
     frac = float(np.mean([s.count == 0 for s in farm[0]]))
     ok_frac = abs(frac - 1.0 / 3.0) <= 0.02
     assert report(1, "extinction fraction t=8", ok_frac,
@@ -51,8 +56,7 @@ def test_criterion_1_galton_watson_laws():
     assert abs(frac - q_ode) <= 4 * se
 
     # survivor-normalized size vs the exponential limit law at t=12
-    farm12 = simulate_farm(SLOW_PARAMS, (12.0,), 10_000, seed=112,
-                           batch_size=2000)
+    farm12 = simulate_farm(SLOW_PARAMS, (12.0,), 10_000, seed=112)
     counts = np.array([s.count for s in farm12[0]])
     v = math.exp(-0.5 * 12.0) * counts[counts > 0]
     ks = sstats.kstest(v, "expon", args=(0.0, 1.5))
@@ -153,7 +157,8 @@ def test_criterion_3_uv_machinery():
                   f"max defect={worst:.2e} <= 1e-8 on 100 points x 5 kernels")
 
 
-def test_criterion_4_tree_oracle():
+def test_criterion_4_tree_oracle(monkeypatch):
+    monkeypatch.setattr(simulator, "FARM_BATCH", 4000)
     yule = ModelParams(lam=1.0, p=1.0, mu=1.0, sigma=1.0)
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
@@ -173,7 +178,7 @@ def test_criterion_4_tree_oracle():
     details = []
     for mu, name in ((1.0, "slow"), (0.25, "critical"), (0.1, "fast")):
         params = ModelParams(lam=1.0, p=0.75, mu=mu, sigma=1.0, x0=(0.5,))
-        farm = simulate_farm(params, (t,), 20_000, seed=404, batch_size=4000)
+        farm = simulate_farm(params, (t,), 20_000, seed=404)
         for n, (facs, kern) in kernels.items():
             oracle = exact_mixed_moment(n, t, params, facs)
             vals = v_statistics(farm[0], kern)
@@ -201,9 +206,9 @@ def test_criterion_5_slow_clt_order_one(slow_farm):
                   f"D={ks.statistic:.4f}, p={ks.pvalue:.3f} >= 0.01")
 
 
-def test_criterion_6_critical_clt_order_one():
-    farm = simulate_farm(CRIT_PARAMS, (16.0, 20.0), 600, seed=606,
-                         batch_size=150)
+def test_criterion_6_critical_clt_order_one(monkeypatch):
+    monkeypatch.setattr(simulator, "FARM_BATCH", 150)
+    farm = simulate_farm(CRIT_PARAMS, (16.0, 20.0), 600, seed=606)
     alive = [s for s in farm[1] if s.count > 0]
     stat = np.array([
         s.positions.sum() / math.sqrt(20.0 * s.count) for s in alive
@@ -256,11 +261,12 @@ def test_criterion_7_slow_ustat_clt_mean_agreement(slow_farm):
                   f"means {m_s:.4f} vs {m_d:.4f}, |diff| <= 4 joint SE = {tol:.4f}")
 
 
-def test_criterion_8_fast_convergence_in_probability():
+def test_criterion_8_fast_convergence_in_probability(monkeypatch):
     params = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0, x0=(0.0,))
     g = derive(params).growth_rate
     t = 14.0
-    farm = simulate_farm(params, (t,), 2000, seed=808, batch_size=500)
+    monkeypatch.setattr(simulator, "FARM_BATCH", 500)
+    farm = simulate_farm(params, (t,), 2000, seed=808)
     alive, _ = condition_on_survival(farm[0])
     u_norm = math.exp(-2 * (g - params.mu) * t) * u_statistics(alive, KERNEL_XX)
     h_sq = (math.exp((params.mu - g) * t) *
@@ -289,7 +295,8 @@ def test_criterion_9_degeneracy_driven_normalization(slow_farm):
                   f"var={var:.4f}, target {target:.1f} within 10%")
 
 
-def test_criterion_10_boundedness_proxies():
+def test_criterion_10_boundedness_proxies(monkeypatch):
+    monkeypatch.setattr(simulator, "FARM_BATCH", 200)
     grid = (6.0, 8.0, 10.0, 12.0)
     fx = Kernel.from_slot_funcs([FUNC_X])
     configs = [
@@ -305,8 +312,7 @@ def test_criterion_10_boundedness_proxies():
         for n, f in ((1, fx), (2, KERNEL_XX)):
             points = []
             for ti, t in enumerate(grid):
-                farm = simulate_farm(params, (t,), replicas, seed=9000 + ti,
-                                     batch_size=200)
+                farm = simulate_farm(params, (t,), replicas, seed=9000 + ti)
                 if regime.is_slow:
                     norm = math.exp(-n / 2 * g * t)
                 elif regime.is_critical:

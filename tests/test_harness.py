@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from branching_ou import harness
 from branching_ou.cli import main as cli_main
 from branching_ou.harness import (
-    RUNNERS,
     CheckResult,
     ConfigError,
     ExperimentConfig,
@@ -128,7 +127,7 @@ class TestConfig:
             # every count is at least 1, the g1 times are ordered and the
             # tolerances lie in range
             {**MINIMAL, "replicas": 0},
-            {**MINIMAL, "batch_size": 0},
+            {**MINIMAL, "batch_size": 0},  # not a key: the simulator sizes batches
             {**MINIMAL, "limit_draws": -3},
             {**MINIMAL, "limit_draws": 0},
             {**MINIMAL, "fast_limit_draws": 0},
@@ -140,11 +139,17 @@ class TestConfig:
             {**MINIMAL, "tolerances": {"ks_level": 0.0}},
             {**MINIMAL, "tolerances": {"se_mult": -1.0}},
             {**MINIMAL, "tolerances": {"se_mult": 0.0}},
-            # the test is named by its RUNNERS key or "simulate"
+            # no key names the test: the subcommand does
             {**MINIMAL, "test": None},
             {**MINIMAL, "test": 5},
             {**MINIMAL, "test": [1]},
             {**MINIMAL, "test": "llm"},
+            # the caps are at least 1 and the fast horizon is positive
+            {**MINIMAL, "caps": {"max_particles": 0}},
+            {**MINIMAL, "caps": {"max_particles": -5}},
+            {**MINIMAL, "caps": {"max_generations": -1}},
+            {**MINIMAL, "fast_t_approx": -3.0},
+            {**MINIMAL, "fast_t_approx": 0.0},
         ],
     )
     def test_bad_configs_rejected(self, bad):
@@ -223,8 +228,8 @@ class TestConfig:
             config(kernel=spec)
 
     # hashes of the shipped configs; a change here is a documented event
-    SHIPPED = {"oracle.json": "4867086bd28d3805", "slow_clt.json": "af5ea5fd2d127843",
-               "wlaw.json": "94e29649be29c307"}
+    SHIPPED = {"oracle.json": "3a5835ec4f0367e6", "slow_clt.json": "04876851168613c1",
+               "wlaw.json": "20259a46933324bb"}
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_shipped_configs_load(self, name):
@@ -247,10 +252,10 @@ class TestConfig:
         ("kernel", ("kernel",), KERNEL_XX),
         ("kernel_spec", ("kernel",), KERNEL_XX),
         ("regime_expected", ("regime",), "slow"),
-        ("test", ("test",), "clt"),
+        ("fast_limit_draws", ("fast_limit_draws",), 300),
         ("caps", ("caps", "max_particles"), 1_000_000),
         ("caps", ("caps", "max_generations"), 500),
-        ("batch_size", ("batch_size",), 500),
+        ("fast_t_approx", ("fast_t_approx",), 9.0),
         ("se_mult", ("tolerances", "se_mult"), 3.0),
         ("ks_level", ("tolerances", "ks_level"), 0.05),
         ("corr_threshold", ("tolerances", "corr_threshold"), 0.9),
@@ -259,8 +264,6 @@ class TestConfig:
         ("g1_t", ("g1", "t"), 5.0),
         ("g1_t_max", ("g1", "t_max"), 12.0),
         ("limit_draws", ("limit_draws",), 500),
-        ("fast_limit_draws", ("fast_limit_draws",), 300),
-        ("fast_t_approx", ("fast_t_approx",), 9.0),
     ]
 
     @staticmethod
@@ -294,8 +297,6 @@ SCHEMA_VALUES = {
     "t_grid": st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3).map(sorted),
     "replicas": st.integers(0, 3000), "seed": st.integers(-5, 10**6),
     "regime": st.sampled_from([None, "slow", "critical", "fast"]),
-    "test": st.sampled_from([*sorted(RUNNERS), "simulate"]),
-    "batch_size": st.integers(0, 3000),
     "se_mult": st.floats(-1.0, 6.0),
     "ks_level": st.floats(-0.5, 1.5), "corr_threshold": st.floats(0.0, 1.0),
     "indep_corr_bound": st.floats(0.0, 0.2), "t": st.floats(-1.0, 10.0),
@@ -452,16 +453,16 @@ class TestReportBytes:
                     g1={"replicas": 150, "t": 3.0, "t_max": 6.0})
     PINNED = {
         "lln": (run_lln, dict(kernel=KERNEL_X2Y2, replicas=300, t_grid=[3.0]),
-                "28b86c4ed2505f93b681201ab8008f2c6a3c6e4494992af58ce0d61a6ac47df6"),
+                "647ccb5d9c77b705a885e69aa71aed10d7b094c8e12b9859a30957e200583842"),
         "wlaw": (run_w_law, dict(replicas=200, t_grid=[6.5]),
-                 "131c30984e6ee62e5cd6135cd7e55a994335fed65f7a597e8d7cd4cc17971b94"),
+                 "1f8540971939340f80eb25a68969cc1a08b1e3100204d3d4a006a8ced29defe9"),
         "clt": (run_clt, SLOW_CLT,
-                "13eb695820547dc28578a4efb37ac71e519bf67b85a452faed9ee260aba3daf2"),
+                "c15dedee019a7a6feb31cbfb3cdee365bda0f7bc23435b4c00115a12f62c484e"),
         "oracle": (run_oracle_crosscheck,
                    dict(kernel=KERNEL_XX, replicas=300, t_grid=[1.0, 2.0]),
-                   "a7c340559a834b3948d18f8e200de0a4578534a96a8ff3851936a27655f7f422"),
+                   "11a1978cfb0422cb87de46729556cb66e690ac92f37131603e74a472f5bc9b52"),
         "variance": (run_variance, {},
-                     "c2300db94018b782861424af7b6d022b1fc3ddfe510fed82932cf4a3e2a58afe"),
+                     "9263a13863c9a0d3e906bf2c0f77c1b0188fabe1d761b4d92a351abfb5068d58"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -790,14 +791,16 @@ class TestCli:
         assert cli_main(["frobnicate"]) == 2
 
     def test_threads_refused_exit_2(self, tmp_path, capsys):
-        # farms run their batches serially; no flag or key sets a pool
+        # farms run their batches serially, in batches the simulator sizes,
+        # and the subcommand names the test: no flag or key sets any of them
         cfg = self.write_cfg(tmp_path, BASE)
         assert cli_main(["variance", "--config", str(cfg), "--threads", "2",
                          "--out", str(tmp_path / "out")]) == 2
-        cfg = self.write_cfg(tmp_path, dict(BASE, threads=2))
-        assert cli_main(["variance", "--config", str(cfg),
-                         "--out", str(tmp_path / "out")]) == 2
-        assert "unknown key 'threads'" in capsys.readouterr().err
+        for key, value in (("threads", 2), ("batch_size", 500), ("test", "variance")):
+            cfg = self.write_cfg(tmp_path, dict(BASE, **{key: value}))
+            assert cli_main(["variance", "--config", str(cfg),
+                             "--out", str(tmp_path / "out")]) == 2
+            assert f"unknown key {key!r}" in capsys.readouterr().err
 
     @staticmethod
     def refuse_farm(monkeypatch):
@@ -860,12 +863,6 @@ class TestCli:
         assert cli_main(["lln", "--config", str(cfg), "--t=-1,2",
                          "--out", str(tmp_path / "out")]) == 2
         assert "grid times must be nonnegative" in capsys.readouterr().err
-
-    def test_batch_size_zero_exit_2(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, dict(BASE, batch_size=0))
-        assert cli_main(["lln", "--config", str(cfg),
-                         "--out", str(tmp_path / "out")]) == 2
-        assert "batch_size must be positive" in capsys.readouterr().err
 
     def test_config_not_an_object_exit_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, [BASE])

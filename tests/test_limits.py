@@ -455,4 +455,5 @@ class TestFastSampler:
 
     def test_regime_error(self):
         with pytest.raises(RegimeError):
-            fast_limit_sampler(kernel_xx(), SLOW, np.random.default_rng(1))
+            fast_limit_sampler(kernel_xx(), SLOW, np.random.default_rng(1),
+                               t_approx=4.0)

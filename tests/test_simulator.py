@@ -49,12 +49,13 @@ class TestBasics:
         assert a.count == b.count
         assert np.array_equal(a.positions, b.positions)
 
-    def test_farm_stream_pinned(self):
+    def test_farm_stream_pinned(self, monkeypatch):
         # three batches, the last partial; the digest of counts and
         # positions pins the RNG stream and the replica order
+        monkeypatch.setattr(simulator, "FARM_BATCH", 16)
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
                              x0=(1.0, -1.0))
-        farm = simulate_farm(params, (2.0, 0.5), 40, seed=3, batch_size=16)
+        farm = simulate_farm(params, (2.0, 0.5), 40, seed=3)
         assert isinstance(farm, list) and [level.t for level in farm] == [0.5, 2.0]
         digest = hashlib.sha256()
         for level in farm:
@@ -63,18 +64,19 @@ class TestBasics:
                           .astype("<f8").tobytes())
         assert digest.hexdigest() == (
             "0b2cadf0646bbbe15a9a03b36e0977bd51e0d68489811856dd4674b7e664d059")
-        in_order = simulate_farm(params, (0.5, 2.0), 40, seed=3, batch_size=16)
+        in_order = simulate_farm(params, (0.5, 2.0), 40, seed=3)
         for a, b in zip(farm, in_order):
             assert np.array_equal(a.counts, b.counts)
             assert np.array_equal(a.positions, b.positions)
 
-    def test_farm_stream_pinned_repeated_grid(self):
+    def test_farm_stream_pinned_repeated_grid(self, monkeypatch):
         # a t = 0 grid point, a repeated time and lifetimes that straddle
         # several grid times before they branch
+        monkeypatch.setattr(simulator, "FARM_BATCH", 16)
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
                              x0=(1.0, -1.0))
         grid = (0.0, 0.5, 0.5, 2.0, 3.0)
-        farm = simulate_farm(params, grid, 40, seed=3, batch_size=16)
+        farm = simulate_farm(params, grid, 40, seed=3)
         assert [level.t for level in farm] == list(grid)
         assert [int(level.counts.sum()) for level in farm] == [40, 55, 55, 115, 221]
         assert np.array_equal(farm[1].positions, farm[2].positions)
@@ -91,8 +93,9 @@ class TestBasics:
         t = np.concatenate([grid, np.random.default_rng(3).uniform(-1.0, 4.0, 200)])
         assert np.array_equal(_grid_rank(grid, t), np.searchsorted(grid, t))
 
-    def test_farm_level_views(self):
-        level = simulate_farm(SLOW, (3.0,), 50, seed=9, batch_size=20)[0]
+    def test_farm_level_views(self, monkeypatch):
+        monkeypatch.setattr(simulator, "FARM_BATCH", 20)  # three batches
+        level = simulate_farm(SLOW, (3.0,), 50, seed=9)[0]
         assert len(level) == 50 and level.counts.sum() == level.positions.shape[0]
         snaps = list(level)
         assert all(isinstance(s, FarmLevel) and len(s) == 1 and s.t == 3.0 for s in snaps)
@@ -145,14 +148,15 @@ class TestBasics:
                     for _ in t_grid]
 
         monkeypatch.setattr("branching_ou.simulator._run_batch", fake_batch)
-        simulate_farm(SLOW, (20.0,), 4539, seed=1, batch_size=5000)
+        monkeypatch.setattr(simulator, "FARM_BATCH", 5000)
+        simulate_farm(SLOW, (20.0,), 4539, seed=1)
         assert calls == [4539]
         with pytest.raises(ResourceCapError, match="MAX_FARM_PARTICLES") as info:
-            simulate_farm(SLOW, (20.0,), 4540, seed=1, batch_size=5000)
+            simulate_farm(SLOW, (20.0,), 4540, seed=1)
         assert info.value.time_reached == 0.0
         # the budget sums over the grid: two times at t = 20 need half the replicas
         with pytest.raises(ResourceCapError):
-            simulate_farm(SLOW, (20.0, 20.0), 2300, seed=1, batch_size=5000)
+            simulate_farm(SLOW, (20.0, 20.0), 2300, seed=1)
         assert calls == [4539]
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
@@ -162,11 +166,12 @@ class TestBasics:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             simulate(SLOW, t, 1)
 
-    @pytest.mark.parametrize("n_replicas, batch_size", [(0, 10), (-3, 10), (10, 0),
-                                                        (10, -1)])
-    def test_bad_count_refused(self, n_replicas, batch_size):
+    @pytest.mark.parametrize("n_replicas, batch_size", [(0, 10), (-3, 10)])
+    def test_bad_count_refused(self, n_replicas, batch_size, monkeypatch):
+        # refused before any batch, whatever the batch size
+        monkeypatch.setattr(simulator, "FARM_BATCH", batch_size)
         with pytest.raises(ValueError, match="at least 1"):
-            simulate_farm(SLOW, (1.0,), n_replicas, seed=1, batch_size=batch_size)
+            simulate_farm(SLOW, (1.0,), n_replicas, seed=1)
 
     def test_dim2_positions(self):
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
@@ -264,10 +269,11 @@ class TestCountsOnly:
         assert level.counts.min() >= 1
 
     @pytest.mark.parametrize("batch_size", [7, 16, 40])
-    def test_batches_hold_their_substreams(self, batch_size):
+    def test_batches_hold_their_substreams(self, batch_size, monkeypatch):
         # positions farms come in increasing time order, and batch b holds
         # substream (seed, b)
-        farm = simulate_farm(self.DIM2, (2.0, 0.5), 40, seed=3, batch_size=batch_size)
+        monkeypatch.setattr(simulator, "FARM_BATCH", batch_size)
+        farm = simulate_farm(self.DIM2, (2.0, 0.5), 40, seed=3)
         assert [level.t for level in farm] == [0.5, 2.0]
         assert [level.counts.shape for level in farm] == [(40,), (40,)]
         grid = np.array([0.5, 2.0])

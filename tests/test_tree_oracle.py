@@ -276,7 +276,7 @@ class TestExactMixedMoment:
                 (-2.0 * math.exp(-0.5 * t))
             assert got == pytest.approx(want, rel=1e-10)
 
-    def test_two_dim_second_moment_vs_monte_carlo(self):
+    def test_two_dim_second_moment_vs_monte_carlo(self, monkeypatch):
         from branching_ou.simulator import simulate_farm
         from branching_ou.ustats import v_statistics
 
@@ -286,12 +286,13 @@ class TestExactMixedMoment:
         t = 1.5
         oracle = exact_mixed_moment(2, t, params, [cross, cross])
         f = Kernel.tensor_sum([(1.0, (cross, cross))], dim=2)
-        farm = simulate_farm(params, (t,), 20_000, seed=71, batch_size=4000)
+        monkeypatch.setattr("branching_ou.simulator.FARM_BATCH", 4000)
+        farm = simulate_farm(params, (t,), 20_000, seed=71)
         vals = v_statistics(farm[0], f)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - oracle) <= 4 * se
 
-    def test_fourth_moment_vs_squared_v_statistic(self):
+    def test_fourth_moment_vs_squared_v_statistic(self, monkeypatch):
         # the arity-2 V-statistic of x (x) x is <X_t, x>^2
         from branching_ou.simulator import simulate_farm
         from branching_ou.ustats import v_statistics
@@ -299,7 +300,8 @@ class TestExactMixedMoment:
         t = 1.5
         oracle = exact_mixed_moment(4, t, SLOW, [FUNC_X] * 4)
         f = Kernel.from_slot_funcs([FUNC_X, FUNC_X])
-        farm = simulate_farm(SLOW, (t,), 20_000, seed=83, batch_size=4000)
+        monkeypatch.setattr("branching_ou.simulator.FARM_BATCH", 4000)
+        farm = simulate_farm(SLOW, (t,), 20_000, seed=83)
         vals = v_statistics(farm[0], f) ** 2
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - oracle) <= 4 * se
