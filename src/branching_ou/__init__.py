@@ -15,7 +15,6 @@ from .ou import Factor, Func1D, QuadratureRule
 from .kernels import Kernel
 from .simulator import (
     AllExtinctError,
-    Caps,
     FarmLevel,
     ResourceCapError,
     condition_on_survival,
@@ -26,7 +25,6 @@ from .ustats import u_statistic, u_statistics, v_statistic, v_statistics
 
 __all__ = [
     "AllExtinctError",
-    "Caps",
     "DerivedConstants",
     "Factor",
     "FarmLevel",

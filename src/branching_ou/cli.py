@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             farm = simulate_farm(config.params, config.t_grid, config.replicas,
-                                 config.seed, caps=config.caps)
+                                 config.seed)
             path = dump_snapshots(farm, args.out)
             counts = [int((farm[-1].counts > 0).sum()), config.replicas]
             print(f"wrote {path} ({counts[0]}/{counts[1]} replicas surviving "

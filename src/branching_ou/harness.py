@@ -20,7 +20,8 @@ import numpy as np
 
 from .kernels import Factor, Kernel, is_canonical, project
 from .ks import ks_1samp, ks_2samp
-from .model import MAX_ARITY, ModelParams, Regime, RegimeTag, classify, derive
+from .model import (MAX_ARITY, ModelParams, Regime, RegimeTag, classify, derive,
+                    extinction_by)
 from .limits import (
     critical_limit_sampler,
     default_fast_horizon,
@@ -31,7 +32,7 @@ from .limits import (
     sigma_slow,
     slow_limit_sampler,
 )
-from .simulator import (AllExtinctError, Caps, check_budget, condition_on_survival,
+from .simulator import (AllExtinctError, check_budget, condition_on_survival,
                         farm_counts, simulate_farm, substream)
 from .tree_oracle import exact_mixed_moment
 # The per-snapshot statistics stay importable from here: the benchmark's
@@ -58,7 +59,7 @@ class ConfigError(ValueError):
 # ``_write`` walks the same table back to JSON.  A cast that is itself a
 # table reads a nested section, into an object of its own or, when the
 # attribute is None, onto the enclosing one.  Defaults live only on
-# ``ExperimentConfig`` and ``Caps``.
+# ``ExperimentConfig``.
 
 
 def _or_none(cast):
@@ -110,8 +111,6 @@ def _terms(terms) -> list[dict]:
 
 _PARAMS = {"lambda": ("lam", _float), "p": ("p", _float), "mu": ("mu", _float),
            "sigma": ("sigma", _float), "dim": ("dim", _int), "x0": ("x0", _floats)}
-_CAPS = {"max_particles": ("max_particles", _int),
-         "max_generations": ("max_generations", _int)}
 _CONFIG = {
     "params": ("params", _PARAMS),
     "kernel": ("kernel_spec", lambda spec: spec),  # read by parse_kernel_spec
@@ -119,7 +118,6 @@ _CONFIG = {
     "replicas": ("replicas", _int),
     "seed": ("seed", _int),
     "regime": ("regime_expected", _or_none(lambda tag: RegimeTag(tag).value)),
-    "caps": ("caps", _CAPS),
     "tolerances": (None, {"se_mult": ("se_mult", _float),
                           "ks_level": ("ks_level", _float),
                           "corr_threshold": ("corr_threshold", _float),
@@ -177,7 +175,6 @@ class ExperimentConfig:
     seed: int = 0
     kernel: Kernel | None = None
     regime_expected: str | None = None
-    caps: Caps = field(default_factory=Caps)
     se_mult: float = 4.0
     ks_level: float = 0.01
     corr_threshold: float = 0.95
@@ -217,8 +214,6 @@ class ExperimentConfig:
             params = kw["params"]
             params.setdefault("x0", (0.0,) * params.get("dim", 1))
             kw["params"] = ModelParams(**params)
-            if "caps" in kw:
-                kw["caps"] = Caps(**kw["caps"])
             spec = kw.get("kernel_spec")
             kernel = kw["kernel"] = parse_kernel_spec(spec) if spec else None
             if kernel is not None and kernel.dim != kw["params"].dim:
@@ -370,8 +365,7 @@ def _v_values(counts: np.ndarray, t: float, consts) -> np.ndarray:
 
 def _farm(config: ExperimentConfig):
     """The config's farm."""
-    return simulate_farm(config.params, config.t_grid, config.replicas, config.seed,
-                         caps=config.caps)
+    return simulate_farm(config.params, config.t_grid, config.replicas, config.seed)
 
 
 def _require_kernel(config: ExperimentConfig) -> Kernel:
@@ -413,21 +407,31 @@ def run_lln(config: ExperimentConfig) -> TestReport:
 
 def run_w_law(config: ExperimentConfig) -> TestReport:
     """Exponential-limit law of the normalized population size.  The law
-    depends on the counts alone, so they come from ``farm_counts``."""
+    depends on the counts alone, so they come from ``farm_counts``.
+
+    On survival N_t is geometric, so exp(-g t) N_t >= exp(-g t), where the
+    limit CDF reads ``limit_gap``: a floor under the KS statistic.  A gap
+    above 0.6 / sqrt(n), n the expected survivors, is refused."""
     start = time.time()
     _require_distributional_replicas(config.replicas)
     consts = derive(config.params)
-    if math.exp(-consts.growth_rate * config.t_grid[-1]) >= 0.05:
-        raise ConfigError("horizon too short: exp(-growth t) must be < 0.05")
+    w_mean = config.params.p / (2.0 * config.params.p - 1.0)
+    t = config.t_grid[-1]
+    limit_gap = -math.expm1(-math.exp(-consts.growth_rate * t) / w_mean)
+    gap_sqrt_n = limit_gap * math.sqrt(
+        config.replicas * (1.0 - extinction_by(t, config.params)))
+    if gap_sqrt_n > 0.6:
+        raise ConfigError(f"horizon too short for {config.replicas} replicas: the KS "
+                          f"statistic stays above {gap_sqrt_n:.3g} / sqrt(survivors), "
+                          "above the 0.6 / sqrt(survivors) allowed")
     level = farm_counts(config.params, config.t_grid, config.replicas, config.seed)[-1]
     alive, frac = condition_on_survival(level)
-    w_mean = config.params.p / (2.0 * config.params.p - 1.0)
     ks = ks_1samp(_v_values(alive.counts, level.t, consts),
                   lambda v: -np.expm1(-(v / w_mean)))
     mean, se = _mean_se(_v_values(level.counts, level.t, consts))
     checks = [
         _ks_check("w_law_ks_exponential", ks, config.ks_level, scale=w_mean,
-                  survivors=len(alive)),
+                  survivors=len(alive), limit_gap=limit_gap),
         _se_check("w_law_martingale_mean", mean, 1.0, se, config.se_mult),
     ]
     return _report("wlaw", config, frac, checks, start)
@@ -485,7 +489,7 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     if not is_canonical(f, params):
         raise ConfigError("CLT test requires a canonical kernel")
     if regime.is_fast:
-        t_approx = config.fast_t_approx or default_fast_horizon(params, config.caps)
+        t_approx = config.fast_t_approx or default_fast_horizon(params)
         check_budget(config.fast_limit_draws * expected_births(params, t_approx),
                      "the fast limit draws expect {:.3g} births")
     n = f.arity
@@ -518,8 +522,7 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
         checks.append(_se_check("fast_mean_agreement", mean_stat, mean_ref, se_s,
                                 config.se_mult, se_r))
         n_fast = min(config.fast_limit_draws, len(stat))
-        draws = fast_limit_sampler(f, params, rng, size=n_fast, t_approx=t_approx,
-                                   caps=config.caps)
+        draws = fast_limit_sampler(f, params, rng, size=n_fast, t_approx=t_approx)
         # the statistic is taken on survivors, and the limit law on survival
         # is that of the nonzero draws: an extinct trajectory gives exactly 0
         draws = draws[draws != 0.0]

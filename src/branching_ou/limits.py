@@ -36,8 +36,9 @@ from numpy.polynomial import hermite_e
 
 from .kernels import NULL_TOL, Factor, Kernel, is_canonical
 from .model import ModelParams, classify, derive
+from . import simulator
 from .ou import stationary_std
-from .simulator import Caps, position_sum
+from .simulator import position_sum
 # ``benchmarks/tracer.py`` binds its simulator shim to ``limits.simulate``,
 # so the name stays here although the sampler no longer calls it
 from .simulator import simulate  # noqa: F401
@@ -273,20 +274,17 @@ def expected_births(params: ModelParams, t: float) -> float:
         return 2.0 * params.p * params.lam / growth * float(np.exp(growth * t))
 
 
-def default_fast_horizon(params: ModelParams, caps: Caps = Caps()) -> float:
+def default_fast_horizon(params: ModelParams) -> float:
     """Horizon for approximating the position-sum martingale limit: 14 /
     (growth - 2 mu), for a negligible squared gap, capped where a replica
-    expects 1% of ``caps.max_particles`` births.  At lam = 1, p = 0.75,
-    mu = 0.1 and the default caps the cap binds: 20.83, not 14/0.3 = 46.7."""
+    expects 1% of ``simulator.MAX_PARTICLES`` births.  At lam = 1, p =
+    0.75 and mu = 0.1 the cap binds: 20.83, not 14/0.3 = 46.7."""
     consts = derive(params)
     gap_rate = consts.growth_rate - 2.0 * params.mu
     if gap_rate <= 0:
         raise RegimeError("fast horizon needs growth > 2 mu")
-    t_theory = 14.0 / gap_rate
-    t_budget = math.log(
-        max(2.0, 0.01 * caps.max_particles / expected_births(params, 0.0))
-    ) / consts.growth_rate
-    return min(t_theory, t_budget)
+    births = 0.01 * simulator.MAX_PARTICLES / expected_births(params, 0.0)
+    return min(14.0 / gap_rate, math.log(max(2.0, births)) / consts.growth_rate)
 
 
 def h_polynomial_value(f: Kernel, h: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -305,7 +303,6 @@ def fast_limit_sampler(
     size: int = 1,
     *,
     t_approx: float,
-    caps: Caps = Caps(),
 ) -> np.ndarray:
     """Draws of the fast-regime limit law: the limit polynomial evaluated
     at the position-sum martingale at the horizon ``t_approx``, one fresh
@@ -322,5 +319,5 @@ def fast_limit_sampler(
     scale = math.exp((params.mu - consts.growth_rate) * t_approx)
     h = np.empty((size, params.dim))
     for i in range(size):
-        h[i] = scale * position_sum(params, t_approx, rng, caps)[1]
+        h[i] = scale * position_sum(params, t_approx, rng)[1]
     return h_polynomial_value(f, h, params)

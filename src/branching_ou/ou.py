@@ -161,8 +161,6 @@ class Factor:
 
 # The 1-D case keeps its own name; ``Func1D.polynomial(c)`` builds it.
 Func1D = Factor
-FUNC_ONE = Factor.polynomial([1.0])
-FUNC_X = Factor.polynomial([0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,13 @@ those of ``simulate_farm`` at the same seed.
 
 ``position_sum`` draws only the genealogy of one replica and then its
 position sum at one time from the sum's exact Gaussian law given that
-genealogy; this is all the fast-regime limit sampler needs.
+genealogy; this is all the fast-regime limit sampler needs.  ``simulate``
+is the one-replica farm.  Every resource limit is a constant of this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +67,12 @@ MAX_FARM_PARTICLES = 1e8
 # batch draws from its own substream, so the value fixes the farm's draws.
 FARM_BATCH = 2000
 
+# Per replica of ``simulate_farm`` or ``position_sum``, read at call time:
+# MAX_PARTICLES bounds its realized births (so a batch's memory), and
+# MAX_GENERATIONS the time of a near-critical one at a small population.
+MAX_PARTICLES = 10_000_000
+MAX_GENERATIONS = 100_000
+
 
 def check_budget(expected: float, claim: str) -> None:
     """Refuse work expecting more than ``MAX_FARM_PARTICLES`` particles or
@@ -83,21 +89,6 @@ def substream(entropy, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
     ``spawn_key``: every stream the package derives from a seed."""
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy, spawn_key=spawn_key)))
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Resource limits for a single replica of ``simulate_farm``,
-    ``simulate`` or ``position_sum``, each at least 1; ``farm_counts``
-    draws nothing that grows with the population and takes none."""
-
-    max_particles: int = 10_000_000
-    max_generations: int = 100_000
-
-    def __post_init__(self):
-        for name in ("max_particles", "max_generations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
 
 
 class FarmLevel:
@@ -180,7 +171,6 @@ def _run_batch(
     t_grid: np.ndarray,
     n_replicas: int,
     rng: np.random.Generator,
-    caps: Caps,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Simulate ``n_replicas`` independent systems, returning, per grid
     time, the alive positions sorted by replica and the per-replica
@@ -201,8 +191,9 @@ def _run_batch(
     generation = 0
     while rep.size:
         generation += 1
-        if generation > caps.max_generations:
-            raise ResourceCapError("generation budget exhausted", float(birth.min()))
+        if generation > MAX_GENERATIONS:
+            raise ResourceCapError(f"generation budget MAX_GENERATIONS="
+                                   f"{MAX_GENERATIONS} exhausted", float(birth.min()))
         m = rep.size
         death = birth + _draw_lifetimes(rng, lam, m)
         splits = rng.random(m) < p
@@ -239,11 +230,11 @@ def _run_batch(
                         2, axis=0)
         rep = rep[br]
         born += 2 * np.bincount(rep, minlength=n_replicas)
-        if born.max() > caps.max_particles:
+        if born.max() > MAX_PARTICLES:
             worst = int(np.argmax(born))
             mine = rep == worst
             raise ResourceCapError(
-                f"replica {worst} exceeded max_particles={caps.max_particles}",
+                f"replica {worst} exceeded MAX_PARTICLES={MAX_PARTICLES}",
                 float(t_split[mine].min()) if mine.any() else t_end,
             )
         rep = np.repeat(rep, 2)
@@ -281,7 +272,6 @@ def simulate_farm(
     t_grid,
     n_replicas: int,
     seed: int,
-    caps: Caps = Caps(),
 ) -> list[FarmLevel]:
     """Independent replicas observed at the grid times.
 
@@ -298,7 +288,7 @@ def simulate_farm(
     batches = []
     for idx, start in enumerate(range(0, n_replicas, FARM_BATCH)):
         batches.append(_run_batch(params, t_grid, min(FARM_BATCH, n_replicas - start),
-                                  substream((int(seed), idx)), caps))
+                                  substream((int(seed), idx))))
     out: list[FarmLevel] = []
     for k, g in enumerate(t_grid):
         parts = [b[k] for b in batches]
@@ -341,26 +331,17 @@ def farm_counts(params: ModelParams, t_grid, n_replicas: int,
     return out
 
 
-def simulate(
-    params: ModelParams,
-    t_end: float,
-    rng_or_seed,
-    caps: Caps = Caps(),
-) -> FarmLevel:
-    """One replica observed at ``t_end`` (exact in distribution)."""
-    if not 0 <= t_end < math.inf:
-        raise ValueError("t_end must be finite and nonnegative")
-    rng = _as_rng(rng_or_seed)
-    ((positions, counts),) = _run_batch(params, np.array([float(t_end)]), 1, rng,
-                                         caps)
-    return FarmLevel(float(t_end), positions, counts)
+def simulate(params: ModelParams, t_end: float, seed: int) -> FarmLevel:
+    """One replica observed at ``t_end`` (exact in distribution): the
+    one-replica farm ``simulate_farm(params, (t_end,), 1, seed)``, with its
+    refusals, so its draws are replica 0's substream (seed, 0)."""
+    return simulate_farm(params, (t_end,), 1, seed)[0]
 
 
 def position_sum(
     params: ModelParams,
     t_end: float,
     rng: np.random.Generator,
-    caps: Caps = Caps(),
 ) -> tuple[int, np.ndarray]:
     """One replica's particle count N and position sum S at ``t_end``,
     drawn exactly in law without drawing a single position.
@@ -377,11 +358,11 @@ def position_sum(
 
     with n_a, n_b the two children's numbers of descendants alive at T;
     every term is nonnegative.  The genealogy is drawn generation by
-    generation, lifetimes then branching uniforms as ``simulate`` draws
+    generation, lifetimes then branching uniforms as a farm batch draws
     them, and a backward pass gives each split its n_a and n_b.  S takes
     one normal draw per coordinate; an extinct replica returns (0, 0)
-    exactly and draws none.  Caps raise ``ResourceCapError`` as in
-    ``simulate``.
+    exactly and draws none.  ``MAX_PARTICLES`` and ``MAX_GENERATIONS``
+    raise ``ResourceCapError`` as in a farm batch.
     """
     if not 0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
@@ -391,8 +372,9 @@ def position_sum(
     # per generation: who is alive at t_end, who splits, and expm1(2 mu tau)
     gens: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     while True:
-        if len(gens) == caps.max_generations:
-            raise ResourceCapError("generation budget exhausted", float(birth.min()))
+        if len(gens) == MAX_GENERATIONS:
+            raise ResourceCapError(f"generation budget MAX_GENERATIONS="
+                                   f"{MAX_GENERATIONS} exhausted", float(birth.min()))
         death = birth + _draw_lifetimes(rng, lam, birth.size)
         splits = rng.random(birth.size) < p
         br = np.flatnonzero(splits & (death < t_end))
@@ -401,9 +383,9 @@ def position_sum(
         if not br.size:
             break
         born += 2 * br.size
-        if born > caps.max_particles:
+        if born > MAX_PARTICLES:
             raise ResourceCapError(
-                f"replica 0 exceeded max_particles={caps.max_particles}",
+                f"replica 0 exceeded MAX_PARTICLES={MAX_PARTICLES}",
                 float(t_split.min()))
         birth = np.repeat(t_split, 2)
 
@@ -422,12 +404,6 @@ def position_sum(
     mean = count * math.exp(-mu * t_end) * np.asarray(params.x0, dtype=float)
     return count, mean + stationary_std(params) * math.sqrt(var) * \
         rng.standard_normal(params.dim)
-
-
-def _as_rng(rng_or_seed) -> np.random.Generator:
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed
-    return substream(int(rng_or_seed))
 
 
 def condition_on_survival(level: FarmLevel) -> tuple[FarmLevel, float]:

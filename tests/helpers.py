@@ -1,6 +1,7 @@
-"""Independent oracles for the test suite.
+"""Independent oracles for the test suite, and the slot functions 1 and x
+that the tests share.
 
-Everything here deliberately avoids the package's own evaluation paths:
+Every oracle here deliberately avoids the package's own evaluation paths:
 expectations come from scipy quadrature / ODE integration, closed forms
 derived by hand, or brute-force enumeration over raw Python floats.
 """
@@ -12,6 +13,11 @@ import math
 
 import numpy as np
 from scipy import integrate, signal
+
+from branching_ou.ou import Func1D
+
+FUNC_ONE = Func1D.polynomial([1.0])
+FUNC_X = Func1D.polynomial([0.0, 1.0])
 
 
 def phi_quad(fn, params, limit: float = 12.0) -> float:

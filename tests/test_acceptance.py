@@ -15,7 +15,7 @@ from scipy import stats as sstats
 
 from branching_ou.kernels import Factor, Kernel, hoeffding_table, reconstruct_from_table
 from branching_ou.model import ModelParams, classify, derive, extinction_by
-from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D, ou_leg, stationary_std
+from branching_ou.ou import Func1D, ou_leg, stationary_std
 from branching_ou import simulator
 from branching_ou.simulator import condition_on_survival, simulate_farm
 from branching_ou.tree_oracle import exact_mixed_moment
@@ -23,7 +23,7 @@ from branching_ou.ustats import u_statistic, u_statistics, v_statistics
 from branching_ou.limits import sigma_slow, sigma_critical, slow_limit_sampler
 
 from conftest import CRIT_PARAMS, FAST_PARAMS, SLOW_PARAMS
-from helpers import extinction_ode, var_se, yule_second_moment
+from helpers import FUNC_ONE, FUNC_X, extinction_ode, var_se, yule_second_moment
 
 X2 = Func1D.polynomial([0.0, 0.0, 1.0])
 KERNEL_XX = Kernel.from_slot_funcs([FUNC_X, FUNC_X], symmetric=True)

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import operator
 from pathlib import Path
 
@@ -144,10 +145,11 @@ class TestConfig:
             {**MINIMAL, "test": 5},
             {**MINIMAL, "test": [1]},
             {**MINIMAL, "test": "llm"},
-            # the caps are at least 1 and the fast horizon is positive
+            # not a key: the per-replica limits are simulator constants
             {**MINIMAL, "caps": {"max_particles": 0}},
             {**MINIMAL, "caps": {"max_particles": -5}},
             {**MINIMAL, "caps": {"max_generations": -1}},
+            # the fast horizon is positive
             {**MINIMAL, "fast_t_approx": -3.0},
             {**MINIMAL, "fast_t_approx": 0.0},
         ],
@@ -159,7 +161,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "path",
         [("replica",), ("quad_nodes",), ("params", "lamda"),
-         ("tolerances", "se_mul"), ("caps", "max_particle"), ("g1", "tmax"),
+         ("tolerances", "se_mul"), ("caps",), ("g1", "tmax"),
          ("kernel", "arty"), ("kernel", "terms", 0, "coeff"), ("threads",)],
     )
     def test_unknown_key_rejected(self, path):
@@ -184,7 +186,7 @@ class TestConfig:
 
     def test_canonical_dict_reads_back(self):
         raw = json.loads(json.dumps(BASE))
-        raw.update(caps={"max_generations": 500}, tolerances={"ks_level": 0.05},
+        raw.update(g1={"replicas": 500}, tolerances={"ks_level": 0.05},
                    limit_draws=300, regime="slow", kernel=KERNEL_XX)
         c = ExperimentConfig.from_dict(raw)
         again = ExperimentConfig.from_dict(c.canonical_dict())
@@ -212,8 +214,8 @@ class TestConfig:
     def test_int_field_refuses_bool(self):
         with pytest.raises(ConfigError, match="seed: expected an integer, got True"):
             config(seed=True)
-        with pytest.raises(ConfigError, match="max_particles"):
-            config(caps={"max_particles": False})
+        with pytest.raises(ConfigError, match="replicas: expected an integer"):
+            config(g1={"replicas": False})
 
     def test_kernel_arity_must_match_slots(self):
         spec = dict(KERNEL_XX, arity=3)
@@ -228,8 +230,8 @@ class TestConfig:
             config(kernel=spec)
 
     # hashes of the shipped configs; a change here is a documented event
-    SHIPPED = {"oracle.json": "3a5835ec4f0367e6", "slow_clt.json": "04876851168613c1",
-               "wlaw.json": "20259a46933324bb"}
+    SHIPPED = {"oracle.json": "2693addfada53ca3", "slow_clt.json": "6a64b6fd17b921ad",
+               "wlaw.json": "5de3fb0cebfa445a"}
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_shipped_configs_load(self, name):
@@ -253,8 +255,8 @@ class TestConfig:
         ("kernel_spec", ("kernel",), KERNEL_XX),
         ("regime_expected", ("regime",), "slow"),
         ("fast_limit_draws", ("fast_limit_draws",), 300),
-        ("caps", ("caps", "max_particles"), 1_000_000),
-        ("caps", ("caps", "max_generations"), 500),
+        ("g1_t_max", ("g1", "t_max"), 12.0),
+        ("limit_draws", ("limit_draws",), 500),
         ("fast_t_approx", ("fast_t_approx",), 9.0),
         ("se_mult", ("tolerances", "se_mult"), 3.0),
         ("ks_level", ("tolerances", "ks_level"), 0.05),
@@ -262,8 +264,6 @@ class TestConfig:
         ("indep_corr_bound", ("tolerances", "indep_corr_bound"), 0.1),
         ("g1_replicas", ("g1", "replicas"), 400),
         ("g1_t", ("g1", "t"), 5.0),
-        ("g1_t_max", ("g1", "t_max"), 12.0),
-        ("limit_draws", ("limit_draws",), 500),
     ]
 
     @staticmethod
@@ -293,7 +293,6 @@ SCHEMA_VALUES = {
     "lambda": st.floats(0.1, 2.0), "p": st.floats(0.51, 1.0),
     "mu": st.floats(0.05, 2.0), "sigma": st.floats(0.1, 2.0),
     "dim": st.just(1), "x0": st.lists(NUMBER, min_size=1, max_size=1),
-    "max_particles": st.integers(0, 10**6), "max_generations": st.integers(0, 10**4),
     "t_grid": st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3).map(sorted),
     "replicas": st.integers(0, 3000), "seed": st.integers(-5, 10**6),
     "regime": st.sampled_from([None, "slow", "critical", "fast"]),
@@ -354,8 +353,8 @@ def loads_and_reads_back(raw: dict) -> bool:
 class TestConfigProperty:
     def test_every_schema_key_has_values(self):
         keys = set()
-        for table in (harness._CONFIG, harness._PARAMS, harness._CAPS,
-                      harness._KERNEL, harness._TERM):
+        for table in (harness._CONFIG, harness._PARAMS, harness._KERNEL,
+                      harness._TERM):
             keys |= {k for k, (_, cast) in table.items() if not isinstance(cast, dict)}
             keys |= {k for _, cast in table.values() if isinstance(cast, dict)
                      for k in cast}
@@ -453,16 +452,16 @@ class TestReportBytes:
                     g1={"replicas": 150, "t": 3.0, "t_max": 6.0})
     PINNED = {
         "lln": (run_lln, dict(kernel=KERNEL_X2Y2, replicas=300, t_grid=[3.0]),
-                "647ccb5d9c77b705a885e69aa71aed10d7b094c8e12b9859a30957e200583842"),
+                "0403b7493026b9cc184408105db215fbccdf7ff8572f6efe97916e7d2ab0ed14"),
         "wlaw": (run_w_law, dict(replicas=200, t_grid=[6.5]),
-                 "1f8540971939340f80eb25a68969cc1a08b1e3100204d3d4a006a8ced29defe9"),
+                 "3514a313511c4eb70c65325c1514749e1b794b4ae381f6f0d90174a4d0ae2249"),
         "clt": (run_clt, SLOW_CLT,
-                "c15dedee019a7a6feb31cbfb3cdee365bda0f7bc23435b4c00115a12f62c484e"),
+                "7fe884a5db9f9da56c90560f192afc6252cf13c580bb42d9918417763d5d8565"),
         "oracle": (run_oracle_crosscheck,
                    dict(kernel=KERNEL_XX, replicas=300, t_grid=[1.0, 2.0]),
-                   "11a1978cfb0422cb87de46729556cb66e690ac92f37131603e74a472f5bc9b52"),
+                   "1f7c66fcfbc15bd984bacd5921f1bc2974baa8fda2ac2f1b493a327c3fb628fa"),
         "variance": (run_variance, {},
-                     "9263a13863c9a0d3e906bf2c0f77c1b0188fabe1d761b4d92a351abfb5068d58"),
+                     "2e7f710b17862f73f5d5949c6d286acf1de4712f706bf7d38fb67b65eeb85d3a"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -514,6 +513,9 @@ class TestRunners:
         cfg = config(replicas=3000, t_grid=[8.0])
         report = run_w_law(cfg)
         assert report.passed, [c.name for c in report.checks if not c.passed]
+        # the KS floor: the limit CDF at exp(-g t), below every sample point
+        gap = 1.0 - math.exp(-math.exp(-0.5 * 8.0) * 0.5 / 0.75)
+        assert report.checks[0].extra["limit_gap"] == pytest.approx(gap, rel=1e-12)
 
     def test_w_law_and_g1_draw_no_motion(self, monkeypatch):
         # both depend on the genealogy alone, so neither takes an OU leg
@@ -533,9 +535,26 @@ class TestRunners:
             config(**TestReportBytes.SLOW_CLT, seed=seed)).passed for seed in range(1000))
         assert failed <= 15
 
-    def test_run_w_law_rejects_short_horizon(self):
-        with pytest.raises(ConfigError):
-            run_w_law(config(t_grid=[2.0]))
+    def test_run_w_law_rejects_short_horizon(self, monkeypatch):
+        # the size law is lattice, so its KS statistic has a floor that a
+        # large sample resolves: at t = 6 with 5000 replicas the floor is
+        # 1.90 / sqrt(survivors) and every one of 400 seeds failed
+        def no_farm(*args, **kwargs):
+            raise AssertionError("the farm was simulated")
+
+        monkeypatch.setattr("branching_ou.harness.farm_counts", no_farm)
+        for t, replicas in ((2.0, 1000), (6.0, 5000)):
+            with pytest.raises(ConfigError, match="horizon too short"):
+                run_w_law(config(t_grid=[t], replicas=replicas))
+
+    def test_w_law_calibrated_over_seeds(self):
+        # at the most the guard admits nearby, t = 8 with 3000 replicas (a
+        # floor of 0.54 / sqrt(survivors)), the KS check at level 0.01
+        # fails 6 of the declared seeds 0..399, near the nominal 4
+        cfg = dict(replicas=3000, t_grid=[8.0])
+        failed = sum(not run_w_law(config(**cfg, seed=seed)).checks[0].passed
+                     for seed in range(400))
+        assert failed <= 16
 
     def test_run_w_law_other_offspring_probability(self):
         raw = json.loads(json.dumps(BASE))
@@ -792,11 +811,13 @@ class TestCli:
 
     def test_threads_refused_exit_2(self, tmp_path, capsys):
         # farms run their batches serially, in batches the simulator sizes,
-        # and the subcommand names the test: no flag or key sets any of them
+        # under its per-replica limits, and the subcommand names the test: no
+        # flag or key sets any of them
         cfg = self.write_cfg(tmp_path, BASE)
         assert cli_main(["variance", "--config", str(cfg), "--threads", "2",
                          "--out", str(tmp_path / "out")]) == 2
-        for key, value in (("threads", 2), ("batch_size", 500), ("test", "variance")):
+        for key, value in (("threads", 2), ("batch_size", 500), ("test", "variance"),
+                           ("caps", {"max_particles": 1000})):
             cfg = self.write_cfg(tmp_path, dict(BASE, **{key: value}))
             assert cli_main(["variance", "--config", str(cfg),
                              "--out", str(tmp_path / "out")]) == 2

@@ -7,9 +7,11 @@ names its ``__all__`` lists.  The exact-moment oracle stays independent of
 the simulator: it reaches no package module but ``model`` and ``ou``.
 The package loads no scipy module at all, not on import and not in a
 ``wlaw`` or ``clt`` run, whose KS checks are computed in numpy: importing
-``scipy.stats`` takes over a second.  Every top-level function and class
-of the package has a caller outside its own unit tests: some package
-module, the package ``__all__`` or a benchmark script names it.
+``scipy.stats`` takes over a second.  Every top-level function, class
+and non-dunder assignment of the package has a caller outside its own
+unit tests: some package module, the package ``__all__`` or a benchmark
+script names it.  An import kept only for the benchmark (``# noqa: F401``)
+names something its module uses or a benchmark script names.
 """
 
 from __future__ import annotations
@@ -137,16 +139,68 @@ def named(nodes) -> set[str]:
     return out
 
 
-def test_every_definition_has_a_caller():
-    statements = [(path.name, node, named([node])) for path in PACKAGE.glob("*.py")
-                  for node in ast.parse(path.read_text()).body]
+def defined(node) -> list[str]:
+    """The names a top-level statement defines: a function, a class or the
+    non-dunder names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
+def orphans(sources: dict[str, str], benchmarks: set[str]) -> list[str]:
+    """``module: name`` for each definition of ``sources`` that no other
+    top-level statement and no benchmark name mentions."""
+    statements = [(module, node, named([node])) for module, source in sources.items()
+                  for node in ast.parse(source).body]
     # how many top-level statements of the package name each identifier; a
     # definition that names itself (a recursion) does not count as a caller
     naming = Counter(name for _, _, names in statements for name in names)
-    benchmarks = named(ast.parse(path.read_text()) for path in BENCHMARKS.glob("*.py"))
-    orphans = [f"{module}: {node.name}" for module, node, names in sorted(
-                   statements, key=lambda s: (s[0], s[1].lineno))
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name not in benchmarks
-               and naming[node.name] == int(node.name in names)]
-    assert orphans == []
+    return [f"{module}: {name}" for module, node, names in sorted(
+                statements, key=lambda s: (s[0], s[1].lineno))
+            for name in defined(node)
+            if name not in benchmarks and naming[name] == int(name in names)]
+
+
+def benchmark_names() -> set[str]:
+    return named(ast.parse(path.read_text()) for path in BENCHMARKS.glob("*.py"))
+
+
+def test_every_definition_has_a_caller():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert orphans(sources, benchmark_names()) == []
+
+
+def test_orphan_detector_flags_assignments():
+    sources = {"a.py": "X = 1\nY: int = 2\n__all__ = []\nZ = X\n"
+                       "def f():\n    return f()\n",
+               "b.py": "from .a import Y\nW = 3\n"}
+    assert orphans(sources, {"W"}) == ["a.py: Z", "a.py: f"]
+
+
+def benchmark_shims(source: str) -> list[str]:
+    """The names a ``# noqa: F401`` import of ``source`` binds."""
+    lines = source.splitlines()
+    return [alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and any("# noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names]
+
+
+def test_benchmark_shims_are_used():
+    # an import kept past its last use, for a benchmark script that patches
+    # it, must be used by its module or named by some benchmark script
+    benchmarks = benchmark_names()
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        used = {node.id for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Name)}
+        stale += [f"{path.name}: {name}" for name in benchmark_shims(source)
+                  if name not in used and name not in benchmarks]
+    assert benchmark_shims("from .a import (  # noqa: F401\n    b,\n)\n"
+                           "from .c import d\n") == ["b"]
+    assert stale == []

@@ -20,7 +20,9 @@ from branching_ou.kernels import (
     substitute_partition,
 )
 from branching_ou.model import ModelParams
-from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D, default_rule
+from branching_ou.ou import Func1D, default_rule
+
+from helpers import FUNC_ONE, FUNC_X
 
 PARAMS = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 PARAMS2 = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=2, x0=(0.0, 0.0))

@@ -24,11 +24,11 @@ from branching_ou.limits import (
 )
 from branching_ou.model import (MAX_ARITY, ArityCapError, ModelParams, derive,
                                 extinction_by)
-from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
-from branching_ou.simulator import Caps, ResourceCapError
+from branching_ou.ou import Func1D
+from branching_ou.simulator import ResourceCapError
 from branching_ou.tree_oracle import exact_mixed_moment
 
-from helpers import involution_number, mean_se, var_se
+from helpers import FUNC_ONE, FUNC_X, involution_number, mean_se, var_se
 
 SLOW = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 CRIT = ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.0)
@@ -431,20 +431,25 @@ class TestFastSampler:
                                    size=20, t_approx=6.0)
         assert draws.shape == (20,) and np.all(draws >= 0.0)
 
-    @pytest.mark.parametrize("caps, match", [
-        (Caps(max_particles=50), "max_particles=50"),
-        (Caps(max_generations=3), "generation budget"),
+    @pytest.mark.parametrize("name, value, match", [
+        ("MAX_PARTICLES", 50, "MAX_PARTICLES=50"),
+        ("MAX_GENERATIONS", 3, "generation budget MAX_GENERATIONS=3"),
     ], ids=["particles", "generations"])
-    def test_caps_raise(self, caps, match):
+    def test_caps_raise(self, name, value, match, monkeypatch):
+        monkeypatch.setattr(simulator, name, value)
         f = Kernel.from_slot_funcs([FUNC_X], symmetric=True)
         with pytest.raises(ResourceCapError, match=match) as info:
             fast_limit_sampler(f, FAST, np.random.default_rng(149), size=50,
-                               t_approx=30.0, caps=caps)
+                               t_approx=30.0)
         assert 0.0 <= info.value.time_reached <= 30.0
 
-    def test_default_horizon(self):
-        t = default_fast_horizon(FAST, Caps(max_particles=10_000_000))
-        assert 0 < t <= 14.0 / 0.3 + 1e-9
+    def test_default_horizon(self, monkeypatch):
+        # capped where a replica expects 1% of MAX_PARTICLES births, which
+        # is read at call time
+        t = default_fast_horizon(FAST)
+        assert t == pytest.approx(20.8286, abs=1e-4) and t < 14.0 / 0.3
+        monkeypatch.setattr(simulator, "MAX_PARTICLES", 10**6)
+        assert default_fast_horizon(FAST) == pytest.approx(t - math.log(10) / 0.5)
         with pytest.raises(RegimeError):
             default_fast_horizon(SLOW)
 

@@ -5,8 +5,6 @@ import pytest
 
 from branching_ou.model import ModelParams
 from branching_ou.ou import (
-    FUNC_ONE,
-    FUNC_X,
     Func1D,
     Factor,
     default_rule,
@@ -15,7 +13,7 @@ from branching_ou.ou import (
     stationary_std,
 )
 
-from helpers import phi_quad
+from helpers import FUNC_ONE, FUNC_X, phi_quad
 
 PARAMS = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from branching_ou import simulator
 from branching_ou.model import ModelParams, derive, extinction_by
 from branching_ou.simulator import (
     AllExtinctError,
-    Caps,
     FarmLevel,
     ResourceCapError,
     _draw_lifetimes,
@@ -23,10 +23,9 @@ from branching_ou.simulator import (
 )
 from branching_ou.kernels import Kernel
 from branching_ou.tree_oracle import exact_mixed_moment
-from branching_ou.ou import FUNC_X
 from branching_ou.ustats import v_statistics
 
-from helpers import extinction_ode, mean_se
+from helpers import FUNC_X, extinction_ode, mean_se
 
 SLOW = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 FAST = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0)
@@ -115,24 +114,38 @@ class TestBasics:
         assert np.array_equal(
             big.positions, np.concatenate([s.positions for s in snaps if s.count >= 3]))
 
-    def test_resource_cap_raises(self):
-        with pytest.raises(ResourceCapError) as info:
-            simulate(ModelParams(lam=5.0, p=1.0, mu=1.0, sigma=1.0), 8.0, 3,
-                     caps=Caps(max_particles=50))
-        assert 0.0 <= info.value.time_reached <= 8.0
+    def test_resource_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_PARTICLES", 50)
+        with pytest.raises(ResourceCapError, match="^replica 0 exceeded "
+                           "MAX_PARTICLES=50$") as info:
+            simulate(ModelParams(lam=5.0, p=1.0, mu=1.0, sigma=1.0), 2.0, 3)
+        assert 0.0 <= info.value.time_reached <= 2.0
 
-    def test_resource_cap_names_replica_in_farm(self):
+    def test_simulate_refuses_over_the_farm_budget(self, monkeypatch):
+        # one slow-regime replica expects e^{t / 2} particles, above the 1e8
+        # farm budget from t = 36.9 on: refused at time 0, before any draw
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch was simulated")
+
+        monkeypatch.setattr(simulator, "_run_batch", no_batch)
+        with pytest.raises(ResourceCapError, match="MAX_FARM_PARTICLES") as info:
+            simulate(SLOW, 37.0, 1)
+        assert info.value.time_reached == 0.0
+
+    def test_resource_cap_names_replica_in_farm(self, monkeypatch):
         # a Yule farm expecting e^5 ~ 148 particles per replica at t = 1:
         # only some of the 20 replicas pass 200 births, and the one with the
         # most births at the generation the cap trips is named
         params = ModelParams(lam=5.0, p=1.0, mu=1.0, sigma=1.0)
+        monkeypatch.setattr(simulator, "MAX_PARTICLES", 200)
         with pytest.raises(ResourceCapError,
-                           match=r"^replica 3 exceeded max_particles=200$") as info:
-            simulate_farm(params, (1.0,), 20, seed=4, caps=Caps(max_particles=200))
+                           match=r"^replica 3 exceeded MAX_PARTICLES=200$") as info:
+            simulate_farm(params, (1.0,), 20, seed=4)
         assert 0.0 <= info.value.time_reached <= 1.0
         assert info.value.time_reached == 0.5305468890588537
         # with p = 1 no particle dies childless: n particles took 2n - 1 births
-        farm = simulate_farm(params, (1.0,), 20, seed=4, caps=Caps(max_particles=10_000))
+        monkeypatch.setattr(simulator, "MAX_PARTICLES", 10_000)
+        farm = simulate_farm(params, (1.0,), 20, seed=4)
         births = 2 * farm[0].counts - 1
         assert 0 < np.count_nonzero(births > 200) < 20
         assert int(np.argmax(births)) == 3
@@ -142,7 +155,7 @@ class TestBasics:
         # so 4539 replicas fit the 1e8 farm budget and 4540 do not
         calls = []
 
-        def fake_batch(params, t_grid, n_replicas, rng, caps):
+        def fake_batch(params, t_grid, n_replicas, rng):
             calls.append(n_replicas)
             return [(np.empty((0, 1)), np.zeros(n_replicas, dtype=np.int64))
                     for _ in t_grid]
@@ -279,23 +292,25 @@ class TestCountsOnly:
         grid = np.array([0.5, 2.0])
         for b, lo in enumerate(range(0, 40, batch_size)):
             size = min(batch_size, 40 - lo)
-            batch = _run_batch(self.DIM2, grid, size, generator((3, b)), Caps())
+            batch = _run_batch(self.DIM2, grid, size, generator((3, b)))
             for level, (positions, want) in zip(farm, batch):
                 rows = slice(level.offsets[lo], level.offsets[lo + size])
                 assert np.array_equal(level.counts[lo:lo + size], want)
                 assert np.array_equal(level.positions[rows], positions)
 
-    @pytest.mark.parametrize("caps", [Caps(max_particles=200), Caps(max_generations=3)],
+    @pytest.mark.parametrize("cap", [("MAX_PARTICLES", 200), ("MAX_GENERATIONS", 3)],
                              ids=["particles", "generations"])
-    def test_caps_raise_as_in_a_full_batch(self, caps):
+    def test_caps_raise_as_in_a_full_batch(self, cap, monkeypatch):
         # a one-batch farm trips a cap as its batch does on substream
-        # (seed, 0); the counts farm grows nothing and takes no caps
+        # (seed, 0); the counts farm grows nothing and meets no cap
+        monkeypatch.setattr(simulator, *cap)
         grid = np.array([1.0])
         with pytest.raises(ResourceCapError) as batch:
-            _run_batch(self.YULE, grid, 20, generator((4, 0)), caps)
+            _run_batch(self.YULE, grid, 20, generator((4, 0)))
         with pytest.raises(ResourceCapError, match=r"^(replica \d+ exceeded "
-                           r"max_particles=200|generation budget exhausted)$") as farm:
-            simulate_farm(self.YULE, (1.0,), 20, seed=4, caps=caps)
+                           r"MAX_PARTICLES=200|generation budget "
+                           r"MAX_GENERATIONS=3 exhausted)$") as farm:
+            simulate_farm(self.YULE, (1.0,), 20, seed=4)
         assert str(farm.value) == str(batch.value)
         assert farm.value.time_reached == batch.value.time_reached
         (level,) = simulator.farm_counts(self.YULE, (1.0,), 20, seed=4)
@@ -323,8 +338,9 @@ class TestCountsOnly:
 
 class TestCapsProperty:
     # every small run either finishes or stops at a cap, and a cap reports a
-    # time inside the horizon; the counts farm takes no caps and finishes
-    # unless the farm budget refuses it before any draw
+    # time inside the horizon; the counts farm meets no cap and finishes
+    # unless the farm budget refuses it before any draw.  The caps are
+    # patched inside the body: hypothesis refuses function-scoped fixtures
     @settings(max_examples=50, deadline=None)
     @given(params=st.sampled_from([SLOW, FAST, ModelParams(lam=3.0, p=1.0, mu=1.0,
                                                            sigma=1.0)]),
@@ -333,16 +349,17 @@ class TestCapsProperty:
            seed=st.integers(0, 2**16))
     def test_runs_finish_or_stop_at_a_cap(self, params, replicas, max_particles,
                                           max_generations, t, seed):
-        caps = Caps(max_particles=max_particles, max_generations=max_generations)
         calls = [
-            lambda: simulate_farm(params, (t / 2, t), replicas, seed, caps=caps),
-            lambda: position_sum(params, t, generator(seed), caps=caps),
+            lambda: simulate_farm(params, (t / 2, t), replicas, seed),
+            lambda: position_sum(params, t, generator(seed)),
         ]
-        for call in calls:
-            try:
-                call()
-            except ResourceCapError as exc:
-                assert 0.0 <= exc.time_reached <= t
+        with mock.patch.object(simulator, "MAX_PARTICLES", max_particles), \
+                mock.patch.object(simulator, "MAX_GENERATIONS", max_generations):
+            for call in calls:
+                try:
+                    call()
+                except ResourceCapError as exc:
+                    assert 0.0 <= exc.time_reached <= t
         try:
             simulator.farm_counts(params, (t / 2, t), replicas, seed)
         except ResourceCapError as exc:
@@ -502,8 +519,8 @@ class TestPositionSum:
         rng = np.random.default_rng(71)
         n = 1500
         new = np.array([position_sum(params, t, rng)[1] for _ in range(n)])
-        old = np.array([simulate(params, t, rng).positions.sum(axis=0)
-                        for _ in range(n)])
+        old = np.array([simulate(params, t, seed).positions.sum(axis=0)
+                        for seed in range(71, 71 + n)])
         for u in np.vstack([np.eye(params.dim), np.ones(params.dim)]):
             assert sstats.ks_2samp(new @ u, old @ u).pvalue > 0.01
 
@@ -535,10 +552,15 @@ class TestPositionSum:
             position_sum(FAST, t, np.random.default_rng(1))
 
     def test_caps_raise_as_in_simulate(self):
+        # a Yule replica at rate 5 expects e^{10} particles by t = 2: inside
+        # the farm budget, far over either patched cap
         params = ModelParams(lam=5.0, p=1.0, mu=1.0, sigma=1.0)
-        for caps, match in ((Caps(max_particles=50), "max_particles=50"),
-                            (Caps(max_generations=3), "generation budget")):
-            for draw in (position_sum, simulate):
-                with pytest.raises(ResourceCapError, match=match) as info:
-                    draw(params, 8.0, np.random.default_rng(3), caps)
-                assert 0.0 <= info.value.time_reached <= 8.0
+        draws = (lambda: position_sum(params, 2.0, np.random.default_rng(3)),
+                 lambda: simulate(params, 2.0, 3))
+        for name, value, match in (("MAX_PARTICLES", 50, "MAX_PARTICLES=50"),
+                                   ("MAX_GENERATIONS", 3, "MAX_GENERATIONS=3")):
+            with mock.patch.object(simulator, name, value):
+                for draw in draws:
+                    with pytest.raises(ResourceCapError, match=match) as info:
+                        draw()
+                    assert 0.0 <= info.value.time_reached <= 2.0

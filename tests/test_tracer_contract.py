@@ -11,7 +11,9 @@ import pytest
 from branching_ou import kernels, limits, simulator, tree_oracle, ustats
 from branching_ou.kernels import Kernel
 from branching_ou.model import ModelParams, classify, derive
-from branching_ou.ou import FUNC_X, default_rule
+from branching_ou.ou import default_rule
+
+from helpers import FUNC_X
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 

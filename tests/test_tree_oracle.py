@@ -17,7 +17,7 @@ from branching_ou.model import (
     ModelParams,
     derive,
 )
-from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
+from branching_ou.ou import Func1D
 from branching_ou.tree_oracle import (
     OracleKernelError,
     enumerate_trees,
@@ -25,7 +25,8 @@ from branching_ou.tree_oracle import (
     tree_contribution,
 )
 
-from helpers import mixed_moment_forward, second_moment_linear, yule_second_moment
+from helpers import (FUNC_ONE, FUNC_X, mixed_moment_forward, second_moment_linear,
+                     yule_second_moment)
 
 SLOW = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, x0=(0.5,))
 X2 = Func1D.polynomial([0.0, 0.0, 1.0])

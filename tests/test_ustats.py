@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from branching_ou.kernels import Factor, Kernel, substitute_partition
 from branching_ou.model import ArityCapError, ModelParams, classify, derive
-from branching_ou.ou import FUNC_ONE, FUNC_X, Func1D
+from branching_ou.ou import Func1D
 from branching_ou import ustats
 from branching_ou.simulator import FarmLevel, ParticleSnapshot
 from branching_ou.ustats import (
@@ -21,7 +21,7 @@ from branching_ou.ustats import (
     v_statistics,
 )
 
-from helpers import brute_u, brute_v
+from helpers import FUNC_ONE, FUNC_X, brute_u, brute_v
 
 PARAMS = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 
