@@ -20,7 +20,8 @@ Fast regime: the limit is a polynomial in the position-sum martingale
 limit, with coefficients given by stationary means of kernel derivatives;
 the martingale limit is approximated by its value at a long finite horizon,
 where the position sum is drawn from its exact Gaussian law given the
-genealogy.
+skeleton of the genealogy: the lines alive at the horizon and their
+ancestors, drawn from the reconstructed birth-death process.
 
 All limit laws are sampled through these finite Gaussian-polynomial
 representations, which are exact in distribution for tensor-sum kernels.
@@ -278,7 +279,9 @@ def default_fast_horizon(params: ModelParams) -> float:
     """Horizon for approximating the position-sum martingale limit: 14 /
     (growth - 2 mu), for a negligible squared gap, capped where a replica
     expects 1% of ``simulator.MAX_PARTICLES`` births.  At lam = 1, p =
-    0.75 and mu = 0.1 the cap binds: 20.83, not 14/0.3 = 46.7."""
+    0.75 and mu = 0.1 the cap binds: 20.83, not 14/0.3 = 46.7.  The cap
+    still counts births of the whole tree, although ``position_sum`` draws
+    only its skeleton, so the horizon is that of a full genealogy."""
     consts = derive(params)
     gap_rate = consts.growth_rate - 2.0 * params.mu
     if gap_rate <= 0:
@@ -307,10 +310,11 @@ def fast_limit_sampler(
     """Draws of the fast-regime limit law: the limit polynomial evaluated
     at the position-sum martingale at the horizon ``t_approx``, one fresh
     replica per draw, its position sum drawn by ``simulator.position_sum``
-    from the exact Gaussian law given its genealogy.  An extinct replica
-    gives exactly 0, so the nonzero draws follow the law on survival.  The
-    caller picks the horizon: ``harness.run_clt`` takes the config's or
-    ``default_fast_horizon``."""
+    from the exact Gaussian law given the skeleton of its genealogy, which
+    takes one uniform per skeleton line and one normal per coordinate of a
+    survivor.  An extinct replica gives exactly 0, so the nonzero draws
+    follow the law on survival.  The caller picks the horizon:
+    ``harness.run_clt`` takes the config's or ``default_fast_horizon``."""
     regime = classify(params)
     if not regime.is_fast:
         raise RegimeError("fast sampler needs growth > 2 mu")

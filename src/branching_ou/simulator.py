@@ -30,10 +30,18 @@ does not grow with the population.  It returns the same ``FarmLevel``
 layout with positions of no columns; its counts are a different draw from
 those of ``simulate_farm`` at the same seed.
 
-``position_sum`` draws only the genealogy of one replica and then its
-position sum at one time from the sum's exact Gaussian law given that
-genealogy; this is all the fast-regime limit sampler needs.  ``simulate``
-is the one-replica farm.  Every resource limit is a constant of this module.
+``position_sum`` draws only the skeleton of one replica's genealogy, the
+lines alive at one time and their ancestors, and then its position sum at
+that time from the sum's exact Gaussian law given the skeleton; this is
+all the fast-regime limit sampler needs.  Lines that die out change
+neither the count nor the sum, so it draws none of them: the skeleton is
+the reconstructed birth-death tree (Kendall 1948; Nee, May and Harvey
+1994), whose lines split at the closed-form rate b P(v), with P(v) the
+probability that a line with time v left has descendants at the end.  It
+takes one uniform per skeleton line and no lifetimes, so its draws differ
+from a farm's, and its caps count skeleton lines and generations.
+``simulate`` is the one-replica farm.  Every resource limit is a constant
+of this module.
 """
 
 from __future__ import annotations
@@ -69,7 +77,8 @@ FARM_BATCH = 2000
 
 # Per replica of ``simulate_farm`` or ``position_sum``, read at call time:
 # MAX_PARTICLES bounds its realized births (so a batch's memory), and
-# MAX_GENERATIONS the time of a near-critical one at a small population.
+# MAX_GENERATIONS the time of a near-critical one at a small population;
+# ``position_sum`` counts only skeleton births and generations.
 MAX_PARTICLES = 10_000_000
 MAX_GENERATIONS = 100_000
 
@@ -357,48 +366,74 @@ def position_sum(
               + 2 exp(-2 mu T) sum over splits of n_a n_b expm1(2 mu tau) ],
 
     with n_a, n_b the two children's numbers of descendants alive at T;
-    every term is nonnegative.  The genealogy is drawn generation by
-    generation, lifetimes then branching uniforms as a farm batch draws
-    them, and a backward pass gives each split its n_a and n_b.  S takes
-    one normal draw per coordinate; an extinct replica returns (0, 0)
-    exactly and draws none.  ``MAX_PARTICLES`` and ``MAX_GENERATIONS``
-    raise ``ResourceCapError`` as in a farm batch.
+    every term is nonnegative.  Only splits whose two children both have
+    descendants at T enter it, so only the skeleton is drawn: the lines
+    alive at T and their ancestors, the reconstructed tree of Nee, May and
+    Harvey (1994).  With b = lam p, d = lam (1 - p) and r = b - d, a line
+    with time v left has descendants at T with probability
+    P(v) = r / (b - d exp(-r v)); given that, it splits into two such lines
+    at rate b P(v), whose integral over v is log(b exp(r v) - d).  So each
+    line carries a = b exp(r v) - d: the root survives iff
+    U (b exp(r T) - d) < r exp(r T); a line splits at a' = a U if a' > r
+    and reaches T otherwise; both children start from a', and the split
+    time is tau = T - log((a' + d) / b) / r.  Every a is kept in units of
+    exp(r T), so no finite horizon overflows.  With p = 1 (d = 0) the
+    skeleton is the whole tree.
+
+    Draw order: one uniform for the root's survival, then per generation
+    one uniform per line in line order, then one normal per coordinate; an
+    extinct replica returns (0, 0) exactly and draws no normal.
+    ``MAX_PARTICLES`` bounds the skeleton lines born (two per split) and
+    ``MAX_GENERATIONS`` the skeleton generations; either raises
+    ``ResourceCapError`` at a time in [0, ``t_end``].  A backward pass
+    gives each split its n_a and n_b.
     """
     if not 0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
-    lam, p, mu = params.lam, params.p, params.mu
-    birth = np.zeros(1)
-    born = 1
-    # per generation: who is alive at t_end, who splits, and expm1(2 mu tau)
-    gens: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    mu, r = params.mu, derive(params).growth_rate
+    b, d = params.lam * params.p, params.lam * (1.0 - params.p)
+    unit = math.exp(-r * t_end)  # exp(-r T); 0 where it underflows
+    c = d * unit                 # d in units of exp(r T)
+    a = np.array([b - c])        # the root's a in those units
+    if rng.random() * a[0] >= r:
+        return 0, np.zeros(params.dim)
+
+    def time_of(a_max: float) -> float:
+        # the split time of a line carrying a_max, the earliest among lines
+        # carrying less, clamped to [0, t_end] against rounding
+        return min(max(math.log(b / (a_max + c)) / r, 0.0), t_end)
+
+    floor, born, tilt_rate = r * unit, 1, 2.0 * mu / r
+    # per generation: its line count, which lines split and, per split,
+    # expm1(2 mu tau)
+    gens: list[tuple[int, np.ndarray, np.ndarray]] = []
     while True:
         if len(gens) == MAX_GENERATIONS:
             raise ResourceCapError(f"generation budget MAX_GENERATIONS="
-                                   f"{MAX_GENERATIONS} exhausted", float(birth.min()))
-        death = birth + _draw_lifetimes(rng, lam, birth.size)
-        splits = rng.random(birth.size) < p
-        br = np.flatnonzero(splits & (death < t_end))
-        t_split = death[br]
-        gens.append((death > t_end, br, np.expm1(2.0 * mu * t_split)))
+                                   f"{MAX_GENERATIONS} exhausted",
+                                   time_of(float(a.max())))
+        m = a.size
+        a *= rng.random(m)
+        br = np.flatnonzero(a > floor)
+        a = a[br]
+        gens.append((m, br, np.expm1(tilt_rate * np.log(b / (a + c)))))
         if not br.size:
             break
         born += 2 * br.size
         if born > MAX_PARTICLES:
             raise ResourceCapError(
                 f"replica 0 exceeded MAX_PARTICLES={MAX_PARTICLES}",
-                float(t_split.min()))
-        birth = np.repeat(t_split, 2)
+                time_of(float(a.max())))
+        a = np.repeat(a, 2)
 
-    n = np.zeros(0)  # descendants alive at t_end, per particle of a generation
+    n = np.zeros(0)  # descendants alive at t_end, per line of a generation
     pairs = 0.0
-    for alive, br, tilt in reversed(gens):
-        a, b = n[0::2], n[1::2]
-        n = alive.astype(float)
-        n[br] = a + b
-        pairs += float((a * b) @ tilt)
-    count = int(n[0])
-    if not count:
-        return 0, np.zeros(params.dim)
+    for m, br, tilt in reversed(gens):
+        n_a, n_b = n[0::2], n[1::2]
+        n = np.ones(m)
+        n[br] = n_a + n_b
+        pairs += float((n_a * n_b) @ tilt)
+    count = int(n[0])  # at least 1: every skeleton line reaches t_end or splits
     var = count * -math.expm1(-2.0 * mu * t_end) + \
         2.0 * math.exp(-2.0 * mu * t_end) * pairs
     mean = count * math.exp(-mu * t_end) * np.asarray(params.x0, dtype=float)

@@ -1,5 +1,5 @@
-"""Independent oracles for the test suite, and the slot functions 1 and x
-that the tests share.
+"""Independent oracles for the test suite, the slot functions 1 and x
+that the tests share, and the loader of the benchmark tracer.
 
 Every oracle here deliberately avoids the package's own evaluation paths:
 expectations come from scipy quadrature / ODE integration, closed forms
@@ -8,8 +8,10 @@ derived by hand, or brute-force enumeration over raw Python floats.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate, signal
@@ -18,6 +20,17 @@ from branching_ou.ou import Func1D
 
 FUNC_ONE = Func1D.polynomial([1.0])
 FUNC_X = Func1D.polynomial([0.0, 1.0])
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def load_tracer():
+    """``benchmarks/tracer.py`` as a module; its ``Tracer`` patches the
+    package's layer entry points."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def phi_quad(fn, params, limit: float = 12.0) -> float:

@@ -386,12 +386,12 @@ class TestFastSampler:
 
     def test_draws_pinned(self):
         # the order-one kernel returns H itself, so the digest pins every
-        # genealogy and position-sum draw the sampler takes from the stream
+        # skeleton and position-sum draw the sampler takes from the stream
         f = Kernel.from_slot_funcs([FUNC_X], symmetric=True)
         draws = fast_limit_sampler(f, FAST, np.random.default_rng(2024), size=64,
                                    t_approx=6.0)
         assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == (
-            "86eb72e2e4ecee403685a98d73ac475d5f5ddd129ed5f7075a7feeaeeab22baf")
+            "c5b25cddca1883352bf8e513d2424c4ab108ec7512044977d14bd775b35d3a19")
 
     @pytest.mark.parametrize("t, n", [(8.0, 4000), (2.0, 8000)])
     def test_moments_match_oracle_at_horizon(self, t, n):
@@ -427,6 +427,17 @@ class TestFastSampler:
         for module, name in ((limits, "simulate"), (simulator, "simulate"),
                              (simulator, "_run_batch")):
             monkeypatch.setattr(module, name, refuse)
+        draws = fast_limit_sampler(kernel_xx(), FAST, np.random.default_rng(139),
+                                   size=20, t_approx=6.0)
+        assert draws.shape == (20,) and np.all(draws >= 0.0)
+
+    def test_draws_no_lifetimes(self, monkeypatch):
+        # the sampler draws only the skeleton of each genealogy, which
+        # carries split times and no lifetimes
+        def refuse(*args, **kwargs):
+            raise AssertionError("lifetimes were drawn")
+
+        monkeypatch.setattr(simulator, "_draw_lifetimes", refuse)
         draws = fast_limit_sampler(kernel_xx(), FAST, np.random.default_rng(139),
                                    size=20, t_approx=6.0)
         assert draws.shape == (20,) and np.all(draws >= 0.0)

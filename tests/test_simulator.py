@@ -507,9 +507,9 @@ class TestConditioning:
 
 
 class TestPositionSum:
-    """``position_sum`` draws (N, S) from the genealogy and the exact
-    Gaussian law of S given it; it must agree in law with summing the
-    positions ``simulate`` draws."""
+    """``position_sum`` draws (N, S) from the genealogy's skeleton and the
+    exact Gaussian law of S given it; it must agree in law with summing the
+    positions ``simulate`` draws from the whole genealogy."""
 
     @pytest.mark.parametrize("params, t", [
         (FAST, 4.0),
@@ -530,6 +530,44 @@ class TestPositionSum:
         counts = np.array([position_sum(FAST, t, rng)[0] for _ in range(3000)])
         m, se = mean_se(counts)
         assert abs(m - math.exp(derive(FAST).growth_rate * t)) <= 4 * se
+
+    @pytest.mark.parametrize("params, t", [
+        (FAST, 4.0),
+        (ModelParams(lam=1.0, p=1.0, mu=0.1, sigma=1.0), 2.0),
+    ], ids=["fast", "yule"])
+    def test_count_law_on_survival(self, params, t):
+        # a replica survives with probability 1 - extinction_by(T), and on
+        # survival its count is Geometric on {1, 2, ...} with mean
+        # F = 1 + (b / r) (exp(r T) - 1) (Kendall 1948): P(N = 1) = 1 / F
+        rng = np.random.default_rng(83)
+        n = 4000
+        counts = np.array([position_sum(params, t, rng)[0] for _ in range(n)])
+        alive = counts[counts > 0]
+        q = 1.0 - extinction_by(t, params)
+        assert abs(alive.size / n - q) <= 4 * math.sqrt(q * (1 - q) / n)
+        b, r = params.lam * params.p, derive(params).growth_rate
+        f = 1.0 + b / r * math.expm1(r * t)
+        p1 = 1.0 / f
+        assert abs(np.mean(alive == 1) - p1) <= 4 * math.sqrt(p1 * (1 - p1) / alive.size)
+        m, se = mean_se(alive)
+        assert abs(m - f) <= 4 * se
+
+    @pytest.mark.parametrize("t", [1e4, 1e300])
+    def test_long_horizon_never_overflows(self, t, monkeypatch):
+        # exp(r T) overflows a float long before these horizons; a replica
+        # there dies out or meets the particle cap inside the horizon
+        monkeypatch.setattr(simulator, "MAX_PARTICLES", 10**5)
+        outcomes = set()
+        for seed in range(6):
+            try:
+                count, s = position_sum(FAST, t, np.random.default_rng(seed))
+            except ResourceCapError as exc:
+                assert 0.0 <= exc.time_reached <= t
+                outcomes.add("cap")
+            else:
+                assert count == 0 and s.tolist() == [0.0]
+                outcomes.add("extinct")
+        assert outcomes == {"cap", "extinct"}
 
     def test_extinct_sum_is_exactly_zero(self):
         params = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0, dim=2, x0=(-2.0, 3.0))

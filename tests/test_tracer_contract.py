@@ -2,9 +2,6 @@
 name (``benchmarks/tracer.py``); renaming or deleting one of them must fail
 here, not only in a traced benchmark run."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -13,18 +10,9 @@ from branching_ou.kernels import Kernel
 from branching_ou.model import ModelParams, classify, derive
 from branching_ou.ou import default_rule
 
-from helpers import FUNC_X
-
-TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+from helpers import FUNC_X, load_tracer
 
 SLOW = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_install_traces_each_layer_and_uninstall_restores():
