@@ -280,8 +280,9 @@ def default_fast_horizon(params: ModelParams) -> float:
     (growth - 2 mu), for a negligible squared gap, capped where a replica
     expects 1% of ``simulator.MAX_PARTICLES`` births.  At lam = 1, p =
     0.75 and mu = 0.1 the cap binds: 20.83, not 14/0.3 = 46.7.  The cap
-    still counts births of the whole tree, although ``position_sum`` draws
-    only its skeleton, so the horizon is that of a full genealogy."""
+    still counts births of the whole tree, although ``MAX_PARTICLES`` now
+    counts only the lines of the reconstructed tree that ``position_sum``
+    draws, so the horizon stays that of a full genealogy, 20.83."""
     consts = derive(params)
     gap_rate = consts.growth_rate - 2.0 * params.mu
     if gap_rate <= 0:

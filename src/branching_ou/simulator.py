@@ -2,46 +2,52 @@
 
 Each particle lives an Exp(lam) lifetime; at death it is replaced by two
 offspring at its location with probability p, by none otherwise, and moves
-between events by the exact OU transition.  The engine advances whole
-generations at once as flat arrays.  A generation draws every lifetime and
-branching uniform, then locates once, per lifetime [birth, death), the
-grid times it spans.  Only the particles whose lifetime straddles a grid
-time take OU legs to those times and are recorded there, grid time by grid
-time in increasing order; every other particle goes from its birth straight
-to its branching time in one leg.  The joint law at the observation grid is
-exact because every leg is an exact OU transition and the grid points are
-visited in increasing order along each lifetime.
+between events by the exact OU transition.  A farm is observed only through
+the particles alive at its grid times, so the engine draws only those and
+their ancestors: the reconstructed birth-death tree (Kendall 1948; Nee, May
+and Harvey 1994).  With b = lam p, d = lam (1 - p) and r = b - d, a line
+with time v left has descendants at the end with probability
+P(v) = r / (b - d exp(-r v)); given that, it splits into two such lines at
+rate b P(v), whose integral over v is log(b exp(r v) - d).  So each line
+carries a = b exp(r v) - d, kept in units of exp(r T) for a tree of height
+T, so that no finite T overflows: a line splits at a' = a U (U uniform) if
+a' > r and reaches the end otherwise, and both children start from a' at
+the split time T - log((a' + d) / b) / r.  With p = 1 (d = 0) the tree is
+the whole genealogy.
 
-Reproducibility: a farm derives one RNG substream per replica batch from
-(seed, batch_index), and the within-batch order of draws is a fixed
-function of the configuration.  A generation draws its lifetimes, then its
-branching uniforms, then the normals of each grid time's straddlers and
-last those of the branching legs, each set in particle order.
+``simulate_farm`` runs this from grid time to grid time.  The population is
+Markov at the grid times, the positions there depend only on the motion
+along their ancestral lines, and a line that dies out within a step changes
+nothing later; so every line alive at t_k survives to t_{k+1} with
+probability P(t_{k+1} - t_k), and each survivor draws its tree over the
+step.  Every tree edge is one exact OU leg: to the edge's split time, or to
+t_{k+1} for a leaf.  A step draws one uniform per line alive at t_k, then,
+per generation of its trees, one uniform per line and the normals of every
+line's leg, each set in line order; the lines at t_{k+1} are then sorted by
+replica, a radix sort of a 16-bit key while a batch holds fewer than 2^15
+replicas.  The number and order of draws depend only on counts, never on
+positions.  A farm derives one RNG substream per replica batch from
+(seed, batch_index).
+
+``position_sum`` draws the same tree, by the same loop, for one replica
+over [0, T], and then its position sum at T from the sum's exact Gaussian
+law given the tree; this is all the fast-regime limit sampler needs.
+
+``MAX_PARTICLES`` and ``MAX_GENERATIONS`` count tree lines born and tree
+generations for both; a farm sums them over its grid steps.
 
 ``farm_counts`` draws no genealogy at all.  Branching does not depend on
 position, so a replica's count is a linear birth-death chain, +1 at rate
 lam p and -1 at rate lam (1 - p), whose transition law over a step dt is
-closed-form (Kendall 1948): with r = lam (2p - 1), h = expm1(r dt) / r and
-b = lam p, each of N particles leaves descendants with probability
-exp(r dt) / (1 + b h), and each line that does leaves a Geometric number of
-them on {1, 2, ...} with success probability 1 / (1 + b h).  The farm draws
-that law from grid time to grid time for all replicas at once, so its cost
-does not grow with the population.  It returns the same ``FarmLevel``
-layout with positions of no columns; its counts are a different draw from
-those of ``simulate_farm`` at the same seed.
-
-``position_sum`` draws only the skeleton of one replica's genealogy, the
-lines alive at one time and their ancestors, and then its position sum at
-that time from the sum's exact Gaussian law given the skeleton; this is
-all the fast-regime limit sampler needs.  Lines that die out change
-neither the count nor the sum, so it draws none of them: the skeleton is
-the reconstructed birth-death tree (Kendall 1948; Nee, May and Harvey
-1994), whose lines split at the closed-form rate b P(v), with P(v) the
-probability that a line with time v left has descendants at the end.  It
-takes one uniform per skeleton line and no lifetimes, so its draws differ
-from a farm's, and its caps count skeleton lines and generations.
-``simulate`` is the one-replica farm.  Every resource limit is a constant
-of this module.
+closed-form (Kendall 1948): with h = expm1(r dt) / r, each of N particles
+leaves descendants with probability exp(r dt) / (1 + b h), and each line
+that does leaves a Geometric number of them on {1, 2, ...} with success
+probability 1 / (1 + b h).  The farm draws that law from grid time to grid
+time for all replicas at once, so its cost does not grow with the
+population.  It returns the same ``FarmLevel`` layout with positions of no
+columns; its counts are a different draw from those of ``simulate_farm``
+at the same seed.  ``simulate`` is the one-replica farm.  Every resource
+limit is a constant of this module.
 """
 
 from __future__ import annotations
@@ -75,10 +81,10 @@ MAX_FARM_PARTICLES = 1e8
 # batch draws from its own substream, so the value fixes the farm's draws.
 FARM_BATCH = 2000
 
-# Per replica of ``simulate_farm`` or ``position_sum``, read at call time:
-# MAX_PARTICLES bounds its realized births (so a batch's memory), and
-# MAX_GENERATIONS the time of a near-critical one at a small population;
-# ``position_sum`` counts only skeleton births and generations.
+# Read at call time: MAX_PARTICLES bounds the tree lines one replica of
+# ``simulate_farm`` or ``position_sum`` bears (so a batch's memory), and
+# MAX_GENERATIONS the tree generations of a batch or of ``position_sum``
+# (the time of a near-critical one at a small population).
 MAX_PARTICLES = 10_000_000
 MAX_GENERATIONS = 100_000
 
@@ -161,18 +167,22 @@ class FarmLevel:
 ParticleSnapshot = FarmLevel
 
 
-def _draw_lifetimes(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
-    return rng.exponential(1.0 / lam, size=size)
-
-
-def _grid_rank(t_grid: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """How many grid times lie below each ``t``, as ``np.searchsorted``
-    gives it.  One comparison pass per grid time: on grids of a few times
-    this is several times faster than the binary search."""
-    rank = np.zeros(t.shape, dtype=np.intp)
-    for g in t_grid:
-        rank += g < t
-    return rank
+def _skeleton(a: np.ndarray, floor: float, rng: np.random.Generator):
+    """The reconstructed tree below lines carrying ``a`` (see the module
+    docstring), generation by generation: one uniform per line, in line
+    order, then a yield of the line count, the indices of the lines that
+    split and the a each splits at.  A split line's two children take its
+    place in the next generation; the tree ends at a generation where no
+    line splits.  ``floor`` is the a of a line reaching the end."""
+    while True:
+        m = a.size
+        a *= rng.random(m)
+        br = np.flatnonzero(a > floor)
+        a = a[br]
+        yield m, br, a
+        if not br.size:
+            return
+        a = np.repeat(a, 2)
 
 
 def _run_batch(
@@ -184,78 +194,52 @@ def _run_batch(
     """Simulate ``n_replicas`` independent systems, returning, per grid
     time, the alive positions sorted by replica and the per-replica
     counts."""
-    d = params.dim
-    lam, p, mu = params.lam, params.p, params.mu
-    s_std = stationary_std(params)
-    t_end = float(t_grid[-1])
-
-    rep = np.arange(n_replicas, dtype=np.int64)
-    birth = np.zeros(n_replicas)
+    mu, s_std, r = params.mu, stationary_std(params), derive(params).growth_rate
+    b, d = params.lam * params.p, params.lam * (1.0 - params.p)
+    # a 16-bit key makes the stable sort by replica a radix sort
+    rep = np.arange(n_replicas, dtype=np.int16 if n_replicas < 2**15 else np.int64)
     pos = np.tile(np.asarray(params.x0, dtype=float), (n_replicas, 1))
     born = np.ones(n_replicas, dtype=np.int64)
-
-    rec_rep: list[list[np.ndarray]] = [[] for _ in t_grid]
-    rec_pos: list[list[np.ndarray]] = [[] for _ in t_grid]
-
-    generation = 0
-    while rep.size:
-        generation += 1
-        if generation > MAX_GENERATIONS:
-            raise ResourceCapError(f"generation budget MAX_GENERATIONS="
-                                   f"{MAX_GENERATIONS} exhausted", float(birth.min()))
-        m = rep.size
-        death = birth + _draw_lifetimes(rng, lam, m)
-        splits = rng.random(m) < p
-        # the lifetime [birth, death) spans the grid times t_grid[lo:hi]
-        lo, hi = _grid_rank(t_grid, birth), _grid_rank(t_grid, death)
-        strad = np.flatnonzero(lo < hi)
-        if strad.size:
-            s_lo, s_hi = lo[strad], hi[strad]
-            x, cur_t = pos[strad], birth[strad]
-            k0, k1 = int(s_lo.min()), int(s_hi.max())
-            for k in range(k0, k1):
-                if k1 - k0 == 1:  # every straddler spans this one grid time
-                    j = slice(None)
-                else:
-                    j = np.flatnonzero((s_lo <= k) & (k < s_hi))
-                    if not j.size:
-                        continue
-                rec_rep[k].append(rep[strad[j]])
-                g = t_grid[k]
-                x_k = ou_leg(x[j], g - cur_t[j], mu, s_std, rng)
-                x[j] = x_k
-                cur_t[j] = g
-                rec_pos[k].append(x_k)
-            # a straddler dying by t_end may branch, so it carries its
-            # position and time at the last grid time it reached
-            w = np.flatnonzero(s_hi < t_grid.size)
-            pos[strad[w]] = x[w]
-            birth[strad[w]] = cur_t[w]
-        br = np.flatnonzero(splits & (death < t_end))
-        if not br.size:
-            break
-        t_split = death[br]
-        pos = np.repeat(ou_leg(pos[br], t_split - birth[br], mu, s_std, rng),
-                        2, axis=0)
-        rep = rep[br]
-        born += 2 * np.bincount(rep, minlength=n_replicas)
-        if born.max() > MAX_PARTICLES:
-            worst = int(np.argmax(born))
-            mine = rep == worst
-            raise ResourceCapError(
-                f"replica {worst} exceeded MAX_PARTICLES={MAX_PARTICLES}",
-                float(t_split[mine].min()) if mine.any() else t_end,
-            )
-        rep = np.repeat(rep, 2)
-        birth = np.repeat(t_split, 2)
-
-    out = []
-    for k in range(len(t_grid)):
-        reps = np.concatenate(rec_rep[k]) if rec_rep[k] else np.zeros(0, dtype=np.int64)
-        ps = np.concatenate(rec_pos[k], axis=0) if rec_pos[k] else np.empty((0, d))
-        if n_replicas > 1:
-            ps = ps[np.argsort(reps, kind="stable")]
-        out.append((ps, np.bincount(reps, minlength=n_replicas)))
+    generation, t_prev, out = 0, 0.0, []
+    for t in t_grid:
+        if t > t_prev:
+            unit = math.exp(-r * (t - t_prev))  # a in units of exp(r dt)
+            c = d * unit
+            alive = np.flatnonzero(rng.random(rep.size) * (b - c) < r)
+            rep, x, start = rep[alive], pos[alive], t_prev
+            reps, xs = [], []
+            for m, br, a in _skeleton(np.full(alive.size, b - c), r * unit, rng):
+                generation += 1
+                if generation > MAX_GENERATIONS:
+                    raise ResourceCapError(f"generation budget MAX_GENERATIONS="
+                                           f"{MAX_GENERATIONS} exhausted",
+                                           float(np.min(start)))
+                tau = t_prev + np.log(b / (a + c)) / r
+                dt = np.full(m, t)
+                dt[br] = tau
+                dt -= start
+                # rounding may put a split a hair outside its step
+                x = ou_leg(x, np.maximum(dt, 0.0, out=dt), mu, s_std, rng)
+                leaf = np.ones(m, dtype=bool)
+                leaf[br] = False
+                leaves = np.flatnonzero(leaf)  # faster than a mask to index by
+                reps.append(rep[leaves])
+                xs.append(x[leaves])
+                rep = rep[br]
+                born += 2 * np.bincount(rep, minlength=n_replicas)
+                if born.max() > MAX_PARTICLES:
+                    worst = int(np.argmax(born))
+                    raise ResourceCapError(
+                        f"replica {worst} exceeded MAX_PARTICLES={MAX_PARTICLES}",
+                        float(tau[rep == worst].min()))
+                rep, x, start = np.repeat(rep, 2), np.repeat(x[br], 2, axis=0), \
+                    np.repeat(tau, 2)
+            rep, pos = np.concatenate(reps), np.concatenate(xs)
+            if n_replicas > 1:
+                order = np.argsort(rep, kind="stable")
+                rep, pos = rep[order], pos[order]
+            t_prev = t
+        out.append((pos, np.bincount(rep, minlength=n_replicas)))
     return out
 
 
@@ -367,24 +351,15 @@ def position_sum(
 
     with n_a, n_b the two children's numbers of descendants alive at T;
     every term is nonnegative.  Only splits whose two children both have
-    descendants at T enter it, so only the skeleton is drawn: the lines
-    alive at T and their ancestors, the reconstructed tree of Nee, May and
-    Harvey (1994).  With b = lam p, d = lam (1 - p) and r = b - d, a line
-    with time v left has descendants at T with probability
-    P(v) = r / (b - d exp(-r v)); given that, it splits into two such lines
-    at rate b P(v), whose integral over v is log(b exp(r v) - d).  So each
-    line carries a = b exp(r v) - d: the root survives iff
-    U (b exp(r T) - d) < r exp(r T); a line splits at a' = a U if a' > r
-    and reaches T otherwise; both children start from a', and the split
-    time is tau = T - log((a' + d) / b) / r.  Every a is kept in units of
-    exp(r T), so no finite horizon overflows.  With p = 1 (d = 0) the
-    skeleton is the whole tree.
+    descendants at T enter it, so only the reconstructed tree over [0, T]
+    is drawn (see the module docstring); the root survives iff
+    U (b exp(r T) - d) < r exp(r T).
 
     Draw order: one uniform for the root's survival, then per generation
     one uniform per line in line order, then one normal per coordinate; an
     extinct replica returns (0, 0) exactly and draws no normal.
-    ``MAX_PARTICLES`` bounds the skeleton lines born (two per split) and
-    ``MAX_GENERATIONS`` the skeleton generations; either raises
+    ``MAX_PARTICLES`` bounds the tree lines born (two per split) and
+    ``MAX_GENERATIONS`` the tree generations; either raises
     ``ResourceCapError`` at a time in [0, ``t_end``].  A backward pass
     gives each split its n_a and n_b.
     """
@@ -403,19 +378,11 @@ def position_sum(
         # carrying less, clamped to [0, t_end] against rounding
         return min(max(math.log(b / (a_max + c)) / r, 0.0), t_end)
 
-    floor, born, tilt_rate = r * unit, 1, 2.0 * mu / r
+    born, tilt_rate = 1, 2.0 * mu / r
     # per generation: its line count, which lines split and, per split,
     # expm1(2 mu tau)
     gens: list[tuple[int, np.ndarray, np.ndarray]] = []
-    while True:
-        if len(gens) == MAX_GENERATIONS:
-            raise ResourceCapError(f"generation budget MAX_GENERATIONS="
-                                   f"{MAX_GENERATIONS} exhausted",
-                                   time_of(float(a.max())))
-        m = a.size
-        a *= rng.random(m)
-        br = np.flatnonzero(a > floor)
-        a = a[br]
+    for m, br, a in _skeleton(a, r * unit, rng):
         gens.append((m, br, np.expm1(tilt_rate * np.log(b / (a + c)))))
         if not br.size:
             break
@@ -424,7 +391,10 @@ def position_sum(
             raise ResourceCapError(
                 f"replica 0 exceeded MAX_PARTICLES={MAX_PARTICLES}",
                 time_of(float(a.max())))
-        a = np.repeat(a, 2)
+        if len(gens) == MAX_GENERATIONS:
+            raise ResourceCapError(f"generation budget MAX_GENERATIONS="
+                                   f"{MAX_GENERATIONS} exhausted",
+                                   time_of(float(a.max())))
 
     n = np.zeros(0)  # descendants alive at t_end, per line of a generation
     pairs = 0.0

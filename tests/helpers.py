@@ -3,7 +3,9 @@ that the tests share, and the loader of the benchmark tracer.
 
 Every oracle here deliberately avoids the package's own evaluation paths:
 expectations come from scipy quadrature / ODE integration, closed forms
-derived by hand, or brute-force enumeration over raw Python floats.
+derived by hand, or brute-force enumeration over raw Python floats.  The
+one reference sampler, ``full_tree_farm``, draws every lifetime of the
+genealogy, where the package's farm draws only the reconstructed tree.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate, signal
 
-from branching_ou.ou import Func1D
+from branching_ou.ou import Func1D, ou_leg, stationary_std
+from branching_ou.simulator import FarmLevel
 
 FUNC_ONE = Func1D.polynomial([1.0])
 FUNC_X = Func1D.polynomial([0.0, 1.0])
@@ -71,6 +74,92 @@ def second_moment_linear(t: float, params) -> float:
 
     integral, _ = integrate.quad(pair, 0.0, t, limit=400)
     return term1 + 2 * p * lam * math.exp(g * t) * integral
+
+
+def critical_ratio_moment(params, t: float) -> float:
+    """E[S_t^2 / (t N_t) | N_t > 0] for a replica started at the origin,
+    S_t the 1-D position sum and N_t the count, by quadrature of a
+    closed form derived by hand.
+
+    Given survival, the reconstructed tree at t is a coalescent point
+    process (Popovic 2004; Lambert and Stadler 2013): node depths H_1,
+    H_2, ... are i.i.d. with P(H > h) = 1 / F(h), F(h) = 1 + (b / r)
+    (e^{rh} - 1) (b = lam p, r = (2p - 1) lam), N_t is the first i with
+    H_i > t, and tips i < j coalesce at depth max(H_i, ..., H_{j-1}).  Two
+    tips coalescing at depth h have position covariance
+    s^2 (e^{-2 mu h} - e^{-2 mu t}), s^2 the stationary variance.  With G
+    the law of H given H < t and q = 1 - 1 / F(t), summing the pairs at
+    lag k against the Geometric law of N_t gives
+
+        E[S^2 / N] = s^2 [ 1 - e^{-2 mu t}
+                           + int_0^t 4 mu e^{-2 mu h} B(G(h)) dh ],
+
+    B(x) = E[(1 / N) sum_{k<N} (N - k) x^k], which is, with y = 1 - x and
+    z = q y / (1 - q), x q / (1 - q) (z - log(1 + z)) / z^2."""
+    b = params.lam * params.p
+    r = (2.0 * params.p - 1.0) * params.lam
+    mu = params.mu
+    s2 = params.sigma**2 / (2.0 * mu)
+
+    def inv_tail(h):  # 1 / F(h) = P(H > h)
+        return 1.0 / (1.0 + b / r * math.expm1(r * h))
+
+    eps = inv_tail(t)
+    q = 1.0 - eps
+
+    def b_of(h):
+        y = (inv_tail(h) - eps) / q  # 1 - G(h)
+        if y <= 0.0:
+            return 0.0
+        z = q * y / eps
+        w = 0.5 - z / 3 + z * z / 4 if z < 1e-5 else (z - math.log1p(z)) / z**2
+        return (1.0 - y) * q / eps * w
+
+    pairs, _ = integrate.quad(lambda h: 4.0 * mu * math.exp(-2.0 * mu * h) * b_of(h),
+                              0.0, t, limit=400)
+    return s2 / t * (-math.expm1(-2.0 * mu * t) + pairs)
+
+
+def full_tree_farm(params, t_grid, n_replicas: int, seed: int) -> list[FarmLevel]:
+    """A farm drawn by another algorithm than ``simulate_farm``'s: every
+    particle of the whole genealogy lives an Exp(lam) lifetime, and
+    generation after generation every lifetime is drawn.  A particle whose
+    lifetime spans grid times takes exact OU legs to each of them and is
+    recorded there; one that branches before the last grid time takes a
+    leg to its branching time and leaves two children there.  One levels
+    list per grid time, in increasing time order, rows sorted by replica;
+    no caps."""
+    rng = np.random.default_rng(seed)
+    t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    mu, s_std, t_end = params.mu, stationary_std(params), t_grid[-1]
+    rep = np.arange(n_replicas)
+    birth = np.zeros(n_replicas)
+    pos = np.tile(np.asarray(params.x0, dtype=float), (n_replicas, 1))
+    rec_rep, rec_pos = [[] for _ in t_grid], [[] for _ in t_grid]
+    while rep.size:
+        death = birth + rng.exponential(1.0 / params.lam, size=rep.size)
+        splits = rng.random(rep.size) < params.p
+        # the lifetime [birth, death) spans the grid times t_grid[lo:hi]
+        lo = np.searchsorted(t_grid, birth)
+        hi = np.searchsorted(t_grid, death)
+        for k in range(len(t_grid)):
+            j = np.flatnonzero((lo <= k) & (k < hi))
+            pos[j] = ou_leg(pos[j], t_grid[k] - birth[j], mu, s_std, rng)
+            birth[j] = t_grid[k]
+            rec_rep[k].append(rep[j])
+            rec_pos[k].append(pos[j])
+        br = np.flatnonzero(splits & (death < t_end))
+        pos = np.repeat(ou_leg(pos[br], death[br] - birth[br], mu, s_std, rng),
+                        2, axis=0)
+        rep = np.repeat(rep[br], 2)
+        birth = np.repeat(death[br], 2)
+    levels = []
+    for k, t in enumerate(t_grid):
+        reps = np.concatenate(rec_rep[k])
+        order = np.argsort(reps, kind="stable")
+        levels.append(FarmLevel(float(t), np.concatenate(rec_pos[k])[order],
+                                np.bincount(reps, minlength=n_replicas)))
+    return levels
 
 
 def yule_second_moment(t: float, lam: float) -> float:

@@ -431,13 +431,14 @@ class TestFastSampler:
                                    size=20, t_approx=6.0)
         assert draws.shape == (20,) and np.all(draws >= 0.0)
 
-    def test_draws_no_lifetimes(self, monkeypatch):
-        # the sampler draws only the skeleton of each genealogy, which
-        # carries split times and no lifetimes
+    def test_never_runs_a_farm(self, monkeypatch):
+        # the sampler draws one replica's tree at a time through
+        # position_sum and never runs a farm's batches
         def refuse(*args, **kwargs):
-            raise AssertionError("lifetimes were drawn")
+            raise AssertionError("a farm was run")
 
-        monkeypatch.setattr(simulator, "_draw_lifetimes", refuse)
+        for name in ("_run_batch", "simulate_farm"):
+            monkeypatch.setattr(simulator, name, refuse)
         draws = fast_limit_sampler(kernel_xx(), FAST, np.random.default_rng(139),
                                    size=20, t_approx=6.0)
         assert draws.shape == (20,) and np.all(draws >= 0.0)
