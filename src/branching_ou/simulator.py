@@ -121,11 +121,15 @@ class FarmLevel:
         positions = positions.view()
         positions.flags.writeable = False
         if counts is None:
-            counts = np.array([positions.shape[0]], dtype=np.int64)
+            n = positions.shape[0]
+            counts = np.array([n], dtype=np.int64)
+            offsets = np.array([0, n], dtype=np.int64)
+        else:
+            offsets = np.concatenate(([0], np.cumsum(counts)))
         self.t = t
         self.positions = positions              # (counts.sum(), dim)
         self.counts = counts                    # (replicas,) int64
-        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+        self.offsets = offsets                  # (replicas + 1,) int64
 
     @property
     def count(self) -> int:
@@ -146,9 +150,10 @@ class FarmLevel:
     def segment_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-replica sums of a per-particle array (rows follow
         ``positions``); extinct replicas sum to zero."""
-        alive = self.counts > 0
-        if alive.all() and len(self):
+        n_alive = np.count_nonzero(self.counts)  # cheaper per call than a mask
+        if n_alive and n_alive == len(self):
             return np.add.reduceat(values, self.offsets[:-1], axis=0)
+        alive = self.counts > 0
         out = np.zeros((len(self),) + values.shape[1:])
         if alive.any():
             out[alive] = np.add.reduceat(values, self.offsets[:-1][alive], axis=0)
@@ -199,7 +204,11 @@ def _run_batch(
     # a 16-bit key makes the stable sort by replica a radix sort
     rep = np.arange(n_replicas, dtype=np.int16 if n_replicas < 2**15 else np.int64)
     pos = np.tile(np.asarray(params.x0, dtype=float), (n_replicas, 1))
-    born = np.ones(n_replicas, dtype=np.int64)
+    # lines born, roots included: in the batch, and per replica through the
+    # last grid step; no replica passes MAX_PARTICLES before the batch does,
+    # so a step counts its lines per replica by generation only after that
+    total, born = n_replicas, np.ones(n_replicas, dtype=np.int64)
+    counts = np.ones(n_replicas, dtype=np.int64)  # lines alive at t_prev
     generation, t_prev, out = 0, 0.0, []
     for t in t_grid:
         if t > t_prev:
@@ -207,7 +216,8 @@ def _run_batch(
             c = d * unit
             alive = np.flatnonzero(rng.random(rep.size) * (b - c) < r)
             rep, x, start = rep[alive], pos[alive], t_prev
-            reps, xs = [], []
+            roots = np.bincount(rep, minlength=n_replicas)
+            reps, xs, step_born = [], [], None
             for m, br, a in _skeleton(np.full(alive.size, b - c), r * unit, rng):
                 generation += 1
                 if generation > MAX_GENERATIONS:
@@ -226,20 +236,31 @@ def _run_batch(
                 reps.append(rep[leaves])
                 xs.append(x[leaves])
                 rep = rep[br]
-                born += 2 * np.bincount(rep, minlength=n_replicas)
-                if born.max() > MAX_PARTICLES:
-                    worst = int(np.argmax(born))
-                    raise ResourceCapError(
-                        f"replica {worst} exceeded MAX_PARTICLES={MAX_PARTICLES}",
-                        float(tau[rep == worst].min()))
+                total += 2 * br.size
+                if total > MAX_PARTICLES:
+                    if step_born is None:
+                        # the step's lines so far, its leaves and the
+                        # children pending, are its roots plus one per split
+                        step_born = born + 2 * (
+                            np.bincount(np.concatenate(reps), minlength=n_replicas)
+                            + 2 * np.bincount(rep, minlength=n_replicas) - roots)
+                    else:
+                        step_born += 2 * np.bincount(rep, minlength=n_replicas)
+                    if step_born.max() > MAX_PARTICLES:
+                        worst = int(np.argmax(step_born))
+                        raise ResourceCapError(
+                            f"replica {worst} exceeded MAX_PARTICLES={MAX_PARTICLES}",
+                            float(tau[rep == worst].min()))
                 rep, x, start = np.repeat(rep, 2), np.repeat(x[br], 2, axis=0), \
                     np.repeat(tau, 2)
             rep, pos = np.concatenate(reps), np.concatenate(xs)
             if n_replicas > 1:
                 order = np.argsort(rep, kind="stable")
                 rep, pos = rep[order], pos[order]
+            counts = np.bincount(rep, minlength=n_replicas)
+            born += 2 * (counts - roots)  # a step's leaves: its roots plus its splits
             t_prev = t
-        out.append((pos, np.bincount(rep, minlength=n_replicas)))
+        out.append((pos, counts))
     return out
 
 

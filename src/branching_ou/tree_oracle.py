@@ -266,6 +266,17 @@ def _chain_integral(t: float, powers: tuple[int, ...], growth: float,
     return _nonnegative_expm(gen)[0, m * size]
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _order_sum(parent: tuple[int, ...], powers: tuple[int, ...], t: float,
+               growth: float, mu: float) -> float:
+    """The integral of prod_k u_k^{powers[k]} times the growth weight over
+    a shape's time simplex: ``_chain_integral`` summed over the parent-first
+    orders of its inner vertices, in their enumeration order.  Every tree
+    of the shape shares it."""
+    return sum(_chain_integral(t, tuple(powers[k] for k in o), growth, mu)
+               for o in _shape(parent).orders)
+
+
 def tree_contribution(tree: LabeledTree, t: float, params: ModelParams,
                       f_assignment) -> float:
     """This tree's share of the mixed moment, multiplicity included.
@@ -274,15 +285,12 @@ def tree_contribution(tree: LabeledTree, t: float, params: ModelParams,
     whose exact coefficients come from ``_leaf_moment_coefficients``.  The
     time simplex is the union of one chain per parent-first order of the
     inner vertices, and each nonzero monomial is integrated exactly over
-    each."""
+    each (``_order_sum``)."""
     growth = derive(params).growth_rate
     coefs = _leaf_moment_coefficients(tree, t, params, f_assignment)
-    orders = _shape(tree.parent).orders
     total = 0.0
-    for powers in map(tuple, np.argwhere(coefs)):
-        total += coefs[powers] * sum(
-            _chain_integral(t, tuple(int(powers[k]) for k in o), growth, params.mu)
-            for o in orders)
+    for powers in map(tuple, np.argwhere(coefs).tolist()):
+        total += coefs[powers] * _order_sum(tree.parent, powers, t, growth, params.mu)
     return (params.p * params.lam) ** len(tree.inner_nodes) * math.exp(growth * t) * \
         tree.multiplicity * total
 

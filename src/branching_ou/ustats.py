@@ -1,17 +1,25 @@
 """U- and V-statistics of particle snapshots.
 
 The V-statistic sums the kernel over all index tuples (repeats allowed);
-the U-statistic over injective tuples only.  Tensor-sum kernels admit a
-fast V path through per-slot particle sums, and the U-statistic reduces to
-an integer combination of V-statistics of merged kernels over the set
+the U-statistic over injective tuples only.  The U-statistic is an
+integer combination of V-statistics of merged kernels over the set
 partitions of the argument slots, weighted by the closed-form Moebius
-function of the partition lattice.
+function of the partition lattice.  For a tensor-sum kernel both are
+polynomials in the per-replica sums of its slot functions, merged or not.
+One plan per kernel collects their like terms, so arity 4 of one repeated
+slot takes 5 products where the expansion has 15 merged kernels, and
+writes each slot sum as a combination of per-replica monomial sums, each
+monomial summed once per call.  Black boxes are enumerated, and
+``u_statistic(..., strategy="naive")`` enumerates injective tuples
+directly: the reference the expansion is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,9 +72,10 @@ def partition_coefficients(n: int) -> dict[Partition, int]:
 #
 # The statistics are computed for every replica of a ``FarmLevel`` at once;
 # a snapshot is a one-replica level, and the per-snapshot functions unpack
-# its one value, so a level of several replicas is refused.  A tensor-sum
-# kernel's V-statistic is a product of per-slot particle sums, taken for
-# all replicas by one segment-sum pass per distinct slot function.
+# its one value, so a level of several replicas is refused.  A plan takes
+# each monomial's per-replica sums by one segment-sum pass, over one
+# running power per coordinate (x^k = x^(k-1) x), so no table of powers is
+# held; black boxes are enumerated replica by replica.
 
 
 def _blackbox_v(positions: np.ndarray, f: Kernel) -> float:
@@ -82,49 +91,138 @@ def _blackbox_v(positions: np.ndarray, f: Kernel) -> float:
     return total
 
 
-def _v(level: FarmLevel, f: Kernel, slot_sums: dict) -> np.ndarray:
-    """Per-replica V-statistics; ``slot_sums`` caches the segment sums of
-    each slot function across the kernels of one call."""
+def _blackbox_vs(level: FarmLevel, f: Kernel) -> np.ndarray:
+    return np.array([_blackbox_v(s.positions, f) if s.count else 0.0 for s in level])
+
+
+def _check_dim(level: FarmLevel, f: Kernel) -> None:
     if f.dim != level.positions.shape[1]:
         raise ValueError("kernel dimension does not match snapshot")
-    if not f.is_tensor_sum:
-        return np.array([_blackbox_v(s.positions, f) if s.count else 0.0
-                         for s in level])
-
-    def sums(_, fac):
-        if fac not in slot_sums:
-            slot_sums[fac] = level.segment_sum(fac(level.positions))
-        return slot_sums[fac]
-
-    return f.contract(sums)
 
 
-@lru_cache(maxsize=4)
-def _expansion(f: Kernel) -> tuple[tuple[int, Kernel], ...]:
-    """The (weight, merged kernel) pairs of the U-from-V expansion of
-    ``f``, memoized for the last few kernels, so a loop over snapshots
-    merges its kernel once."""
-    return tuple((a, substitute_partition(f, J))
-                 for J, a in partition_coefficients(f.arity).items())
+def _trie(monomials: dict[tuple[int, ...], int]) -> tuple:
+    """The exponent tuples, keyed to their indices, as a trie over the
+    coordinates: per node, (exponent, child) pairs in increasing exponent,
+    a child being the next coordinate's node or, at the last coordinate,
+    the monomial's index."""
+    heads = sorted({k[0] for k in monomials})
+    out = []
+    for e in heads:
+        rest = {k[1:]: i for k, i in monomials.items() if k[0] == e}
+        out.append((e, rest[()] if () in rest else _trie(rest)))
+    return tuple(out)
+
+
+def _monomial_sums(node: tuple, level: FarmLevel, c: int, prefix, sums: list) -> None:
+    """Store in ``sums`` the per-replica sums of the monomials below a
+    ``_trie`` node of coordinate ``c``, given ``prefix``, the values of the
+    earlier coordinates' powers (None for 1).  Along the coordinate one
+    running array is multiplied up from the prefix, so a unit monomial gets
+    exactly the bits of Horner's rule."""
+    col = level.positions[:, c]
+    run, owned, power = prefix, False, 0
+    for e, child in node:
+        for _ in range(e - power):
+            if run is None:
+                run = col
+            elif owned:
+                np.multiply(run, col, out=run)
+            else:
+                run, owned = run * col, True
+        power = e
+        if isinstance(child, tuple):
+            _monomial_sums(child, level, c + 1, run, sums)
+        elif run is None:
+            sums[child] = level.counts.astype(float)
+        else:
+            sums[child] = level.segment_sum(run)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A tensor-sum statistic as a polynomial in per-replica slot sums."""
+
+    trie: tuple                                   # the monomials, see ``_trie``
+    n_monomials: int
+    # per distinct slot function: its (monomial index, coefficient) pairs
+    slots: tuple[tuple[tuple[int, float], ...], ...]
+    # like terms collected: (coefficient, slot indices in product order)
+    terms: tuple[tuple[float, tuple[int, ...]], ...]
+
+    def values(self, level: FarmLevel) -> np.ndarray:
+        """The polynomial per replica: each product takes its coefficient
+        first, then its slot sums in order."""
+        sums: list = [None] * self.n_monomials
+        _monomial_sums(self.trie, level, 0, None, sums)
+        slot_sums = []
+        for pairs in self.slots:
+            if len(pairs) == 1 and pairs[0][1] == 1.0:
+                slot_sums.append(sums[pairs[0][0]])
+                continue
+            total = 0.0
+            for k, c in pairs:
+                total = total + c * sums[k]
+            slot_sums.append(total)
+        out = np.zeros(len(level))
+        for coef, idx in self.terms:
+            prod = coef
+            for i in idx:
+                prod = prod * slot_sums[i]
+            out += prod
+        return out
+
+
+@lru_cache(maxsize=8)
+def _plan(f: Kernel, injective: bool) -> _Plan:
+    """The plan of a tensor-sum kernel's V-statistic, or with ``injective``
+    of its U-statistic: sum_J a_J (V-statistic of the J-merged kernel)
+    over the set partitions J, merged by ``substitute_partition``.  Terms
+    whose slot functions form one multiset are collected, summing their
+    weighted coefficients, and terms that cancel are dropped.  Memoized for
+    the last few kernels, so a loop over snapshots plans its kernel once."""
+    expansion = ([(a, substitute_partition(f, J))
+                  for J, a in partition_coefficients(f.arity).items()]
+                 if injective else [(1, f)])
+    collected: dict[frozenset, list] = {}
+    for a, g in expansion:
+        for coef, slots in g.terms:
+            key = frozenset(Counter(slots).items())
+            if key in collected:
+                collected[key][0] += a * coef
+            else:
+                collected[key] = [a * coef, slots]
+    index: dict = {}  # slot function -> its position in ``slots``
+    terms = tuple((c, tuple(index.setdefault(s, len(index)) for s in slots))
+                  for c, slots in collected.values() if c != 0.0)
+    monomials: dict[tuple[int, ...], int] = {}
+    slots = tuple(tuple((monomials.setdefault(k, len(monomials)), float(fac.coeffs[k]))
+                        for k in map(tuple, np.argwhere(fac.coeffs).tolist()))
+                  for fac in index)
+    return _Plan(_trie(monomials), len(monomials), slots, terms)
 
 
 def v_statistics(level: FarmLevel, f: Kernel) -> np.ndarray:
     """Per-replica sums of the kernel over all index tuples (with
     repetition); extinct replicas give 0."""
-    return _v(level, f, {})
+    _check_dim(level, f)
+    if not f.is_tensor_sum:
+        return _blackbox_vs(level, f)
+    return _plan(f, False).values(level)
 
 
 def u_statistics(level: FarmLevel, f: Kernel) -> np.ndarray:
     """Per-replica sums of the kernel over pairwise-distinct index tuples,
     by the partition expansion over merged V-statistics; replicas with
     fewer particles than the arity give 0."""
-    slot_sums: dict = {}
-    total = np.zeros(len(level))
-    # a black box merges into a mere closure, and callers build fresh ones
-    # call by call, so only tensor sums are cached
-    expand = _expansion if f.is_tensor_sum else _expansion.__wrapped__
-    for a, g in expand(f):
-        total += a * _v(level, g, slot_sums)
+    _check_dim(level, f)
+    if f.is_tensor_sum:
+        total = _plan(f, True).values(level)
+    else:
+        # a black box merges into a mere closure, and callers build fresh
+        # ones call by call, so nothing is cached
+        total = np.zeros(len(level))
+        for J, a in partition_coefficients(f.arity).items():
+            total += a * _blackbox_vs(level, substitute_partition(f, J))
     total[level.counts < f.arity] = 0.0
     return total
 
@@ -182,7 +280,7 @@ def normalized_u_statistics(
     projection has order ``order_k``."""
     n = f_centered.arity
     k = order_k
-    if np.any(level.counts == 0):
+    if np.count_nonzero(level.counts) < len(level):
         raise ValueError("empty snapshot cannot be normalized")
     m = level.counts.astype(float)
     t = level.t

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -217,9 +219,9 @@ class TestUStatistic:
         assert u_statistic(snap(*values), f) == u_statistic(snap(*shuffled), f)
 
     def test_merged_kernels_memoized_and_bounded(self, monkeypatch):
-        # an equal kernel reuses its merged kernels and gives the same bits;
-        # a stream of fresh kernels stays within the cache bound, and black
-        # boxes are not cached
+        # an equal kernel reuses its plan, so it builds no merged kernel
+        # again and gives the same bits; a stream of fresh kernels stays
+        # within the cache bound, and black boxes are not cached
         s = snap(0.5, -1.5, 2.0, 1.0)
         first = u_statistic(s, kernel_xy())
 
@@ -232,10 +234,10 @@ class TestUStatistic:
         for c in range(20):
             u_statistic(s, Kernel.from_slot_funcs(
                 [FUNC_X, Func1D.polynomial([float(c), 1.0])]))
-        info = ustats._expansion.cache_info()
+        info = ustats._plan.cache_info()
         assert info.currsize == info.maxsize
         u_statistic(s, Kernel.black_box(lambda xs: xs[0][:, 0], arity=2, dim=1))
-        assert ustats._expansion.cache_info() == info
+        assert ustats._plan.cache_info() == info
 
     def test_scaling_exact(self):
         f = kernel_xy()
@@ -463,3 +465,92 @@ class TestBatchedStatistics:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             v_statistics(ragged_level([2, 3], 2, seed=0), kernel_xy())
+
+    def test_no_reference_cycle_keeps_the_level(self):
+        # a cycle through a level would keep its positions alive until the
+        # cyclic collector runs, raising the peak memory of a farm loop
+        xy = Factor.from_polys([[0.0, 1.0], [1.0, 0.0, 1.0]])
+        f = Kernel.from_slot_funcs([xy, xy, Factor.constant(1.0, 2)])
+        level = ragged_level(COUNTS, 2, seed=3)
+        alive = weakref.ref(level)
+        gc.disable()
+        try:
+            u_statistics(level, f)
+            v_statistics(level, f)
+            del level
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+# small coefficients and positions, with signed zeros among the positions
+COEFS = st.sampled_from([1.0, -1.0, 0.5, -0.75, 2.0, 3.0])
+SLOT_COEFS = st.sampled_from([0.0, 1.0, -1.0, 0.5, -1.5, 2.0])
+POSITIONS = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-2.0, 2.0, allow_subnormal=False))
+
+
+@st.composite
+def kernels_and_levels(draw):
+    """A tensor-sum kernel of arity 1-4 and dim 1-2 whose terms draw their
+    slots from a small pool (so slots repeat), among them a constant and
+    polynomials of several monomials, and a ragged level of up to four
+    replicas of at most six particles, extinct ones included."""
+    dim = draw(st.integers(1, 2))
+    arity = draw(st.integers(1, 4))
+    pool = [Factor.constant(1.0, dim)]
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.tuples(*[st.integers(1, 3)] * dim))
+        coeffs = draw(st.lists(SLOT_COEFS, min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+        pool.append(Factor(np.reshape(coeffs, shape)))
+    pick = st.integers(0, len(pool) - 1)
+    terms = [(draw(COEFS), [pool[i] for i in draw(st.lists(pick, min_size=arity,
+                                                           max_size=arity))])
+             for _ in range(draw(st.integers(1, 3)))]
+    counts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    values = draw(st.lists(POSITIONS, min_size=sum(counts) * dim,
+                           max_size=sum(counts) * dim))
+    level = FarmLevel(1.0, np.reshape(np.array(values, dtype=float), (-1, dim)),
+                      np.array(counts, dtype=np.int64))
+    return Kernel.tensor_sum(terms, dim=dim), level
+
+
+def python_value(f, rows):
+    """The kernel at one tuple of rows, in raw Python floats."""
+    total = 0.0
+    for coef, slots in f.terms:
+        prod = coef
+        for fac, row in zip(slots, rows):
+            prod *= sum(c * math.prod(float(x) ** k for x, k in zip(row, idx))
+                        for idx, c in np.ndenumerate(fac.coeffs))
+        total += prod
+    return total
+
+
+def absolute_scale(f, positions):
+    """Sum over the partition expansion of |a_J| times the V-statistic of
+    the J-merged kernel with every coefficient replaced by its absolute
+    value, at the absolute positions: a bound on the sum of the absolute
+    terms of any evaluation order."""
+    g = Kernel.tensor_sum([(abs(c), [Factor(np.abs(s.coeffs)) for s in slots])
+                           for c, slots in f.terms], dim=f.dim)
+    x = np.abs(positions)
+    return sum(abs(a) * reference_v(x, substitute_partition(g, J))
+               for J, a in partition_coefficients(f.arity).items())
+
+
+class TestPlanAgainstEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(kernels_and_levels())
+    def test_statistics_match_naive_and_brute_force(self, case):
+        f, level = case
+        v = v_statistics(level, f)
+        u = u_statistics(level, f)
+        for i, s in enumerate(level):
+            scale = absolute_scale(f, s.positions)
+            want_v = brute_v(s.positions, lambda *rows: python_value(f, rows), f.arity)
+            assert abs(v[i] - want_v) <= 1e-12 * scale
+            if s.count < f.arity:
+                assert u[i] == 0.0
+            assert abs(u[i] - u_statistic(s, f, "naive")) <= 1e-12 * scale
