@@ -40,10 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="path to the JSON experiment config")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
-        cmd.add_argument("--replicas", type=int, default=None,
-                         help="override the replica count")
-        cmd.add_argument("--t", type=str, default=None,
-                         help="override the time grid, comma separated")
         cmd.add_argument("--out", type=Path, default=Path("out"),
                          help="output directory")
         cmd.add_argument("--format", choices=("csv", "jsonl"), default="jsonl")
@@ -57,13 +53,6 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError("the config must be a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.replicas is not None:
-        raw["replicas"] = args.replicas
-    if args.t is not None:
-        try:
-            raw["t_grid"] = [float(v) for v in args.t.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"--t: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
 

@@ -65,6 +65,8 @@ class Kernel:
         if not tt:
             raise KernelShapeError("tensor-sum kernel needs at least one term")
         arity = len(tt[0][1])
+        if arity < 1:
+            raise KernelShapeError("tensor-sum kernel needs at least one slot")
         for _, slots in tt:
             if len(slots) != arity:
                 raise KernelShapeError("inconsistent arity across terms")

@@ -104,7 +104,7 @@ class TestConfig:
             {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
              "t_grid": ["1.0"]},
             {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
-             "t_grid": [1.0], "tolerances": {"se_mult": True}},
+             "t_grid": [1.0], "seed": "3"},
             {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
              "t_grid": [1.0], "g1": {"t": "8"}},
             {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
@@ -125,21 +125,24 @@ class TestConfig:
              "t_grid": [float("nan")]},
             {"params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
              "t_grid": [float("inf")]},
-            # every count is at least 1, the g1 times are ordered and the
-            # tolerances lie in range
+            # every count is at least 1, the seed at least 0 (SeedSequence
+            # refuses a negative one) and the g1 times are ordered
             {**MINIMAL, "replicas": 0},
             {**MINIMAL, "batch_size": 0},  # not a key: the simulator sizes batches
-            {**MINIMAL, "limit_draws": -3},
-            {**MINIMAL, "limit_draws": 0},
-            {**MINIMAL, "fast_limit_draws": 0},
+            {**MINIMAL, "seed": -1},
+            {**MINIMAL, "replicas": -3},
+            {**MINIMAL, "g1": {"replicas": -2}},
             {**MINIMAL, "g1": {"replicas": 0}},
             {**MINIMAL, "g1": {"t": 6.0, "t_max": 3.0}},
             {**MINIMAL, "g1": {"t": 4.0, "t_max": 4.0}},
             {**MINIMAL, "g1": {"t": -1.0}},
-            {**MINIMAL, "tolerances": {"ks_level": 5.0}},
-            {**MINIMAL, "tolerances": {"ks_level": 0.0}},
-            {**MINIMAL, "tolerances": {"se_mult": -1.0}},
-            {**MINIMAL, "tolerances": {"se_mult": 0.0}},
+            # a kernel has at least one term and one slot, and every term
+            # the same number of slots
+            {**MINIMAL, "kernel": {"terms": [{"coef": 1.0, "slots": []}]}},
+            {**MINIMAL, "kernel": {"arity": 0, "terms": [{"slots": []}]}},
+            {**MINIMAL, "kernel": {"terms": []}},
+            {**MINIMAL, "kernel": {"terms": [{"slots": [[[0.0, 1.0]]]},
+                                             {"slots": [[[1.0]], [[1.0]]]}]}},
             # no key names the test: the subcommand does
             {**MINIMAL, "test": None},
             {**MINIMAL, "test": 5},
@@ -161,8 +164,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "path",
         [("replica",), ("quad_nodes",), ("params", "lamda"),
-         ("tolerances", "se_mul"), ("caps",), ("g1", "tmax"),
-         ("kernel", "arty"), ("kernel", "terms", 0, "coeff"), ("threads",)],
+         ("tolerances",), ("caps",), ("g1", "tmax"),
+         ("kernel", "arty"), ("kernel", "terms", 0, "coeff"), ("threads",),
+         # the check thresholds and limit-draw counts are harness constants
+         ("limit_draws",), ("fast_limit_draws",)],
     )
     def test_unknown_key_rejected(self, path):
         raw = json.loads(json.dumps(BASE))
@@ -178,7 +183,7 @@ class TestConfig:
             config(regime="slwo")
 
     @pytest.mark.parametrize("section, key", [("params", "lambda"),
-                                              ("tolerances", "se_mult"),
+                                              ("g1", "replicas"),
                                               ("kernel", "terms")])
     def test_section_must_be_object(self, section, key):
         with pytest.raises(ConfigError, match=f"{section} must be a JSON object"):
@@ -186,8 +191,8 @@ class TestConfig:
 
     def test_canonical_dict_reads_back(self):
         raw = json.loads(json.dumps(BASE))
-        raw.update(g1={"replicas": 500}, tolerances={"ks_level": 0.05},
-                   limit_draws=300, regime="slow", kernel=KERNEL_XX)
+        raw.update(g1={"replicas": 500}, fast_t_approx=9.0, regime="slow",
+                   kernel=KERNEL_XX)
         c = ExperimentConfig.from_dict(raw)
         again = ExperimentConfig.from_dict(c.canonical_dict())
         assert again.canonical_dict() == c.canonical_dict()
@@ -230,8 +235,8 @@ class TestConfig:
             config(kernel=spec)
 
     # hashes of the shipped configs; a change here is a documented event
-    SHIPPED = {"oracle.json": "2693addfada53ca3", "slow_clt.json": "6a64b6fd17b921ad",
-               "wlaw.json": "5de3fb0cebfa445a"}
+    SHIPPED = {"oracle.json": "7469c3e6b35edde1", "slow_clt.json": "f122d5a740cd542a",
+               "wlaw.json": "c731925c16eb9380"}
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_shipped_configs_load(self, name):
@@ -241,7 +246,10 @@ class TestConfig:
                 self.SHIPPED[name]
 
     # one raw-config change per field that affects the numbers; the kernel
-    # object is parsed from its spec
+    # object is parsed from its spec.  A change inside the spec (its
+    # symmetry, a coefficient, a slot, a term) reaches the hash, and so does
+    # dropping the kernel or an early grid time.  A row's position is part
+    # of its test id, so rows are replaced in place.
     HASHED = [
         ("params", ("params", "lambda"), 1.2),
         ("params", ("params", "p"), 0.8),
@@ -254,14 +262,16 @@ class TestConfig:
         ("kernel", ("kernel",), KERNEL_XX),
         ("kernel_spec", ("kernel",), KERNEL_XX),
         ("regime_expected", ("regime",), "slow"),
-        ("fast_limit_draws", ("fast_limit_draws",), 300),
+        ("kernel_spec", ("kernel", "symmetric"), False),
         ("g1_t_max", ("g1", "t_max"), 12.0),
-        ("limit_draws", ("limit_draws",), 500),
+        ("kernel_spec", ("kernel", "terms"), [{"coef": 2.0, "slots": [[[0.0, 1.0]]]}]),
         ("fast_t_approx", ("fast_t_approx",), 9.0),
-        ("se_mult", ("tolerances", "se_mult"), 3.0),
-        ("ks_level", ("tolerances", "ks_level"), 0.05),
-        ("corr_threshold", ("tolerances", "corr_threshold"), 0.9),
-        ("indep_corr_bound", ("tolerances", "indep_corr_bound"), 0.1),
+        ("kernel_spec", ("kernel", "terms"),
+         [{"coef": 1.0, "slots": [[[0.0, 0.0, 1.0]]]}]),
+        ("kernel_spec", ("kernel", "terms"),
+         [{"coef": 1.0, "slots": [[[0.0, 1.0]]]}, {"coef": 1.0, "slots": [[[1.0]]]}]),
+        ("kernel", ("kernel",), None),
+        ("t_grid", ("t_grid",), [8.0]),
         ("g1_replicas", ("g1", "replicas"), 400),
         ("g1_t", ("g1", "t"), 5.0),
     ]
@@ -296,11 +306,7 @@ SCHEMA_VALUES = {
     "t_grid": st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3).map(sorted),
     "replicas": st.integers(0, 3000), "seed": st.integers(-5, 10**6),
     "regime": st.sampled_from([None, "slow", "critical", "fast"]),
-    "se_mult": st.floats(-1.0, 6.0),
-    "ks_level": st.floats(-0.5, 1.5), "corr_threshold": st.floats(0.0, 1.0),
-    "indep_corr_bound": st.floats(0.0, 0.2), "t": st.floats(-1.0, 10.0),
-    "t_max": st.floats(0.0, 20.0), "limit_draws": st.none() | st.integers(-1, 500),
-    "fast_limit_draws": st.integers(-1, 500),
+    "t": st.floats(-1.0, 10.0), "t_max": st.floats(0.0, 20.0),
     "fast_t_approx": st.none() | st.floats(1.0, 20.0),
     "kernel": None, "arity": st.integers(1, 2), "symmetric": st.booleans(),
     "terms": None, "coef": NUMBER,
@@ -452,16 +458,16 @@ class TestReportBytes:
                     g1={"replicas": 150, "t": 3.0, "t_max": 6.0})
     PINNED = {
         "lln": (run_lln, dict(kernel=KERNEL_X2Y2, replicas=300, t_grid=[3.0]),
-                "e25bb8e90419bc27973a8489640a84045c6e62fe3cfed2de1fc9c440a3f7feca"),
+                "d45d9deb2b9a64c3101a0d87bd5be5c83f66c05eb38bbba07e77eedb0de466d2"),
         "wlaw": (run_w_law, dict(replicas=200, t_grid=[6.5]),
-                 "3514a313511c4eb70c65325c1514749e1b794b4ae381f6f0d90174a4d0ae2249"),
+                 "3688c8b303f03a263cb479eec4046f7f9ee7451ff0a1916abad479bb4db4456e"),
         "clt": (run_clt, SLOW_CLT,
-                "c6c56efa3f83378c06b03f2199894c443d5402498b396a5183439f282793c729"),
+                "d9aec5f8393ae97b73f909d91689828845d0401dd68188fb607b35dd7b47fc9c"),
         "oracle": (run_oracle_crosscheck,
                    dict(kernel=KERNEL_XX, replicas=300, t_grid=[1.0, 2.0]),
-                   "e117edcba97b928bc81db5d6916bc43067c3897756b8f52143f943c06fb89202"),
+                   "09c9f30524e1c4b4a98c11751fd1637267986eeb6789fbffaed14cbf47abc018"),
         "variance": (run_variance, {},
-                     "2e7f710b17862f73f5d5949c6d286acf1de4712f706bf7d38fb67b65eeb85d3a"),
+                     "93299c2bf0c8ac144fe37783f00bb9c205221cdf0ceb76aebdb869a6130d879e"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -594,8 +600,7 @@ class TestRunners:
     def test_run_clt_fast_regime(self):
         raw = json.loads(json.dumps(BASE))
         raw["params"]["mu"] = 0.1
-        raw.update(replicas=600, t_grid=[10.0], regime="fast",
-                   fast_limit_draws=100, fast_t_approx=14.0,
+        raw.update(replicas=600, t_grid=[10.0], regime="fast", fast_t_approx=14.0,
                    g1={"replicas": 300, "t": 4.0, "t_max": 10.0})
         report = run_clt(ExperimentConfig.from_dict(raw))
         names = {c.name for c in report.checks}
@@ -607,13 +612,14 @@ class TestRunners:
         assert report.passed, [c for c in report.checks if not c.passed]
 
     FAST_SMALL = dict(params=dict(BASE["params"], mu=0.1), replicas=100,
-                      t_grid=[6.0], regime="fast", fast_limit_draws=60,
-                      fast_t_approx=6.0, g1={"replicas": 100, "t": 3.0, "t_max": 6.0})
+                      t_grid=[6.0], regime="fast", fast_t_approx=6.0,
+                      g1={"replicas": 100, "t": 3.0, "t_max": 6.0})
 
     def test_run_clt_fast_ks_takes_nonzero_draws(self, monkeypatch):
         # an extinct trajectory gives a limit draw of exactly 0; the
         # statistic is taken on survivors, so the KS check keeps the
-        # nonzero draws (the limit law on survival) and records their number
+        # nonzero draws (the limit law on survival) and records their number;
+        # fewer survivors than FAST_LIMIT_DRAWS take one draw each
         sampled = []
 
         def recording(*args, **kwargs):
@@ -623,8 +629,11 @@ class TestRunners:
         monkeypatch.setattr(harness, "fast_limit_sampler", recording)
         report = run_clt(config(**self.FAST_SMALL))
         (draws,) = sampled
-        ks = next(c for c in report.checks if c.name == "clt_two_sample_ks")
-        assert draws.size == 60 and 0 < np.count_nonzero(draws) < draws.size
+        checks = {c.name: c for c in report.checks}
+        survivors = checks["fast_same_trajectory_correlation"].extra["survivors"]
+        assert survivors < harness.FAST_LIMIT_DRAWS
+        ks = checks["clt_two_sample_ks"]
+        assert draws.size == survivors and 0 < np.count_nonzero(draws) < draws.size
         assert ks.extra["draws"] == np.count_nonzero(draws)
 
     def test_run_clt_fast_refuses_vanishing_limit(self, monkeypatch):
@@ -676,7 +685,7 @@ class TestRunners:
         # rather than reported as NaN
         monkeypatch.setattr(harness, "fast_limit_sampler",
                             lambda *args, size, **kwargs: np.zeros(size))
-        with pytest.raises(AllExtinctError, match="raise fast_limit_draws"):
+        with pytest.raises(AllExtinctError, match="every fast limit draw is extinct"):
             run_clt(config(**self.FAST_SMALL))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(BASE, **self.FAST_SMALL)))
@@ -693,7 +702,6 @@ class TestRunners:
         monkeypatch.setattr(harness, "simulate_farm", no_draw)
         monkeypatch.setattr("branching_ou.limits.position_sum", no_draw)
         raw = {**BASE, **self.FAST_SMALL, "fast_t_approx": 27.0}
-        del raw["fast_limit_draws"]
         with pytest.raises(ResourceCapError, match="4.38e\\+08 births") as refused:
             run_clt(ExperimentConfig.from_dict(raw))
         assert refused.value.time_reached == 0.0
@@ -789,12 +797,17 @@ class TestCli:
                           .read_text().splitlines()[0])["seed"] == 5
 
     def test_seed_and_t_overrides(self, tmp_path):
-        raw = dict(BASE, kernel=KERNEL_X2Y2, replicas=800)
+        # --seed overrides the config's seed; the grid and the replica
+        # count come from the config alone
+        raw = dict(BASE, kernel=KERNEL_X2Y2, replicas=500, t_grid=[3.0, 5.0])
         cfg = self.write_cfg(tmp_path, raw)
         code = cli_main(["lln", "--config", str(cfg), "--seed", "9",
-                         "--t", "3.0,5.0", "--replicas", "500",
                          "--out", str(tmp_path / "out")])
         assert code == 0
+        meta = json.loads((tmp_path / "out" / "report_lln.jsonl")
+                          .read_text().splitlines()[0])
+        assert meta["seed"] == 9
+        assert meta["config_hash"] == config(**dict(raw, seed=9)).config_hash()
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -806,18 +819,27 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, raw)
         assert cli_main(["clt", "--config", str(cfg)]) == 2
 
-    def test_usage_error_exit_2(self, capsys):
+    def test_usage_error_exit_2(self, tmp_path, capsys):
         assert cli_main(["frobnicate"]) == 2
+        # the config file alone sets the replica count and the time grid
+        cfg = self.write_cfg(tmp_path, BASE)
+        for flags in (["--replicas", "500"], ["--t", "3.0,5.0"], ["--t=-1,2"]):
+            assert cli_main(["variance", "--config", str(cfg), *flags,
+                             "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_threads_refused_exit_2(self, tmp_path, capsys):
         # farms run their batches serially, in batches the simulator sizes,
-        # under its per-replica limits, and the subcommand names the test: no
-        # flag or key sets any of them
+        # under its per-replica limits, the subcommand names the test, and
+        # the check thresholds and limit-draw counts are harness constants:
+        # no flag or key sets any of them
         cfg = self.write_cfg(tmp_path, BASE)
         assert cli_main(["variance", "--config", str(cfg), "--threads", "2",
                          "--out", str(tmp_path / "out")]) == 2
         for key, value in (("threads", 2), ("batch_size", 500), ("test", "variance"),
-                           ("caps", {"max_particles": 1000})):
+                           ("caps", {"max_particles": 1000}),
+                           ("tolerances", {"se_mult": 4.0}), ("limit_draws", 300),
+                           ("fast_limit_draws", 200)):
             cfg = self.write_cfg(tmp_path, dict(BASE, **{key: value}))
             assert cli_main(["variance", "--config", str(cfg),
                              "--out", str(tmp_path / "out")]) == 2
@@ -828,7 +850,9 @@ class TestCli:
         def no_farm(*args, **kwargs):
             raise AssertionError("the farm was simulated")
 
-        monkeypatch.setattr("branching_ou.harness.simulate_farm", no_farm)
+        for name in ("harness.simulate_farm", "harness.farm_counts",
+                     "cli.simulate_farm"):
+            monkeypatch.setattr(f"branching_ou.{name}", no_farm)
 
     def test_oracle_above_tree_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         self.refuse_farm(monkeypatch)
@@ -853,22 +877,24 @@ class TestCli:
         assert err.startswith("budget exceeded:") and len(err.splitlines()) == 1
 
     def test_unknown_key_exit_2(self, tmp_path, capsys):
-        raw = dict(BASE, tolerances={"se_mul": 2.0})
+        raw = dict(BASE, g1={"replicas": 300, "tmax": 10.0})
         cfg = self.write_cfg(tmp_path, raw)
         assert cli_main(["lln", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "'se_mul'" in err
+        assert err.startswith("config error:") and "'tmax'" in err
 
     def test_t_not_a_number_exit_2(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, BASE)
-        assert cli_main(["lln", "--config", str(cfg), "--t", "abc",
+        cfg = self.write_cfg(tmp_path, dict(BASE, t_grid=["abc"]))
+        assert cli_main(["lln", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_t_nan_exit_2(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, BASE)
-        assert cli_main(["simulate", "--config", str(cfg), "--t", "nan",
+        # json writes and reads a NaN as the bare token NaN
+        cfg = self.write_cfg(tmp_path, dict(BASE, t_grid=[float("nan")]))
+        assert "NaN" in cfg.read_text()
+        assert cli_main(["simulate", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 2
         assert "expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -879,11 +905,21 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
         assert "replicas: expected an integer" in capsys.readouterr().err
 
-    def test_negative_grid_time_exit_2(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, BASE)
-        assert cli_main(["lln", "--config", str(cfg), "--t=-1,2",
+    def test_negative_grid_time_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a negative grid time or seed is refused as the config is read,
+        # before any farm is drawn; SeedSequence would raise on the seed
+        self.refuse_farm(monkeypatch)
+        cfg = self.write_cfg(tmp_path, dict(BASE, t_grid=[-1.0, 2.0]))
+        assert cli_main(["lln", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 2
         assert "grid times must be nonnegative" in capsys.readouterr().err
+        for command in ("wlaw", "simulate"):
+            for raw, flags in ((dict(BASE, seed=-1), []), (BASE, ["--seed", "-1"])):
+                cfg = self.write_cfg(tmp_path, raw)
+                assert cli_main([command, "--config", str(cfg), *flags,
+                                 "--out", str(tmp_path / "out")]) == 2
+                assert capsys.readouterr().err.startswith(
+                    "config error: seed must be nonnegative")
 
     def test_config_not_an_object_exit_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, [BASE])
@@ -898,21 +934,29 @@ class TestCli:
             raise AssertionError("a batch was simulated")
 
         monkeypatch.setattr("branching_ou.simulator._run_batch", no_batch)
-        cfg = Path(__file__).resolve().parents[1] / "configs" / "oracle.json"
-        assert cli_main(["lln", "--config", str(cfg), "--t", "30",
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "oracle.json"
+        cfg = self.write_cfg(tmp_path, dict(json.loads(shipped.read_text()),
+                                            t_grid=[30.0]))
+        assert cli_main(["lln", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("resource cap:")
 
     def test_kernel_dim_mismatch_exit_2_before_simulating(self, tmp_path, capsys,
                                                           monkeypatch):
+        # so is a kernel with no slot, which lln would have reported on and
+        # clt and oracle met with a traceback
         self.refuse_farm(monkeypatch)
-        kernel = {"arity": 2, "dim": 2, "symmetric": True,
-                  "terms": [{"coef": 1.0, "slots": [[[0.0, 1.0], [0.0, 1.0]]] * 2}]}
-        raw = dict(BASE, kernel=kernel, replicas=50, t_grid=[3.0])
-        cfg = self.write_cfg(tmp_path, raw)
-        assert cli_main(["lln", "--config", str(cfg),
-                         "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        mismatched = {"arity": 2, "dim": 2, "symmetric": True,
+                      "terms": [{"coef": 1.0,
+                                 "slots": [[[0.0, 1.0], [0.0, 1.0]]] * 2}]}
+        slotless = {"terms": [{"coef": 1.0, "slots": []}]}
+        for kernel in (mismatched, slotless):
+            raw = dict(BASE, kernel=kernel, replicas=50, t_grid=[3.0])
+            cfg = self.write_cfg(tmp_path, raw)
+            for command in ("lln", "clt", "oracle"):
+                assert cli_main([command, "--config", str(cfg),
+                                 "--out", str(tmp_path / "out")]) == 2
+                assert capsys.readouterr().err.startswith("config error:")
 
     def test_lln_above_expansion_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         self.refuse_farm(monkeypatch)
