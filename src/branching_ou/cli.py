@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMANDS:
-        cmd = sub.add_parser(name)
+        cmd = sub.add_parser(name, allow_abbrev=False)  # full flag names only
         cmd.add_argument("--config", required=True, type=Path,
                          help="path to the JSON experiment config")
         cmd.add_argument("--seed", type=int, default=None,

@@ -113,7 +113,7 @@ _PARAMS = {"lambda": ("lam", _float), "p": ("p", _float), "mu": ("mu", _float),
            "sigma": ("sigma", _float), "dim": ("dim", _int), "x0": ("x0", _floats)}
 _CONFIG = {
     "params": ("params", _PARAMS),
-    "kernel": ("kernel_spec", lambda spec: spec),  # read by parse_kernel_spec
+    "kernel": ("kernel_spec", lambda spec: spec),  # parsed by ExperimentConfig
     "t_grid": ("t_grid", _floats),
     "replicas": ("replicas", _int),
     "seed": ("seed", _int),
@@ -163,17 +163,21 @@ def _write(obj, table: dict) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's settings, all checked in ``__post_init__``, so a
+    ``dataclasses.replace`` result is checked too; ``kernel`` is derived
+    there from ``kernel_spec``, the form the config hash covers."""
+
     params: ModelParams
     t_grid: tuple[float, ...]
     replicas: int = 1000
     seed: int = 0
-    kernel: Kernel | None = None
     regime_expected: str | None = None
     g1_replicas: int = 800
     g1_t: float = 8.0
     g1_t_max: float = 16.0
     fast_t_approx: float | None = None
     kernel_spec: dict | None = None
+    kernel: Kernel | None = field(init=False)
 
     def __post_init__(self):
         if len(self.t_grid) == 0:
@@ -191,6 +195,11 @@ class ExperimentConfig:
             raise ConfigError("fast_t_approx must be positive")
         if not 0.0 <= self.g1_t < self.g1_t_max:
             raise ConfigError("g1 needs 0 <= t < t_max")
+        kernel = None if self.kernel_spec is None else parse_kernel_spec(self.kernel_spec)
+        if kernel is not None and kernel.dim != self.params.dim:
+            raise ConfigError(f"kernel dim {kernel.dim} does not match "
+                              f"params dim {self.params.dim}")
+        object.__setattr__(self, "kernel", kernel)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -199,11 +208,6 @@ class ExperimentConfig:
             params = kw["params"]
             params.setdefault("x0", (0.0,) * params.get("dim", 1))
             kw["params"] = ModelParams(**params)
-            spec = kw.get("kernel_spec")
-            kernel = kw["kernel"] = parse_kernel_spec(spec) if spec else None
-            if kernel is not None and kernel.dim != kw["params"].dim:
-                raise ConfigError(f"kernel dim {kernel.dim} does not match "
-                                  f"params dim {kw['params'].dim}")
             return ExperimentConfig(**kw)
         except ConfigError:
             raise

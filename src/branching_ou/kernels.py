@@ -32,7 +32,9 @@ class ConstantKernelError(ValueError):
     """All Hoeffding projections of positive order vanish."""
 
 
-# Black-box averages refuse more evaluations than this before evaluating.
+# ``index_chunks`` refuses a shape of more index tuples than this, so every
+# black-box enumeration (average, V- or U-statistic) is refused before its
+# first evaluation.
 BLACKBOX_BUDGET = 1e8
 # Index tuples per batched black-box call.
 _CHUNK = 1 << 16
@@ -142,8 +144,13 @@ def _quad_grid(rule: QuadratureRule, dim: int):
 
 def index_chunks(shape: tuple[int, ...]):
     """Every index tuple of ``shape`` in C order, as one index array per
-    axis, at most ``_CHUNK`` tuples at a time."""
+    axis, at most ``_CHUNK`` tuples at a time; a shape of more tuples than
+    ``BLACKBOX_BUDGET`` is refused before the first chunk."""
     total = math.prod(shape)
+    if total > BLACKBOX_BUDGET:
+        raise BudgetExceededError(
+            f"{' x '.join(map(str, shape))} black-box evaluations exceed the "
+            f"budget {BLACKBOX_BUDGET:g}")
     for start in range(0, total, _CHUNK):
         yield np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
 
@@ -160,11 +167,6 @@ def _blackbox_average(kernel: Kernel, slots_out: tuple[int, ...],
     def fn(args):
         args = [np.atleast_2d(a) for a in args]
         m = args[0].shape[0] if keep else 1
-        if m * math.prod(shape_out) > BLACKBOX_BUDGET:
-            raise BudgetExceededError(
-                f"{m} x {pts.shape[0]}^{len(slots_out)} black-box evaluations "
-                f"exceed the budget {BLACKBOX_BUDGET:g}"
-            )
         total = np.zeros(m)
         for idx in index_chunks((m,) + shape_out):
             full = [None] * kernel.arity

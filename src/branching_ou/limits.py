@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .kernels import NULL_TOL, Factor, Kernel, is_canonical
+from .kernels import Factor, Kernel, is_canonical
 from .model import ModelParams, classify, derive
 from . import simulator
 from .ou import stationary_std
@@ -252,16 +252,17 @@ def critical_limit_sampler(
     rng: np.random.Generator,
     size: int = 1,
 ) -> np.ndarray:
-    """Draws of the critical-regime limit law: products over slots of a
-    Gaussian family with gradient-pairing covariance."""
+    """Draws of the critical-regime limit law of a canonical polynomial
+    tensor-sum kernel: products over slots of a Gaussian family with
+    gradient-pairing covariance.  The law reads only the slots' gradient
+    means, which centering leaves unchanged, so a canonical kernel's slots
+    are taken as they are, centered or not."""
     regime = classify(params)
     if not regime.is_critical:
         raise RegimeError("critical sampler needs growth = 2 mu")
     _require_tensor_sum(f)
-    if any(abs(s.phi_mean(params)) > NULL_TOL for _, slots in f.terms for s in slots):
-        raise CenteringError(
-            "critical-regime tensorization needs stationary-centered factors"
-        )
+    if not is_canonical(f, params):
+        raise CenteringError("critical-regime limit is defined for canonical kernels")
     scale = math.sqrt(params.lam * params.p * params.sigma**2 / params.mu)
     g = rng.standard_normal((size, f.dim))
     return f.contract(lambda _, s: g @ (-scale * gradient_phi_mean(s, params)))

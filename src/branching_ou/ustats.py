@@ -11,7 +11,10 @@ slot takes 5 products where the expansion has 15 merged kernels, and
 writes each slot sum as a combination of per-replica monomial sums, each
 monomial summed once per call.  Black boxes are enumerated, and
 ``u_statistic(..., strategy="naive")`` enumerates injective tuples
-directly: the reference the expansion is tested against.
+directly: the reference the expansion is tested against.  One enumeration
+serves both, over all m^n index tuples of m particles at arity n, masked to
+the injective ones for the naive U-statistic; ``kernels.index_chunks``
+refuses more than ``BLACKBOX_BUDGET`` tuples before the first evaluation.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import BLACKBOX_BUDGET, Kernel, index_chunks, substitute_partition
+from .kernels import Kernel, index_chunks, substitute_partition
 from .model import (
     MAX_ARITY,
     ArityCapError,
-    BudgetExceededError,
     DerivedConstants,
     Regime,
     head_splits,
@@ -78,21 +80,23 @@ def partition_coefficients(n: int) -> dict[Partition, int]:
 # held; black boxes are enumerated replica by replica.
 
 
-def _blackbox_v(positions: np.ndarray, f: Kernel) -> float:
-    """V-statistic of a black box on one replica, by batched enumeration."""
-    m = positions.shape[0]
-    if m**f.arity > BLACKBOX_BUDGET:
-        raise BudgetExceededError(
-            f"{m}^{f.arity} black-box evaluations exceed the budget {BLACKBOX_BUDGET:g}"
-        )
+def _enumerate(positions: np.ndarray, f: Kernel, injective: bool) -> float:
+    """The kernel summed over one replica's index tuples by batched
+    enumeration: all of them, or with ``injective`` the pairwise-distinct
+    ones, each argument gathered through the chunk's mask."""
     total = 0.0
-    for idx in index_chunks((m,) * f.arity):
-        total += float(f.evaluate([positions[i] for i in idx]).sum())
+    for idx in index_chunks((positions.shape[0],) * f.arity):
+        mask = slice(None)
+        if injective:
+            mask = np.ones(idx[0].shape[0], dtype=bool)
+            for a, b in itertools.combinations(idx, 2):
+                mask &= a != b
+        total += float(f.evaluate([positions[i[mask]] for i in idx]).sum())
     return total
 
 
 def _blackbox_vs(level: FarmLevel, f: Kernel) -> np.ndarray:
-    return np.array([_blackbox_v(s.positions, f) if s.count else 0.0 for s in level])
+    return np.array([_enumerate(s.positions, f, False) for s in level])
 
 
 def _check_dim(level: FarmLevel, f: Kernel) -> None:
@@ -250,22 +254,7 @@ def u_statistic(
     if strategy != "naive":
         raise ValueError(f"unknown strategy {strategy!r}")
     (m,) = snap.counts
-    n = f.arity
-    if m < n:
-        return 0.0
-    n_tuples = math.perm(m, n)
-    if n_tuples > BLACKBOX_BUDGET:
-        raise BudgetExceededError(
-            f"{n_tuples} naive evaluations exceed the budget {BLACKBOX_BUDGET:g}"
-        )
-    total = 0.0
-    for idx in index_chunks((m,) * n):
-        injective = np.ones(idx[0].shape[0], dtype=bool)
-        for a, b in itertools.combinations(idx, 2):
-            injective &= a != b
-        vals = f.evaluate([snap.positions[i[injective]] for i in idx])
-        total += float(vals.sum())
-    return total
+    return _enumerate(snap.positions, f, True) if m >= f.arity else 0.0
 
 
 def normalized_u_statistics(

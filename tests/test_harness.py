@@ -155,6 +155,8 @@ class TestConfig:
             # the fast horizon is positive
             {**MINIMAL, "fast_t_approx": -3.0},
             {**MINIMAL, "fast_t_approx": 0.0},
+            # an empty kernel spec is no kernel: only null or no key is
+            {**MINIMAL, "kernel": {}},
         ],
     )
     def test_bad_configs_rejected(self, bad):
@@ -233,6 +235,20 @@ class TestConfig:
         spec = {"arity": 1, "dim": 2, "terms": [{"slots": [[[0.0, 1.0], [1.0]]]}]}
         with pytest.raises(ConfigError, match="kernel dim 2"):
             config(kernel=spec)
+
+    def test_replace_checks_and_derives_the_kernel(self):
+        # every check lives in __post_init__, so a replaced config is checked
+        # as one read from JSON, and its kernel always comes from its spec
+        c = config()
+        params2 = dataclasses.replace(c.params, dim=2, x0=(0.0, 0.0))
+        with pytest.raises(ConfigError, match="kernel dim 1 does not match params dim 2"):
+            dataclasses.replace(c, params=params2)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(c, kernel=parse_kernel_spec(KERNEL_XX))
+        xx = dataclasses.replace(c, kernel_spec=KERNEL_XX)
+        assert xx.kernel == parse_kernel_spec(KERNEL_XX)
+        assert xx.config_hash() == config(kernel=KERNEL_XX).config_hash() != c.config_hash()
+        assert dataclasses.replace(c, kernel_spec=None).kernel is None
 
     # hashes of the shipped configs; a change here is a documented event
     SHIPPED = {"oracle.json": "7469c3e6b35edde1", "slow_clt.json": "f122d5a740cd542a",
@@ -814,6 +830,24 @@ class TestCli:
         path.write_text("{not json")
         assert cli_main(["lln", "--config", str(path)]) == 2
 
+    def test_critical_clt_of_canonical_kernel_with_uncentered_slots(self, tmp_path):
+        # (x + 1)(y) - 1(y) equals x y, a canonical kernel whose slots are not
+        # centered: the critical run writes its report, as x y's does
+        kernel = {"arity": 2, "dim": 1, "symmetric": True,
+                  "terms": [{"coef": 1.0, "slots": [[[1.0, 1.0]], [[0.0, 1.0]]]},
+                            {"coef": -1.0, "slots": [[[1.0]], [[0.0, 1.0]]]}]}
+        raw = dict(BASE, params=dict(BASE["params"], mu=0.25), kernel=kernel,
+                   t_grid=[6.0], replicas=200, regime="critical")
+        verdicts = []
+        for name, spec in (("canonical", kernel), ("xx", KERNEL_XX)):
+            cfg = self.write_cfg(tmp_path, dict(raw, kernel=spec))
+            assert cli_main(["clt", "--config", str(cfg), "--format", "csv",
+                             "--out", str(tmp_path / name)]) in (0, 1)
+            with open(tmp_path / name / "report_clt.csv") as fh:
+                verdicts.append([(row["check"], row["passed"]) for row in csv.DictReader(fh)])
+        assert verdicts[0] == verdicts[1]
+        assert "clt_two_sample_ks" in dict(verdicts[0])
+
     def test_missing_kernel_exit_2(self, tmp_path):
         raw = {k: v for k, v in BASE.items() if k != "kernel"}
         cfg = self.write_cfg(tmp_path, raw)
@@ -823,7 +857,9 @@ class TestCli:
         assert cli_main(["frobnicate"]) == 2
         # the config file alone sets the replica count and the time grid
         cfg = self.write_cfg(tmp_path, BASE)
-        for flags in (["--replicas", "500"], ["--t", "3.0,5.0"], ["--t=-1,2"]):
+        # and only a flag's full name is taken, not a prefix of it
+        for flags in (["--replicas", "500"], ["--t", "3.0,5.0"], ["--t=-1,2"],
+                      ["--se", "4", "--o", str(tmp_path / "out"), "--f", "csv"]):
             assert cli_main(["variance", "--config", str(cfg), *flags,
                              "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()

@@ -7,11 +7,14 @@ names its ``__all__`` lists.  The exact-moment oracle stays independent of
 the simulator: it reaches no package module but ``model`` and ``ou``.
 The package loads no scipy module at all, not on import and not in a
 ``wlaw`` or ``clt`` run, whose KS checks are computed in numpy: importing
-``scipy.stats`` takes over a second.  Every top-level function, class
-and non-dunder assignment of the package has a caller outside its own
-unit tests: some package module, the package ``__all__`` or a benchmark
-script names it.  An import kept only for the benchmark (``# noqa: F401``)
-binds a name its module uses or the benchmark tracer patches.
+``scipy.stats`` takes over a second.  Each refusal has one owner: only
+``kernels.index_chunks`` reads ``BLACKBOX_BUDGET``, and only
+``ExperimentConfig.__post_init__`` calls ``parse_kernel_spec``.  Every
+top-level function, class and non-dunder assignment of the package has a
+caller outside its own unit tests: some package module, the package
+``__all__`` or a benchmark script names it.  An import kept only for the
+benchmark (``# noqa: F401``) binds a name its module uses or the benchmark
+tracer patches.
 """
 
 from __future__ import annotations
@@ -123,6 +126,53 @@ def test_package_and_cli_import_no_scipy(tmp_path):
     codes, loaded = json.loads(out.splitlines()[-1])
     assert set(codes) <= {0, 1}
     assert loaded == []
+
+
+def owners(source: str, name: str, calls: bool = False) -> list[str]:
+    """The dotted scopes (function or class names, ``<module>`` at the top)
+    in which ``source`` reads ``name``, importing it included, or with
+    ``calls`` calls it."""
+    def hit(node) -> bool:
+        if calls:
+            func = node.func if isinstance(node, ast.Call) else None
+            return (isinstance(func, ast.Name) and func.id == name
+                    or isinstance(func, ast.Attribute) and func.attr == name)
+        return (isinstance(node, ast.Name) and node.id == name
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name)
+
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif hit(child):
+                out.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+def test_one_owner_per_refusal():
+    # one place refuses a black-box enumeration past its budget, and one
+    # place parses a config's kernel, where the config checks everything else
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+
+    def where(name, calls=False):
+        return {f"{module}.{scope}" for module, source in sources.items()
+                for scope in owners(source, name, calls)}
+
+    assert where("BLACKBOX_BUDGET") == {"kernels.index_chunks"}
+    assert where("parse_kernel_spec", calls=True) == \
+        {"harness.ExperimentConfig.__post_init__"}
+    source = ("from .k import B\nB = 2\ndef f():\n    return B\n"
+              "class C:\n    def g(self):\n        return k.B(B)\n")
+    assert owners(source, "B") == ["<module>", "f", "C.g", "C.g"]
+    assert owners(source, "B", calls=True) == ["C.g"]
 
 
 def named(nodes) -> set[str]:

@@ -317,6 +317,17 @@ class TestCriticalSampler:
         with pytest.raises(CenteringError):
             critical_limit_sampler(f, CRIT, np.random.default_rng(1))
 
+    def test_canonical_kernel_with_uncentered_slots(self):
+        # (x + 1)(y) - 1(y) equals x y: canonical, though its slots x + 1
+        # and 1 are not centered; the law reads only gradient means, so its
+        # draws are those of x y
+        f = Kernel.tensor_sum([(1.0, (Func1D.polynomial([1.0, 1.0]), FUNC_X)),
+                               (-1.0, (FUNC_ONE, FUNC_X))], dim=1, symmetric=True)
+        draws = critical_limit_sampler(f, CRIT, np.random.default_rng(5), size=200)
+        want = critical_limit_sampler(kernel_xx(), CRIT, np.random.default_rng(5),
+                                      size=200)
+        np.testing.assert_allclose(draws, want, rtol=1e-12, atol=0.0)
+
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             critical_limit_sampler(kernel_xx(), SLOW, np.random.default_rng(1))

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import time
@@ -387,11 +386,18 @@ class TestPolynomialKernelCrossCheck:
             assert got == pytest.approx(self.forward(t, slots), rel=1e-11, abs=0.0)
 
     def test_run_oracle_crosscheck(self):
+        # a config's kernel comes from its spec: each slot's atoms expanded
+        # into the rank-1 products that ``forward`` sums, 8 terms in all
+        spec = {"dim": 2, "terms": [
+            {"coef": coef * math.prod(w for w, _ in choice),
+             "slots": [vectors for _, vectors in choice]}
+            for coef, slots in self.TERMS for choice in itertools.product(*slots)]}
         config = ExperimentConfig.from_dict({
             "params": {"lambda": 1.0, "p": 0.75, "mu": 0.5, "sigma": 1.0,
                        "dim": 2, "x0": [0.5, -0.3]},
-            "t_grid": [0.5, 1.5], "replicas": 4000, "seed": 29})
-        report = run_oracle_crosscheck(dataclasses.replace(config, kernel=self.kernel()))
+            "kernel": spec, "t_grid": [0.5, 1.5], "replicas": 4000, "seed": 29})
+        assert len(config.kernel.terms) == 8
+        report = run_oracle_crosscheck(config)
         for check, t in zip(report.checks, config.t_grid, strict=True):
             want = sum(coef * self.forward(t, slots) for coef, slots in self.TERMS)
             assert check.target == pytest.approx(want, rel=1e-11)

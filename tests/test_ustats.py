@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branching_ou.kernels import Factor, Kernel, substitute_partition
-from branching_ou.model import ArityCapError, ModelParams, classify, derive
-from branching_ou.ou import Func1D
+from branching_ou import kernels
+from branching_ou.kernels import Factor, Kernel, hoeffding_table, substitute_partition
+from branching_ou.model import (ArityCapError, BudgetExceededError, ModelParams,
+                                classify, derive)
+from branching_ou.ou import Func1D, default_rule
 from branching_ou import ustats
 from branching_ou.simulator import FarmLevel, ParticleSnapshot
 from branching_ou.ustats import (
-    BudgetExceededError,
     normalized_u_statistic,
     normalized_u_statistics,
     partition_coefficients,
@@ -198,8 +199,39 @@ class TestUStatistic:
             want, rel=1e-12
         )
 
+    def test_one_budget_counts_each_enumeration_tuples(self, monkeypatch):
+        # kernels.index_chunks alone reads the budget: lowered to 4^3, every
+        # black-box enumeration of arity 3 runs on 4 particles or quadrature
+        # nodes, and on 5 (5^3 index tuples) is refused before evaluating
+        monkeypatch.setattr(kernels, "BLACKBOX_BUDGET", 4**3)
+        rows = []
+
+        def fn(args):
+            rows.append(len(args[0]))
+            return args[0][:, 0] * args[1][:, 0] * args[2][:, 0]
+
+        bb = Kernel.black_box(fn, arity=3, dim=1, symmetric=True)
+        runs = {
+            "V": lambda m: v_statistic(snap(*range(m)), bb),
+            "U": lambda m: u_statistic(snap(*range(m)), bb),
+            "naive U": lambda m: u_statistic(snap(*range(m)), bb, "naive"),
+            "table": lambda m: hoeffding_table(bb, PARAMS, default_rule(PARAMS, m)),
+        }
+        # rows evaluated at 4: every tuple; those of the merged kernels,
+        # 4^3 + 3 * 4^2 + 4; the 4 * 3 * 2 injective ones; the total integral's
+        within = {"V": 64, "U": 116, "naive U": 24, "table": 64}
+        for name, run in runs.items():
+            rows.clear()
+            run(4)
+            assert sum(rows) == within[name], name
+            rows.clear()
+            with pytest.raises(BudgetExceededError, match="5 x 5 x 5 black-box"):
+                run(5)
+            assert rows == [], name
+
     def test_naive_budget(self):
-        # 102 * 101 * 100 * 99 injective tuples, just past the 1e8 budget
+        # 102^4 index tuples, past the 1e8 budget: the naive U-statistic
+        # enumerates all of them and masks out the non-injective ones
         f = Kernel.from_slot_funcs([FUNC_X, FUNC_X, FUNC_X, FUNC_X])
         with pytest.raises(BudgetExceededError):
             u_statistic(snap(*range(102)), f, "naive")
@@ -290,7 +322,7 @@ class TestHoeffdingDecompositionOfU:
     def test_projection_decomposition_identity(self, n):
         # U^n(f) = sum_k binom(n, k) (m-k)!/(m-n)! U^k(order-k projection)
         from branching_ou.kernels import project
-        from branching_ou.ou import Func1D
+        from branching_ou.ou import Func1D, default_rule
 
         x2 = Func1D.polynomial([0.0, 0.0, 1.0])
         f = Kernel.from_slot_funcs([x2] * n, symmetric=True)
