@@ -8,6 +8,7 @@ function of (config, seed).
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -195,6 +196,9 @@ class ExperimentConfig:
             raise ConfigError("fast_t_approx must be positive")
         if not 0.0 <= self.g1_t < self.g1_t_max:
             raise ConfigError("g1 needs 0 <= t < t_max")
+        # a copy, so that changing the caller's dict moves neither the hash
+        # nor the kernel
+        object.__setattr__(self, "kernel_spec", copy.deepcopy(self.kernel_spec))
         kernel = None if self.kernel_spec is None else parse_kernel_spec(self.kernel_spec)
         if kernel is not None and kernel.dim != self.params.dim:
             raise ConfigError(f"kernel dim {kernel.dim} does not match "
@@ -215,8 +219,9 @@ class ExperimentConfig:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
     def canonical_dict(self) -> dict:
-        """Every field in JSON form, as ``config_hash`` hashes it."""
-        return _write(self, _CONFIG)
+        """Every field in JSON form, as ``config_hash`` hashes it; a copy,
+        so changing it leaves the config as it is."""
+        return copy.deepcopy(_write(self, _CONFIG))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()

@@ -19,6 +19,13 @@ Child order does not affect a tree's integrand, so trees are enumerated
 with unordered children and carry the multiplicity 2^(number of inner
 vertices) accounting for the ordered-split derivation.
 
+Work that depends only on the arity and the factors is done once: the
+trees of each arity are built once per process, and a factor list is
+planned once (``_plan``, eight lists deep) into each tree's u-degree bound
+and nonzero monomial combinations.  A call at a new (t, params) then runs
+only the shape's Isserlis recursion, the sums of the planned combinations
+and the time integrals, which are memoized by their own arguments.
+
 This oracle never touches the simulator's code paths: only exact
 split-time integration and exact Gaussian moments enter.
 """
@@ -38,7 +45,7 @@ from .model import (MAX_ARITY, ArityCapError, BudgetExceededError, ModelParams, 
 from .ou import Factor, stationary_std
 
 # A call whose work estimate, in coefficient-array entries, exceeds this is
-# refused before anything is integrated (see ``exact_mixed_moment``).
+# refused before anything is planned or integrated (see ``exact_mixed_moment``).
 ORACLE_BUDGET = 5e7
 
 
@@ -98,14 +105,24 @@ def _linearize(struct) -> LabeledTree:
 
 def enumerate_trees(n: int, cap: int = MAX_ARITY) -> list[LabeledTree]:
     """Duplicate-free enumeration of the split-tree class for arity n; an
-    arity above ``model.MAX_ARITY`` raises ``ArityCapError``.  ``cap`` is
-    accepted and unused: the benchmark's tracer (``benchmarks/tracer.py``)
-    still passes it."""
+    arity above ``model.MAX_ARITY`` raises ``ArityCapError``.  The trees are
+    built once per n; each call returns a new list of the (frozen) trees.
+    ``cap`` is accepted and unused: the benchmark's tracer
+    (``benchmarks/tracer.py``) still passes it."""
     if n < 1:
         raise ValueError("arity must be positive")
     if n > MAX_ARITY:
         raise ArityCapError(f"arity {n} above the maximum {MAX_ARITY}")
-    return [_linearize(s) for s in _structures(tuple(range(1, n + 1)))]
+    return list(_trees(n)[0])
+
+
+@functools.cache
+def _trees(n: int) -> tuple[tuple[LabeledTree, ...], tuple[int, ...]]:
+    """The trees of arity n in enumeration order, and the order in which a
+    moment processes them: grouped by shape, so that one shape's Isserlis
+    memo serves all its trees in a row."""
+    trees = tuple(_linearize(s) for s in _structures(tuple(range(1, n + 1))))
+    return trees, tuple(sorted(range(len(trees)), key=lambda i: trees[i].parent))
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +159,22 @@ def _shape(parent: tuple[int, ...]) -> _Shape:
 
 
 @functools.lru_cache(maxsize=1)
-def _isserlis(parent: tuple[int, ...], t: float, params: ModelParams, degree: int):
-    """The moments E prod Z^counts of the leaf coordinates of a tree of this
-    shape, as read-only coefficient arrays in the u_i (axis k for the k-th
-    inner vertex, size degree + 1), memoized over count tuples for every
-    labelling and factor assignment.
+def _isserlis(parent: tuple[int, ...], t: float, params: ModelParams,
+              degree: int) -> "_Moments":
+    """The Isserlis moments of the leaf coordinates of a tree of this shape
+    at (t, params), shared by every labelling and factor assignment."""
+    shape = _shape(parent)
+    width = len(shape.leaves)
+    # Gaussian coordinate c * width + k is coordinate c of the k-th leaf
+    mean = [x * math.exp(-params.mu * t) for x in params.x0 for _ in range(width)]
+    var = -stationary_std(params) ** 2 * math.expm1(-2.0 * params.mu * t)
+    return _Moments(shape, mean, var, degree)
+
+
+class _Moments(dict):
+    """count tuple -> E prod Z^counts as a read-only coefficient array in the
+    u_i (axis k for the k-th inner vertex, size degree + 1), each missing
+    entry computed on lookup and kept.
 
     The dim * |leaves| leaf coordinates form one Gaussian vector with mean
     x0 e^{-mu t}, variance var = s^2 (1 - e^{-2 mu t}), covariance var * u_L
@@ -154,72 +182,94 @@ def _isserlis(parent: tuple[int, ...], t: float, params: ModelParams, degree: in
     ancestor L, and none across coordinates.  Isserlis' recursion
     E Z_a Z^k = mean_a E Z^k + sum_b cov_ab k_b E Z^(k - e_b) runs on
     coefficient arrays, where a covariance is var times a shift along axis
-    L, so a coefficient that is zero stays exactly zero."""
-    shape = _shape(parent)
-    width, n_inner = len(shape.leaves), len(shape.inner)
-    # Gaussian coordinate c * width + k is coordinate c of the k-th leaf
-    mean = [x * math.exp(-params.mu * t) for x in params.x0 for _ in range(width)]
-    var = -stationary_std(params) ** 2 * math.expm1(-2.0 * params.mu * t)
-    # times u_L moves entries one step up axis L; the degree bound keeps the
-    # top entry zero, so nothing is dropped
-    lift = [(slice(None),) * k + (slice(1, None),) for k in range(n_inner)]
-    keep = [(slice(None),) * k + (slice(None, -1),) for k in range(n_inner)]
-    one = np.zeros((degree + 1,) * n_inner)
-    one.flat[0] = 1.0
-    one.flags.writeable = False
-    memo = {(0,) * len(mean): one}
+    L, so a coefficient that is zero stays exactly zero.  The memo refers
+    to nothing that refers back to it, so it is freed as soon as the next
+    shape evicts it, not at the next garbage collection."""
 
-    def moment(counts: tuple[int, ...]) -> np.ndarray:
-        if counts in memo:
-            return memo[counts]
+    def __init__(self, shape: _Shape, mean: list[float], var: float, degree: int):
+        n_inner = len(shape.inner)
+        self.width, self.lca, self.mean, self.var = len(shape.leaves), shape.lca, mean, var
+        # times u_L moves entries one step up axis L; the degree bound keeps
+        # the top entry zero, so nothing is dropped
+        self.lift = [(slice(None),) * k + (slice(1, None),) for k in range(n_inner)]
+        self.keep = [(slice(None),) * k + (slice(None, -1),) for k in range(n_inner)]
+        self.one = np.zeros((degree + 1,) * n_inner)
+        self.one.flat[0] = 1.0
+        self.one.flags.writeable = False
+        super().__init__({(0,) * len(mean): self.one})
+
+    def __missing__(self, counts: tuple[int, ...]) -> np.ndarray:
         a = next(i for i, k in enumerate(counts) if k)
         lowered = list(counts)
         lowered[a] -= 1
         # ``out`` keeps the 0-d case of a tree without inner vertices an array
-        val = np.multiply(mean[a], moment(tuple(lowered)), out=np.empty_like(one))
-        c, ka = divmod(a, width)
-        for kb, axis in enumerate(shape.lca[ka]):
-            b = c * width + kb
+        val = np.multiply(self.mean[a], self[tuple(lowered)],
+                          out=np.empty_like(self.one))
+        c, ka = divmod(a, self.width)
+        for kb, axis in enumerate(self.lca[ka]):
+            b = c * self.width + kb
             if lowered[b]:
                 twice = list(lowered)
                 twice[b] -= 1
-                term = var * lowered[b] * moment(tuple(twice))
+                term = self.var * lowered[b] * self[tuple(twice)]
                 if axis is None:
                     val += term
                 else:
-                    val[lift[axis]] += term[keep[axis]]
+                    val[self.lift[axis]] += term[self.keep[axis]]
         val.flags.writeable = False
-        memo[counts] = val
+        self[counts] = val
         return val
-
-    return moment
 
 
 # ---------------------------------------------------------------------------
-# Gaussian moments of leaf positions
+# the plan: what a moment needs from its factors, whatever t and params
 
 
-def _leaf_moment_coefficients(tree: LabeledTree, t: float, params: ModelParams,
-                              f_assignment: list[Factor]) -> np.ndarray:
-    """Exact coefficients of E prod_a f_a(position of the leaf carrying label
-    a) as a polynomial in the u_i, axis k for the k-th inner vertex: the
-    shape's Isserlis moments summed over a monomial per leaf."""
-    if any(f.dim != params.dim for f in f_assignment):
-        raise OracleKernelError("assignment dimension mismatch")
-    # each leaf's polynomial, the product of the factors it carries
-    polys = [functools.reduce(Factor.times, [f_assignment[a - 1] for a in block]).coeffs
-             for _, block in tree.leaf_labels]
-    degree = sum(sum(p.shape[c] - 1 for p in polys) // 2 for c in range(params.dim))
-    moment = _isserlis(tree.parent, t, params, degree)
-    # a monomial per leaf, its powers laid out as the Gaussian coordinates
-    monomials = [[(k, p[k]) for k in zip(*np.nonzero(p))] for p in polys]
-    total = np.zeros((degree + 1,) * len(tree.inner_nodes))
-    for combo in itertools.product(*monomials):
-        coef = math.prod(c for _, c in combo)
-        if coef != 0.0:
-            total += coef * moment(tuple(int(k[c]) for c in range(params.dim)
-                                         for k, _ in combo))
-    return total
+class _Planner:
+    """Plans the trees of one factor list.  For a tree it gives the u-degree
+    bound of the leaf moment and the nonzero monomial combinations, one
+    monomial per leaf, in ``itertools.product`` order: their coefficients
+    and their count tuples (the powers laid out as the Gaussian
+    coordinates), as two tuples.  Each leaf block's product polynomial and
+    monomials are built once, and equal coefficients and count tuples are
+    one object, so a plan holds each once."""
+
+    def __init__(self, factors):
+        self.factors, self.dim = factors, factors[0].dim
+        self.blocks: dict[tuple[int, ...], tuple] = {}
+        self.shared: dict = {}
+
+    def _leaf(self, block: tuple[int, ...]) -> tuple:
+        """The degrees of a leaf's polynomial, the product of the factors it
+        carries, per coordinate, and its (index, coefficient) monomials."""
+        if block not in self.blocks:
+            p = functools.reduce(Factor.times, [self.factors[a - 1] for a in block]).coeffs
+            self.blocks[block] = ([size - 1 for size in p.shape],
+                                  [(k, p[k]) for k in zip(*np.nonzero(p))])
+        return self.blocks[block]
+
+    def __call__(self, tree: LabeledTree) -> tuple[int, tuple, tuple]:
+        leaves = [self._leaf(block) for _, block in tree.leaf_labels]
+        degree = sum(sum(deg[c] for deg, _ in leaves) // 2 for c in range(self.dim))
+        coefs, counts = [], []
+        for combo in itertools.product(*(monomials for _, monomials in leaves)):
+            coef = float(math.prod(c for _, c in combo))
+            if coef != 0.0:
+                key = tuple(int(k[c]) for c in range(self.dim) for k, _ in combo)
+                coefs.append(self.shared.setdefault(coef, coef))
+                counts.append(self.shared.setdefault(key, key))
+        return degree, tuple(coefs), tuple(counts)
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(factors: tuple[Factor, ...]) -> tuple:
+    """The moment of these factors planned once for every (t, params): per
+    tree in processing order, its enumeration index, the tree and its
+    ``_Planner`` output.  Eight plans deep, like ``ustats``' plan cache, so
+    the slots of a kernel of up to eight terms stay planned over a grid."""
+    trees, order = _trees(len(factors))
+    planner = _Planner(factors)
+    return tuple((i, trees[i], planner(trees[i])) for i in order)
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +327,32 @@ def _order_sum(parent: tuple[int, ...], powers: tuple[int, ...], t: float,
                for o in _shape(parent).orders)
 
 
-def tree_contribution(tree: LabeledTree, t: float, params: ModelParams,
-                      f_assignment) -> float:
-    """This tree's share of the mixed moment, multiplicity included.
+def _check_dims(factors, params: ModelParams) -> None:
+    if any(f.dim != params.dim for f in factors):
+        raise OracleKernelError("assignment dimension mismatch")
 
-    The leaf moment is a polynomial in the u_i (see ``_chain_integral``)
-    whose exact coefficients come from ``_leaf_moment_coefficients``.  The
+
+def tree_contribution(tree: LabeledTree, t: float, params: ModelParams,
+                      f_assignment, monomials: tuple | None = None) -> float:
+    """This tree's share of the mixed moment, multiplicity included; the
+    factor with label a sits on the leaf whose block holds a.
+
+    ``monomials`` is the tree's ``_Planner`` output for these factors when
+    the caller has planned it.  The leaf moment's exact coefficients, as a
+    polynomial in the u_i (axis k for the k-th inner vertex), are the
+    shape's Isserlis moments summed over the monomial combinations.  The
     time simplex is the union of one chain per parent-first order of the
     inner vertices, and each nonzero monomial is integrated exactly over
     each (``_order_sum``)."""
+    if monomials is None:
+        _check_dims(f_assignment, params)
+        monomials = _Planner(f_assignment)(tree)
+    degree, monomial_coefs, monomial_counts = monomials
     growth = derive(params).growth_rate
-    coefs = _leaf_moment_coefficients(tree, t, params, f_assignment)
+    moment = _isserlis(tree.parent, t, params, degree)
+    coefs = np.zeros((degree + 1,) * len(tree.inner_nodes))
+    for coef, counts in zip(monomial_coefs, monomial_counts):
+        coefs += coef * moment[counts]
     total = 0.0
     for powers in map(tuple, np.argwhere(coefs).tolist()):
         total += coefs[powers] * _order_sum(tree.parent, powers, t, growth, params.mu)
@@ -302,27 +367,34 @@ def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list,
 
     Equals the expectation of the order-n V-statistic of the one-term
     tensor kernel f_1 x ... x f_n of polynomial slots (``Factor``).  An
-    arity above ``model.MAX_ARITY`` raises ``ArityCapError``.  Each tree
-    sums its monomial combinations and each shape memoizes an array per
-    count tuple, all of at most (degree + 1)^(n - 1) entries; when that
-    work exceeds ``ORACLE_BUDGET`` entries, ``BudgetExceededError`` is
-    raised before anything is integrated.  ``cap``, ``n_nodes`` and
-    ``check`` are accepted and unused: the benchmark's tracer
-    (``benchmarks/tracer.py``) still reads them from each call.  A horizon
-    ``t`` that is not finite and nonnegative raises ``ValueError``."""
+    arity above ``model.MAX_ARITY`` raises ``ArityCapError``.
+
+    What depends on the factors alone is planned once per factor list and
+    kept for the next call (``_plan``): the trees, grouped by shape, and
+    each tree's nonzero monomial combinations.  Each call then runs, per
+    tree, the shape's Isserlis memo at (t, params), which holds an array
+    per count tuple of at most (degree + 1)^(n - 1) entries, and integrates
+    the nonzero coefficients.  When the estimated work exceeds
+    ``ORACLE_BUDGET`` entries, ``BudgetExceededError`` is raised before
+    anything is planned.  ``cap``, ``n_nodes`` and ``check`` are accepted
+    and unused: the benchmark's tracer (``benchmarks/tracer.py``) still
+    reads them from each call.  A horizon ``t`` that is not finite and
+    nonnegative raises ``ValueError``."""
     if len(f_list) != n:
         raise ValueError("need exactly n factors")
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
-    trees = enumerate_trees(n)
+    n_trees = len(enumerate_trees(n))
     degree = sum(sum(f.coeffs.shape) - f.dim for f in f_list) // 2
-    work = (len(trees) * math.prod(np.count_nonzero(f.coeffs) for f in f_list)
+    work = (n_trees * math.prod(np.count_nonzero(f.coeffs) for f in f_list)
             + math.prod(f.coeffs.size for f in f_list)) * (degree + 1) ** (n - 1)
     if work > ORACLE_BUDGET:
         raise BudgetExceededError(f"oracle work estimate {work:.3g} exceeds the "
                                   f"budget {ORACLE_BUDGET:g} coefficient entries")
+    _check_dims(f_list, params)
     # one shape at a time keeps one shape's memo in use; the sum keeps the
     # enumeration order
-    values = {tree: tree_contribution(tree, t, params, f_list)
-              for tree in sorted(trees, key=lambda tree: tree.parent)}
-    return sum(values[tree] for tree in trees)
+    values = [0.0] * n_trees
+    for i, tree, monomials in _plan(tuple(f_list)):
+        values[i] = tree_contribution(tree, t, params, f_list, monomials)
+    return sum(values)

@@ -250,6 +250,17 @@ class TestConfig:
         assert xx.config_hash() == config(kernel=KERNEL_XX).config_hash() != c.config_hash()
         assert dataclasses.replace(c, kernel_spec=None).kernel is None
 
+    def test_config_keeps_its_own_kernel_spec(self):
+        # changing the dict a config was read from, or the dict its
+        # canonical form gives, moves neither its hash nor its kernel
+        raw = json.loads(json.dumps(BASE))
+        c = ExperimentConfig.from_dict(raw)
+        digest, kernel = c.config_hash(), c.kernel
+        raw["kernel"]["terms"][0]["coef"] = 2.0
+        c.canonical_dict()["kernel"]["terms"][0]["coef"] = 3.0
+        assert c.config_hash() == digest == config().config_hash()
+        assert c.kernel == kernel and c.kernel.terms[0][0] == 1.0
+
     # hashes of the shipped configs; a change here is a documented event
     SHIPPED = {"oracle.json": "7469c3e6b35edde1", "slow_clt.json": "f122d5a740cd542a",
                "wlaw.json": "c731925c16eb9380"}

@@ -9,7 +9,8 @@ The package loads no scipy module at all, not on import and not in a
 ``wlaw`` or ``clt`` run, whose KS checks are computed in numpy: importing
 ``scipy.stats`` takes over a second.  Each refusal has one owner: only
 ``kernels.index_chunks`` reads ``BLACKBOX_BUDGET``, and only
-``ExperimentConfig.__post_init__`` calls ``parse_kernel_spec``.  Every
+``ExperimentConfig.__post_init__`` calls ``parse_kernel_spec``.  A cache
+without a bound takes no argument or only an arity ``n``.  Every
 top-level function, class and non-dunder assignment of the package has a
 caller outside its own unit tests: some package module, the package
 ``__all__`` or a benchmark script names it.  An import kept only for the
@@ -173,6 +174,48 @@ def test_one_owner_per_refusal():
               "class C:\n    def g(self):\n        return k.B(B)\n")
     assert owners(source, "B") == ["<module>", "f", "C.g", "C.g"]
     assert owners(source, "B", calls=True) == ["C.g"]
+
+
+def unbounded_caches(source: str) -> dict[str, list[str]]:
+    """{function: its argument names} for each function of ``source`` whose
+    cache has no bound: ``functools.cache`` or ``lru_cache(maxsize=None)``."""
+    def unbounded(decorator) -> bool:
+        if isinstance(decorator, ast.Call):
+            func = decorator.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            sizes = decorator.args[:1] + [k.value for k in decorator.keywords
+                                          if k.arg == "maxsize"]
+            return name == "lru_cache" and any(
+                isinstance(v, ast.Constant) and v.value is None for v in sizes)
+        name = decorator.attr if isinstance(decorator, ast.Attribute) else \
+            getattr(decorator, "id", "")
+        return name == "cache"
+
+    out = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and any(map(unbounded, node.decorator_list)):
+            a = node.args
+            out[node.name] = [arg.arg for arg in (*a.posonlyargs, *a.args, a.vararg,
+                                                  *a.kwonlyargs, a.kwarg) if arg]
+    return out
+
+
+def test_unbounded_caches_take_only_an_arity():
+    # a cache without a bound may grow with the arities (at most
+    # MAX_ARITY entries), never with user data such as factors or kernels
+    found = {f"{path.stem}.{name}": args for path in sorted(PACKAGE.glob("*.py"))
+             for name, args in unbounded_caches(path.read_text()).items()}
+    assert {name: args for name, args in found.items() if args not in ([], ["n"])} == {}
+    assert {"cli._build_parser", "ustats.partition_coefficients",
+            "tree_oracle._trees"} <= set(found)
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@functools.cache\ndef a(n): pass\n@cache\ndef b(): pass\n"
+              "@lru_cache(None)\ndef c(x, *y, z): pass\n"
+              "@functools.lru_cache(maxsize=None)\ndef d(**w): pass\n"
+              "@functools.lru_cache(maxsize=8)\ndef e(f): pass\n"
+              "@lru_cache\ndef g(f): pass\n")
+    assert unbounded_caches(source) == {"a": ["n"], "b": [], "c": ["x", "y", "z"],
+                                        "d": ["w"]}
 
 
 def named(nodes) -> set[str]:

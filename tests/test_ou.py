@@ -34,6 +34,20 @@ class TestQuadrature:
                 gaussian_moment(k, std), rel=1e-10, abs=max(1e-12, floor)
             )
 
+    def test_base_rule_cached_and_read_only(self):
+        # the rule is the scaled Hermite rule bit for bit, and a caller
+        # writing into one rule changes no later rule
+        x, w = np.polynomial.hermite.hermgauss(64)
+        scale = math.sqrt(2.0) * stationary_std(PARAMS)
+        first, second = default_rule(PARAMS), default_rule(PARAMS)
+        for rule in (first, second):
+            assert np.array_equal(rule.nodes, x * scale)
+            assert np.array_equal(rule.weights, w / math.sqrt(math.pi))
+        first.nodes[:] = 0.0
+        first.weights[:] = 0.0
+        assert np.array_equal(default_rule(PARAMS).nodes, second.nodes)
+        assert np.array_equal(default_rule(PARAMS).weights, second.weights)
+
     def test_matches_scipy_for_nonpolynomial(self):
         rule = default_rule(PARAMS)
         got = float(np.dot(rule.weights, np.cos(rule.nodes)))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -332,21 +333,99 @@ class TestExactMixedMoment:
         # six distinct cubics: 3,797 trees x 4^6 monomial combinations x
         # 10^5 coefficient entries, which would run for minutes
         def no_tree(*args):
-            raise AssertionError("a tree was integrated")
+            raise AssertionError("a tree was planned or integrated")
 
+        monkeypatch.setattr(tree_oracle, "_Planner", no_tree)
         monkeypatch.setattr(tree_oracle, "tree_contribution", no_tree)
         cubics = [Func1D.polynomial([0.1 * i, -1.0, 0.5, 1.0]) for i in range(6)]
+        misses = tree_oracle._plan.cache_info().misses
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError):
             exact_mixed_moment(6, 10.0, SLOW, cubics)
         assert time.perf_counter() - start < 1.0
+        assert tree_oracle._plan.cache_info().misses == misses
 
     def test_shape_memo_is_read_only(self):
         tree = max(enumerate_trees(3), key=lambda tree: len(tree.inner_nodes))
         moment = tree_oracle._isserlis(tree.parent, 1.0, SLOW, 2)
         assert moment is tree_oracle._isserlis(tree.parent, 1.0, SLOW, 2)
         for counts in ((0, 0, 0), (2, 1, 1)):
-            assert not moment(counts).flags.writeable
+            assert not moment[counts].flags.writeable
+
+
+def sweep_values() -> list[float]:
+    """Oracle values over n = 1..4, several t, mu and x0, 1-D and 2-D
+    factors, and the ``n5-cubic-mixed`` moment, in a fixed order."""
+    one_d = [Factor.from_polys([f]) for f in (MIXED, LIN, SQ, [1.0])]
+    two_d = [Factor.from_polys(f) for f in ([LIN, SQ], [[1.0], LIN], [MIXED, [1.0, 0.5]],
+                                            [SQ, LIN])]
+    values = []
+    for mu, x0 in ((1.0, 0.5), (0.25, -0.4), (0.1, 0.0)):
+        for t in (0.0, 0.7, 3.0):
+            for dim, pool in ((1, one_d), (2, two_d)):
+                params = ModelParams(lam=1.0, p=0.75, mu=mu, sigma=1.2, dim=dim,
+                                     x0=(x0, -0.5 * x0)[:dim])
+                for n in range(1, 5):
+                    values.append(exact_mixed_moment(n, t, params, pool[:n]))
+    params = ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.2, x0=(-0.4,))
+    values.append(exact_mixed_moment(5, 2.0, params, [Factor.from_polys([f]) for f in
+                                                      (CUBE, MIXED, LIN, LIN, SQ)]))
+    return values
+
+
+def clear_oracle_caches():
+    for cache in (tree_oracle._trees, tree_oracle._plan, tree_oracle._shape,
+                  tree_oracle._isserlis, tree_oracle._chain_integral,
+                  tree_oracle._order_sum):
+        cache.cache_clear()
+
+
+class TestPlan:
+    """A factor list is planned once and evaluated at each (t, params)."""
+
+    # the sweep's values as the oracle gave them before it planned (the
+    # sha256 of their ``float.hex`` forms)
+    SWEEP_DIGEST = "3fb373d7667d0580"
+
+    def test_values_bit_identical_warm_and_cold(self):
+        clear_oracle_caches()
+        cold = sweep_values()
+        # every plan of the sweep is built now, and most time integrals
+        assert sweep_values() == cold
+        digest = hashlib.sha256(" ".join(float(v).hex() for v in cold).encode())
+        assert digest.hexdigest()[:16] == self.SWEEP_DIGEST
+
+    def test_new_horizon_reuses_the_plan(self):
+        factors = [Factor.from_polys([f]) for f in ([1.0], LIN, SQ)]
+        exact_mixed_moment(3, 1.0, SLOW, factors)
+        info = tree_oracle._plan.cache_info()
+        # equal factors built afresh hash alike, so they find the plan too
+        again = [Factor.from_polys([f]) for f in ([1.0], LIN, SQ)]
+        for t in (1.5, 2.5):
+            exact_mixed_moment(3, t, SLOW, again)
+        after = tree_oracle._plan.cache_info()
+        assert (after.misses, after.hits) == (info.misses, info.hits + 2)
+
+    def test_plan_cache_is_bounded(self):
+        for c in range(20):
+            exact_mixed_moment(2, 1.0, SLOW, [FUNC_X, Func1D.polynomial([float(c), 1.0])])
+        info = tree_oracle._plan.cache_info()
+        assert info.currsize == info.maxsize == 8
+
+    def test_returned_tree_list_cannot_change_the_cache(self):
+        want = exact_mixed_moment(3, 1.0, SLOW, [FUNC_X, X2, FUNC_X])
+        trees = enumerate_trees(3)
+        trees.reverse()
+        trees[0] = trees[1]
+        del trees[2:]
+        assert len(enumerate_trees(3)) == 7
+        assert exact_mixed_moment(3, 1.0, SLOW, [FUNC_X, X2, FUNC_X]) == want
+
+    def test_tree_contribution_sums_to_the_moment(self):
+        # a tree planned on its own gives the same float as in the moment
+        factors = [FUNC_X, X2, Func1D.polynomial([1.0, 1.0])]
+        got = sum(tree_contribution(tree, 0.8, SLOW, factors) for tree in enumerate_trees(3))
+        assert got == exact_mixed_moment(3, 0.8, SLOW, factors)
 
 
 class TestPolynomialKernelCrossCheck:
