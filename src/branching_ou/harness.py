@@ -183,7 +183,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.t_grid) == 0:
             raise ConfigError("t_grid must be nonempty")
-        if list(self.t_grid) != sorted(self.t_grid):
+        if any(a >= b for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigError("t_grid must be increasing")
         if self.t_grid[0] < 0:
             raise ConfigError("grid times must be nonnegative")
@@ -583,9 +583,12 @@ def run_oracle_crosscheck(config: ExperimentConfig) -> TestReport:
     f = _require_kernel(config)
     if not f.is_tensor_sum:
         raise ConfigError("oracle cross-check needs a tensor-sum kernel")
-    # the exact targets come first, so a kernel the oracle refuses costs no farm
-    targets = [sum(coef * exact_mixed_moment(f.arity, t, config.params, slots)
-                   for coef, slots in f.terms) for t in config.t_grid]
+    # the exact targets come first, so a kernel the oracle refuses costs no
+    # farm; term by term, so each term's plan serves every grid time
+    moments = [[exact_mixed_moment(f.arity, t, config.params, slots) for t in config.t_grid]
+               for _, slots in f.terms]
+    targets = [sum(coef * m for (coef, _), m in zip(f.terms, at_t))
+               for at_t in zip(*moments)]
     checks = []
     for level, t, target in zip(_farm(config), config.t_grid, targets):
         mean, se = _mean_se(v_statistics(level, f))

@@ -282,7 +282,7 @@ def reconstruct_from_table(table: dict, args: Sequence[np.ndarray]) -> np.ndarra
     return out
 
 
-def _test_points(f: Kernel, arity: int, params: ModelParams, rule: QuadratureRule):
+def _test_points(f: Kernel, arity: int, rule: QuadratureRule):
     """At most 256 deterministic evaluation points drawn from the quadrature
     nodes."""
     stride = max(1, len(rule.nodes) // 8)
@@ -307,7 +307,7 @@ def is_canonical(
             if abs(avg) > NULL_TOL:
                 return False
             continue
-        pts = _test_points(f, f.arity - 1, params, rule)
+        pts = _test_points(f, f.arity - 1, rule)
         vals = avg.evaluate([pts[:, j, :] for j in range(f.arity - 1)])
         if np.max(np.abs(vals)) > NULL_TOL:
             return False
@@ -331,7 +331,7 @@ def degeneracy_order(
         I = tuple(range(1, k + 1))
         proj = (project(f, I, params, rule) if f.is_tensor_sum
                 else _blackbox_projection(f, I, total, params, rule))
-        pts = _test_points(f, k, params, rule)
+        pts = _test_points(f, k, rule)
         vals = proj.evaluate([pts[:, j, :] for j in range(k)])
         if np.max(np.abs(vals)) > NULL_TOL:
             return k - 1, proj

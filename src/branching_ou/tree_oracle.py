@@ -21,10 +21,12 @@ vertices) accounting for the ordered-split derivation.
 
 Work that depends only on the arity and the factors is done once: the
 trees of each arity are built once per process, and a factor list is
-planned once (``_plan``, eight lists deep) into each tree's u-degree bound
-and nonzero monomial combinations.  A call at a new (t, params) then runs
-only the shape's Isserlis recursion, the sums of the planned combinations
-and the time integrals, which are memoized by their own arguments.
+planned once (``_plan``, eight lists deep) into its u-degree bound and,
+shape by shape, each tree's nonzero monomial combinations.  A moment then
+makes one pass per shape: it builds the shape's Isserlis memo at
+(t, params), evaluates every tree of the shape from it and drops it, and
+integrates the coefficients through time integrals memoized by their own
+arguments.  The trees' values are summed in enumeration order.
 
 This oracle never touches the simulator's code paths: only exact
 split-time integration and exact Gaussian moments enter.
@@ -113,16 +115,13 @@ def enumerate_trees(n: int, cap: int = MAX_ARITY) -> list[LabeledTree]:
         raise ValueError("arity must be positive")
     if n > MAX_ARITY:
         raise ArityCapError(f"arity {n} above the maximum {MAX_ARITY}")
-    return list(_trees(n)[0])
+    return list(_trees(n))
 
 
 @functools.cache
-def _trees(n: int) -> tuple[tuple[LabeledTree, ...], tuple[int, ...]]:
-    """The trees of arity n in enumeration order, and the order in which a
-    moment processes them: grouped by shape, so that one shape's Isserlis
-    memo serves all its trees in a row."""
-    trees = tuple(_linearize(s) for s in _structures(tuple(range(1, n + 1))))
-    return trees, tuple(sorted(range(len(trees)), key=lambda i: trees[i].parent))
+def _trees(n: int) -> tuple[LabeledTree, ...]:
+    """The trees of arity n in enumeration order."""
+    return tuple(_linearize(s) for s in _structures(tuple(range(1, n + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +157,6 @@ def _shape(parent: tuple[int, ...]) -> _Shape:
     return _Shape(inner, leaves, lca, orders)
 
 
-@functools.lru_cache(maxsize=1)
-def _isserlis(parent: tuple[int, ...], t: float, params: ModelParams,
-              degree: int) -> "_Moments":
-    """The Isserlis moments of the leaf coordinates of a tree of this shape
-    at (t, params), shared by every labelling and factor assignment."""
-    shape = _shape(parent)
-    width = len(shape.leaves)
-    # Gaussian coordinate c * width + k is coordinate c of the k-th leaf
-    mean = [x * math.exp(-params.mu * t) for x in params.x0 for _ in range(width)]
-    var = -stationary_std(params) ** 2 * math.expm1(-2.0 * params.mu * t)
-    return _Moments(shape, mean, var, degree)
-
-
 class _Moments(dict):
     """count tuple -> E prod Z^counts as a read-only coefficient array in the
     u_i (axis k for the k-th inner vertex, size degree + 1), each missing
@@ -183,12 +169,15 @@ class _Moments(dict):
     E Z_a Z^k = mean_a E Z^k + sum_b cov_ab k_b E Z^(k - e_b) runs on
     coefficient arrays, where a covariance is var times a shift along axis
     L, so a coefficient that is zero stays exactly zero.  The memo refers
-    to nothing that refers back to it, so it is freed as soon as the next
-    shape evicts it, not at the next garbage collection."""
+    to nothing that refers back to it, so it is freed as soon as its
+    shape's pass ends, not at the next garbage collection."""
 
-    def __init__(self, shape: _Shape, mean: list[float], var: float, degree: int):
-        n_inner = len(shape.inner)
-        self.width, self.lca, self.mean, self.var = len(shape.leaves), shape.lca, mean, var
+    def __init__(self, shape: _Shape, t: float, params: ModelParams, degree: int):
+        n_inner, width = len(shape.inner), len(shape.leaves)
+        # Gaussian coordinate c * width + k is coordinate c of the k-th leaf
+        self.mean = [x * math.exp(-params.mu * t) for x in params.x0 for _ in range(width)]
+        self.var = -stationary_std(params) ** 2 * math.expm1(-2.0 * params.mu * t)
+        self.width, self.lca = width, shape.lca
         # times u_L moves entries one step up axis L; the degree bound keeps
         # the top entry zero, so nothing is dropped
         self.lift = [(slice(None),) * k + (slice(1, None),) for k in range(n_inner)]
@@ -196,7 +185,7 @@ class _Moments(dict):
         self.one = np.zeros((degree + 1,) * n_inner)
         self.one.flat[0] = 1.0
         self.one.flags.writeable = False
-        super().__init__({(0,) * len(mean): self.one})
+        super().__init__({(0,) * len(self.mean): self.one})
 
     def __missing__(self, counts: tuple[int, ...]) -> np.ndarray:
         a = next(i for i, k in enumerate(counts) if k)
@@ -226,50 +215,53 @@ class _Moments(dict):
 
 
 class _Planner:
-    """Plans the trees of one factor list.  For a tree it gives the u-degree
-    bound of the leaf moment and the nonzero monomial combinations, one
-    monomial per leaf, in ``itertools.product`` order: their coefficients
-    and their count tuples (the powers laid out as the Gaussian
-    coordinates), as two tuples.  Each leaf block's product polynomial and
-    monomials are built once, and equal coefficients and count tuples are
-    one object, so a plan holds each once."""
+    """Plans the trees of one factor list.  For a tree it gives the nonzero
+    monomial combinations, one monomial per leaf, in ``itertools.product``
+    order: their coefficients and their count tuples (the powers laid out
+    as the Gaussian coordinates), as two tuples.  Each leaf block's product
+    polynomial and monomials are built once, and equal coefficients and
+    count tuples are one object, so a plan holds each once."""
 
     def __init__(self, factors):
         self.factors, self.dim = factors, factors[0].dim
-        self.blocks: dict[tuple[int, ...], tuple] = {}
+        self.blocks: dict[tuple[int, ...], list] = {}
         self.shared: dict = {}
 
-    def _leaf(self, block: tuple[int, ...]) -> tuple:
-        """The degrees of a leaf's polynomial, the product of the factors it
-        carries, per coordinate, and its (index, coefficient) monomials."""
+    def _leaf(self, block: tuple[int, ...]) -> list:
+        """The (index, coefficient) monomials of a leaf's polynomial, the
+        product of the factors it carries."""
         if block not in self.blocks:
             p = functools.reduce(Factor.times, [self.factors[a - 1] for a in block]).coeffs
-            self.blocks[block] = ([size - 1 for size in p.shape],
-                                  [(k, p[k]) for k in zip(*np.nonzero(p))])
+            self.blocks[block] = [(k, p[k]) for k in zip(*np.nonzero(p))]
         return self.blocks[block]
 
-    def __call__(self, tree: LabeledTree) -> tuple[int, tuple, tuple]:
-        leaves = [self._leaf(block) for _, block in tree.leaf_labels]
-        degree = sum(sum(deg[c] for deg, _ in leaves) // 2 for c in range(self.dim))
+    def __call__(self, tree: LabeledTree) -> tuple[tuple, tuple]:
         coefs, counts = [], []
-        for combo in itertools.product(*(monomials for _, monomials in leaves)):
+        for combo in itertools.product(*(self._leaf(block) for _, block in tree.leaf_labels)):
             coef = float(math.prod(c for _, c in combo))
             if coef != 0.0:
                 key = tuple(int(k[c]) for c in range(self.dim) for k, _ in combo)
                 coefs.append(self.shared.setdefault(coef, coef))
                 counts.append(self.shared.setdefault(key, key))
-        return degree, tuple(coefs), tuple(counts)
+        return tuple(coefs), tuple(counts)
 
 
 @functools.lru_cache(maxsize=8)
-def _plan(factors: tuple[Factor, ...]) -> tuple:
-    """The moment of these factors planned once for every (t, params): per
-    tree in processing order, its enumeration index, the tree and its
-    ``_Planner`` output.  Eight plans deep, like ``ustats``' plan cache, so
+def _plan(factors: tuple[Factor, ...]) -> tuple[int, tuple]:
+    """The moment of these factors planned once for every (t, params): the
+    u-degree bound of every leaf moment, and per shape (``parent`` tuple)
+    its trees as (enumeration index, multiplicity, ``_Planner`` output).
+    In each coordinate the leaves' degrees sum to the factors' degrees,
+    and a leaf moment's u-degree is at most half of that sum, so one bound
+    serves every tree.  Eight plans deep, like ``ustats``' plan cache, so
     the slots of a kernel of up to eight terms stay planned over a grid."""
-    trees, order = _trees(len(factors))
+    degree = sum(sum(f.coeffs.shape[c] - 1 for f in factors) // 2
+                 for c in range(factors[0].dim))
     planner = _Planner(factors)
-    return tuple((i, trees[i], planner(trees[i])) for i in order)
+    shapes: dict[tuple[int, ...], list] = {}
+    for i, tree in enumerate(_trees(len(factors))):
+        shapes.setdefault(tree.parent, []).append((i, tree.multiplicity, *planner(tree)))
+    return degree, tuple(shapes.items())
 
 
 # ---------------------------------------------------------------------------
@@ -327,39 +319,6 @@ def _order_sum(parent: tuple[int, ...], powers: tuple[int, ...], t: float,
                for o in _shape(parent).orders)
 
 
-def _check_dims(factors, params: ModelParams) -> None:
-    if any(f.dim != params.dim for f in factors):
-        raise OracleKernelError("assignment dimension mismatch")
-
-
-def tree_contribution(tree: LabeledTree, t: float, params: ModelParams,
-                      f_assignment, monomials: tuple | None = None) -> float:
-    """This tree's share of the mixed moment, multiplicity included; the
-    factor with label a sits on the leaf whose block holds a.
-
-    ``monomials`` is the tree's ``_Planner`` output for these factors when
-    the caller has planned it.  The leaf moment's exact coefficients, as a
-    polynomial in the u_i (axis k for the k-th inner vertex), are the
-    shape's Isserlis moments summed over the monomial combinations.  The
-    time simplex is the union of one chain per parent-first order of the
-    inner vertices, and each nonzero monomial is integrated exactly over
-    each (``_order_sum``)."""
-    if monomials is None:
-        _check_dims(f_assignment, params)
-        monomials = _Planner(f_assignment)(tree)
-    degree, monomial_coefs, monomial_counts = monomials
-    growth = derive(params).growth_rate
-    moment = _isserlis(tree.parent, t, params, degree)
-    coefs = np.zeros((degree + 1,) * len(tree.inner_nodes))
-    for coef, counts in zip(monomial_coefs, monomial_counts):
-        coefs += coef * moment[counts]
-    total = 0.0
-    for powers in map(tuple, np.argwhere(coefs).tolist()):
-        total += coefs[powers] * _order_sum(tree.parent, powers, t, growth, params.mu)
-    return (params.p * params.lam) ** len(tree.inner_nodes) * math.exp(growth * t) * \
-        tree.multiplicity * total
-
-
 def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list,
                        cap: int = MAX_ARITY, n_nodes: int = 64,
                        check: bool = True) -> float:
@@ -370,11 +329,12 @@ def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list,
     arity above ``model.MAX_ARITY`` raises ``ArityCapError``.
 
     What depends on the factors alone is planned once per factor list and
-    kept for the next call (``_plan``): the trees, grouped by shape, and
-    each tree's nonzero monomial combinations.  Each call then runs, per
-    tree, the shape's Isserlis memo at (t, params), which holds an array
-    per count tuple of at most (degree + 1)^(n - 1) entries, and integrates
-    the nonzero coefficients.  When the estimated work exceeds
+    kept for the next call (``_plan``).  Each call then makes one pass per
+    tree shape: it builds the shape's Isserlis memo at (t, params), which
+    holds an array per count tuple of at most (degree + 1)^(n - 1) entries,
+    sums each tree's planned monomial combinations into the leaf moment's
+    coefficients and integrates the nonzero ones over the shape's time
+    simplex (``_order_sum``).  When the estimated work exceeds
     ``ORACLE_BUDGET`` entries, ``BudgetExceededError`` is raised before
     anything is planned.  ``cap``, ``n_nodes`` and ``check`` are accepted
     and unused: the benchmark's tracer (``benchmarks/tracer.py``) still
@@ -385,16 +345,28 @@ def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list,
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
     n_trees = len(enumerate_trees(n))
-    degree = sum(sum(f.coeffs.shape) - f.dim for f in f_list) // 2
+    bound = sum(sum(f.coeffs.shape) - f.dim for f in f_list) // 2
     work = (n_trees * math.prod(np.count_nonzero(f.coeffs) for f in f_list)
-            + math.prod(f.coeffs.size for f in f_list)) * (degree + 1) ** (n - 1)
+            + math.prod(f.coeffs.size for f in f_list)) * (bound + 1) ** (n - 1)
     if work > ORACLE_BUDGET:
         raise BudgetExceededError(f"oracle work estimate {work:.3g} exceeds the "
                                   f"budget {ORACLE_BUDGET:g} coefficient entries")
-    _check_dims(f_list, params)
-    # one shape at a time keeps one shape's memo in use; the sum keeps the
-    # enumeration order
+    if any(f.dim != params.dim for f in f_list):
+        raise OracleKernelError("assignment dimension mismatch")
+    degree, shapes = _plan(tuple(f_list))
+    growth = derive(params).growth_rate
     values = [0.0] * n_trees
-    for i, tree, monomials in _plan(tuple(f_list)):
-        values[i] = tree_contribution(tree, t, params, f_list, monomials)
+    for parent, trees in shapes:
+        shape = _shape(parent)
+        moment = _Moments(shape, t, params, degree)
+        scale = (params.p * params.lam) ** len(shape.inner) * math.exp(growth * t)
+        for i, multiplicity, monomial_coefs, monomial_counts in trees:
+            # the leaf moment's exact coefficients, a polynomial in the u_i
+            coefs = np.zeros((degree + 1,) * len(shape.inner))
+            for coef, counts in zip(monomial_coefs, monomial_counts):
+                coefs += coef * moment[counts]
+            total = 0.0
+            for powers in map(tuple, np.argwhere(coefs).tolist()):
+                total += coefs[powers] * _order_sum(parent, powers, t, growth, params.mu)
+            values[i] = scale * multiplicity * total
     return sum(values)

@@ -157,6 +157,10 @@ class TestConfig:
             {**MINIMAL, "fast_t_approx": 0.0},
             # an empty kernel spec is no kernel: only null or no key is
             {**MINIMAL, "kernel": {}},
+            # grid times strictly increase: a repeated time would be
+            # reported twice under one check name
+            {**MINIMAL, "t_grid": [1.0, 1.0]},
+            {**MINIMAL, "t_grid": [0.5, 2.0, 2.0]},
         ],
     )
     def test_bad_configs_rejected(self, bad):
@@ -910,6 +914,14 @@ class TestCli:
         assert cli_main(["oracle", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: arity 7")
+
+    def test_oracle_repeated_grid_time_exit_2(self, tmp_path, capsys, monkeypatch):
+        self.refuse_farm(monkeypatch)
+        raw = dict(BASE, kernel=KERNEL_XX, replicas=20, t_grid=[1.0, 1.0])
+        cfg = self.write_cfg(tmp_path, raw)
+        assert cli_main(["oracle", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: t_grid must be increasing")
 
     def test_oracle_over_budget_exit_1_before_simulating(self, tmp_path, capsys,
                                                          monkeypatch):

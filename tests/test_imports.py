@@ -10,7 +10,8 @@ The package loads no scipy module at all, not on import and not in a
 ``scipy.stats`` takes over a second.  Each refusal has one owner: only
 ``kernels.index_chunks`` reads ``BLACKBOX_BUDGET``, and only
 ``ExperimentConfig.__post_init__`` calls ``parse_kernel_spec``.  A cache
-without a bound takes no argument or only an arity ``n``.  Every
+without a bound takes no argument or only an arity ``n``, and no cache
+holds a single entry, whose hits would depend on the call order.  Every
 top-level function, class and non-dunder assignment of the package has a
 caller outside its own unit tests: some package module, the package
 ``__all__`` or a benchmark script names it.  An import kept only for the
@@ -216,6 +217,36 @@ def test_unbounded_caches_take_only_an_arity():
               "@lru_cache\ndef g(f): pass\n")
     assert unbounded_caches(source) == {"a": ["n"], "b": [], "c": ["x", "y", "z"],
                                         "d": ["w"]}
+
+
+def single_entry_caches(source: str) -> list[str]:
+    """The functions of ``source`` cached with ``lru_cache(maxsize=1)``."""
+    def single(decorator) -> bool:
+        if not isinstance(decorator, ast.Call):
+            return False
+        func = decorator.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        sizes = decorator.args[:1] + [k.value for k in decorator.keywords
+                                      if k.arg == "maxsize"]
+        return name == "lru_cache" and any(
+            isinstance(v, ast.Constant) and v.value == 1 for v in sizes)
+
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and any(map(single, node.decorator_list))]
+
+
+def test_no_cache_holds_one_entry():
+    # a one-entry cache hits only while its callers keep equal arguments
+    # together, so its use depends on the order of calls elsewhere
+    found = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in single_entry_caches(path.read_text())]
+    assert found == []
+    source = ("import functools\nfrom functools import lru_cache\n"
+              "@functools.lru_cache(maxsize=1)\ndef a(x): pass\n"
+              "@lru_cache(1)\ndef b(x): pass\n"
+              "@functools.lru_cache(maxsize=8)\ndef c(x): pass\n"
+              "@functools.cache\ndef d(n): pass\n@lru_cache\ndef e(x): pass\n")
+    assert single_entry_caches(source) == ["a", "b"]
 
 
 def named(nodes) -> set[str]:

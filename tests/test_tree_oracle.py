@@ -22,7 +22,6 @@ from branching_ou.tree_oracle import (
     OracleKernelError,
     enumerate_trees,
     exact_mixed_moment,
-    tree_contribution,
 )
 
 from helpers import (FUNC_ONE, FUNC_X, mixed_moment_forward, second_moment_linear,
@@ -91,20 +90,19 @@ class TestEnumeration:
 
 
 class TestTreeContribution:
+    """Moments that one tree carries: n = 1 has a single tree, and at t = 0
+    only the tree without inner vertices contributes."""
+
     def test_single_leaf_is_tilted_semigroup(self):
-        tree = enumerate_trees(1)[0]
         t = 1.3
-        got = tree_contribution(tree, t, SLOW, [FUNC_X])
+        got = exact_mixed_moment(1, t, SLOW, [FUNC_X])
         want = math.exp(0.5 * t) * 0.5 * math.exp(-t)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_horizon(self):
-        for tree in enumerate_trees(2):
-            val = tree_contribution(tree, 0.0, SLOW, [FUNC_X, FUNC_X])
-            if tree.inner_nodes:
-                assert val == 0.0
-            else:
-                assert val == pytest.approx(0.25, abs=1e-14)
+        # x0 = 0.5: the split tree has no time to split, so E<X_0, x>^2 = x0^2
+        got = exact_mixed_moment(2, 0.0, SLOW, [FUNC_X, FUNC_X])
+        assert got == pytest.approx(0.25, abs=1e-14)
 
 
 class TestExactMixedMoment:
@@ -336,7 +334,7 @@ class TestExactMixedMoment:
             raise AssertionError("a tree was planned or integrated")
 
         monkeypatch.setattr(tree_oracle, "_Planner", no_tree)
-        monkeypatch.setattr(tree_oracle, "tree_contribution", no_tree)
+        monkeypatch.setattr(tree_oracle, "_Moments", no_tree)
         cubics = [Func1D.polynomial([0.1 * i, -1.0, 0.5, 1.0]) for i in range(6)]
         misses = tree_oracle._plan.cache_info().misses
         start = time.perf_counter()
@@ -347,10 +345,29 @@ class TestExactMixedMoment:
 
     def test_shape_memo_is_read_only(self):
         tree = max(enumerate_trees(3), key=lambda tree: len(tree.inner_nodes))
-        moment = tree_oracle._isserlis(tree.parent, 1.0, SLOW, 2)
-        assert moment is tree_oracle._isserlis(tree.parent, 1.0, SLOW, 2)
+        moment = tree_oracle._Moments(tree_oracle._shape(tree.parent), 1.0, SLOW, 2)
         for counts in ((0, 0, 0), (2, 1, 1)):
             assert not moment[counts].flags.writeable
+        assert moment[(2, 1, 1)] is moment[(2, 1, 1)]
+
+    def test_one_memo_per_shape_per_call(self, monkeypatch):
+        # every tree of a shape reads the one memo its shape's pass builds,
+        # whether the plan is new or kept
+        built = []
+
+        class Counted(tree_oracle._Moments):
+            def __init__(self, shape, *args):
+                built.append(shape)
+                super().__init__(shape, *args)
+
+        monkeypatch.setattr(tree_oracle, "_Moments", Counted)
+        factors = [Func1D.polynomial([0.2 * i, 1.0, 0.5]) for i in range(4)]
+        shapes = {tree.parent for tree in enumerate_trees(4)}
+        tree_oracle._plan.cache_clear()
+        for _ in ("cold", "warm"):
+            built.clear()
+            exact_mixed_moment(4, 1.2, SLOW, factors)
+            assert len(built) == len(set(built)) == len(shapes)
 
 
 def sweep_values() -> list[float]:
@@ -375,8 +392,7 @@ def sweep_values() -> list[float]:
 
 def clear_oracle_caches():
     for cache in (tree_oracle._trees, tree_oracle._plan, tree_oracle._shape,
-                  tree_oracle._isserlis, tree_oracle._chain_integral,
-                  tree_oracle._order_sum):
+                  tree_oracle._chain_integral, tree_oracle._order_sum):
         cache.cache_clear()
 
 
@@ -420,12 +436,6 @@ class TestPlan:
         del trees[2:]
         assert len(enumerate_trees(3)) == 7
         assert exact_mixed_moment(3, 1.0, SLOW, [FUNC_X, X2, FUNC_X]) == want
-
-    def test_tree_contribution_sums_to_the_moment(self):
-        # a tree planned on its own gives the same float as in the moment
-        factors = [FUNC_X, X2, Func1D.polynomial([1.0, 1.0])]
-        got = sum(tree_contribution(tree, 0.8, SLOW, factors) for tree in enumerate_trees(3))
-        assert got == exact_mixed_moment(3, 0.8, SLOW, factors)
 
 
 class TestPolynomialKernelCrossCheck:
@@ -481,3 +491,17 @@ class TestPolynomialKernelCrossCheck:
             want = sum(coef * self.forward(t, slots) for coef, slots in self.TERMS)
             assert check.target == pytest.approx(want, rel=1e-11)
         assert report.passed, report.checks
+
+    def test_crosscheck_plans_each_term_once(self):
+        # nine slot lists are more than the plan cache keeps: taken time by
+        # time, every term would be planned again at every grid time
+        terms = [{"coef": 1.0, "slots": [[[0.1 * c, 1.0]], [[0.0, 1.0]]]}
+                 for c in range(9)]
+        config = ExperimentConfig.from_dict({
+            "params": {"lambda": 1.0, "p": 0.75, "mu": 1.0, "sigma": 1.0},
+            "kernel": {"dim": 1, "terms": terms}, "t_grid": [0.5, 1.0, 1.5],
+            "replicas": 50, "seed": 5})
+        tree_oracle._plan.cache_clear()
+        run_oracle_crosscheck(config)
+        info = tree_oracle._plan.cache_info()
+        assert (info.misses, info.hits) == (9, 18)
