@@ -22,11 +22,10 @@ import numpy as np
 from .kernels import Factor, Kernel, is_canonical, project
 from .ks import ks_1samp, ks_2samp
 from .model import (MAX_ARITY, ModelParams, Regime, RegimeTag, classify, derive,
-                    extinction_by)
+                    extinction_by, fluctuation_variance, w_survival_mean)
 from .limits import (
     critical_limit_sampler,
     default_fast_horizon,
-    expected_births,
     fast_limit_sampler,
     h_polynomial_value,
     sigma_critical,
@@ -426,7 +425,7 @@ def run_w_law(config: ExperimentConfig) -> TestReport:
     start = time.time()
     _require_distributional_replicas(config.replicas)
     consts = derive(config.params)
-    w_mean = config.params.p / (2.0 * config.params.p - 1.0)
+    w_mean = w_survival_mean(config.params)
     t = config.t_grid[-1]
     limit_gap = -math.expm1(-math.exp(-consts.growth_rate * t) / w_mean)
     gap_sqrt_n = limit_gap * math.sqrt(
@@ -454,10 +453,9 @@ def _g1_coordinate(config: ExperimentConfig) -> CheckResult:
 
     The statistic is (N_t - exp(-g s) N_{t_max}) / sqrt(N_t), g the growth
     rate and s = t_max - t.  Given N_t, N_{t_max} sums N_t independent
-    copies of N_s, of mean exp(g s) and variance exp(g s) (exp(g s) - 1) /
-    (2p - 1) (Kendall), so the statistic has mean 0 and variance
-    (1 - exp(-g s)) / (2p - 1) given any N_t: the target, not its limit
-    1 / (2p - 1).  The counts come from ``farm_counts``.
+    copies of N_s, so the statistic has mean 0 and variance
+    ``model.fluctuation_variance(s)`` given any N_t: the target, not its
+    t -> inf limit.  The counts come from ``farm_counts``.
     """
     consts = derive(config.params)
     level_t, level_max = farm_counts(config.params, (config.g1_t, config.g1_t_max),
@@ -467,8 +465,7 @@ def _g1_coordinate(config: ExperimentConfig) -> CheckResult:
     v_hat = _v_values(level_max.counts, level_max.t, consts)[alive]
     stats_vals = (m_t - math.exp(consts.growth_rate * config.g1_t) * v_hat) / np.sqrt(m_t)
     var, se = _var_se(stats_vals)
-    target = -math.expm1(-consts.growth_rate * (config.g1_t_max - config.g1_t)) / \
-        (2.0 * config.params.p - 1.0)
+    target = fluctuation_variance(config.g1_t_max - config.g1_t, config.params)
     return _se_check("g1_fluctuation_variance", var, target, se, G1_SE_MULT,
                      t=config.g1_t, t_max=config.g1_t_max, replicas=config.g1_replicas)
 
@@ -482,8 +479,8 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
     statistic with the limit polynomial evaluated on the same trajectory.
     Always also records the population-fluctuation coordinate and an
     independence proxy (correlation bound with the normalized size).  Fast
-    limit draws whose expected births exceed ``MAX_FARM_PARTICLES`` are
-    refused with ``ResourceCapError`` before the farm.
+    limit draws expecting over ``MAX_FARM_PARTICLES`` tree lines, 2 e^{g T}
+    each at the horizon T, are refused with ``ResourceCapError`` first.
     """
     start = time.time()
     _require_distributional_replicas(config.replicas)
@@ -501,8 +498,10 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
         raise ConfigError("CLT test requires a canonical kernel")
     if regime.is_fast:
         t_approx = config.fast_t_approx or default_fast_horizon(params)
-        check_budget(FAST_LIMIT_DRAWS * expected_births(params, t_approx),
-                     "the fast limit draws expect {:.3g} births")
+        with np.errstate(over="ignore"):  # an overflow to inf is refused
+            lines = 2.0 * float(np.exp(consts.growth_rate * t_approx))
+        check_budget(FAST_LIMIT_DRAWS * lines,
+                     "the fast limit draws expect {:.3g} tree lines")
     n = f.arity
     farm = farm if farm is not None else _farm(config)
     alive, frac = condition_on_survival(farm[-1])
@@ -554,7 +553,7 @@ def run_clt(config: ExperimentConfig, farm=None) -> TestReport:
         v_lim, se_vl = _var_se(draws)
         checks.append(_se_check("clt_variance_agreement", v_stat, v_lim, se_vs,
                                 other_se=se_vl))
-        if n == 1 and f.is_tensor_sum:
+        if n == 1:
             sigma2 = _arity1_variance(f, params, regime)
             checks.append(_se_check("clt_variance_vs_formula", v_stat, sigma2,
                                     se_vs, FORMULA_SE_MULT))
@@ -581,8 +580,6 @@ def run_oracle_crosscheck(config: ExperimentConfig) -> TestReport:
     mixed moment per tensor term."""
     start = time.time()
     f = _require_kernel(config)
-    if not f.is_tensor_sum:
-        raise ConfigError("oracle cross-check needs a tensor-sum kernel")
     # the exact targets come first, so a kernel the oracle refuses costs no
     # farm; term by term, so each term's plan serves every grid time
     moments = [[exact_mixed_moment(f.arity, t, config.params, slots) for t in config.t_grid]
@@ -603,8 +600,6 @@ def run_variance(config: ExperimentConfig) -> TestReport:
     f = _require_kernel(config)
     if f.arity != 1:
         raise ConfigError("variance evaluation expects an arity-1 kernel")
-    if not f.is_tensor_sum:
-        raise ConfigError("variance evaluation expects a tensor-sum kernel")
     regime = classify(config.params)
     val = _arity1_variance(f, config.params, regime)
     checks = [CheckResult(

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from .kernels import Factor, Kernel, is_canonical
-from .model import ModelParams, classify, derive
+from .model import ModelParams, classify, derive, expected_births
 from . import simulator
 from .ou import stationary_std
 from .simulator import position_sum
@@ -125,7 +125,7 @@ def _tilted_integrals(n_terms: int, params: ModelParams) -> np.ndarray:
     if not regime.is_slow:
         raise RegimeError("slow-regime time integrals need growth < 2 mu")
     n = np.arange(1, n_terms + 1)
-    return 2.0 * params.lam * params.p / (regime.twice_mu * n - regime.growth_rate)
+    return 2.0 * derive(params).birth_rate / (regime.twice_mu * n - regime.growth_rate)
 
 
 def gradient_phi_mean(F: Factor, params: ModelParams) -> np.ndarray:
@@ -153,7 +153,7 @@ def sigma_critical(f: Factor, params: ModelParams) -> float:
     if not regime.is_critical:
         raise RegimeError("critical-regime variance needs growth = 2 mu")
     w = gradient_phi_mean(f, params)
-    return params.lam * params.p * params.sigma**2 / params.mu * float(w @ w)
+    return derive(params).birth_rate * params.sigma**2 / params.mu * float(w @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +263,9 @@ def critical_limit_sampler(
     _require_tensor_sum(f)
     if not is_canonical(f, params):
         raise CenteringError("critical-regime limit is defined for canonical kernels")
-    scale = math.sqrt(params.lam * params.p * params.sigma**2 / params.mu)
+    scale = math.sqrt(derive(params).birth_rate * params.sigma**2 / params.mu)
     g = rng.standard_normal((size, f.dim))
     return f.contract(lambda _, s: g @ (-scale * gradient_phi_mean(s, params)))
-
-
-def expected_births(params: ModelParams, t: float) -> float:
-    """Expected births of one replica by time ``t``, about (2 p lam / growth)
-    exp(growth t); the fast horizon's cap and the fast draws' budget."""
-    growth = derive(params).growth_rate
-    with np.errstate(over="ignore"):
-        return 2.0 * params.p * params.lam / growth * float(np.exp(growth * t))
 
 
 def default_fast_horizon(params: ModelParams) -> float:

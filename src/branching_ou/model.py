@@ -1,10 +1,14 @@
-"""Model constants, derived quantities and regime classification.
+"""Model constants, regime classification and the population law.
 
 The system is a binary branching particle system: each particle lives an
 Exp(lam) lifetime, is replaced by two offspring with probability ``p`` or by
 none with probability ``1 - p``, and moves between events as an
 Ornstein-Uhlenbeck diffusion with drift ``mu`` and diffusion coefficient
 ``sigma``.
+
+The population N_t is a linear birth-death chain, +1 at rate b = lam p and
+-1 at rate d = lam (1 - p), with a closed-form law (Kendall 1948); only this
+module reads ``lam`` and ``p``, and every other layer takes that law here.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 
 # The highest kernel arity any layer supports: the U-from-V expansion
@@ -103,10 +109,14 @@ class DerivedConstants:
     growth_rate      exponential growth rate of the expected population,
                      (2p - 1) * lam
     extinction_prob  probability of eventual extinction, (1 - p) / p
+    birth_rate       rate of splitting into two, lam * p
+    death_rate       rate of dying childless, lam * (1 - p)
     """
 
     growth_rate: float
     extinction_prob: float
+    birth_rate: float
+    death_rate: float
 
 
 @dataclass(frozen=True)
@@ -136,6 +146,8 @@ def derive(params: ModelParams) -> DerivedConstants:
     return DerivedConstants(
         growth_rate=two_p_minus_1 * params.lam,
         extinction_prob=(1.0 - params.p) / params.p,
+        birth_rate=params.lam * params.p,
+        death_rate=params.lam * (1.0 - params.p),
     )
 
 
@@ -168,3 +180,33 @@ def extinction_by(t: float, params: ModelParams) -> float:
     e = math.exp(-c.growth_rate * t)  # in (0, 1], so nothing overflows
     q = c.extinction_prob
     return q * (1.0 - e) / (1.0 - q * e)
+
+
+def count_step(dt: float, params: ModelParams) -> tuple[float, float]:
+    """N's law over a step ``dt`` > 0: with h = expm1(r dt) / r, r the growth
+    rate, a particle leaves descendants with probability survival =
+    exp(r dt) / (1 + b h), taken as 1 - d h / (1 + b h) (exactly 1 at p = 1),
+    and then a Geometric number on {1, 2, ...} of success 1 / (1 + b h)."""
+    c = derive(params)
+    h = math.expm1(c.growth_rate * dt) / c.growth_rate
+    return (1.0 - c.death_rate * h / (1.0 + c.birth_rate * h),
+            1.0 / (1.0 + c.birth_rate * h))
+
+
+def w_survival_mean(params: ModelParams) -> float:
+    """The mean p / (2p - 1) of W = lim exp(-r t) N_t, exponential on survival."""
+    return params.p / (2.0 * params.p - 1.0)
+
+
+def fluctuation_variance(s: float, params: ModelParams) -> float:
+    """Var N_s / (E N_s)^2 = (1 - exp(-r s)) / (2p - 1): N_s has mean
+    exp(r s) and variance exp(r s) (exp(r s) - 1) / (2p - 1)."""
+    return -math.expm1(-derive(params).growth_rate * s) / (2.0 * params.p - 1.0)
+
+
+def expected_births(params: ModelParams, t: float) -> float:
+    """Expected births of one replica by time ``t``, about (2 p lam / growth)
+    exp(growth t); an overflow gives inf."""
+    growth = derive(params).growth_rate
+    with np.errstate(over="ignore"):
+        return 2.0 * params.p * params.lam / growth * float(np.exp(growth * t))

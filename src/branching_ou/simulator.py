@@ -5,15 +5,16 @@ offspring at its location with probability p, by none otherwise, and moves
 between events by the exact OU transition.  A farm is observed only through
 the particles alive at its grid times, so the engine draws only those and
 their ancestors: the reconstructed birth-death tree (Kendall 1948; Nee, May
-and Harvey 1994).  With b = lam p, d = lam (1 - p) and r = b - d, a line
-with time v left has descendants at the end with probability
-P(v) = r / (b - d exp(-r v)); given that, it splits into two such lines at
-rate b P(v), whose integral over v is log(b exp(r v) - d).  So each line
-carries a = b exp(r v) - d, kept in units of exp(r T) for a tree of height
-T, so that no finite T overflows: a line splits at a' = a U (U uniform) if
-a' > r and reaches the end otherwise, and both children start from a' at
-the split time T - log((a' + d) / b) / r.  With p = 1 (d = 0) the tree is
-the whole genealogy.
+and Harvey 1994).  With the birth and death rates b = lam p and d =
+lam (1 - p) of ``model.derive`` and r = b - d, a line with time v left has
+descendants at the end with probability P(v) = r / (b - d exp(-r v)); given
+that, it splits into two such lines at rate b P(v), whose integral over v
+is log(b exp(r v) - d).  So each line carries a = b exp(r v) - d, kept in
+units of exp(r T) for a tree of height T, so that no finite T overflows: a
+line splits at a' = a U (U uniform) if a' > r and reaches the end
+otherwise, and both children start from a' at the split time
+T - log((a' + d) / b) / r.  With p = 1 (d = 0) the tree is the whole
+genealogy.
 
 ``simulate_farm`` runs this from grid time to grid time.  The population is
 Markov at the grid times, the positions there depend only on the motion
@@ -36,18 +37,13 @@ law given the tree; this is all the fast-regime limit sampler needs.
 ``MAX_PARTICLES`` and ``MAX_GENERATIONS`` count tree lines born and tree
 generations for both; a farm sums them over its grid steps.
 
-``farm_counts`` draws no genealogy at all.  Branching does not depend on
-position, so a replica's count is a linear birth-death chain, +1 at rate
-lam p and -1 at rate lam (1 - p), whose transition law over a step dt is
-closed-form (Kendall 1948): with h = expm1(r dt) / r, each of N particles
-leaves descendants with probability exp(r dt) / (1 + b h), and each line
-that does leaves a Geometric number of them on {1, 2, ...} with success
-probability 1 / (1 + b h).  The farm draws that law from grid time to grid
-time for all replicas at once, so its cost does not grow with the
-population.  It returns the same ``FarmLevel`` layout with positions of no
-columns; its counts are a different draw from those of ``simulate_farm``
-at the same seed.  ``simulate`` is the one-replica farm.  Every resource
-limit is a constant of this module.
+``farm_counts`` draws no genealogy at all: it draws the count chain's
+transition law, ``model.count_step``, from grid time to grid time for all
+replicas at once, so its cost does not grow with the population.  It
+returns the same ``FarmLevel`` layout with positions of no columns; its
+counts are a different draw from those of ``simulate_farm`` at the same
+seed.  ``simulate`` is the one-replica farm.  Every resource limit is a
+constant of this module.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, derive
+from .model import ModelParams, count_step, derive
 from .ou import ou_leg, stationary_std
 
 
@@ -91,7 +87,7 @@ MAX_GENERATIONS = 100_000
 
 def check_budget(expected: float, claim: str) -> None:
     """Refuse work expecting more than ``MAX_FARM_PARTICLES`` particles or
-    births with ``ResourceCapError`` at time 0, before anything is drawn;
+    tree lines with ``ResourceCapError`` at time 0, before anything is drawn;
     ``claim`` formats ``expected`` for the message."""
     if expected > MAX_FARM_PARTICLES:
         raise ResourceCapError(
@@ -199,8 +195,9 @@ def _run_batch(
     """Simulate ``n_replicas`` independent systems, returning, per grid
     time, the alive positions sorted by replica and the per-replica
     counts."""
-    mu, s_std, r = params.mu, stationary_std(params), derive(params).growth_rate
-    b, d = params.lam * params.p, params.lam * (1.0 - params.p)
+    consts = derive(params)
+    mu, s_std = params.mu, stationary_std(params)
+    r, b, d = consts.growth_rate, consts.birth_rate, consts.death_rate
     # a 16-bit key makes the stable sort by replica a radix sort
     rep = np.arange(n_replicas, dtype=np.int16 if n_replicas < 2**15 else np.int64)
     pos = np.tile(np.asarray(params.x0, dtype=float), (n_replicas, 1))
@@ -328,17 +325,13 @@ def farm_counts(params: ModelParams, t_grid, n_replicas: int,
     t_grid = _checked_grid(params, t_grid, n_replicas)
     # a substream of its own, apart from every batch's (seed, idx)
     rng = substream(int(seed), (1,))
-    r = derive(params).growth_rate
-    b, d = params.lam * params.p, params.lam * (1.0 - params.p)
     counts = np.ones(n_replicas, dtype=np.int64)
     out, t_prev = [], 0.0
     for t in t_grid:
         if t > t_prev:
-            h = math.expm1(r * (t - t_prev)) / r
-            # a line dies out with probability 1 - exp(r dt) / (1 + b h),
-            # which is d h / (1 + b h): exactly 0 when p = 1
-            lines = rng.binomial(counts, 1.0 - d * h / (1.0 + b * h))
-            extra = rng.negative_binomial(np.maximum(lines, 1), 1.0 / (1.0 + b * h))
+            survival, success = count_step(t - t_prev, params)
+            lines = rng.binomial(counts, survival)
+            extra = rng.negative_binomial(np.maximum(lines, 1), success)
             counts = np.where(lines > 0, lines + extra, 0)
             t_prev = t
         out.append(FarmLevel(float(t), np.empty((int(counts.sum()), 0)), counts))
@@ -386,8 +379,8 @@ def position_sum(
     """
     if not 0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
-    mu, r = params.mu, derive(params).growth_rate
-    b, d = params.lam * params.p, params.lam * (1.0 - params.p)
+    consts = derive(params)
+    mu, r, b, d = params.mu, consts.growth_rate, consts.birth_rate, consts.death_rate
     unit = math.exp(-r * t_end)  # exp(-r T); 0 where it underflows
     c = d * unit                 # d in units of exp(r T)
     a = np.array([b - c])        # the root's a in those units

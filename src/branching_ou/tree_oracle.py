@@ -20,13 +20,13 @@ with unordered children and carry the multiplicity 2^(number of inner
 vertices) accounting for the ordered-split derivation.
 
 Work that depends only on the arity and the factors is done once: the
-trees of each arity are built once per process, and a factor list is
-planned once (``_plan``, eight lists deep) into its u-degree bound and,
-shape by shape, each tree's nonzero monomial combinations.  A moment then
-makes one pass per shape: it builds the shape's Isserlis memo at
+trees of each arity are built once per process, and a factor multiset,
+sorted, is planned once (``_plan``, eight deep) into its u-degree bound
+and, shape by shape, each tree's nonzero monomial combinations.  A moment
+then makes one pass per shape: it builds the shape's Isserlis memo at
 (t, params), evaluates every tree of the shape from it and drops it, and
-integrates the coefficients through time integrals memoized by their own
-arguments.  The trees' values are summed in enumeration order.
+integrates the coefficients through memoized time integrals.  The trees'
+values are summed in enumeration order.
 
 This oracle never touches the simulator's code paths: only exact
 split-time integration and exact Gaussian moments enter.
@@ -248,13 +248,12 @@ class _Planner:
 
 @functools.lru_cache(maxsize=8)
 def _plan(factors: tuple[Factor, ...]) -> tuple[int, tuple]:
-    """The moment of these factors planned once for every (t, params): the
-    u-degree bound of every leaf moment, and per shape (``parent`` tuple)
-    its trees as (enumeration index, multiplicity, ``_Planner`` output).
-    In each coordinate the leaves' degrees sum to the factors' degrees,
-    and a leaf moment's u-degree is at most half of that sum, so one bound
-    serves every tree.  Eight plans deep, like ``ustats``' plan cache, so
-    the slots of a kernel of up to eight terms stay planned over a grid."""
+    """The moment of these sorted factors planned once for every (t, params):
+    the u-degree bound of every leaf moment, and per shape (``parent``
+    tuple) its trees as (enumeration index, multiplicity, ``_Planner``
+    output).  In each coordinate the leaves' degrees sum to the factors'
+    degrees, and a leaf moment's u-degree is at most half of that sum, so
+    one bound serves every tree.  Eight plans deep, like ``ustats``'."""
     degree = sum(sum(f.coeffs.shape[c] - 1 for f in factors) // 2
                  for c in range(factors[0].dim))
     planner = _Planner(factors)
@@ -328,18 +327,17 @@ def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list,
     tensor kernel f_1 x ... x f_n of polynomial slots (``Factor``).  An
     arity above ``model.MAX_ARITY`` raises ``ArityCapError``.
 
-    What depends on the factors alone is planned once per factor list and
-    kept for the next call (``_plan``).  Each call then makes one pass per
-    tree shape: it builds the shape's Isserlis memo at (t, params), which
-    holds an array per count tuple of at most (degree + 1)^(n - 1) entries,
-    sums each tree's planned monomial combinations into the leaf moment's
-    coefficients and integrates the nonzero ones over the shape's time
-    simplex (``_order_sum``).  When the estimated work exceeds
-    ``ORACLE_BUDGET`` entries, ``BudgetExceededError`` is raised before
-    anything is planned.  ``cap``, ``n_nodes`` and ``check`` are accepted
-    and unused: the benchmark's tracer (``benchmarks/tracer.py``) still
-    reads them from each call.  A horizon ``t`` that is not finite and
-    nonnegative raises ``ValueError``."""
+    Each factor multiset is planned once and kept (``_plan``).  A call
+    makes one pass per tree shape: it builds the shape's Isserlis memo at
+    (t, params), an array per count tuple of at most (degree + 1)^(n - 1)
+    entries, sums each tree's planned monomial combinations into the leaf
+    moment's coefficients and integrates the nonzero ones over the shape's
+    time simplex (``_order_sum``).  Estimated work above ``ORACLE_BUDGET``
+    entries raises ``BudgetExceededError`` before anything is planned.
+    ``cap``, ``n_nodes`` and ``check`` are accepted and unused: the
+    benchmark's tracer (``benchmarks/tracer.py``) still reads them from
+    each call.  A horizon ``t`` that is not finite and nonnegative raises
+    ``ValueError``."""
     if len(f_list) != n:
         raise ValueError("need exactly n factors")
     if not 0 <= t < math.inf:
@@ -353,13 +351,14 @@ def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list,
                                   f"budget {ORACLE_BUDGET:g} coefficient entries")
     if any(f.dim != params.dim for f in f_list):
         raise OracleKernelError("assignment dimension mismatch")
-    degree, shapes = _plan(tuple(f_list))
-    growth = derive(params).growth_rate
+    degree, shapes = _plan(tuple(sorted(f_list, key=lambda f: f._key)))
+    consts = derive(params)
+    growth = consts.growth_rate
     values = [0.0] * n_trees
     for parent, trees in shapes:
         shape = _shape(parent)
         moment = _Moments(shape, t, params, degree)
-        scale = (params.p * params.lam) ** len(shape.inner) * math.exp(growth * t)
+        scale = consts.birth_rate ** len(shape.inner) * math.exp(growth * t)
         for i, multiplicity, monomial_coefs, monomial_counts in trees:
             # the leaf moment's exact coefficients, a polynomial in the u_i
             coefs = np.zeros((degree + 1,) * len(shape.inner))

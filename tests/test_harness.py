@@ -725,21 +725,36 @@ class TestRunners:
 
     def test_run_clt_fast_draws_over_budget_refused(self, monkeypatch, tmp_path,
                                                     capsys):
-        # 200 limit draws to t = 27 expect 200 * 3 e^13.5, about 4.4e8
-        # births: refused at time 0, before the farm and any genealogy
+        # 200 limit draws to t = 27 expect 200 * 2 e^13.5, about 2.9e8 tree
+        # lines: refused at time 0, before the farm and any genealogy
         def no_draw(*args, **kwargs):
             raise AssertionError("a farm or a genealogy was drawn")
 
         monkeypatch.setattr(harness, "simulate_farm", no_draw)
         monkeypatch.setattr("branching_ou.limits.position_sum", no_draw)
         raw = {**BASE, **self.FAST_SMALL, "fast_t_approx": 27.0}
-        with pytest.raises(ResourceCapError, match="4.38e\\+08 births") as refused:
+        with pytest.raises(ResourceCapError, match="2.92e\\+08 tree lines") as refused:
             run_clt(ExperimentConfig.from_dict(raw))
         assert refused.value.time_reached == 0.0
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         assert cli_main(["clt", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "MAX_FARM_PARTICLES" in capsys.readouterr().err
+
+    def test_run_clt_fast_draws_count_tree_lines(self, monkeypatch):
+        # at t = 24.5 the draws expect 200 * 2 e^12.25, about 8.4e7 tree
+        # lines, within the budget, though their full trees would bear
+        # 200 * 3 e^12.25, about 1.25e8 births
+        horizons = []
+
+        def stub(f, params, rng, size, *, t_approx):
+            horizons.append(t_approx)
+            return rng.standard_normal(size)
+
+        monkeypatch.setattr(harness, "fast_limit_sampler", stub)
+        report = run_clt(config(**dict(self.FAST_SMALL, fast_t_approx=24.5)))
+        assert horizons == [24.5]
+        assert "clt_two_sample_ks" in {c.name for c in report.checks}
 
     @pytest.mark.parametrize("regime", ["slow", "fast"])
     def test_run_clt_refuses_too_few_carriers(self, regime, monkeypatch, tmp_path,

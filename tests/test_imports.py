@@ -9,9 +9,11 @@ The package loads no scipy module at all, not on import and not in a
 ``wlaw`` or ``clt`` run, whose KS checks are computed in numpy: importing
 ``scipy.stats`` takes over a second.  Each refusal has one owner: only
 ``kernels.index_chunks`` reads ``BLACKBOX_BUDGET``, and only
-``ExperimentConfig.__post_init__`` calls ``parse_kernel_spec``.  A cache
-without a bound takes no argument or only an arity ``n``, and no cache
-holds a single entry, whose hits would depend on the call order.  Every
+``ExperimentConfig.__post_init__`` calls ``parse_kernel_spec``.  Only
+``model`` reads the branching parameters ``lam`` and ``p``: the other
+layers take the population law from it.  A cache without a bound takes no
+argument or only an arity ``n``, and no cache holds a single entry, whose
+hits would depend on the call order.  Every
 top-level function, class and non-dunder assignment of the package has a
 caller outside its own unit tests: some package module, the package
 ``__all__`` or a benchmark script names it.  An import kept only for the
@@ -175,6 +177,25 @@ def test_one_owner_per_refusal():
               "class C:\n    def g(self):\n        return k.B(B)\n")
     assert owners(source, "B") == ["<module>", "f", "C.g", "C.g"]
     assert owners(source, "B", calls=True) == ["C.g"]
+
+
+def law_reads(source: str) -> list[str]:
+    """``line: .name`` for each attribute named ``lam`` or ``p`` that
+    ``source`` reads, in ``ast.walk`` order."""
+    return [f"line {node.lineno}: .{node.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ("lam", "p")]
+
+
+def test_only_model_reads_the_branching_parameters():
+    # the rates and Kendall's closed forms have one home, so a module that
+    # needs them reads ``model``, never ``params.lam`` or ``params.p``
+    found = {path.stem: law_reads(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "model"}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+    assert law_reads("def f(params):\n    return params.lam * params.p\n") == \
+        ["line 2: .lam", "line 2: .p"]
+    assert law_reads("x = ModelParams(lam=1.0, p=0.75)\nlam, p = 1.0, 0.75\n"
+                     "print(p, lam)\n") == []
 
 
 def unbounded_caches(source: str) -> dict[str, list[str]]:

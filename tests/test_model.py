@@ -8,9 +8,13 @@ from branching_ou.model import (
     ModelParams,
     RegimeTag,
     classify,
+    count_step,
     derive,
+    expected_births,
     extinction_by,
+    fluctuation_variance,
     head_splits,
+    w_survival_mean,
 )
 from branching_ou.ou import stationary_std
 
@@ -132,3 +136,33 @@ def test_head_splits_order():
     assert list(head_splits((1, 2, 3))) == [
         ((1,), (2, 3)), ((1, 2), (3,)), ((1, 3), (2,)), ((1, 2, 3), ())]
     assert list(head_splits((4,))) == [((4,), ())]
+
+
+@pytest.mark.parametrize("p", [0.55, 0.75, 0.9, 1.0])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_population_law_forms_agree(lam, p):
+    # the closed forms are written independently; each identity below ties
+    # two of them together (Kendall's law of the linear birth-death chain)
+    params = ModelParams(lam=lam, p=p, mu=1.0, sigma=1.0)
+    c = derive(params)
+    assert (c.birth_rate, c.death_rate) == (lam * p, lam * (1.0 - p))
+    assert c.birth_rate - c.death_rate == pytest.approx(c.growth_rate, rel=1e-13)
+    assert w_survival_mean(params) == pytest.approx(1.0 / (1.0 - c.extinction_prob),
+                                                    rel=1e-13)
+    for dt in (0.01, 0.4, 1.0, 3.0, 7.5):
+        survival, success = count_step(dt, params)
+        # P(N_dt = 0)
+        assert 1.0 - survival == pytest.approx(extinction_by(dt, params),
+                                               rel=1e-13, abs=1e-13)
+        # E N_dt = survival / success
+        assert survival / success == pytest.approx(math.exp(c.growth_rate * dt),
+                                                   rel=1e-13)
+        # Var N_dt / (E N_dt)^2, from the zero-modified geometric law
+        assert fluctuation_variance(dt, params) == pytest.approx(
+            (1.0 - success + (1.0 - survival)) / survival, rel=1e-13, abs=1e-13)
+
+
+def test_expected_births_overflows_to_inf():
+    params = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
+    assert expected_births(params, 0.0) == 2.0 * 0.75 / 0.5
+    assert expected_births(params, 1e4) == math.inf

