@@ -6,9 +6,9 @@ function F_i^l is a polynomial on the d-dimensional argument (``Factor``,
 one coefficient array), which makes Hoeffding projections closed-form and
 exact: averaging a slot multiplies the term coefficient by the slot's
 stationary mean (a Gaussian moment), while projecting onto a slot
-recenters the slot function, with no growth in the number of terms.  A
-black-box kernel is averaged by tensor Gauss-Hermite quadrature; it is the
-one place a quadrature rule enters.
+recenters the slot function, with no growth in the number of terms, and
+stationary L2 norms decide exactly whether one vanishes.  A black box is
+averaged and tested at tensor Gauss-Hermite nodes: the one use of quadrature.
 """
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ class ConstantKernelError(ValueError):
 BLACKBOX_BUDGET = 1e8
 # Index tuples per batched black-box call.
 _CHUNK = 1 << 16
-# A slot average or projection no larger than this in absolute value at
-# every test point counts as vanishing.
+# A tensor sum's slot average or projection vanishes when its squared L2(phi)
+# norm is at most NULL_TOL S^2, S = sum_l |c_l| prod_i ||F_i^l|| bounding every
+# projection's norm, so scale cancels (squared: the Gram sum rounds near 1e-16
+# S^2); a black box's when it is at most NULL_TOL in size at every test point.
 NULL_TOL = 1e-9
 
 
@@ -260,7 +262,7 @@ def hoeffding_table(
 ) -> dict:
     """All projections keyed by slot subset, plus the constant under ().
     A black box's total integral is computed once for the whole table."""
-    rule = rule or default_rule(params)
+    rule = rule if f.is_tensor_sum else rule or default_rule(params)
     table = {(): project(f, [], params, rule)}
     for r in range(1, f.arity + 1):
         for I in itertools.combinations(range(1, f.arity + 1), r):
@@ -282,9 +284,9 @@ def reconstruct_from_table(table: dict, args: Sequence[np.ndarray]) -> np.ndarra
     return out
 
 
-def _test_points(f: Kernel, arity: int, rule: QuadratureRule):
+def _test_points(f: Kernel, arity: int, rule: QuadratureRule) -> list:
     """At most 256 deterministic evaluation points drawn from the quadrature
-    nodes."""
+    nodes, as one (points, dim) argument array per slot."""
     stride = max(1, len(rule.nodes) // 8)
     base = rule.nodes[::stride]
     rng = np.random.default_rng(0)
@@ -292,26 +294,40 @@ def _test_points(f: Kernel, arity: int, rule: QuadratureRule):
     pts = rng.choice(base, size=(n_pts, arity, f.dim))
     pts[0] = 0.0
     pts[-1] = base[-1]
-    return pts
+    return [pts[:, j, :] for j in range(arity)]
+
+
+def _sq_norm(g: Kernel, params: ModelParams) -> float:
+    """Squared L2(phi) norm of a tensor-sum kernel: c'(G_1 o ... o G_k)c, with
+    G_i[l, l'] the stationary mean of F_i^l F_i^l'."""
+    coefs = np.array([c for c, _ in g.terms])
+    gram = np.empty((len(coefs),) * 2)
+    for l, m in itertools.combinations_with_replacement(range(len(coefs)), 2):
+        gram[l, m] = gram[m, l] = math.prod(s.times(t).phi_mean(params) for s, t
+                                            in zip(g.terms[l][1], g.terms[m][1]))
+    return float(coefs @ gram @ coefs)
+
+
+def _vanishes(g, f: Kernel, params: ModelParams, rule: QuadratureRule | None) -> bool:
+    """Whether the average or projection ``g`` of ``f`` (a kernel, or a number
+    when no slot is left) counts as zero, by the rule of ``NULL_TOL``."""
+    if f.is_tensor_sum:
+        size = sum(abs(c) * math.prod(math.sqrt(abs(s.times(s).phi_mean(params)))
+                                      for s in slots) for c, slots in f.terms)
+        sq = _sq_norm(g, params) if isinstance(g, Kernel) else g * g
+        return sq <= NULL_TOL * size**2
+    vals = g.evaluate(_test_points(f, g.arity, rule)) if isinstance(g, Kernel) else g
+    return bool(np.max(np.abs(vals)) <= NULL_TOL)
 
 
 def is_canonical(
     f: Kernel, params: ModelParams, rule: QuadratureRule | None = None
 ) -> bool:
     """True iff averaging any single slot against the stationary law kills
-    the kernel, checked on a deterministic grid of quadrature nodes."""
-    rule = rule or default_rule(params)
-    for k in range(f.arity):
-        avg = _average(f, (k,), params, rule)
-        if f.arity == 1:
-            if abs(avg) > NULL_TOL:
-                return False
-            continue
-        pts = _test_points(f, f.arity - 1, rule)
-        vals = avg.evaluate([pts[:, j, :] for j in range(f.arity - 1)])
-        if np.max(np.abs(vals)) > NULL_TOL:
-            return False
-    return True
+    the kernel, by ``_vanishes``."""
+    rule = rule if f.is_tensor_sum else rule or default_rule(params)
+    return all(_vanishes(_average(f, (k,), params, rule), f, params, rule)
+               for k in range(f.arity))
 
 
 def degeneracy_order(
@@ -320,20 +336,18 @@ def degeneracy_order(
     """Smallest k with a non-vanishing order-k projection, as (k - 1, proj).
 
     Requires the symmetric flag; raises ConstantKernelError when every
-    positive-order projection vanishes on the test grid.  A black box's
+    positive-order projection vanishes by ``_vanishes``.  A black box's
     total integral is computed once for all orders.
     """
     if not f.symmetric:
         raise KernelShapeError("degeneracy order requires a symmetric kernel")
-    rule = rule or default_rule(params)
+    rule = rule if f.is_tensor_sum else rule or default_rule(params)
     total = None if f.is_tensor_sum else _average(f, tuple(range(f.arity)), params, rule)
     for k in range(1, f.arity + 1):
         I = tuple(range(1, k + 1))
         proj = (project(f, I, params, rule) if f.is_tensor_sum
                 else _blackbox_projection(f, I, total, params, rule))
-        pts = _test_points(f, k, rule)
-        vals = proj.evaluate([pts[:, j, :] for j in range(k)])
-        if np.max(np.abs(vals)) > NULL_TOL:
+        if not _vanishes(proj, f, params, rule):
             return k - 1, proj
     raise ConstantKernelError("kernel is constant up to stationary-null terms")
 

@@ -280,7 +280,7 @@ def default_fast_horizon(params: ModelParams) -> float:
     gap_rate = consts.growth_rate - 2.0 * params.mu
     if gap_rate <= 0:
         raise RegimeError("fast horizon needs growth > 2 mu")
-    births = 0.01 * simulator.MAX_PARTICLES / expected_births(params, 0.0)
+    births = 0.01 * simulator.MAX_PARTICLES / expected_births(params)
     return min(14.0 / gap_rate, math.log(max(2.0, births)) / consts.growth_rate)
 
 

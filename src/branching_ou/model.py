@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 
 # The highest kernel arity any layer supports: the U-from-V expansion
 # merges Bell(6) = 203 kernels, and the exact-moment oracle sums 3,797
@@ -204,9 +202,7 @@ def fluctuation_variance(s: float, params: ModelParams) -> float:
     return -math.expm1(-derive(params).growth_rate * s) / (2.0 * params.p - 1.0)
 
 
-def expected_births(params: ModelParams, t: float) -> float:
-    """Expected births of one replica by time ``t``, about (2 p lam / growth)
-    exp(growth t); an overflow gives inf."""
-    growth = derive(params).growth_rate
-    with np.errstate(over="ignore"):
-        return 2.0 * params.p * params.lam / growth * float(np.exp(growth * t))
+def expected_births(params: ModelParams) -> float:
+    """2 p lam / growth: a replica expects about this many births times
+    exp(growth t) by time t."""
+    return 2.0 * params.p * params.lam / derive(params).growth_rate

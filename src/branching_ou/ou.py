@@ -9,8 +9,8 @@ exact in distribution, so no time discretization error enters anywhere.
 
 Slot functions are polynomials, so their stationary integrals are exact
 Gaussian moments.  The Gauss-Hermite rule here integrates nothing for a
-slot function: it places black-box kernels' averaging nodes and the kernel
-test points.
+slot function: it places black-box kernels' averaging nodes and test
+points.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ Func1D = Factor
 class QuadratureRule:
     """Gauss-Hermite rule rescaled to the stationary law, for kernels: it
     places the averaging nodes of black-box kernels and the points at which
-    canonicality and degeneracy order are tested.
+    their canonicality and degeneracy order are tested.
 
     Integrates polynomials up to degree ``2 * len(nodes) - 1`` exactly;
     the weights are probability weights (they sum to one).  There is no

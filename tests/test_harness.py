@@ -878,6 +878,23 @@ class TestCli:
         assert verdicts[0] == verdicts[1]
         assert "clt_two_sample_ks" in dict(verdicts[0])
 
+    def test_slow_clt_of_canonical_sixth_degree_kernel(self, tmp_path):
+        # He_6(x / s) He_6(y / s), s = 1/sqrt(2) the stationary standard
+        # deviation, is canonical, though the slot means round off zero; an
+        # arity-2 slow run writes every check but the two arity-1 ones
+        he6 = [[-15.0, 0.0, 90.0, 0.0, -60.0, 0.0, 8.0]]
+        kernel = {"arity": 2, "dim": 1, "symmetric": True,
+                  "terms": [{"coef": 1.0, "slots": [he6, he6]}]}
+        raw = dict(BASE, kernel=kernel, t_grid=[6.0], replicas=300, regime="slow")
+        cfg = self.write_cfg(tmp_path, raw)
+        assert cli_main(["clt", "--config", str(cfg), "--format", "csv",
+                         "--out", str(tmp_path)]) in (0, 1)
+        with open(tmp_path / "report_clt.csv") as fh:
+            names = {row["check"] for row in csv.DictReader(fh)}
+        assert names == {"clt_two_sample_ks", "clt_mean_agreement",
+                         "clt_variance_agreement", "independence_corr_with_size",
+                         "g1_fluctuation_variance"}
+
     def test_missing_kernel_exit_2(self, tmp_path):
         raw = {k: v for k, v in BASE.items() if k != "kernel"}
         cfg = self.write_cfg(tmp_path, raw)

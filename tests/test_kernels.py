@@ -3,7 +3,9 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite_e
 
+from branching_ou import kernels
 from branching_ou.kernels import (
     BudgetExceededError,
     ConstantKernelError,
@@ -19,8 +21,9 @@ from branching_ou.kernels import (
     reconstruct_from_table,
     substitute_partition,
 )
+from branching_ou.limits import critical_limit_sampler, slow_limit_sampler
 from branching_ou.model import ModelParams
-from branching_ou.ou import Func1D, default_rule
+from branching_ou.ou import Func1D, default_rule, stationary_std
 
 from helpers import FUNC_ONE, FUNC_X
 
@@ -41,6 +44,40 @@ def kernel_x2y2():
 def rand_points(n, arity, dim=1, seed=0, scale=1.5):
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, scale, size=(n, arity, dim))
+
+
+def scaled_xy(K, eps):
+    """K (x y + eps (x + y)): canonical only for eps = 0."""
+    return Kernel.tensor_sum([(K, (FUNC_X, FUNC_X)), (K * eps, (FUNC_X, FUNC_ONE)),
+                              (K * eps, (FUNC_ONE, FUNC_X))], dim=1, symmetric=True)
+
+
+def hermite_product(k):
+    """He_k(x / s) He_k(y / s), s the stationary standard deviation."""
+    s = stationary_std(PARAMS)
+    he = Func1D.polynomial(hermite_e.herme2poly([0] * k + [1]) / s ** np.arange(k + 1))
+    return Kernel.from_slot_funcs([he, he], symmetric=True)
+
+
+def centered_random_kernel(seed, terms=20, arity=4, degree=3):
+    """A sum of random products of centered random polynomials: canonical."""
+    rng = np.random.default_rng(seed)
+    return Kernel.tensor_sum(
+        [(rng.normal(), tuple(Func1D.polynomial(rng.normal(size=degree + 1))
+                              .centered(PARAMS) for _ in range(arity)))
+         for _ in range(terms)], dim=1, symmetric=True)
+
+
+# Kernels whose canonicality and order k - 1 do not depend on their scale,
+# slot degree or number of terms: (kernel, canonical, k - 1).
+VERDICTS = {
+    **{f"scale-{K:g}": (lambda K=K: scaled_xy(K, 1e-11), True, 1)
+       for K in (1e-6, 1e-3, 1.0, 1e3, 1e6)},
+    **{f"power-{K:g}": (lambda K=K: scaled_xy(K, 1e-3), False, 0)
+       for K in (1e-6, 1e-3, 1.0, 1e3, 1e6)},
+    **{f"He{k}-He{k}": (lambda k=k: hermite_product(k), True, 1) for k in range(2, 11)},
+    "centered-20-terms-arity-4": (lambda: centered_random_kernel(0), True, 3),
+}
 
 
 class TestProject:
@@ -177,6 +214,27 @@ class TestCanonicality:
         assert is_canonical(Kernel.from_slot_funcs([FUNC_X]), PARAMS)
         assert not is_canonical(Kernel.from_slot_funcs([X2]), PARAMS)
 
+    @pytest.mark.parametrize("name", VERDICTS)
+    def test_verdict_is_exact(self, name):
+        kernel, canonical, _ = VERDICTS[name]
+        assert is_canonical(kernel(), PARAMS) is canonical
+
+    def test_tensor_sums_never_build_a_quadrature_rule(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tensor sum built a quadrature rule")
+
+        monkeypatch.setattr(kernels, "default_rule", refuse)
+        monkeypatch.setattr(kernels, "_test_points", refuse)
+        for f in (kernel_xy(), kernel_x2y2(), centered_random_kernel(1, terms=3)):
+            is_canonical(f, PARAMS)
+            degeneracy_order(f, PARAMS)
+            hoeffding_table(f, PARAMS)
+            center_kernel(f, PARAMS)
+        rng = np.random.default_rng(0)
+        assert slow_limit_sampler(kernel_xy(), PARAMS, rng, size=4).shape == (4,)
+        critical = ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.0)
+        assert critical_limit_sampler(kernel_xy(), critical, rng, size=4).shape == (4,)
+
 
 class TestDegeneracyOrder:
     def test_canonical_product(self):
@@ -217,6 +275,11 @@ class TestDegeneracyOrder:
         f = Kernel.from_slot_funcs([FUNC_X, FUNC_X], symmetric=False)
         with pytest.raises(KernelShapeError):
             degeneracy_order(f, PARAMS)
+
+    @pytest.mark.parametrize("name", VERDICTS)
+    def test_order_is_exact(self, name):
+        kernel, _, order = VERDICTS[name]
+        assert degeneracy_order(kernel(), PARAMS)[0] == order
 
     def test_constant_kernel_reported(self):
         const = Kernel.tensor_sum(
