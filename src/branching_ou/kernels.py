@@ -308,15 +308,24 @@ def _sq_norm(g: Kernel, params: ModelParams) -> float:
     return float(coefs @ gram @ coefs)
 
 
-def _vanishes(g, f: Kernel, params: ModelParams, rule: QuadratureRule | None) -> bool:
-    """Whether the average or projection ``g`` of ``f`` (a kernel, or a number
-    when no slot is left) counts as zero, by the rule of ``NULL_TOL``."""
-    if f.is_tensor_sum:
-        size = sum(abs(c) * math.prod(math.sqrt(abs(s.times(s).phi_mean(params)))
-                                      for s in slots) for c, slots in f.terms)
+def _size(f: Kernel, params: ModelParams) -> float | None:
+    """S(f) = sum_l |c_l| prod_i ||F_i^l|| of a tensor sum, the bound of
+    ``NULL_TOL``'s rule; None for a black box, which has no such bound."""
+    if not f.is_tensor_sum:
+        return None
+    return sum(abs(c) * math.prod(math.sqrt(abs(s.times(s).phi_mean(params)))
+                                  for s in slots) for c, slots in f.terms)
+
+
+def _vanishes(g, size: float | None, params: ModelParams,
+              rule: QuadratureRule | None) -> bool:
+    """Whether an average or projection ``g`` (a kernel, or a number when no
+    slot is left) of a kernel of size ``size`` (``_size``) counts as zero,
+    by the rule of ``NULL_TOL``."""
+    if size is not None:
         sq = _sq_norm(g, params) if isinstance(g, Kernel) else g * g
         return sq <= NULL_TOL * size**2
-    vals = g.evaluate(_test_points(f, g.arity, rule)) if isinstance(g, Kernel) else g
+    vals = g.evaluate(_test_points(g, g.arity, rule)) if isinstance(g, Kernel) else g
     return bool(np.max(np.abs(vals)) <= NULL_TOL)
 
 
@@ -326,7 +335,8 @@ def is_canonical(
     """True iff averaging any single slot against the stationary law kills
     the kernel, by ``_vanishes``."""
     rule = rule if f.is_tensor_sum else rule or default_rule(params)
-    return all(_vanishes(_average(f, (k,), params, rule), f, params, rule)
+    size = _size(f, params)
+    return all(_vanishes(_average(f, (k,), params, rule), size, params, rule)
                for k in range(f.arity))
 
 
@@ -343,11 +353,12 @@ def degeneracy_order(
         raise KernelShapeError("degeneracy order requires a symmetric kernel")
     rule = rule if f.is_tensor_sum else rule or default_rule(params)
     total = None if f.is_tensor_sum else _average(f, tuple(range(f.arity)), params, rule)
+    size = _size(f, params)
     for k in range(1, f.arity + 1):
         I = tuple(range(1, k + 1))
         proj = (project(f, I, params, rule) if f.is_tensor_sum
                 else _blackbox_projection(f, I, total, params, rule))
-        if not _vanishes(proj, f, params, rule):
+        if not _vanishes(proj, size, params, rule):
             return k - 1, proj
     raise ConstantKernelError("kernel is constant up to stationary-null terms")
 

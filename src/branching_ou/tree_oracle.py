@@ -10,10 +10,10 @@ and, for leaves a != b, covariance s^2 (e^{-2 mu t_L} - e^{-2 mu t}), where
 L is their lowest common inner ancestor.  That covariance is the variance
 times u_L, with u_i = (e^{2 mu (t - t_i)} - 1) / (e^{2 mu t} - 1) one
 variable per inner vertex, so Isserlis' recursion run on coefficient arrays
-gives the leaf moment exactly as a polynomial in the u_i, of total degree at
-most half the summed degree of the factors.  Each of its nonzero monomials
-times the growth weight prod_i e^{g t_i} integrates exactly over the tree's
-nested time simplex; nothing is interpolated or sampled.
+gives the leaf moment exactly as a polynomial in the leaf mean, the variance
+and the u_i, of u-degree at most half the summed degree of the factors.
+Each u-monomial times the growth weight prod_i e^{g t_i} integrates exactly
+over the tree's nested time simplex; nothing is interpolated or sampled.
 
 Child order does not affect a tree's integrand, so trees are enumerated
 with unordered children and carry the multiplicity 2^(number of inner
@@ -21,12 +21,11 @@ vertices) accounting for the ordered-split derivation.
 
 Work that depends only on the arity and the factors is done once: the
 trees of each arity are built once per process, and a factor multiset,
-sorted, is planned once (``_plan``, eight deep) into its u-degree bound
-and, shape by shape, each tree's nonzero monomial combinations.  A moment
-then makes one pass per shape: it builds the shape's Isserlis memo at
-(t, params), evaluates every tree of the shape from it and drops it, and
-integrates the coefficients through memoized time integrals.  The trees'
-values are summed in enumeration order.
+sorted, is planned once (``_plan``, eight deep).  The plan runs Isserlis'
+recursion once per shape with the mean and variance formal, and folds all
+trees into one matrix from the monomials m^(K - 2j) v^|j| to the shapes'
+u-monomials, which no (t, params) enters.  A moment then evaluates those
+monomials and the memoized time integrals, and takes one matrix product.
 
 This oracle never touches the simulator's code paths: only exact
 split-time integration and exact Gaussian moments enter.
@@ -111,16 +110,17 @@ def enumerate_trees(n: int, cap: int = MAX_ARITY) -> list[LabeledTree]:
     built once per n; each call returns a new list of the (frozen) trees.
     ``cap`` is accepted and unused: the benchmark's tracer
     (``benchmarks/tracer.py``) still passes it."""
-    if n < 1:
-        raise ValueError("arity must be positive")
-    if n > MAX_ARITY:
-        raise ArityCapError(f"arity {n} above the maximum {MAX_ARITY}")
     return list(_trees(n))
 
 
 @functools.cache
 def _trees(n: int) -> tuple[LabeledTree, ...]:
-    """The trees of arity n in enumeration order."""
+    """The trees of arity n in enumeration order; an arity below 1 raises
+    ``ValueError`` and one above ``model.MAX_ARITY`` ``ArityCapError``."""
+    if n < 1:
+        raise ValueError("arity must be positive")
+    if n > MAX_ARITY:
+        raise ArityCapError(f"arity {n} above the maximum {MAX_ARITY}")
     return tuple(_linearize(s) for s in _structures(tuple(range(1, n + 1))))
 
 
@@ -157,54 +157,55 @@ def _shape(parent: tuple[int, ...]) -> _Shape:
     return _Shape(inner, leaves, lca, orders)
 
 
-class _Moments(dict):
-    """count tuple -> E prod Z^counts as a read-only coefficient array in the
-    u_i (axis k for the k-th inner vertex, size degree + 1), each missing
-    entry computed on lookup and kept.
+class _SymbolicMoments(dict):
+    """count tuple -> E prod Z^counts as a read-only coefficient array over
+    the pair counts j_c (the first dim axes, size K_c // 2 + 1, K_c the
+    tuple's total in coordinate c) and the u_i (one axis per inner vertex,
+    size sum_c K_c // 2 + 1), each missing entry computed on lookup and kept.
 
     The dim * |leaves| leaf coordinates form one Gaussian vector with mean
-    x0 e^{-mu t}, variance var = s^2 (1 - e^{-2 mu t}), covariance var * u_L
-    between one coordinate of leaves a != b with lowest common inner
-    ancestor L, and none across coordinates.  Isserlis' recursion
-    E Z_a Z^k = mean_a E Z^k + sum_b cov_ab k_b E Z^(k - e_b) runs on
-    coefficient arrays, where a covariance is var times a shift along axis
-    L, so a coefficient that is zero stays exactly zero.  The memo refers
-    to nothing that refers back to it, so it is freed as soon as its
-    shape's pass ends, not at the next garbage collection."""
+    m_c in coordinate c, variance v, covariance v * u_L between one
+    coordinate of leaves a != b with lowest common inner ancestor L, and
+    none across coordinates.  Isserlis' recursion
+    E Z_a Z^k = m_a E Z^k + sum_b cov_ab k_b E Z^(k - e_b) runs with m and v
+    formal: entry j stands for prod_c m_c^(K_c - 2 j_c) v^|j|, so a mean
+    leaves the array as it is and a covariance shifts it one step along j_c
+    and, across leaves, along axis L.  No (t, params) enters an entry."""
 
-    def __init__(self, shape: _Shape, t: float, params: ModelParams, degree: int):
-        n_inner, width = len(shape.inner), len(shape.leaves)
-        # Gaussian coordinate c * width + k is coordinate c of the k-th leaf
-        self.mean = [x * math.exp(-params.mu * t) for x in params.x0 for _ in range(width)]
-        self.var = -stationary_std(params) ** 2 * math.expm1(-2.0 * params.mu * t)
-        self.width, self.lca = width, shape.lca
-        # times u_L moves entries one step up axis L; the degree bound keeps
-        # the top entry zero, so nothing is dropped
-        self.lift = [(slice(None),) * k + (slice(1, None),) for k in range(n_inner)]
-        self.keep = [(slice(None),) * k + (slice(None, -1),) for k in range(n_inner)]
-        self.one = np.zeros((degree + 1,) * n_inner)
-        self.one.flat[0] = 1.0
-        self.one.flags.writeable = False
-        super().__init__({(0,) * len(self.mean): self.one})
+    def __init__(self, shape: _Shape, dim: int):
+        self.width, self.lca, self.dim = len(shape.leaves), shape.lca, dim
+        self.n_inner = len(shape.inner)
+        one = np.ones((1,) * (dim + self.n_inner))
+        one.flags.writeable = False
+        super().__init__({(0,) * (dim * self.width): one})
+
+    def totals(self, counts: tuple[int, ...]) -> tuple[int, ...]:
+        """K_c, the count tuple's total in each coordinate c."""
+        return tuple(sum(counts[c * self.width:(c + 1) * self.width])
+                     for c in range(self.dim))
 
     def __missing__(self, counts: tuple[int, ...]) -> np.ndarray:
-        a = next(i for i, k in enumerate(counts) if k)
+        # lowering the largest count reaches fewer entries than the first
+        a = max(range(len(counts)), key=counts.__getitem__)
         lowered = list(counts)
         lowered[a] -= 1
-        # ``out`` keeps the 0-d case of a tree without inner vertices an array
-        val = np.multiply(self.mean[a], self[tuple(lowered)],
-                          out=np.empty_like(self.one))
+        totals = self.totals(counts)
+        val = np.zeros(tuple(k // 2 + 1 for k in totals)
+                       + (sum(k // 2 for k in totals) + 1,) * self.n_inner)
+        low = self[tuple(lowered)]
+        val[tuple(map(slice, low.shape))] = low
         c, ka = divmod(a, self.width)
+        pair = tuple(slice(int(i == c), k // 2 + 1) for i, k in enumerate(totals))
         for kb, axis in enumerate(self.lca[ka]):
             b = c * self.width + kb
             if lowered[b]:
                 twice = list(lowered)
                 twice[b] -= 1
-                term = self.var * lowered[b] * self[tuple(twice)]
-                if axis is None:
-                    val += term
-                else:
-                    val[self.lift[axis]] += term[self.keep[axis]]
+                term = self[tuple(twice)]
+                # one u-degree lower: times u_L fits without dropping an entry
+                lift = tuple(slice(int(i == axis), term.shape[-1] + int(i == axis))
+                             for i in range(self.n_inner))
+                val[pair + lift] += term if lowered[b] == 1 else lowered[b] * term
         val.flags.writeable = False
         self[counts] = val
         return val
@@ -215,17 +216,14 @@ class _Moments(dict):
 
 
 class _Planner:
-    """Plans the trees of one factor list.  For a tree it gives the nonzero
-    monomial combinations, one monomial per leaf, in ``itertools.product``
-    order: their coefficients and their count tuples (the powers laid out
-    as the Gaussian coordinates), as two tuples.  Each leaf block's product
-    polynomial and monomials are built once, and equal coefficients and
-    count tuples are one object, so a plan holds each once."""
+    """For a tree of one factor list, its nonzero monomial combinations (one
+    monomial per leaf) as (coefficient, count tuple) pairs, the count tuple
+    laid out as the Gaussian coordinates.  Each leaf block's product
+    polynomial and monomials are built once."""
 
     def __init__(self, factors):
         self.factors, self.dim = factors, factors[0].dim
         self.blocks: dict[tuple[int, ...], list] = {}
-        self.shared: dict = {}
 
     def _leaf(self, block: tuple[int, ...]) -> list:
         """The (index, coefficient) monomials of a leaf's polynomial, the
@@ -235,32 +233,74 @@ class _Planner:
             self.blocks[block] = [(k, p[k]) for k in zip(*np.nonzero(p))]
         return self.blocks[block]
 
-    def __call__(self, tree: LabeledTree) -> tuple[tuple, tuple]:
-        coefs, counts = [], []
+    def __call__(self, tree: LabeledTree):
         for combo in itertools.product(*(self._leaf(block) for _, block in tree.leaf_labels)):
             coef = float(math.prod(c for _, c in combo))
             if coef != 0.0:
-                key = tuple(int(k[c]) for c in range(self.dim) for k, _ in combo)
-                coefs.append(self.shared.setdefault(coef, coef))
-                counts.append(self.shared.setdefault(key, key))
-        return tuple(coefs), tuple(counts)
+                yield coef, tuple(int(k[c]) for c in range(self.dim) for k, _ in combo)
+
+
+def _fold(parent: tuple[int, ...], terms: dict, dim: int, degree: int) -> dict:
+    """A shape's summed monomial terms (count tuple -> coefficient) as
+    {(mean powers..., variance power): u-coefficient array}, by one run of
+    Isserlis' recursion with the leaf mean and variance formal."""
+    memo = _SymbolicMoments(_shape(parent), dim)
+    blocks: dict[tuple[int, ...], np.ndarray] = {}
+    for counts, coef in terms.items():
+        totals = memo.totals(counts)
+        blocks[totals] = blocks.get(totals, 0.0) + coef * memo[counts]
+    rows: dict[tuple[int, ...], np.ndarray] = {}
+    for totals, block in blocks.items():
+        for pairs in np.ndindex(block.shape[:dim]):
+            key = (*(k - 2 * j for k, j in zip(totals, pairs)), sum(pairs))
+            row = rows.setdefault(key, np.zeros((degree + 1,) * memo.n_inner))
+            row[tuple(map(slice, block.shape[dim:]))] += block[pairs]
+    return rows
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A moment at any (t, params) is e^{gt} mono @ matrix @ (osum b^inner):
+    mono the rows' prod_c m_c^mean_powers[:, c] v^var_powers, osum each
+    column's (shape, u-powers) ``_order_sum`` and b the birth rate."""
+
+    mean_powers: np.ndarray
+    var_powers: np.ndarray
+    matrix: np.ndarray
+    columns: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    inner: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
-def _plan(factors: tuple[Factor, ...]) -> tuple[int, tuple]:
+def _plan(factors: tuple[Factor, ...]) -> _Plan:
     """The moment of these sorted factors planned once for every (t, params):
-    the u-degree bound of every leaf moment, and per shape (``parent``
-    tuple) its trees as (enumeration index, multiplicity, ``_Planner``
-    output).  In each coordinate the leaves' degrees sum to the factors'
-    degrees, and a leaf moment's u-degree is at most half of that sum, so
-    one bound serves every tree.  Eight plans deep, like ``ustats``'."""
-    degree = sum(sum(f.coeffs.shape[c] - 1 for f in factors) // 2
-                 for c in range(factors[0].dim))
+    each tree's monomial combinations times its multiplicity, summed per
+    count tuple over its shape.  A leaf moment's u-degree is at most half
+    the factors' summed degree in each coordinate, which sizes every row.
+    Eight plans deep, like ``ustats``'."""
+    dim = factors[0].dim
+    degree = sum(sum(f.coeffs.shape[c] - 1 for f in factors) // 2 for c in range(dim))
     planner = _Planner(factors)
-    shapes: dict[tuple[int, ...], list] = {}
-    for i, tree in enumerate(_trees(len(factors))):
-        shapes.setdefault(tree.parent, []).append((i, tree.multiplicity, *planner(tree)))
-    return degree, tuple(shapes.items())
+    shapes: dict[tuple[int, ...], dict] = {}
+    for tree in _trees(len(factors)):
+        for coef, counts in planner(tree):
+            terms = shapes.setdefault(tree.parent, {})
+            terms[counts] = terms.get(counts, 0.0) + tree.multiplicity * coef
+    keys: dict[tuple[int, ...], int] = {}
+    columns, parts = [], []
+    for parent, terms in shapes.items():
+        rows = _fold(parent, terms, dim, degree)
+        table = np.array(list(rows.values()))
+        live = table.any(axis=0)
+        parts.append(([keys.setdefault(k, len(keys)) for k in rows], len(columns),
+                      table.reshape(len(rows), -1)[:, live.ravel()]))
+        columns += [(parent, tuple(p)) for p in np.argwhere(live).tolist()]
+    matrix = np.zeros((len(keys), len(columns)))
+    for index, start, part in parts:
+        matrix[index, start:start + part.shape[1]] = part
+    powers = np.array(list(keys), dtype=int).reshape(-1, dim + 1)
+    return _Plan(powers[:, :dim], powers[:, dim], matrix, tuple(columns),
+                 np.array([len(_shape(parent).inner) for parent, _ in columns]))
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +367,11 @@ def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list,
     tensor kernel f_1 x ... x f_n of polynomial slots (``Factor``).  An
     arity above ``model.MAX_ARITY`` raises ``ArityCapError``.
 
-    Each factor multiset is planned once and kept (``_plan``).  A call
-    makes one pass per tree shape: it builds the shape's Isserlis memo at
-    (t, params), an array per count tuple of at most (degree + 1)^(n - 1)
-    entries, sums each tree's planned monomial combinations into the leaf
-    moment's coefficients and integrates the nonzero ones over the shape's
-    time simplex (``_order_sum``).  Estimated work above ``ORACLE_BUDGET``
+    Each factor multiset is planned once and kept (``_plan``), Isserlis'
+    recursion included.  A call works out the leaf-moment monomials
+    m^(K - 2j) v^|j| at (t, params) and the time integral of each u-power
+    column over its shape's simplex (``_order_sum``), and multiplies them
+    through the plan's matrix.  Estimated work above ``ORACLE_BUDGET``
     entries raises ``BudgetExceededError`` before anything is planned.
     ``cap``, ``n_nodes`` and ``check`` are accepted and unused: the
     benchmark's tracer (``benchmarks/tracer.py``) still reads them from
@@ -342,30 +381,21 @@ def exact_mixed_moment(n: int, t: float, params: ModelParams, f_list,
         raise ValueError("need exactly n factors")
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
-    n_trees = len(enumerate_trees(n))
     bound = sum(sum(f.coeffs.shape) - f.dim for f in f_list) // 2
-    work = (n_trees * math.prod(np.count_nonzero(f.coeffs) for f in f_list)
+    work = (len(_trees(n)) * math.prod(np.count_nonzero(f.coeffs) for f in f_list)
             + math.prod(f.coeffs.size for f in f_list)) * (bound + 1) ** (n - 1)
     if work > ORACLE_BUDGET:
         raise BudgetExceededError(f"oracle work estimate {work:.3g} exceeds the "
                                   f"budget {ORACLE_BUDGET:g} coefficient entries")
     if any(f.dim != params.dim for f in f_list):
         raise OracleKernelError("assignment dimension mismatch")
-    degree, shapes = _plan(tuple(sorted(f_list, key=lambda f: f._key)))
+    plan = _plan(tuple(sorted(f_list, key=lambda f: f._key)))
     consts = derive(params)
     growth = consts.growth_rate
-    values = [0.0] * n_trees
-    for parent, trees in shapes:
-        shape = _shape(parent)
-        moment = _Moments(shape, t, params, degree)
-        scale = consts.birth_rate ** len(shape.inner) * math.exp(growth * t)
-        for i, multiplicity, monomial_coefs, monomial_counts in trees:
-            # the leaf moment's exact coefficients, a polynomial in the u_i
-            coefs = np.zeros((degree + 1,) * len(shape.inner))
-            for coef, counts in zip(monomial_coefs, monomial_counts):
-                coefs += coef * moment[counts]
-            total = 0.0
-            for powers in map(tuple, np.argwhere(coefs).tolist()):
-                total += coefs[powers] * _order_sum(parent, powers, t, growth, params.mu)
-            values[i] = scale * multiplicity * total
-    return sum(values)
+    mean = np.array([x * math.exp(-params.mu * t) for x in params.x0])
+    var = -stationary_std(params) ** 2 * math.expm1(-2.0 * params.mu * t)
+    mono = np.prod(mean ** plan.mean_powers, axis=1) * var ** plan.var_powers
+    osum = np.array([_order_sum(parent, powers, t, growth, params.mu)
+                     for parent, powers in plan.columns])
+    return math.exp(growth * t) * \
+        float(mono @ plan.matrix @ (osum * consts.birth_rate ** plan.inner))

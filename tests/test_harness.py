@@ -496,7 +496,7 @@ class TestReportBytes:
                 "d9aec5f8393ae97b73f909d91689828845d0401dd68188fb607b35dd7b47fc9c"),
         "oracle": (run_oracle_crosscheck,
                    dict(kernel=KERNEL_XX, replicas=300, t_grid=[1.0, 2.0]),
-                   "09c9f30524e1c4b4a98c11751fd1637267986eeb6789fbffaed14cbf47abc018"),
+                   "1675fc61429bd709095b4f26ac40474c1fda1159b34754b4c788d8c69a09c807"),
         "variance": (run_variance, {},
                      "93299c2bf0c8ac144fe37783f00bb9c205221cdf0ceb76aebdb869a6130d879e"),
     }

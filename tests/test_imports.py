@@ -13,7 +13,8 @@ The package loads no scipy module at all, not on import and not in a
 ``model`` reads the branching parameters ``lam`` and ``p``: the other
 layers take the population law from it.  A cache without a bound takes no
 argument or only an arity ``n``, and no cache holds a single entry, whose
-hits would depend on the call order.  Every
+hits would depend on the call order.  The oracle's plan cache takes the
+factor tuple alone, so it cannot hold results at repeated (t, params).  Every
 top-level function, class and non-dunder assignment of the package has a
 caller outside its own unit tests: some package module, the package
 ``__all__`` or a benchmark script names it.  An import kept only for the
@@ -24,6 +25,7 @@ tracer patches.
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -238,6 +240,17 @@ def test_unbounded_caches_take_only_an_arity():
               "@lru_cache\ndef g(f): pass\n")
     assert unbounded_caches(source) == {"a": ["n"], "b": [], "c": ["x", "y", "z"],
                                         "d": ["w"]}
+
+
+def test_oracle_plan_is_keyed_on_the_factors_alone():
+    # the plan serves every (t, params); a horizon or a parameter in its key
+    # would turn it into a cache of results at repeated inputs
+    from branching_ou import tree_oracle
+
+    arguments = inspect.signature(tree_oracle._plan).parameters.values()
+    assert [(a.name, a.kind, a.default) for a in arguments] == \
+        [("factors", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)]
+    assert tree_oracle._plan.cache_info().maxsize == 8
 
 
 def single_entry_caches(source: str) -> list[str]:

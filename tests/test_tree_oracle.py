@@ -334,7 +334,7 @@ class TestExactMixedMoment:
             raise AssertionError("a tree was planned or integrated")
 
         monkeypatch.setattr(tree_oracle, "_Planner", no_tree)
-        monkeypatch.setattr(tree_oracle, "_Moments", no_tree)
+        monkeypatch.setattr(tree_oracle, "_SymbolicMoments", no_tree)
         cubics = [Func1D.polynomial([0.1 * i, -1.0, 0.5, 1.0]) for i in range(6)]
         misses = tree_oracle._plan.cache_info().misses
         start = time.perf_counter()
@@ -345,29 +345,59 @@ class TestExactMixedMoment:
 
     def test_shape_memo_is_read_only(self):
         tree = max(enumerate_trees(3), key=lambda tree: len(tree.inner_nodes))
-        moment = tree_oracle._Moments(tree_oracle._shape(tree.parent), 1.0, SLOW, 2)
+        moment = tree_oracle._SymbolicMoments(tree_oracle._shape(tree.parent), 1)
         for counts in ((0, 0, 0), (2, 1, 1)):
             assert not moment[counts].flags.writeable
         assert moment[(2, 1, 1)] is moment[(2, 1, 1)]
 
-    def test_one_memo_per_shape_per_call(self, monkeypatch):
-        # every tree of a shape reads the one memo its shape's pass builds,
-        # whether the plan is new or kept
+    def test_symbolic_memo_by_hand(self):
+        # two leaves below one inner vertex: E Z_1^2 Z_2 = m^3 + m v (1 + 2 u),
+        # over the pair count j (axis 0) and u (axis 1)
+        moment = tree_oracle._SymbolicMoments(tree_oracle._shape((-1, 0, 1, 1)), 1)
+        assert moment[(2, 1)].tolist() == [[1.0, 0.0], [1.0, 2.0]]
+
+    def test_one_symbolic_memo_per_shape_per_plan(self, monkeypatch):
+        # a cold call runs Isserlis' recursion once per shape; a warm call and
+        # a call at a new (t, mu, sigma, x0) only evaluate the plan
         built = []
 
-        class Counted(tree_oracle._Moments):
+        class Counted(tree_oracle._SymbolicMoments):
             def __init__(self, shape, *args):
                 built.append(shape)
                 super().__init__(shape, *args)
 
-        monkeypatch.setattr(tree_oracle, "_Moments", Counted)
+        monkeypatch.setattr(tree_oracle, "_SymbolicMoments", Counted)
         factors = [Func1D.polynomial([0.2 * i, 1.0, 0.5]) for i in range(4)]
         shapes = {tree.parent for tree in enumerate_trees(4)}
         tree_oracle._plan.cache_clear()
-        for _ in ("cold", "warm"):
-            built.clear()
-            exact_mixed_moment(4, 1.2, SLOW, factors)
-            assert len(built) == len(set(built)) == len(shapes)
+        exact_mixed_moment(4, 1.2, SLOW, factors)
+        assert len(built) == len(set(built)) == len(shapes)
+        built.clear()
+        other = ModelParams(lam=1.0, p=0.75, mu=0.4, sigma=1.3, x0=(-0.2,))
+        for t, params in ((1.2, SLOW), (2.7, SLOW), (1.2, other), (0.3, other)):
+            exact_mixed_moment(4, t, params, factors)
+        assert built == []
+
+    # (t, mu, sigma, x0), slow, critical (mu = 0.25) and fast
+    POINTS = [(0.3, 1.0, 1.0, 0.5), (1.7, 1.0, 0.8, -0.4), (0.3, 0.25, 1.3, -0.4),
+              (1.7, 0.25, 1.0, 0.6), (0.9, 0.1, 1.2, 0.0), (2.5, 0.1, 0.9, 0.3),
+              (0.05, 0.5, 1.1, -0.7), (1.2, 0.5, 1.0, 0.2), (0.6, 2.0, 0.7, 0.9),
+              (3.0, 0.3, 1.0, -0.2), (0.01, 1.0, 1.0, 0.4), (1.0, 0.125, 1.5, -0.5)]
+
+    @pytest.mark.parametrize("factors", [[[MIXED], [CUBE], [SQ]],
+                                         [[CUBE, LIN], [MIXED, SQ]]], ids=["1d", "2d"])
+    def test_one_plan_at_many_points_against_forward_equations(self, factors):
+        # the plan holds no (t, params): one plan, read at twelve points
+        fs = [Factor.from_polys(f) for f in factors]
+        dim = len(factors[0])
+        tree_oracle._plan.cache_clear()
+        for t, mu, sigma, x0 in self.POINTS:
+            params = ModelParams(lam=1.0, p=0.75, mu=mu, sigma=sigma, dim=dim,
+                                 x0=(x0, -0.5 * x0)[:dim])
+            got = exact_mixed_moment(len(fs), t, params, fs)
+            want = mixed_moment_forward(t, params, factors)
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+        assert tree_oracle._plan.cache_info().misses == 1
 
 
 def sweep_values() -> list[float]:
@@ -399,9 +429,10 @@ def clear_oracle_caches():
 class TestPlan:
     """A factor list is planned once and evaluated at each (t, params)."""
 
-    # the sweep's values since the plan is keyed on the sorted factors (the
-    # sha256 of their ``float.hex`` forms)
-    SWEEP_DIGEST = "451eb0ca6ee8d844"
+    # the sweep's values since the plan folds each shape's trees into one
+    # matrix over the leaf mean and variance (the sha256 of their
+    # ``float.hex`` forms)
+    SWEEP_DIGEST = "31a9847e59200cc8"
 
     def test_values_bit_identical_warm_and_cold(self):
         clear_oracle_caches()
