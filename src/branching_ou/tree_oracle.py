@@ -174,7 +174,7 @@ class _SymbolicMoments(dict):
 
     def __init__(self, shape: _Shape, dim: int):
         self.width, self.lca, self.dim = len(shape.leaves), shape.lca, dim
-        self.n_inner = len(shape.inner)
+        self.n_inner, self.lifts = len(shape.inner), {}
         one = np.ones((1,) * (dim + self.n_inner))
         one.flags.writeable = False
         super().__init__({(0,) * (dim * self.width): one})
@@ -185,8 +185,10 @@ class _SymbolicMoments(dict):
                      for c in range(self.dim))
 
     def __missing__(self, counts: tuple[int, ...]) -> np.ndarray:
-        # lowering the largest count reaches fewer entries than the first
-        a = max(range(len(counts)), key=counts.__getitem__)
+        # the last coordinate first (see ``_fold``), its largest count first,
+        # which reaches fewer entries than the first nonzero
+        c = max(c for c in range(self.dim) if any(counts[c * self.width:(c + 1) * self.width]))
+        a = max(range(c * self.width, (c + 1) * self.width), key=counts.__getitem__)
         lowered = list(counts)
         lowered[a] -= 1
         totals = self.totals(counts)
@@ -194,7 +196,7 @@ class _SymbolicMoments(dict):
                        + (sum(k // 2 for k in totals) + 1,) * self.n_inner)
         low = self[tuple(lowered)]
         val[tuple(map(slice, low.shape))] = low
-        c, ka = divmod(a, self.width)
+        ka = a - c * self.width
         pair = tuple(slice(int(i == c), k // 2 + 1) for i, k in enumerate(totals))
         for kb, axis in enumerate(self.lca[ka]):
             b = c * self.width + kb
@@ -203,8 +205,9 @@ class _SymbolicMoments(dict):
                 twice[b] -= 1
                 term = self[tuple(twice)]
                 # one u-degree lower: times u_L fits without dropping an entry
-                lift = tuple(slice(int(i == axis), term.shape[-1] + int(i == axis))
-                             for i in range(self.n_inner))
+                key = (axis, val.shape[-1])
+                lift = self.lifts.get(key) or self.lifts.setdefault(key, tuple(
+                    slice(int(i == axis), key[1] - int(i != axis)) for i in range(self.n_inner)))
                 val[pair + lift] += term if lowered[b] == 1 else lowered[b] * term
         val.flags.writeable = False
         self[counts] = val
@@ -215,38 +218,21 @@ class _SymbolicMoments(dict):
 # the plan: what a moment needs from its factors, whatever t and params
 
 
-class _Planner:
-    """For a tree of one factor list, its nonzero monomial combinations (one
-    monomial per leaf) as (coefficient, count tuple) pairs, the count tuple
-    laid out as the Gaussian coordinates.  Each leaf block's product
-    polynomial and monomials are built once."""
-
-    def __init__(self, factors):
-        self.factors, self.dim = factors, factors[0].dim
-        self.blocks: dict[tuple[int, ...], list] = {}
-
-    def _leaf(self, block: tuple[int, ...]) -> list:
-        """The (index, coefficient) monomials of a leaf's polynomial, the
-        product of the factors it carries."""
-        if block not in self.blocks:
-            p = functools.reduce(Factor.times, [self.factors[a - 1] for a in block]).coeffs
-            self.blocks[block] = [(k, p[k]) for k in zip(*np.nonzero(p))]
-        return self.blocks[block]
-
-    def __call__(self, tree: LabeledTree):
-        for combo in itertools.product(*(self._leaf(block) for _, block in tree.leaf_labels)):
-            coef = float(math.prod(c for _, c in combo))
-            if coef != 0.0:
-                yield coef, tuple(int(k[c]) for c in range(self.dim) for k, _ in combo)
-
-
 def _fold(parent: tuple[int, ...], terms: dict, dim: int, degree: int) -> dict:
     """A shape's summed monomial terms (count tuple -> coefficient) as
     {(mean powers..., variance power): u-coefficient array}, by one run of
     Isserlis' recursion with the leaf mean and variance formal."""
     memo = _SymbolicMoments(_shape(parent), dim)
     blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for counts, coef in terms.items():
+    head, mark = None, 0
+    # terms grouped by their counts outside the last coordinate: the recursion
+    # lowers that coordinate first, so an entry with counts in it is read only
+    # within its group and is dropped when the group ends (1-D: one group)
+    for counts, coef in sorted(terms.items(), key=lambda term: term[0][:-memo.width]):
+        if counts[:-memo.width] != head:
+            for k in [k for k in list(memo)[mark:] if any(k[-memo.width:])]:
+                del memo[k]
+            head, mark = counts[:-memo.width], len(memo)
         totals = memo.totals(counts)
         blocks[totals] = blocks.get(totals, 0.0) + coef * memo[counts]
     rows: dict[tuple[int, ...], np.ndarray] = {}
@@ -278,14 +264,22 @@ def _plan(factors: tuple[Factor, ...]) -> _Plan:
     count tuple over its shape.  A leaf moment's u-degree is at most half
     the factors' summed degree in each coordinate, which sizes every row.
     Eight plans deep, like ``ustats``'."""
-    dim = factors[0].dim
+    dim, trees = factors[0].dim, _trees(len(factors))
     degree = sum(sum(f.coeffs.shape[c] - 1 for f in factors) // 2 for c in range(dim))
-    planner = _Planner(factors)
+    leaf = {}  # leaf block -> its product polynomial's (index, coefficient) monomials
+    for block in {block for tree in trees for _, block in tree.leaf_labels}:
+        p = functools.reduce(Factor.times, [factors[a - 1] for a in block]).coeffs
+        leaf[block] = [(k, p[k]) for k in zip(*np.nonzero(p))]
     shapes: dict[tuple[int, ...], dict] = {}
-    for tree in _trees(len(factors)):
-        for coef, counts in planner(tree):
-            terms = shapes.setdefault(tree.parent, {})
-            terms[counts] = terms.get(counts, 0.0) + tree.multiplicity * coef
+    for tree in trees:
+        # the nonzero monomial combinations, one monomial per leaf, their
+        # powers laid out as the Gaussian coordinates
+        for combo in itertools.product(*(leaf[block] for _, block in tree.leaf_labels)):
+            coef = float(math.prod(c for _, c in combo))
+            if coef != 0.0:
+                counts = tuple(int(k[c]) for c in range(dim) for k, _ in combo)
+                terms = shapes.setdefault(tree.parent, {})
+                terms[counts] = terms.get(counts, 0.0) + tree.multiplicity * coef
     keys: dict[tuple[int, ...], int] = {}
     columns, parts = [], []
     for parent, terms in shapes.items():

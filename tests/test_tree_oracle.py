@@ -333,7 +333,7 @@ class TestExactMixedMoment:
         def no_tree(*args):
             raise AssertionError("a tree was planned or integrated")
 
-        monkeypatch.setattr(tree_oracle, "_Planner", no_tree)
+        monkeypatch.setattr(tree_oracle, "_fold", no_tree)
         monkeypatch.setattr(tree_oracle, "_SymbolicMoments", no_tree)
         cubics = [Func1D.polynomial([0.1 * i, -1.0, 0.5, 1.0]) for i in range(6)]
         misses = tree_oracle._plan.cache_info().misses
