@@ -32,6 +32,10 @@ class ConstantKernelError(ValueError):
     """All Hoeffding projections of positive order vanish."""
 
 
+class NonPolynomialError(ValueError):
+    """Operation requires a tensor-sum kernel of polynomial slot functions."""
+
+
 # ``index_chunks`` refuses a shape of more index tuples than this, so every
 # black-box enumeration (average, V- or U-statistic) is refused before its
 # first evaluation.
@@ -364,34 +368,26 @@ def degeneracy_order(
 
 
 def substitute_partition(f: Kernel, J: Sequence[Sequence[int]]) -> Kernel:
-    """Kernel of arity |J| obtained by feeding one variable to all the slots
-    of each block.  Blocks are ordered by their smallest element."""
+    """Tensor-sum kernel of arity |J| obtained by feeding one variable to all
+    the slots of each block, each merged slot a ``Factor.times`` product.
+    Blocks are ordered by their smallest element.  A black box is refused
+    (``NonPolynomialError``): its U-statistic enumerates injective tuples."""
+    if not f.is_tensor_sum:
+        raise NonPolynomialError("only a tensor-sum kernel merges its slots")
     blocks = sorted((tuple(sorted(b)) for b in J), key=lambda b: b[0])
     flat = sorted(i for b in blocks for i in b)
     if flat != list(range(1, f.arity + 1)):
         raise KernelShapeError(f"{blocks} is not a partition of 1..{f.arity}")
-    if f.is_tensor_sum:
-        terms = []
-        for coef, slots in f.terms:
-            merged = []
-            for b in blocks:
-                fac = slots[b[0] - 1]
-                for i in b[1:]:
-                    fac = fac.times(slots[i - 1])
-                merged.append(fac)
-            terms.append((coef, tuple(merged)))
-        return Kernel.tensor_sum(terms, dim=f.dim)
-    fn = f.evaluator
-    arity = f.arity
-
-    def expanded(args, _blocks=blocks, _fn=fn, _arity=arity):
-        full = [None] * _arity
-        for j, b in enumerate(_blocks):
-            for i in b:
-                full[i - 1] = args[j]
-        return _fn(full)
-
-    return Kernel.black_box(expanded, arity=len(blocks), dim=f.dim)
+    terms = []
+    for coef, slots in f.terms:
+        merged = []
+        for b in blocks:
+            fac = slots[b[0] - 1]
+            for i in b[1:]:
+                fac = fac.times(slots[i - 1])
+            merged.append(fac)
+        terms.append((coef, tuple(merged)))
+    return Kernel.tensor_sum(terms, dim=f.dim)
 
 
 def center_kernel(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .kernels import Factor, Kernel, is_canonical
+from .kernels import Factor, Kernel, NonPolynomialError, is_canonical
 from .model import ModelParams, classify, derive, expected_births
 from . import simulator
 from .ou import stationary_std
@@ -53,10 +53,6 @@ class RegimeError(ValueError):
 class CenteringError(ValueError):
     """A factor that must integrate to zero against the stationary law
     does not."""
-
-
-class NonPolynomialError(ValueError):
-    """Operation requires a tensor-sum kernel of polynomial slot functions."""
 
 
 # A covariance eigenvalue below -PSD_CLIP times the largest is refused as

@@ -55,6 +55,18 @@ def gaussian_moment(k: int, std: float) -> float:
     return _double_factorial(k) * std**k
 
 
+def poly_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two polynomials held as coefficient arrays with one
+    axis per variable, ascending powers along each: b shifted to each
+    nonzero index of a, times that coefficient, summed in index order.  A
+    variable of degree 0 in one factor (an axis of length 1) makes the
+    product an outer product along that axis."""
+    out = np.zeros([i + j - 1 for i, j in zip(a.shape, b.shape)])
+    for idx in zip(*np.nonzero(a)):
+        out[tuple(slice(i, i + n) for i, n in zip(idx, b.shape))] += a[idx] * b
+    return out
+
+
 # ---------------------------------------------------------------------------
 # slot functions
 
@@ -142,12 +154,7 @@ class Factor:
         a, b = self.coeffs, other.coeffs
         if a.ndim != b.ndim:
             raise ValueError("dimension mismatch in product")
-        if a.ndim == 1:
-            return Factor(np.convolve(a, b))
-        out = np.zeros([i + j - 1 for i, j in zip(a.shape, b.shape)])
-        for idx in zip(*np.nonzero(a)):
-            out[tuple(slice(i, i + n) for i, n in zip(idx, b.shape))] += a[idx] * b
-        return Factor(out)
+        return Factor(np.convolve(a, b) if a.ndim == 1 else poly_times(a, b))
 
     def derivative(self, axis: int) -> "Factor":
         """The partial derivative along the 0-based coordinate ``axis``."""

@@ -22,10 +22,12 @@ vertices) accounting for the ordered-split derivation.
 Work that depends only on the arity and the factors is done once: the
 trees of each arity are built once per process, and a factor multiset,
 sorted, is planned once (``_plan``, eight deep).  The plan runs Isserlis'
-recursion once per shape with the mean and variance formal, and folds all
-trees into one matrix from the monomials m^(K - 2j) v^|j| to the shapes'
-u-monomials, which no (t, params) enters.  A moment then evaluates those
-monomials and the memoized time integrals, and takes one matrix product.
+recursion once per shape on one coordinate, the mean and variance formal;
+the coordinates are independent, so it multiplies their entries as it
+folds all trees into one matrix from the monomials prod_c m_c^(K_c - 2 j_c)
+v^|j| to the shapes' u-monomials, which no (t, params) enters.  A moment
+then evaluates those monomials and the memoized time integrals, and takes
+one matrix product.
 
 This oracle never touches the simulator's code paths: only exact
 split-time integration and exact Gaussian moments enter.
@@ -43,7 +45,7 @@ import numpy as np
 
 from .model import (MAX_ARITY, ArityCapError, BudgetExceededError, ModelParams, derive,
                     head_splits)
-from .ou import Factor, stationary_std
+from .ou import Factor, poly_times, stationary_std
 
 # A call whose work estimate, in coefficient-array entries, exceeds this is
 # refused before anything is planned or integrated (see ``exact_mixed_moment``).
@@ -158,57 +160,41 @@ def _shape(parent: tuple[int, ...]) -> _Shape:
 
 
 class _SymbolicMoments(dict):
-    """count tuple -> E prod Z^counts as a read-only coefficient array over
-    the pair counts j_c (the first dim axes, size K_c // 2 + 1, K_c the
-    tuple's total in coordinate c) and the u_i (one axis per inner vertex,
-    size sum_c K_c // 2 + 1), each missing entry computed on lookup and kept.
+    """count tuple -> E prod Z^counts of one coordinate as a read-only
+    coefficient array over the pair count j and the u_i (one axis per inner
+    vertex), each axis of size K // 2 + 1 for K the tuple's total, each
+    missing entry computed on lookup and kept.
 
-    The dim * |leaves| leaf coordinates form one Gaussian vector with mean
-    m_c in coordinate c, variance v, covariance v * u_L between one
-    coordinate of leaves a != b with lowest common inner ancestor L, and
-    none across coordinates.  Isserlis' recursion
-    E Z_a Z^k = m_a E Z^k + sum_b cov_ab k_b E Z^(k - e_b) runs with m and v
-    formal: entry j stands for prod_c m_c^(K_c - 2 j_c) v^|j|, so a mean
-    leaves the array as it is and a covariance shifts it one step along j_c
-    and, across leaves, along axis L.  No (t, params) enters an entry."""
+    The |leaves| leaf values of one coordinate form one Gaussian vector
+    with mean m, variance v and covariance v * u_L between leaves a != b
+    with lowest common inner ancestor L.  Isserlis' recursion
+    E Z_a Z^k = m E Z^k + sum_b cov_ab k_b E Z^(k - e_b) runs with m and v
+    formal: entry j stands for m^(K - 2j) v^j, so a mean leaves the array
+    as it is and a covariance shifts it one step along j and, across
+    leaves, along axis L.  No (t, params) enters an entry, and the
+    coordinates, independent, share the memo."""
 
-    def __init__(self, shape: _Shape, dim: int):
-        self.width, self.lca, self.dim = len(shape.leaves), shape.lca, dim
-        self.n_inner, self.lifts = len(shape.inner), {}
-        one = np.ones((1,) * (dim + self.n_inner))
+    def __init__(self, shape: _Shape):
+        self.lca, self.n_inner = shape.lca, len(shape.inner)
+        one = np.ones((1,) * (1 + self.n_inner))
         one.flags.writeable = False
-        super().__init__({(0,) * (dim * self.width): one})
-
-    def totals(self, counts: tuple[int, ...]) -> tuple[int, ...]:
-        """K_c, the count tuple's total in each coordinate c."""
-        return tuple(sum(counts[c * self.width:(c + 1) * self.width])
-                     for c in range(self.dim))
+        super().__init__({(0,) * len(shape.leaves): one})
 
     def __missing__(self, counts: tuple[int, ...]) -> np.ndarray:
-        # the last coordinate first (see ``_fold``), its largest count first,
-        # which reaches fewer entries than the first nonzero
-        c = max(c for c in range(self.dim) if any(counts[c * self.width:(c + 1) * self.width]))
-        a = max(range(c * self.width, (c + 1) * self.width), key=counts.__getitem__)
-        lowered = list(counts)
-        lowered[a] -= 1
-        totals = self.totals(counts)
-        val = np.zeros(tuple(k // 2 + 1 for k in totals)
-                       + (sum(k // 2 for k in totals) + 1,) * self.n_inner)
-        low = self[tuple(lowered)]
+        # lower the largest count, which reaches fewer entries than the first
+        a = max(range(len(counts)), key=counts.__getitem__)
+        lowered = tuple(k - (i == a) for i, k in enumerate(counts))
+        size = sum(counts) // 2 + 1
+        val = np.zeros((size,) * (1 + self.n_inner))
+        low = self[lowered]
         val[tuple(map(slice, low.shape))] = low
-        ka = a - c * self.width
-        pair = tuple(slice(int(i == c), k // 2 + 1) for i, k in enumerate(totals))
-        for kb, axis in enumerate(self.lca[ka]):
-            b = c * self.width + kb
+        for b, axis in enumerate(self.lca[a]):
             if lowered[b]:
-                twice = list(lowered)
-                twice[b] -= 1
-                term = self[tuple(twice)]
+                term = self[tuple(k - (i == b) for i, k in enumerate(lowered))]
                 # one u-degree lower: times u_L fits without dropping an entry
-                key = (axis, val.shape[-1])
-                lift = self.lifts.get(key) or self.lifts.setdefault(key, tuple(
-                    slice(int(i == axis), key[1] - int(i != axis)) for i in range(self.n_inner)))
-                val[pair + lift] += term if lowered[b] == 1 else lowered[b] * term
+                lift = tuple(slice(int(i == axis), size - int(i != axis))
+                             for i in range(self.n_inner))
+                val[(slice(1, size),) + lift] += term if lowered[b] == 1 else lowered[b] * term
         val.flags.writeable = False
         self[counts] = val
         return val
@@ -220,23 +206,32 @@ class _SymbolicMoments(dict):
 
 def _fold(parent: tuple[int, ...], terms: dict, dim: int, degree: int) -> dict:
     """A shape's summed monomial terms (count tuple -> coefficient) as
-    {(mean powers..., variance power): u-coefficient array}, by one run of
-    Isserlis' recursion with the leaf mean and variance formal."""
-    memo = _SymbolicMoments(_shape(parent), dim)
-    blocks: dict[tuple[int, ...], np.ndarray] = {}
-    head, mark = None, 0
-    # terms grouped by their counts outside the last coordinate: the recursion
-    # lowers that coordinate first, so an entry with counts in it is read only
-    # within its group and is dropped when the group ends (1-D: one group)
-    for counts, coef in sorted(terms.items(), key=lambda term: term[0][:-memo.width]):
-        if counts[:-memo.width] != head:
-            for k in [k for k in list(memo)[mark:] if any(k[-memo.width:])]:
-                del memo[k]
-            head, mark = counts[:-memo.width], len(memo)
-        totals = memo.totals(counts)
-        blocks[totals] = blocks.get(totals, 0.0) + coef * memo[counts]
+    {(mean powers..., variance power): u-coefficient array}, by Isserlis'
+    recursion on one coordinate with the leaf mean and variance formal.
+    The coordinates are independent, so a term's leaf moment is the product
+    of one memo entry per coordinate: their pair counts side by side, their
+    u-polynomials multiplied (``ou.poly_times``).  The coordinates are
+    multiplied in from the last, and terms that agree on the ones still to
+    come are summed first, so each (head, totals) group takes one product."""
+    shape = _shape(parent)
+    memo, width = _SymbolicMoments(shape), len(shape.leaves)
+    # (counts of the coordinates still to come, totals of those multiplied in)
+    blocks: dict[tuple, np.ndarray] = {}
+    for counts, coef in terms.items():
+        key = (counts[:-width], sum(counts[-width:]))
+        blocks[key] = blocks.get(key, 0.0) + coef * memo[counts[-width:]]
+    for _ in range(dim - 1):
+        folded: dict[tuple, np.ndarray] = {}
+        for (head, *totals), block in blocks.items():
+            # the entry's pair count on a new first axis, an outer product
+            # with the later ones; the u axes multiply as polynomials
+            entry = memo[head[-width:]]
+            entry = entry.reshape(entry.shape[:1] + (1,) * len(totals) + entry.shape[1:])
+            key = (head[:-width], sum(head[-width:]), *totals)
+            folded[key] = folded.get(key, 0.0) + poly_times(entry, block[None])
+        blocks = folded
     rows: dict[tuple[int, ...], np.ndarray] = {}
-    for totals, block in blocks.items():
+    for (_, *totals), block in blocks.items():
         for pairs in np.ndindex(block.shape[:dim]):
             key = (*(k - 2 * j for k, j in zip(totals, pairs)), sum(pairs))
             row = rows.setdefault(key, np.zeros((degree + 1,) * memo.n_inner))

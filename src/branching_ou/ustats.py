@@ -9,12 +9,13 @@ polynomials in the per-replica sums of its slot functions, merged or not.
 One plan per kernel collects their like terms, so arity 4 of one repeated
 slot takes 5 products where the expansion has 15 merged kernels, and
 writes each slot sum as a combination of per-replica monomial sums, each
-monomial summed once per call.  Black boxes are enumerated, and
-``u_statistic(..., strategy="naive")`` enumerates injective tuples
-directly: the reference the expansion is tested against.  One enumeration
-serves both, over all m^n index tuples of m particles at arity n, masked to
-the injective ones for the naive U-statistic; ``kernels.index_chunks``
-refuses more than ``BLACKBOX_BUDGET`` tuples before the first evaluation.
+monomial summed once per call.  A black box is enumerated replica by
+replica, over all m^n index tuples of m particles at arity n for its
+V-statistic and over those masked to the injective ones for its
+U-statistic; ``u_statistic(..., strategy="naive")`` runs that masked
+enumeration for any kernel: the reference the expansion is tested against.
+``kernels.index_chunks`` refuses more than ``BLACKBOX_BUDGET`` tuples before
+the first evaluation.
 """
 
 from __future__ import annotations
@@ -95,8 +96,11 @@ def _enumerate(positions: np.ndarray, f: Kernel, injective: bool) -> float:
     return total
 
 
-def _blackbox_vs(level: FarmLevel, f: Kernel) -> np.ndarray:
-    return np.array([_enumerate(s.positions, f, False) for s in level])
+def _blackbox_sums(level: FarmLevel, f: Kernel, injective: bool) -> np.ndarray:
+    """``_enumerate`` per replica; with ``injective`` a replica of fewer
+    particles than the arity holds no tuple and gives 0 unevaluated."""
+    return np.array([_enumerate(s.positions, f, injective)
+                     if s.count >= f.arity or not injective else 0.0 for s in level])
 
 
 def _check_dim(level: FarmLevel, f: Kernel) -> None:
@@ -210,23 +214,19 @@ def v_statistics(level: FarmLevel, f: Kernel) -> np.ndarray:
     repetition); extinct replicas give 0."""
     _check_dim(level, f)
     if not f.is_tensor_sum:
-        return _blackbox_vs(level, f)
+        return _blackbox_sums(level, f, False)
     return _plan(f, False).values(level)
 
 
 def u_statistics(level: FarmLevel, f: Kernel) -> np.ndarray:
-    """Per-replica sums of the kernel over pairwise-distinct index tuples,
-    by the partition expansion over merged V-statistics; replicas with
-    fewer particles than the arity give 0."""
+    """Per-replica sums of the kernel over pairwise-distinct index tuples:
+    a tensor sum's by the partition expansion over merged V-statistics, a
+    black box's by enumerating them; replicas with fewer particles than the
+    arity give 0."""
     _check_dim(level, f)
-    if f.is_tensor_sum:
-        total = _plan(f, True).values(level)
-    else:
-        # a black box merges into a mere closure, and callers build fresh
-        # ones call by call, so nothing is cached
-        total = np.zeros(len(level))
-        for J, a in partition_coefficients(f.arity).items():
-            total += a * _blackbox_vs(level, substitute_partition(f, J))
+    if not f.is_tensor_sum:
+        return _blackbox_sums(level, f, True)
+    total = _plan(f, True).values(level)
     total[level.counts < f.arity] = 0.0
     return total
 
@@ -245,8 +245,9 @@ def u_statistic(
     """Sum of the kernel over pairwise-distinct index tuples.
 
     ``strategy`` is "naive" (direct enumeration of injective tuples) or
-    "inclusion-exclusion" (partition expansion over merged V-statistics);
-    the two agree as integer-weighted sums of the same kernel evaluations.
+    "inclusion-exclusion" (``u_statistics``).  For a tensor sum the two
+    agree as integer-weighted sums of the same kernel evaluations; a black
+    box is enumerated either way, so both give the same bits.
     """
     if strategy == "inclusion-exclusion":
         (value,) = u_statistics(snap, f)

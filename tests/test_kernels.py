@@ -12,6 +12,7 @@ from branching_ou.kernels import (
     Factor,
     Kernel,
     KernelShapeError,
+    NonPolynomialError,
     center_kernel,
     degeneracy_order,
     hoeffding_table,
@@ -314,13 +315,13 @@ class TestSubstitutePartition:
         want = pts[:, 0, 0] ** 2 * pts[:, 1, 0] ** 2
         assert np.allclose(sub.evaluate([pts[:, 0, :], pts[:, 1, :]]), want, atol=1e-12)
 
-    def test_black_box_expansion(self):
+    def test_black_box_refused(self):
+        # a black box has no slots to merge: its U-statistic enumerates
         f = Kernel.black_box(
             lambda args: args[0][:, 0] * args[1][:, 0], arity=2, dim=1
         )
-        sub = substitute_partition(f, [[1, 2]])
-        pts = rand_points(20, 1)
-        assert np.allclose(sub.evaluate([pts[:, 0, :]]), pts[:, 0, 0] ** 2, atol=1e-12)
+        with pytest.raises(NonPolynomialError, match="tensor-sum"):
+            substitute_partition(f, [[1, 2]])
 
     def test_rejects_non_partition(self):
         with pytest.raises(KernelShapeError):

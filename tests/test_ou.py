@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from branching_ou.model import ModelParams
 from branching_ou.ou import (
@@ -10,6 +11,7 @@ from branching_ou.ou import (
     default_rule,
     gaussian_moment,
     ou_leg,
+    poly_times,
     stationary_std,
 )
 
@@ -109,6 +111,23 @@ class TestInvariantIntegral:
         numeric = phi_quad(lambda x: np.polynomial.polynomial.polyval(x, coeffs), PARAMS)
         assert Func1D.polynomial(coeffs).phi_mean(PARAMS) == pytest.approx(numeric,
                                                                           abs=1e-9)
+
+
+class TestPolyTimes:
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_matches_direct_convolution(self, ndim):
+        # random coefficient arrays with zero entries and axes of length 1,
+        # against scipy's direct convolution; rounding is bounded entry by
+        # entry by the convolution of the absolute values
+        rng = np.random.default_rng(ndim)
+        for _ in range(20):
+            a, b = (rng.normal(size=shape) * (rng.random(shape) > 0.3)
+                    for shape in rng.integers(1, 5, size=(2, ndim)))
+            want = signal.convolve(a, b, method="direct")
+            bound = 1e-13 * signal.convolve(np.abs(a), np.abs(b), method="direct")
+            got = poly_times(a, b)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= bound)
 
 
 class TestDensityGradient:

@@ -345,7 +345,7 @@ class TestExactMixedMoment:
 
     def test_shape_memo_is_read_only(self):
         tree = max(enumerate_trees(3), key=lambda tree: len(tree.inner_nodes))
-        moment = tree_oracle._SymbolicMoments(tree_oracle._shape(tree.parent), 1)
+        moment = tree_oracle._SymbolicMoments(tree_oracle._shape(tree.parent))
         for counts in ((0, 0, 0), (2, 1, 1)):
             assert not moment[counts].flags.writeable
         assert moment[(2, 1, 1)] is moment[(2, 1, 1)]
@@ -353,7 +353,7 @@ class TestExactMixedMoment:
     def test_symbolic_memo_by_hand(self):
         # two leaves below one inner vertex: E Z_1^2 Z_2 = m^3 + m v (1 + 2 u),
         # over the pair count j (axis 0) and u (axis 1)
-        moment = tree_oracle._SymbolicMoments(tree_oracle._shape((-1, 0, 1, 1)), 1)
+        moment = tree_oracle._SymbolicMoments(tree_oracle._shape((-1, 0, 1, 1)))
         assert moment[(2, 1)].tolist() == [[1.0, 0.0], [1.0, 2.0]]
 
     def test_one_symbolic_memo_per_shape_per_plan(self, monkeypatch):
@@ -362,9 +362,9 @@ class TestExactMixedMoment:
         built = []
 
         class Counted(tree_oracle._SymbolicMoments):
-            def __init__(self, shape, *args):
+            def __init__(self, shape):
                 built.append(shape)
-                super().__init__(shape, *args)
+                super().__init__(shape)
 
         monkeypatch.setattr(tree_oracle, "_SymbolicMoments", Counted)
         factors = [Func1D.polynomial([0.2 * i, 1.0, 0.5]) for i in range(4)]
@@ -377,6 +377,53 @@ class TestExactMixedMoment:
         for t, params in ((1.2, SLOW), (2.7, SLOW), (1.2, other), (0.3, other)):
             exact_mixed_moment(4, t, params, factors)
         assert built == []
+
+    def test_two_dim_memo_holds_one_coordinate_and_keeps_every_entry(self, monkeypatch):
+        # a 2-D plan multiplies one-coordinate entries: each is keyed by one
+        # count per leaf, lies over the pair count and the u axes, each of
+        # size K // 2 + 1, and stays in the memo once computed
+        memos = []
+
+        class Watched(tree_oracle._SymbolicMoments):
+            def __init__(self, shape):
+                self.shape, self.stored = shape, []
+                memos.append(self)
+                super().__init__(shape)
+
+            def __setitem__(self, counts, value):
+                self.stored.append(counts)
+                super().__setitem__(counts, value)
+
+        monkeypatch.setattr(tree_oracle, "_SymbolicMoments", Watched)
+        tree_oracle._plan.cache_clear()
+        params = ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.0, dim=2, x0=(0.5, -0.3))
+        exact_mixed_moment(3, 1.0, params, [Factor.from_polys(f) for f in
+                                            ([CUBE, LIN], [LIN, SQ], [MIXED, CUBE])])
+        assert len(memos) == len({tree.parent for tree in enumerate_trees(3)})
+        for memo in memos:
+            assert memo.stored and set(memo.stored) <= set(memo)
+            for counts, entry in memo.items():
+                assert len(counts) == len(memo.shape.leaves)
+                assert entry.shape == (sum(counts) // 2 + 1,) * (1 + len(memo.shape.inner))
+
+    @pytest.mark.parametrize("t", [0.4, 2.0])
+    def test_non_separable_two_dim_factors_against_forward_equations(self, t):
+        # (x + y)^2, x y - y and 0.5 + x - y^2 are not products of 1-D
+        # polynomials, as every 2-D factor of the sweep is; the forward
+        # equations take separable factors only, so the reference sums them
+        # term by term (the moment is multilinear in its factors)
+        one = [1.0]
+        expansions = [[(1.0, [SQ, one]), (2.0, [LIN, LIN]), (1.0, [one, SQ])],
+                      [(1.0, [LIN, LIN]), (-1.0, [one, LIN])],
+                      [(0.5, [one, one]), (1.0, [LIN, one]), (-1.0, [one, SQ])]]
+        params = ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.2, dim=2, x0=(-0.4, 0.3))
+        fs = [Factor.combine([(c, Factor.from_polys(f)) for c, f in terms])
+              for terms in expansions]
+        got = exact_mixed_moment(3, t, params, fs)
+        want = sum(math.prod(c for c, _ in combo) *
+                   mixed_moment_forward(t, params, [f for _, f in combo])
+                   for combo in itertools.product(*expansions))
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
     # (t, mu, sigma, x0), slow, critical (mu = 0.25) and fast
     POINTS = [(0.3, 1.0, 1.0, 0.5), (1.7, 1.0, 0.8, -0.4), (0.3, 0.25, 1.3, -0.4),
