@@ -2,13 +2,12 @@
 canonicality and degeneracy-order detection.
 
 A tensor-sum kernel is sum_l coef_l * prod_i F_i^l(x_i) where each slot
-function F_i^l is a polynomial on the d-dimensional argument (``Factor``,
-one coefficient array), which makes Hoeffding projections closed-form and
-exact: averaging a slot multiplies the term coefficient by the slot's
-stationary mean (a Gaussian moment), while projecting onto a slot
-recenters the slot function, with no growth in the number of terms, and
-stationary L2 norms decide exactly whether one vanishes.  A black box is
-averaged and tested at tensor Gauss-Hermite nodes: the one use of quadrature.
+function F_i^l is a polynomial on the d-dimensional argument (``Factor``),
+which makes Hoeffding projections closed-form and exact: averaging a slot
+multiplies the term coefficient by the slot's mean h_0 (``Factor.hermite``),
+projecting onto a slot recenters it, and a Gram sum over the slots' normed
+Hermite arrays decides whether one vanishes.  A black box is averaged and
+tested at tensor Gauss-Hermite nodes: the one use of quadrature.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .model import BudgetExceededError, ModelParams
-from .ou import Factor, QuadratureRule, default_rule
+from .ou import Factor, QuadratureRule, default_rule, hermite_norms
 
 
 class KernelShapeError(ValueError):
@@ -42,10 +41,10 @@ class NonPolynomialError(ValueError):
 BLACKBOX_BUDGET = 1e8
 # Index tuples per batched black-box call.
 _CHUNK = 1 << 16
-# A tensor sum's slot average or projection vanishes when its squared L2(phi)
-# norm is at most NULL_TOL S^2, S = sum_l |c_l| prod_i ||F_i^l|| bounding every
-# projection's norm, so scale cancels (squared: the Gram sum rounds near 1e-16
-# S^2); a black box's when it is at most NULL_TOL in size at every test point.
+# A tensor sum's slot average or projection g vanishes when ||g / S||^2 <=
+# NULL_TOL, S = sum_l |c_l| prod_i ||F_i^l|| bounding every projection's norm
+# (squared: the Gram sum rounds near 1e-16), from normed Hermite arrays, so no
+# scale overflows (``_gram``); a black box's when <= NULL_TOL at test points.
 NULL_TOL = 1e-9
 
 
@@ -301,24 +300,32 @@ def _test_points(f: Kernel, arity: int, rule: QuadratureRule) -> list:
     return [pts[:, j, :] for j in range(arity)]
 
 
-def _sq_norm(g: Kernel, params: ModelParams) -> float:
-    """Squared L2(phi) norm of a tensor-sum kernel: c'(G_1 o ... o G_k)c, with
-    G_i[l, l'] the stationary mean of F_i^l F_i^l'."""
-    coefs = np.array([c for c, _ in g.terms])
-    gram = np.empty((len(coefs),) * 2)
-    for l, m in itertools.combinations_with_replacement(range(len(coefs)), 2):
-        gram[l, m] = gram[m, l] = math.prod(s.times(t).phi_mean(params) for s, t
-                                            in zip(g.terms[l][1], g.terms[m][1]))
-    return float(coefs @ gram @ coefs)
+def _gram(g: Kernel, scale: float, params: ModelParams):
+    """a_l = c_l / scale * prod_i ||F_i^l|| and G_1 o ... o G_k, the slots'
+    Gram matrices normed to a unit diagonal: ||g / scale||^2 = a'(G_1 o ... o
+    G_k)a.  Each Hermite array is divided by its largest entry, then by its
+    norm, so nothing overflows or underflows; a zero slot keeps a zero row."""
+    a = np.array([c for c, _ in g.terms]) / scale
+    gram = np.ones((len(a),) * 2)
+    for slots in zip(*(s for _, s in g.terms)):
+        shape = tuple(np.max([f.coeffs.shape for f in slots], axis=0))
+        rows = np.zeros((len(slots),) + shape)
+        for row, f in zip(rows, slots):
+            row[tuple(map(slice, f.coeffs.shape))] = f.hermite(params)
+        rows, weights = rows.reshape(len(slots), -1), hermite_norms(shape).ravel()
+        peak = np.abs(rows).max(axis=1, keepdims=True)
+        rows = rows / np.where(peak > 0.0, peak, 1.0)
+        unit = np.sqrt(rows**2 @ weights)[:, None]
+        rows = rows / np.where(unit > 0.0, unit, 1.0)
+        a = a * (peak * unit).ravel()
+        gram = gram * ((rows * weights) @ rows.T)
+    return a, gram
 
 
 def _size(f: Kernel, params: ModelParams) -> float | None:
     """S(f) = sum_l |c_l| prod_i ||F_i^l|| of a tensor sum, the bound of
     ``NULL_TOL``'s rule; None for a black box, which has no such bound."""
-    if not f.is_tensor_sum:
-        return None
-    return sum(abs(c) * math.prod(math.sqrt(abs(s.times(s).phi_mean(params)))
-                                  for s in slots) for c, slots in f.terms)
+    return float(np.abs(_gram(f, 1.0, params)[0]).sum()) if f.is_tensor_sum else None
 
 
 def _vanishes(g, size: float | None, params: ModelParams,
@@ -327,8 +334,11 @@ def _vanishes(g, size: float | None, params: ModelParams,
     slot is left) of a kernel of size ``size`` (``_size``) counts as zero,
     by the rule of ``NULL_TOL``."""
     if size is not None:
-        sq = _sq_norm(g, params) if isinstance(g, Kernel) else g * g
-        return sq <= NULL_TOL * size**2
+        scale = size or 1.0  # a kernel of size 0 has only zero terms
+        if not isinstance(g, Kernel):
+            return (g / scale) ** 2 <= NULL_TOL
+        a, gram = _gram(g, scale, params)
+        return bool(a @ gram @ a <= NULL_TOL)
     vals = g.evaluate(_test_points(g, g.arity, rule)) if isinstance(g, Kernel) else g
     return bool(np.max(np.abs(vals)) <= NULL_TOL)
 

@@ -1,8 +1,8 @@
 """Asymptotic variances and samplers for the three limit laws.
 
 Every limit law needs only stationary integrals of the kernel's slot
-functions, which are polynomials, so each integral below is an exact
-Gaussian moment in closed form.
+functions, which are polynomials, each read from the slots' Hermite arrays
+(``Factor.hermite``): pair spectra and gradient means are coefficient reads.
 
 Slow regime: the normalized U-statistic of a canonical tensor-sum kernel
 converges to a signed sum over partial pairings (Feynman diagrams) of
@@ -33,12 +33,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import hermite_e
 
 from .kernels import Factor, Kernel, NonPolynomialError, is_canonical
 from .model import ModelParams, classify, derive, expected_births
 from . import simulator
-from .ou import stationary_std
+from .ou import hermite_norms, stationary_std
 from .simulator import position_sum
 # ``benchmarks/tracer.py`` binds its simulator shim to ``limits.simulate``,
 # so the name stays here although the sampler no longer calls it
@@ -79,39 +78,19 @@ def enumerate_diagrams(n: int) -> list[Partition]:
 # factor-level integrals
 
 
-def _poly2herme(v: np.ndarray) -> np.ndarray:
-    h = hermite_e.poly2herme(v)
-    return np.pad(h, (0, len(v) - len(h)))
-
-
-def _herme(F: Factor, std: float, shape: tuple[int, ...]) -> np.ndarray:
-    """F in the Hermite basis prod_c He_{k_c}(x_c / std), zero-padded to
-    ``shape``: the basis change runs along each axis in turn."""
-    out = np.zeros(shape)
-    out[tuple(map(slice, F.coeffs.shape))] = F.coeffs
-    out = out * std ** np.indices(shape).sum(axis=0)
-    for axis in range(out.ndim):
-        out = np.apply_along_axis(_poly2herme, axis, out)
-    return out
-
-
 def _pair_spectrum(F: Factor, G: Factor, params: ModelParams) -> np.ndarray:
     """Coefficients c_1, c_2, ... of <phi, (T_s F)(T_s G)> = sum_n c_n
     exp(-2 mu n s).
 
-    In the Hermite basis He_k(x / std) of the stationary law, multi-indexed
-    over the coordinates, the semigroup is diagonal (Mehler: T_s He_k =
-    exp(-mu |k| s) He_k) and orthogonal with <phi, He_j He_k> = k! [j = k],
-    so c_n = sum over |k| = n of F_k G_k k!.  The constant term c_0 is the
-    product of the stationary means and is left out: it vanishes for
-    centered slot functions.
+    The semigroup is diagonal in the Hermite basis (``Factor.hermite``;
+    Mehler: T_s He_k = exp(-mu |k| s) He_k), so c_n = sum over |k| = n of
+    F_k G_k k!.  The constant term c_0, the product of the stationary means,
+    is left out: it vanishes for centered slot functions.
     """
-    shape = tuple(np.maximum(F.coeffs.shape, G.coeffs.shape))
-    hf = _herme(F, stationary_std(params), shape)
-    hg = _herme(G, stationary_std(params), shape)
-    k = np.indices(shape)
-    norms = np.prod(np.vectorize(math.factorial, otypes=[float])(k), axis=0)
-    series = np.bincount(k.sum(axis=0).ravel(), weights=(hf * hg * norms).ravel())
+    shape = tuple(np.minimum(F.coeffs.shape, G.coeffs.shape))
+    part = tuple(map(slice, shape))
+    terms = F.hermite(params)[part] * G.hermite(params)[part] * hermite_norms(shape)
+    series = np.bincount(np.indices(shape).sum(axis=0).ravel(), weights=terms.ravel())
     return np.trim_zeros(series, "b")[1:]
 
 
@@ -126,9 +105,12 @@ def _tilted_integrals(n_terms: int, params: ModelParams) -> np.ndarray:
 
 def gradient_phi_mean(F: Factor, params: ModelParams) -> np.ndarray:
     """Stationary means of the partial derivatives of F, one per
-    coordinate; the pairings of F with the stationary density gradient are
-    their negatives."""
-    return np.array([F.derivative(i).phi_mean(params) for i in range(F.dim)])
+    coordinate: h_{e_i} / s of its Hermite array; the pairings of F with the
+    stationary density gradient are their negatives."""
+    h = F.hermite(params)[(slice(2),) * F.dim]
+    h = np.pad(h, [(0, 2 - n) for n in h.shape])  # every axis 2 long
+    first = [h[tuple(e)] for e in np.eye(F.dim, dtype=int)]
+    return np.array(first) / stationary_std(params)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +203,9 @@ def slow_limit_sampler(
     funcs = [s for _, slots in f.terms for s in slots]
     family = slow_covariance(funcs, params)
     draws = family.sample(rng, size)  # (size, L*n)
-    edge_w = {}
-    for l, (_, slots) in enumerate(f.terms):
-        for j in range(n):
-            for k in range(j + 1, n):
-                edge_w[(l, j + 1, k + 1)] = float(
-                    _pair_spectrum(slots[j], slots[k], params).sum())
+    edge_w = {(l, j + 1, k + 1): float(_pair_spectrum(slots[j], slots[k], params).sum())
+              for l, (_, slots) in enumerate(f.terms)
+              for j in range(n) for k in range(j + 1, n)}
     signs = partition_coefficients(n)
     out = np.zeros(size)
     for gamma in enumerate_diagrams(n):

@@ -7,10 +7,10 @@ stationary law (centered Gaussian, per-coordinate variance
 ``sigma^2 / (2 mu)``) and ``relax(dt) = sqrt(1 - exp(-2 mu dt))``.  This is
 exact in distribution, so no time discretization error enters anywhere.
 
-Slot functions are polynomials, so their stationary integrals are exact
-Gaussian moments.  The Gauss-Hermite rule here integrates nothing for a
-slot function: it places black-box kernels' averaging nodes and test
-points.
+Slot functions are polynomials, and each stationary integral of one is read
+from its Hermite array (``Factor.hermite``); the oracle keeps its own
+Isserlis route.  The Gauss-Hermite rule here integrates nothing for a slot
+function: it places black-box kernels' averaging nodes and test points.
 """
 
 from __future__ import annotations
@@ -40,21 +40,6 @@ def relax(dt, mu: float):
 # polynomial helpers (coefficients ascending in the power basis)
 
 
-def _double_factorial(k: int) -> float:
-    # (k-1)!! for even k >= 0, i.e. the standard normal moment E G^k
-    out = 1.0
-    for j in range(k - 1, 0, -2):
-        out *= j
-    return out
-
-
-def gaussian_moment(k: int, std: float) -> float:
-    """E G^k for centered Gaussian G with standard deviation ``std``."""
-    if k % 2:
-        return 0.0
-    return _double_factorial(k) * std**k
-
-
 def poly_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The product of two polynomials held as coefficient arrays with one
     axis per variable, ascending powers along each: b shifted to each
@@ -65,6 +50,23 @@ def poly_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for idx in zip(*np.nonzero(a)):
         out[tuple(slice(i, i + n) for i, n in zip(idx, b.shape))] += a[idx] * b
     return out
+
+
+def _power_to_hermite(n: int) -> np.ndarray:
+    """M[j, k] of x^j = sum_k M[j, k] He_k(x), j, k < n: the integer
+    C(j, 2m) (2m - 1)!! for j - k = 2m, rounded once."""
+    out = np.zeros((n, n))
+    for j in range(n):
+        for m in range(j // 2 + 1):
+            out[j, j - 2 * m] = math.comb(j, 2 * m) * math.prod(range(2 * m - 1, 0, -2))
+    return out
+
+
+def hermite_norms(shape: tuple[int, ...]) -> np.ndarray:
+    """k! = prod_c k_c! at each multi-index k of ``shape``: the stationary
+    mean of He_k(x / s)^2, s = ``stationary_std``."""
+    return functools.reduce(np.multiply.outer, [
+        np.array([float(math.factorial(k)) for k in range(n)]) for n in shape])
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +80,14 @@ class Factor:
     Equality and hashing go by value, so equal slots share cached sums.
     """
 
-    __slots__ = ("coeffs", "_key")
+    __slots__ = ("coeffs", "_key", "_hermite")
 
     def __init__(self, coeffs):
         arr = np.atleast_1d(np.array(coeffs, dtype=float))
         arr.flags.writeable = False
         self.coeffs = arr
         self._key = (arr.shape, tuple(arr.ravel().tolist()))
+        self._hermite = {}
 
     @staticmethod
     def polynomial(coeffs) -> "Factor":
@@ -136,12 +139,24 @@ class Factor:
             out = polyval(x[:, c], out, tensor=False)
         return out
 
-    def phi_mean(self, params: ModelParams) -> float:
-        """Integral against the stationary law: a sum of Gaussian moments."""
+    def hermite(self, params: ModelParams) -> np.ndarray:
+        """Coefficients h_k in the basis prod_c He_{k_c}(x_c / s) of the
+        stationary law, s = ``stationary_std``, by one basis-change matrix
+        per axis, once per s; read-only.  The mean is h_0, <F, G> = sum_k
+        f_k g_k k! (``hermite_norms``) and the mean of dF/dx_i is h_{e_i}/s."""
         std = stationary_std(params)
-        return float(sum(
-            c * math.prod(gaussian_moment(k, std) for k in idx)
-            for idx, c in np.ndenumerate(self.coeffs) if c != 0.0))
+        if std not in self._hermite:
+            h = self.coeffs
+            for n in self.coeffs.shape:  # each contraction moves its axis last
+                basis = std ** np.arange(n)[:, None] * _power_to_hermite(n)
+                h = np.tensordot(h, basis, axes=(0, 0))
+            h.flags.writeable = False
+            self._hermite[std] = h
+        return self._hermite[std]
+
+    def phi_mean(self, params: ModelParams) -> float:
+        """Integral against the stationary law: h_0 of ``hermite``."""
+        return float(self.hermite(params).flat[0])
 
     def centered(self, params: ModelParams) -> "Factor":
         m = self.phi_mean(params)
@@ -155,15 +170,6 @@ class Factor:
         if a.ndim != b.ndim:
             raise ValueError("dimension mismatch in product")
         return Factor(np.convolve(a, b) if a.ndim == 1 else poly_times(a, b))
-
-    def derivative(self, axis: int) -> "Factor":
-        """The partial derivative along the 0-based coordinate ``axis``."""
-        c = np.moveaxis(self.coeffs, axis, 0)
-        if len(c) <= 1:
-            d = np.zeros((1,) + c.shape[1:])
-        else:
-            d = c[1:] * np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
-        return Factor(np.moveaxis(d, 0, axis))
 
 
 # The 1-D case keeps its own name; ``Func1D.polynomial(c)`` builds it.

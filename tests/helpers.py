@@ -48,6 +48,28 @@ def phi_quad(fn, params, limit: float = 12.0) -> float:
     return val
 
 
+def normal_moment(k: int, std: float) -> float:
+    """E G^k for a centered Gaussian G of standard deviation ``std``:
+    (k - 1)!! std^k for even k, the double factorial an exact integer."""
+    return 0.0 if k % 2 else math.prod(range(k - 1, 0, -2)) * std**k
+
+
+def pair_moment_series(n: int) -> list[int]:
+    """The coefficients in rho of E[X^n Y^n] for standard normals X and Y of
+    correlation rho, as exact integers: Y = rho X + sqrt(1 - rho^2) Z with
+    Z independent, expanded by the binomial theorem, (1 - rho^2)^r too."""
+    def moment(m):  # E G^m for even m
+        return math.prod(range(m - 1, 0, -2))
+
+    out = [0] * (n + 1)
+    for i in range(n % 2, n + 1, 2):
+        r = (n - i) // 2
+        for q in range(r + 1):
+            out[i + 2 * q] += ((-1) ** q * math.comb(r, q) * math.comb(n, i)
+                               * moment(n + i) * moment(n - i))
+    return out
+
+
 def extinction_ode(t: float, lam: float, p: float) -> float:
     """Extinction-by-t probability by integrating the backward flow."""
 

@@ -19,7 +19,10 @@ top-level function, class and non-dunder assignment of the package has a
 caller outside its own unit tests: some package module, the package
 ``__all__`` or a benchmark script names it.  An import kept only for the
 benchmark (``# noqa: F401``) binds a name its module uses or the benchmark
-tracer patches.
+tracer patches.  Stationary integrals of a slot take one route, its Hermite
+array: only ``ou`` may import ``numpy.polynomial.hermite_e``, no module
+calls ``np.apply_along_axis`` or ``np.vectorize``, and the oracle, which
+keeps its own Isserlis path, names neither the array nor ``phi_mean``.
 """
 
 from __future__ import annotations
@@ -377,3 +380,66 @@ def test_benchmark_shims_are_used():
     assert benchmark_shims("from .a import (  # noqa: F401\n    b,\n)\n"
                            "from .c import d\n") == ["b"]
     assert stale == []
+
+
+def identifiers(source: str) -> set[str]:
+    """Every identifier ``source`` names: a variable, an attribute, a
+    function, class or argument name, and each dotted part of an imported
+    module or name.  String constants, docstrings among them, are not
+    identifiers."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.update(node.module.split("."))
+    return out
+
+
+def package_identifiers() -> dict[str, set[str]]:
+    return {path.stem: identifiers(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
+def test_only_ou_imports_hermite_e():
+    # the basis change to the Hermite polynomials of the stationary law
+    # lives in ``ou.Factor.hermite``; another module converting on its own
+    # would be a second integration route
+    found = package_identifiers()
+    assert {module for module, names in found.items() if "hermite_e" in names} <= {"ou"}
+    for source in ("import numpy.polynomial.hermite_e\n",
+                   "from numpy.polynomial import hermite_e as H\n",
+                   "from numpy.polynomial.hermite_e import poly2herme\n",
+                   "x = np.polynomial.hermite_e.poly2herme(c)\n"):
+        assert "hermite_e" in identifiers(source)
+    assert "hermite_e" not in identifiers('"""hermite_e"""\nx = "hermite_e"\n')
+
+
+def test_no_module_loops_through_numpy_wrappers():
+    # ``np.apply_along_axis`` and ``np.vectorize`` run a Python call per
+    # row or entry; the Hermite arrays are built by one matrix per axis
+    found = package_identifiers()
+    banned = {"apply_along_axis", "vectorize"}
+    assert {module: names & banned for module, names in found.items()
+            if names & banned} == {}
+    assert identifiers("np.apply_along_axis(f, 0, a)\n") == \
+        {"np", "apply_along_axis", "f", "a"}
+    assert identifiers("from numpy import vectorize\n@vectorize\ndef g(x): pass\n") \
+        == {"numpy", "vectorize", "g", "x"}
+
+
+def test_oracle_takes_no_hermite_route():
+    # the oracle checks the limit laws, which read the Hermite arrays, so it
+    # integrates by its own Isserlis recursion and names neither
+    found = package_identifiers()["tree_oracle"]
+    assert {name for name in found if "hermite" in name or name == "phi_mean"} == set()
+    assert identifiers("def f(F, p):\n    return F.hermite(p)[0] + F.phi_mean(p)\n") \
+        == {"f", "F", "p", "hermite", "phi_mean"}
+    assert identifiers("from .ou import hermite_norms\n") == {"ou", "hermite_norms"}

@@ -53,6 +53,13 @@ def scaled_xy(K, eps):
                               (K * eps, (FUNC_ONE, FUNC_X))], dim=1, symmetric=True)
 
 
+def slot_scaled_xy(K, eps):
+    """scaled_xy with K moved into each term's first slot."""
+    return Kernel.tensor_sum([(c, (Func1D.polynomial(K * f.coeffs), g))
+                              for c, (f, g) in scaled_xy(1.0, eps).terms],
+                             dim=1, symmetric=True)
+
+
 def hermite_product(k):
     """He_k(x / s) He_k(y / s), s the stationary standard deviation."""
     s = stationary_std(PARAMS)
@@ -69,13 +76,18 @@ def centered_random_kernel(seed, terms=20, arity=4, degree=3):
          for _ in range(terms)], dim=1, symmetric=True)
 
 
+# Kernel scales from where a squared norm underflows (1e-170) to where the
+# squared size overflows (1e160); the slot- entries put the scale in a slot.
+SCALES = (1e-170, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e160)
 # Kernels whose canonicality and order k - 1 do not depend on their scale,
 # slot degree or number of terms: (kernel, canonical, k - 1).
 VERDICTS = {
-    **{f"scale-{K:g}": (lambda K=K: scaled_xy(K, 1e-11), True, 1)
-       for K in (1e-6, 1e-3, 1.0, 1e3, 1e6)},
-    **{f"power-{K:g}": (lambda K=K: scaled_xy(K, 1e-3), False, 0)
-       for K in (1e-6, 1e-3, 1.0, 1e3, 1e6)},
+    **{f"scale-{K:g}": (lambda K=K: scaled_xy(K, 1e-11), True, 1) for K in SCALES},
+    **{f"power-{K:g}": (lambda K=K: scaled_xy(K, 1e-3), False, 0) for K in SCALES},
+    **{f"slot-scale-{K:g}": (lambda K=K: slot_scaled_xy(K, 1e-11), True, 1)
+       for K in (1e-170, 1e160)},
+    **{f"slot-power-{K:g}": (lambda K=K: slot_scaled_xy(K, 1e-3), False, 0)
+       for K in (1e-170, 1e160)},
     **{f"He{k}-He{k}": (lambda k=k: hermite_product(k), True, 1) for k in range(2, 11)},
     "centered-20-terms-arity-4": (lambda: centered_random_kernel(0), True, 3),
 }
@@ -195,7 +207,7 @@ class TestHoeffdingReconstruction:
             digest.update(table[I].evaluate([pts[:, j, :] for j in range(len(I))])
                           .astype("<f8").tobytes())
         assert digest.hexdigest() == (
-            "3e0774039ac7166e9b089b9e7b0fc3f3091d43210345151f20288af029674421")
+            "34109d046c094b805841b5f564e3cfd81e1bc56bf76f364100668f9bcfb8bc14")
 
 
 class TestCanonicality:

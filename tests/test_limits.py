@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,11 +29,13 @@ from branching_ou.ou import Func1D
 from branching_ou.simulator import ResourceCapError
 from branching_ou.tree_oracle import exact_mixed_moment
 
-from helpers import FUNC_ONE, FUNC_X, involution_number, mean_se, var_se
+from helpers import (FUNC_ONE, FUNC_X, involution_number, mean_se,
+                     pair_moment_series, var_se)
 
 SLOW = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 CRIT = ModelParams(lam=1.0, p=0.75, mu=0.25, sigma=1.0)
 FAST = ModelParams(lam=1.0, p=0.75, mu=0.1, sigma=1.0)
+SLOW3 = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0, dim=3, x0=(0.0, 0.0, 0.0))
 
 X2 = Func1D.polynomial([0.0, 0.0, 1.0])
 
@@ -136,6 +139,40 @@ class TestSlowCovariance:
         assert cov[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert cov[1, 1] == pytest.approx(5.0 / 7.0, rel=1e-12)
         assert cov[0, 1] == 0.0 and cov[1, 0] == 0.0
+
+    @pytest.mark.parametrize("k", [12, 16])
+    def test_hermite_product_3d(self, k):
+        # He_k(x / s) He_k(y / s) He_k(z / s) is pure chaos of degree 3k with
+        # stationary norm (k!)^3, so its variance is (k!)^3 (1 + 2 b / (2 mu
+        # 3k - g)), b the birth rate and g the growth rate.  Above k = 16 the
+        # float coefficients of the product are no longer that polynomial to
+        # 1e-12: their exact spectrum is off by 7e-11 at k = 20
+        s = math.sqrt(0.5)
+        he = np.polynomial.hermite_e.herme2poly([0] * k + [1]) / s ** np.arange(k + 1)
+        consts = derive(SLOW3)
+        want = math.factorial(k) ** 3 * (
+            1.0 + 2.0 * consts.birth_rate / (2.0 * SLOW3.mu * 3 * k - consts.growth_rate))
+        assert sigma_slow(Factor.from_polys([he] * 3), SLOW3) == pytest.approx(
+            want, rel=1e-12)
+
+    def test_degree_40_monomial_3d(self):
+        # (x y z)^40 against exact integers: per coordinate E[X^n Y^n] at
+        # correlation rho = exp(-2 mu t) is a polynomial in rho, so the pair
+        # spectrum c_N is the rho^N coefficient of its cube, times s^(6n),
+        # and the variance is sum over N >= 1 of c_N (1 + 2 b / (2 mu N - g))
+        n = 40
+        series = pair_moment_series(n)
+        cube = [1]
+        for _ in range(3):
+            cube = [sum(cube[i] * series[N - i] for i in range(len(cube))
+                        if 0 <= N - i <= n) for N in range(len(cube) + n)]
+        consts = derive(SLOW3)
+        tilt = Fraction(2.0 * consts.birth_rate)
+        rate, growth = 2 * Fraction(SLOW3.mu), Fraction(consts.growth_rate)
+        want = sum(c * (1 + tilt / (rate * N - growth))  # s^(6n) = 2^(-3n)
+                   for N, c in enumerate(cube) if N) * Fraction(1, 2 ** (3 * n))
+        monomial = Factor.from_polys([[0.0] * n + [1.0]] * 3)
+        assert sigma_slow(monomial, SLOW3) == pytest.approx(float(want), rel=1e-12)
 
 
 class TestSigmaCritical:
@@ -355,7 +392,7 @@ class TestCriticalSampler:
             digest.update(critical_limit_sampler(f, params, rng, size=64)
                           .astype("<f8").tobytes())
         assert digest.hexdigest() == (
-            "982227a8da8772f4dbae083bffdc65f693bd0d5e8be1e101845a8833428194d0")
+            "b500d4c42fe3308c2653ee91bf14232fab0ebb0ccc125b41aed060a211e4b78d")
 
 
 class TestFastSampler:

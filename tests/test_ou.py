@@ -9,13 +9,12 @@ from branching_ou.ou import (
     Func1D,
     Factor,
     default_rule,
-    gaussian_moment,
     ou_leg,
     poly_times,
     stationary_std,
 )
 
-from helpers import FUNC_ONE, FUNC_X, phi_quad
+from helpers import FUNC_ONE, FUNC_X, normal_moment, phi_quad
 
 PARAMS = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 
@@ -33,7 +32,7 @@ class TestQuadrature:
             # rounding floor scales with the summand magnitude
             floor = 1e-12 * float(np.dot(rule.weights, np.abs(rule.nodes) ** k))
             assert quad == pytest.approx(
-                gaussian_moment(k, std), rel=1e-10, abs=max(1e-12, floor)
+                normal_moment(k, std), rel=1e-10, abs=max(1e-12, floor)
             )
 
     def test_base_rule_cached_and_read_only(self):
@@ -202,7 +201,6 @@ def test_slot_polynomial_property(data, dim):
     close(centered.phi_mean(params), 0.0)
     for axis in range(dim):
         derivative = polyder(F.coeffs, axis=axis)
-        close(F.derivative(axis).coeffs, derivative)
         close(gradient_phi_mean(F, params)[axis], w @ numpy_eval(derivative, pts))
     # <phi, (T_s F)(T_s G)> = phi(F) phi(G) + sum_n c_n exp(-2 mu n s), with
     # the semigroup applied by the rule: T_s F(x) = E F(a x + sqrt(1 - a^2) Y)
