@@ -1,11 +1,14 @@
-"""Exact Ornstein-Uhlenbeck transitions and integration against the
+"""The Ornstein-Uhlenbeck motion along a tree and integration against the
 stationary Gaussian law.
 
-The transition over a step ``dt`` starting at ``x`` is
-``x * exp(-mu dt) + relax(dt) * G`` where ``G`` is a draw from the
-stationary law (centered Gaussian, per-coordinate variance
-``sigma^2 / (2 mu)``) and ``relax(dt) = sqrt(1 - exp(-2 mu dt))``.  This is
-exact in distribution, so no time discretization error enters anywhere.
+Over a step of length ``dt``, e^{-mu (dt - u)} X at u into the step is a
+Brownian motion run in the clock ``clock(u, dt, mu)`` =
+e^{-2 mu (dt - u)} (1 - e^{-2 mu u}), scaled by the stationary standard
+deviation s = sigma / sqrt(2 mu) (Doob 1942): it starts at e^{-mu dt} X at
+the step's start and ends at X at the step's end.  So the simulator moves
+each tree line by one Gaussian increment of variance s^2 times the clock's
+increase along the line, exact in distribution, with no time
+discretization error anywhere.
 
 Slot functions are polynomials, and each stationary integral of one is read
 from its Hermite array (``Factor.hermite``); the oracle keeps its own
@@ -31,9 +34,16 @@ def stationary_std(params: ModelParams) -> float:
     return params.sigma / math.sqrt(2.0 * params.mu)
 
 
-def relax(dt, mu: float):
-    """Fraction of the stationary noise acquired over a step of length dt."""
-    return np.sqrt(-np.expm1(-2.0 * mu * np.asarray(dt, dtype=float)))
+def clock(elapsed, dt: float, mu: float):
+    """The clock of the OU motion over a step of length ``dt`` at
+    ``elapsed`` (a number or an array) into it: e^{-2 mu (dt - elapsed)}
+    (1 - e^{-2 mu elapsed}), which grows from 0 at the step's start to
+    1 - e^{-2 mu dt} at its end.  Two lines that part at ``elapsed`` from
+    one position at the step's start have per-coordinate covariance s^2
+    times this at its end, s = ``stationary_std``.  Both factors are at most
+    1 for elapsed in [0, dt], so no mu dt overflows."""
+    two_mu = 2.0 * mu
+    return np.exp(-two_mu * (dt - elapsed)) * -np.expm1(-two_mu * elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +221,3 @@ def _hermgauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
     x.flags.writeable = w.flags.writeable = False
     return x, w
-
-
-# ---------------------------------------------------------------------------
-# transitions
-
-
-def ou_leg(x: np.ndarray, dt: np.ndarray, mu: float, s_std: float,
-           rng: np.random.Generator) -> np.ndarray:
-    """Exact OU transition of the rows of ``x`` over the times ``dt``, one
-    per row; ``s_std`` is the stationary standard deviation.  This is the
-    step the simulator takes."""
-    scale = relax(dt, mu) * s_std
-    return x * np.exp(-mu * dt)[:, None] + scale[:, None] * \
-        rng.standard_normal(x.shape)

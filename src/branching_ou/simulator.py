@@ -21,14 +21,21 @@ Markov at the grid times, the positions there depend only on the motion
 along their ancestral lines, and a line that dies out within a step changes
 nothing later; so every line alive at t_k survives to t_{k+1} with
 probability P(t_{k+1} - t_k), and each survivor draws its tree over the
-step.  Every tree edge is one exact OU leg: to the edge's split time, or to
-t_{k+1} for a leaf.  A step draws one uniform per line alive at t_k, then,
-per generation of its trees, one uniform per line and the normals of every
-line's leg, each set in line order; the lines at t_{k+1} are then sorted by
-replica, a radix sort of a 16-bit key while a batch holds fewer than 2^15
-replicas.  The number and order of draws depend only on counts, never on
-positions.  A farm derives one RNG substream per replica batch from
-(seed, batch_index).
+step.  Along the tree, the OU motion over a step of length dt is one
+Brownian motion run in the clock ``ou.clock`` (Doob 1942): each root
+starts at exp(-mu dt) times its position at t_k, and each tree edge adds
+one Gaussian increment of variance s^2 (s = ``stationary_std``) times the
+clock's rise from the edge's start to its split, or to t_{k+1} for a leaf.
+The clock is read once per split, at its time into the step, and once
+per step for the leaves; only a cap's error reports a split's time.  A
+step draws one uniform per line alive at t_k, then, per generation of its
+trees, one uniform per line and one normal per line and coordinate, each
+set in line order.  Each generation's lines come in replica order, so
+each leaf's row at t_{k+1} follows from its replica's leaf counts in the
+generations before it and its rank in its generation: the level is placed
+without a sort.  The number and order of draws depend only on counts,
+never on positions.  A farm derives one RNG substream per replica batch
+from (seed, batch_index).
 
 ``position_sum`` draws the same tree, by the same loop, for one replica
 over [0, T], and then its position sum at T from the sum's exact Gaussian
@@ -53,7 +60,7 @@ import math
 import numpy as np
 
 from .model import ModelParams, count_step, derive
-from .ou import ou_leg, stationary_std
+from .ou import clock, stationary_std
 
 
 class ResourceCapError(RuntimeError):
@@ -186,6 +193,35 @@ def _skeleton(a: np.ndarray, floor: float, rng: np.random.Generator):
         a = np.repeat(a, 2)
 
 
+def _place(leaves: list, n_replicas: int, dim: int):
+    """One level's positions sorted by replica, and its per-replica counts,
+    from a step's leaves.  Per generation, ``leaves`` holds the replicas
+    with lines there, in increasing order, the index of each one's first
+    leaf, closed by the leaf count, and the leaves' positions, grouped by
+    replica in that order.  A replica's rows hold its leaves in generation
+    order, then line order: the order of a stable sort of the concatenated
+    generations by replica, placed without a sort."""
+    counts = np.zeros(n_replicas, dtype=np.int64)
+    for ids, first, _ in leaves:
+        counts[ids] += first[1:] - first[:-1]
+    free = np.cumsum(counts) - counts  # each replica's next row
+    pos = np.empty((int(counts.sum()), dim))
+    for ids, first, x in leaves:
+        n = first[1:] - first[:-1]
+        rows = np.repeat(free[ids] - first[:-1], n)
+        rows += np.arange(x.shape[0])
+        pos[rows] = x
+        free[ids] += n
+    return pos, counts
+
+
+def _reached(elapsed: np.ndarray, t_prev: float, t: float) -> float:
+    """The time a cap's error reports: the earliest split at ``elapsed``
+    into the step from ``t_prev`` to ``t``, clamped into the step against
+    rounding."""
+    return min(t_prev + max(float(elapsed.min()), 0.0), t)
+
+
 def _run_batch(
     params: ModelParams,
     t_grid: np.ndarray,
@@ -198,8 +234,6 @@ def _run_batch(
     consts = derive(params)
     mu, s_std = params.mu, stationary_std(params)
     r, b, d = consts.growth_rate, consts.birth_rate, consts.death_rate
-    # a 16-bit key makes the stable sort by replica a radix sort
-    rep = np.arange(n_replicas, dtype=np.int16 if n_replicas < 2**15 else np.int64)
     pos = np.tile(np.asarray(params.x0, dtype=float), (n_replicas, 1))
     # lines born, roots included: in the batch, and per replica through the
     # last grid step; no replica passes MAX_PARTICLES before the batch does,
@@ -209,52 +243,76 @@ def _run_batch(
     generation, t_prev, out = 0, 0.0, []
     for t in t_grid:
         if t > t_prev:
-            unit = math.exp(-r * (t - t_prev))  # a in units of exp(r dt)
+            dt = t - t_prev
+            unit = math.exp(-r * dt)  # a in units of exp(r dt)
             c = d * unit
-            alive = np.flatnonzero(rng.random(rep.size) * (b - c) < r)
-            rep, x, start = rep[alive], pos[alive], t_prev
-            roots = np.bincount(rep, minlength=n_replicas)
-            reps, xs, step_born = [], [], None
+            alive = np.flatnonzero(rng.random(pos.shape[0]) * (b - c) < r)
+            x = pos.take(alive, axis=0)
+            x *= math.exp(-mu * dt)
+            # per generation, the replicas holding lines, in increasing
+            # order, and the index of each one's first line, closed by the
+            # line count
+            first = np.searchsorted(alive, np.cumsum(counts) - counts)
+            roots = np.diff(first, append=alive.size)
+            ids = np.flatnonzero(roots)
+            bounds = np.append(first[ids], alive.size)
+            end_clock, start, elapsed = clock(dt, dt, mu), 0.0, None
+            leaves, step_born = [], None
             for m, br, a in _skeleton(np.full(alive.size, b - c), r * unit, rng):
                 generation += 1
                 if generation > MAX_GENERATIONS:
-                    raise ResourceCapError(f"generation budget MAX_GENERATIONS="
-                                           f"{MAX_GENERATIONS} exhausted",
-                                           float(np.min(start)))
-                tau = t_prev + np.log(b / (a + c)) / r
-                dt = np.full(m, t)
-                dt[br] = tau
-                dt -= start
-                # rounding may put a split a hair outside its step
-                x = ou_leg(x, np.maximum(dt, 0.0, out=dt), mu, s_std, rng)
+                    raise ResourceCapError(
+                        f"generation budget MAX_GENERATIONS={MAX_GENERATIONS} exhausted",
+                        t_prev if elapsed is None else _reached(elapsed, t_prev, t))
+                # each split's time into the step, read by the clock and by
+                # a cap's error alone
+                elapsed = np.log(b / (a + c)) / r
+                split_clock = clock(elapsed, dt, mu)
+                # a line's increment has variance s^2 times the clock's rise
+                # from its start to its split or to the step's end, which
+                # rounding may put a hair below zero
+                scale = np.full(m, end_clock)
+                scale[br] = split_clock
+                scale -= start
+                np.sqrt(np.maximum(scale, 0.0, out=scale), out=scale)
+                scale *= s_std
+                noise = rng.standard_normal(x.shape)
+                noise *= scale[:, None]
+                noise += x
+                x = noise
                 leaf = np.ones(m, dtype=bool)
                 leaf[br] = False
-                leaves = np.flatnonzero(leaf)  # faster than a mask to index by
-                reps.append(rep[leaves])
-                xs.append(x[leaves])
-                rep = rep[br]
+                # the splits before each replica's first line, so its leaves
+                # before it
+                before = br.searchsorted(bounds)
+                leaves.append((ids, bounds - before,
+                               x.take(np.flatnonzero(leaf), axis=0)))
+                splits = before[1:] - before[:-1]
+                split = splits.nonzero()[0]
+                ids, splits, before = ids[split], splits[split], before[split]
                 total += 2 * br.size
                 if total > MAX_PARTICLES:
                     if step_born is None:
                         # the step's lines so far, its leaves and the
                         # children pending, are its roots plus one per split
-                        step_born = born + 2 * (
-                            np.bincount(np.concatenate(reps), minlength=n_replicas)
-                            + 2 * np.bincount(rep, minlength=n_replicas) - roots)
+                        step_born = born - 2 * roots
+                        for held, leaf_first, _ in leaves:
+                            step_born[held] += 2 * (leaf_first[1:] - leaf_first[:-1])
+                        step_born[ids] += 4 * splits
                     else:
-                        step_born += 2 * np.bincount(rep, minlength=n_replicas)
+                        step_born[ids] += 2 * splits
                     if step_born.max() > MAX_PARTICLES:
+                        # it splits here, or it would have tripped before
                         worst = int(np.argmax(step_born))
+                        k = int(np.searchsorted(ids, worst))
+                        its_splits = elapsed[before[k]:before[k] + splits[k]]
                         raise ResourceCapError(
                             f"replica {worst} exceeded MAX_PARTICLES={MAX_PARTICLES}",
-                            float(tau[rep == worst].min()))
-                rep, x, start = np.repeat(rep, 2), np.repeat(x[br], 2, axis=0), \
-                    np.repeat(tau, 2)
-            rep, pos = np.concatenate(reps), np.concatenate(xs)
-            if n_replicas > 1:
-                order = np.argsort(rep, kind="stable")
-                rep, pos = rep[order], pos[order]
-            counts = np.bincount(rep, minlength=n_replicas)
+                            _reached(its_splits, t_prev, t))
+                bounds = 2 * np.append(before, br.size)
+                x = np.repeat(x.take(br, axis=0), 2, axis=0)
+                start = np.repeat(split_clock, 2)
+            pos, counts = _place(leaves, n_replicas, pos.shape[1])
             born += 2 * (counts - roots)  # a step's leaves: its roots plus its splits
             t_prev = t
         out.append((pos, counts))

@@ -5,7 +5,9 @@ Every oracle here deliberately avoids the package's own evaluation paths:
 expectations come from scipy quadrature / ODE integration, closed forms
 derived by hand, or brute-force enumeration over raw Python floats.  The
 one reference sampler, ``full_tree_farm``, draws every lifetime of the
-genealogy, where the package's farm draws only the reconstructed tree.
+genealogy and moves it by one exact OU transition (``ou_leg``), where the
+package's farm draws only the reconstructed tree and moves it in the
+clock ``ou.clock``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate, signal
 
-from branching_ou.ou import Func1D, ou_leg, stationary_std
+from branching_ou.ou import Func1D, stationary_std
 from branching_ou.simulator import FarmLevel
 
 FUNC_ONE = Func1D.polynomial([1.0])
@@ -140,6 +142,23 @@ def critical_ratio_moment(params, t: float) -> float:
     pairs, _ = integrate.quad(lambda h: 4.0 * mu * math.exp(-2.0 * mu * h) * b_of(h),
                               0.0, t, limit=400)
     return s2 / t * (-math.expm1(-2.0 * mu * t) + pairs)
+
+
+def relax(dt, mu: float):
+    """Fraction of the stationary noise acquired over a step of length dt:
+    sqrt(1 - exp(-2 mu dt))."""
+    return np.sqrt(-np.expm1(-2.0 * mu * np.asarray(dt, dtype=float)))
+
+
+def ou_leg(x: np.ndarray, dt: np.ndarray, mu: float, s_std: float,
+           rng) -> np.ndarray:
+    """Exact OU transition of the rows of ``x`` over the times ``dt``, one
+    per row: x exp(-mu dt) + s_std relax(dt) G, ``s_std`` the stationary
+    standard deviation and G standard normal.  ``full_tree_farm`` moves
+    every lifetime by it, independently of the package's ``ou.clock``."""
+    scale = relax(dt, mu) * s_std
+    return x * np.exp(-mu * dt)[:, None] + scale[:, None] * \
+        rng.standard_normal(x.shape)
 
 
 def full_tree_farm(params, t_grid, n_replicas: int, seed: int) -> list[FarmLevel]:

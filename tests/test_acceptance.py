@@ -15,7 +15,7 @@ from scipy import stats as sstats
 
 from branching_ou.kernels import Factor, Kernel, hoeffding_table, reconstruct_from_table
 from branching_ou.model import ModelParams, classify, derive, extinction_by
-from branching_ou.ou import Func1D, ou_leg, stationary_std
+from branching_ou.ou import Func1D, clock, stationary_std
 from branching_ou import simulator
 from branching_ou.simulator import condition_on_survival, simulate_farm
 from branching_ou.tree_oracle import exact_mixed_moment
@@ -23,8 +23,8 @@ from branching_ou.ustats import u_statistic, u_statistics, v_statistics
 from branching_ou.limits import sigma_slow, sigma_critical, slow_limit_sampler
 
 from conftest import CRIT_PARAMS, FAST_PARAMS, SLOW_PARAMS
-from helpers import (FUNC_ONE, FUNC_X, critical_ratio_moment, extinction_ode, var_se,
-                     yule_second_moment)
+from helpers import (FUNC_ONE, FUNC_X, critical_ratio_moment, extinction_ode, ou_leg,
+                     var_se, yule_second_moment)
 
 X2 = Func1D.polynomial([0.0, 0.0, 1.0])
 KERNEL_XX = Kernel.from_slot_funcs([FUNC_X, FUNC_X], symmetric=True)
@@ -78,9 +78,10 @@ class FixedNormals:
 
 
 def test_criterion_2_ou_correctness():
-    # ou_leg maps x to a x + b G over a step dt; read a and b off it and
-    # check the semigroup (two legs s, t have the law of one leg s + t) and
-    # the invariance of the stationary law (a^2 std^2 + b^2 = std^2)
+    # ou_leg, the reference farm's transition, maps x to a x + b G over a
+    # step dt; read a and b off it and check the semigroup (two legs s, t
+    # have the law of one leg s + t) and the invariance of the stationary
+    # law (a^2 std^2 + b^2 = std^2)
     params = SLOW_PARAMS
     std = stationary_std(params)
 
@@ -97,6 +98,18 @@ def test_criterion_2_ou_correctness():
                     abs((a_st * std) ** 2 + b_st**2 - std**2))
     ok_semi = worst <= 1e-10
     assert report(2, "semigroup + invariance identities", ok_semi,
+                  f"max defect={worst:.2e} <= 1e-10")
+
+    # the farm's clock: two particles parting u into a step of dt from one
+    # start have covariance a_{dt-u}^2 b_u^2 at its end, one alone the
+    # variance b_dt^2, and the farm reads both as std^2 clock(u, dt)
+    worst = 0.0
+    for u, dt in ((0.0, 0.7), (0.3, 0.9), (1.1, 2.3), (2.3, 2.3)):
+        a_rest, b_u, b_dt = leg(1.0, dt - u, 0.0), leg(0.0, u, 1.0), leg(0.0, dt, 1.0)
+        worst = max(worst, abs((a_rest * b_u) ** 2 - std**2 * clock(u, dt, params.mu)),
+                    abs(b_dt**2 - std**2 * clock(dt, dt, params.mu)))
+    ok_clock = worst <= 1e-10
+    assert report(2, "clock = covariance of parted legs", ok_clock,
                   f"max defect={worst:.2e} <= 1e-10")
 
     rng = np.random.default_rng(7)

@@ -478,7 +478,7 @@ class TestEmit:
         path = dump_snapshots(farm, tmp_path)
         assert path.read_text().splitlines()[0] == "replica_id,t,coord_1,coord_2"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "0a0ffd886a7d88c8a0e3684dfcab930460ab32f1e8161a9bb589d4d99c9ad857")
+            "22fd9cd950ab132e3a27d022da88967b7807d86d72c9e430c7b10952f97a10fa")
 
 
 class TestReportBytes:
@@ -489,14 +489,14 @@ class TestReportBytes:
                     g1={"replicas": 150, "t": 3.0, "t_max": 6.0})
     PINNED = {
         "lln": (run_lln, dict(kernel=KERNEL_X2Y2, replicas=300, t_grid=[3.0]),
-                "d45d9deb2b9a64c3101a0d87bd5be5c83f66c05eb38bbba07e77eedb0de466d2"),
+                "0648484b605a21f1c239f495543d42e264507ecaeaddc5f13d0353068fc17547"),
         "wlaw": (run_w_law, dict(replicas=200, t_grid=[6.5]),
                  "3688c8b303f03a263cb479eec4046f7f9ee7451ff0a1916abad479bb4db4456e"),
         "clt": (run_clt, SLOW_CLT,
-                "d9aec5f8393ae97b73f909d91689828845d0401dd68188fb607b35dd7b47fc9c"),
+                "5d7bd7d37380a6599d4fb63d8984d55d99a9224551b0eb9d0c7c5124c8add788"),
         "oracle": (run_oracle_crosscheck,
                    dict(kernel=KERNEL_XX, replicas=300, t_grid=[1.0, 2.0]),
-                   "1675fc61429bd709095b4f26ac40474c1fda1159b34754b4c788d8c69a09c807"),
+                   "72f078d0fa727c44af198cba07f320161578aff72cdb166e450308a0924a166d"),
         "variance": (run_variance, {},
                      "93299c2bf0c8ac144fe37783f00bb9c205221cdf0ceb76aebdb869a6130d879e"),
     }
@@ -555,11 +555,12 @@ class TestRunners:
         assert report.checks[0].extra["limit_gap"] == pytest.approx(gap, rel=1e-12)
 
     def test_w_law_and_g1_draw_no_motion(self, monkeypatch):
-        # both depend on the genealogy alone, so neither takes an OU leg
-        def no_leg(*args, **kwargs):
-            raise AssertionError("an OU leg was drawn")
+        # both depend on the genealogy alone, so neither reads the clock in
+        # which a farm moves its particles
+        def no_motion(*args, **kwargs):
+            raise AssertionError("a particle was moved")
 
-        monkeypatch.setattr("branching_ou.simulator.ou_leg", no_leg)
+        monkeypatch.setattr("branching_ou.simulator.clock", no_motion)
         assert len(run_w_law(config(replicas=200, t_grid=[6.5])).checks) == 2
         check = harness._g1_coordinate(config(**TestReportBytes.SLOW_CLT))
         assert check.name == "g1_fluctuation_variance"

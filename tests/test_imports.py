@@ -22,7 +22,11 @@ benchmark (``# noqa: F401``) binds a name its module uses or the benchmark
 tracer patches.  Stationary integrals of a slot take one route, its Hermite
 array: only ``ou`` may import ``numpy.polynomial.hermite_e``, no module
 calls ``np.apply_along_axis`` or ``np.vectorize``, and the oracle, which
-keeps its own Isserlis path, names neither the array nor ``phi_mean``.
+keeps its own Isserlis path, names neither the array nor ``phi_mean``.  The
+farm places its particles by replica without a sort: ``simulator`` calls no
+``argsort`` or ``sort``.  It takes its motion only from ``ou``: it imports
+``clock`` and ``stationary_std`` from there and nothing else, and its batch
+calls the clock.
 """
 
 from __future__ import annotations
@@ -443,3 +447,26 @@ def test_oracle_takes_no_hermite_route():
     assert identifiers("def f(F, p):\n    return F.hermite(p)[0] + F.phi_mean(p)\n") \
         == {"f", "F", "p", "hermite", "phi_mean"}
     assert identifiers("from .ou import hermite_norms\n") == {"ou", "hermite_norms"}
+
+
+def imported_from(source: str, module: str) -> set[str]:
+    """The names ``source`` imports from the package module ``module``,
+    relatively or by the package name."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module is not None
+            and (node.level and node.module == module
+                 or node.module == f"branching_ou.{module}")
+            for alias in node.names}
+
+
+def test_farm_sorts_nothing_and_moves_by_the_ou_clock():
+    # each step's leaves come in replica order per generation, so their
+    # rows follow from counts; the OU motion has one home, ``ou.clock``
+    source = (PACKAGE / "simulator.py").read_text()
+    assert owners(source, "argsort", calls=True) + owners(source, "sort", calls=True) == []
+    assert imported_from(source, "ou") == {"clock", "stationary_std"}
+    assert set(owners(source, "clock", calls=True)) == {"_run_batch"}
+    toy = ("from .ou import a\nfrom branching_ou.ou import b\nfrom .model import c\n"
+           "def f(x):\n    return np.argsort(x), x.sort(), sorted(x)\n")
+    assert imported_from(toy, "ou") == {"a", "b"}
+    assert owners(toy, "argsort", calls=True) == owners(toy, "sort", calls=True) == ["f"]

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from branching_ou.model import ModelParams
 from branching_ou.ou import (
     Func1D,
     Factor,
+    clock,
     default_rule,
-    ou_leg,
     poly_times,
     stationary_std,
 )
 
-from helpers import FUNC_ONE, FUNC_X, normal_moment, phi_quad
+from helpers import FUNC_ONE, FUNC_X, normal_moment, ou_leg, phi_quad
 
 PARAMS = ModelParams(lam=1.0, p=0.75, mu=1.0, sigma=1.0)
 
@@ -55,8 +56,52 @@ class TestQuadrature:
         assert got == pytest.approx(phi_quad(math.cos, PARAMS), abs=1e-10)
 
 
+class TestClock:
+    """``clock``, in which the farm runs the OU motion along its tree as a
+    Brownian motion."""
+
+    @pytest.mark.parametrize("mu, dt", [(1.0, 0.3), (0.1, 17.0), (120.0, 4.0),
+                                        (1e-7, 2.0), (3.0, 1e-9)])
+    def test_matches_the_ou_covariance(self, mu, dt):
+        # lines parting at u into the step from one start have covariance
+        # s^2 (exp(-2 mu (dt - u)) - exp(-2 mu dt)) at its end (Doob 1942),
+        # here in 50-digit decimal arithmetic; one line alone has u = dt
+        u = np.linspace(0.0, dt, 33)
+        got = clock(u, dt, mu)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            two_mu, end = 2 * Decimal(mu), Decimal(dt)
+            want = [float((-two_mu * (end - Decimal(v))).exp() - (-two_mu * end).exp())
+                    for v in u]
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-30)
+        assert got[0] == 0.0
+        assert got[-1] == -math.expm1(-2.0 * mu * dt)
+        assert np.all(np.diff(got) >= 0.0)
+
+    @pytest.mark.parametrize("mu", [0.1, 1.0, 40.0])
+    def test_semigroup(self, mu):
+        # a step of d1 + d2 is a step of d1 run on for d2:
+        # exp(-2 mu d2) D(d1) + D(d2) = D(d1 + d2), D(d) = clock(d, d, mu)
+        def full(d):
+            return clock(d, d, mu)
+
+        for d1, d2 in ((0.3, 0.9), (1.1, 2.3), (1e-6, 5.0), (7.0, 1e-3)):
+            assert math.exp(-2.0 * mu * d2) * full(d1) + full(d2) == \
+                pytest.approx(full(d1 + d2), rel=1e-14)
+
+    def test_no_overflow_at_any_mu_dt(self):
+        # both factors stay in [0, 1]: no overflow, no NaN, however large
+        # mu dt, where a forward clock exp(2 mu dt) - 1 overflows
+        with np.errstate(over="raise", invalid="raise"):
+            for mu, dt in ((120.0, 4.0), (1e6, 1e3), (1e300, 1.0)):
+                got = clock(np.linspace(0.0, dt, 9), dt, mu)
+                assert np.all((got >= 0.0) & (got <= 1.0))
+                assert got[-1] == 1.0
+
+
 class TestTransitionSampler:
-    """``ou_leg``, the exact OU step the simulator takes."""
+    """``helpers.ou_leg``, the exact OU step the reference farm
+    ``full_tree_farm`` takes per lifetime."""
 
     @staticmethod
     def leg(x, dt, params, rng):

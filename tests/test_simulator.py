@@ -20,6 +20,7 @@ from branching_ou.simulator import (
     simulate_farm,
 )
 from branching_ou.kernels import Kernel
+from branching_ou.ou import stationary_std
 from branching_ou.tree_oracle import exact_mixed_moment
 from branching_ou.ustats import v_statistics
 
@@ -47,20 +48,23 @@ class TestBasics:
         assert np.array_equal(a.positions, b.positions)
 
     def test_farm_stream_pinned(self, monkeypatch):
-        # three batches, the last partial; the digest of counts and
-        # positions pins the RNG stream and the replica order
+        # three batches, the last partial; the digest of the counts pins
+        # the RNG stream, and that of the positions the motion and the
+        # replica order
         monkeypatch.setattr(simulator, "FARM_BATCH", 16)
         params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
                              x0=(1.0, -1.0))
         farm = simulate_farm(params, (2.0, 0.5), 40, seed=3)
         assert isinstance(farm, list) and [level.t for level in farm] == [0.5, 2.0]
-        digest = hashlib.sha256()
+        counts, positions = hashlib.sha256(), hashlib.sha256()
         for level in farm:
-            digest.update(farm_counts(level).astype("<i8").tobytes())
-            digest.update(np.concatenate([s.positions for s in level])
-                          .astype("<f8").tobytes())
-        assert digest.hexdigest() == (
-            "e2dacd26d3bb28503c846a372e25c80c9fb536681998d6e9c588598077be88de")
+            counts.update(farm_counts(level).astype("<i8").tobytes())
+            positions.update(np.concatenate([s.positions for s in level])
+                             .astype("<f8").tobytes())
+        assert counts.hexdigest() == (
+            "9d88f829f15c8d1ff5cc6b975f86a72b29f3b3f090b558ddfc27117c9464441b")
+        assert positions.hexdigest() == (
+            "27a302a09a72f6818667f63b1ab27f6e746e2ef48e908d817d0a302bd246781d")
         in_order = simulate_farm(params, (0.5, 2.0), 40, seed=3)
         for a, b in zip(farm, in_order):
             assert np.array_equal(a.counts, b.counts)
@@ -78,12 +82,14 @@ class TestBasics:
         assert [int(level.counts.sum()) for level in farm] == [40, 50, 50, 93, 126]
         assert np.array_equal(farm[1].positions, farm[2].positions)
         assert np.array_equal(farm[0].positions, np.tile([1.0, -1.0], (40, 1)))
-        digest = hashlib.sha256()
+        counts, positions = hashlib.sha256(), hashlib.sha256()
         for level in farm:
-            digest.update(level.counts.astype("<i8").tobytes())
-            digest.update(level.positions.astype("<f8").tobytes())
-        assert digest.hexdigest() == (
-            "1d05da7d82c0c619cecae6def341d9156e32dc80f7b5c2bb2ed810b756f9c804")
+            counts.update(level.counts.astype("<i8").tobytes())
+            positions.update(level.positions.astype("<f8").tobytes())
+        assert counts.hexdigest() == (
+            "e69339644168be7944d96cab1f2744549581e2813740715a966f6a01100aae13")
+        assert positions.hexdigest() == (
+            "00c43aacb6d15813bcc9b7abb9ddf18af54f56c064972a73e181b189af308030")
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_counts_do_not_depend_on_the_start(self, dim):
@@ -370,6 +376,89 @@ class TestCapsProperty:
             simulator.farm_counts(params, (t / 2, t), replicas, seed)
         except ResourceCapError as exc:
             assert "MAX_FARM_PARTICLES" in str(exc) and exc.time_reached == 0.0
+
+class TestMotionAndPlacement:
+    """The farm moves every tree line by one Gaussian increment in the
+    clock ``ou.clock`` and places each step's leaves by replica without a
+    sort."""
+
+    @pytest.mark.parametrize("mu, grid", [(120.0, (4.0,)), (50.0, (0.5, 1.5, 1.5, 4.0))],
+                             ids=["one_step", "multi_step"])
+    def test_large_mu_dt_stays_finite(self, mu, grid):
+        # a clock run forward, exp(2 mu dt) - 1, overflows at mu dt = 480;
+        # this one has no factor above 1, so no step overflows and every
+        # position keeps its OU marginal, variance s^2 (1 - exp(-2 mu t))
+        params = ModelParams(lam=1.0, p=0.75, mu=mu, sigma=1.0)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            farm = simulate_farm(params, grid, 2000, seed=5)
+        s2 = stationary_std(params) ** 2
+        for level in farm:
+            assert np.isfinite(level.positions).all()
+            alive = level.counts > 0
+            per_rep = level.segment_sum(level.positions[:, 0] ** 2)[alive] / \
+                level.counts[alive]
+            m, se = mean_se(per_rep)
+            assert abs(m - s2 * -math.expm1(-2.0 * mu * level.t)) <= 4 * se
+
+    def test_placement_is_a_stable_sort_by_replica(self, monkeypatch):
+        # three batches, the last partial, a repeated grid time and extinct
+        # replicas: every step's placement equals a stable argsort by
+        # replica of its generations' leaves, concatenated
+        place, interleaved, sizes = simulator._place, [], []
+
+        def checked(leaves, n_replicas, dim):
+            pos, counts = place(leaves, n_replicas, dim)
+            reps = np.concatenate([np.repeat(ids, first[1:] - first[:-1])
+                                   for ids, first, _ in leaves])
+            order = np.argsort(reps, kind="stable")
+            assert np.array_equal(pos, np.concatenate([x for *_, x in leaves])[order])
+            assert np.array_equal(counts, np.bincount(reps, minlength=n_replicas))
+            interleaved.append(bool(np.any(order != np.arange(order.size))))
+            sizes.append(n_replicas)
+            return pos, counts
+
+        monkeypatch.setattr(simulator, "_place", checked)
+        monkeypatch.setattr(simulator, "FARM_BATCH", 16)
+        params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2, x0=(1.0, -1.0))
+        farm = simulate_farm(params, (0.0, 0.5, 0.5, 2.0, 3.0), 40, seed=3)
+        # each batch places at its three steps of positive length
+        assert sizes == [16] * 3 + [16] * 3 + [8] * 3
+        assert any(interleaved)
+        assert (farm[-1].counts == 0).any()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_place_matches_a_stable_sort(self, seed):
+        # random generations with empty ones, replicas with no leaf and
+        # replicas holding lines but no leaf in a generation
+        rng = np.random.default_rng(seed)
+        n_replicas, leaves, reps = 12, [], []
+        for _ in range(6):
+            ids = np.flatnonzero(rng.random(n_replicas) < 0.4)
+            ids = ids[ids != 5]
+            n = rng.integers(0, 4, size=ids.size)
+            leaves.append((ids, np.concatenate(([0], np.cumsum(n))),
+                           rng.standard_normal((int(n.sum()), 3))))
+            reps.append(np.repeat(ids, n))
+        pos, counts = simulator._place(leaves, n_replicas, 3)
+        reps = np.concatenate(reps)
+        order = np.argsort(reps, kind="stable")
+        assert np.array_equal(pos, np.concatenate([x for *_, x in leaves])[order])
+        assert np.array_equal(counts, np.bincount(reps, minlength=n_replicas))
+        assert counts[5] == 0
+
+    @pytest.mark.parametrize("grid", [(1.0,), (0.3, 0.3, 0.6, 1.0)], ids=["one", "steps"])
+    @pytest.mark.parametrize("cap, match", [
+        (("MAX_PARTICLES", 200), r"^replica \d+ exceeded MAX_PARTICLES=200$"),
+        (("MAX_GENERATIONS", 12), r"^generation budget MAX_GENERATIONS=12 exhausted$"),
+    ], ids=["particles", "generations"])
+    def test_caps_raise_inside_the_horizon(self, grid, cap, match, monkeypatch):
+        # split times are recovered only for the error: both caps still
+        # trip, in a one-step and a several-step farm, at a time in [0, t]
+        monkeypatch.setattr(simulator, *cap)
+        with pytest.raises(ResourceCapError, match=match) as info:
+            simulate_farm(ModelParams(lam=5.0, p=1.0, mu=1.0, sigma=1.0), grid, 20, seed=4)
+        assert 0.0 <= info.value.time_reached <= 1.0
+
 
 class TestFarmLaw:
     """``simulate_farm`` draws only the reconstructed tree over each grid
