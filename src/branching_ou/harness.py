@@ -615,6 +615,9 @@ def run_variance(config: ExperimentConfig) -> TestReport:
 # emission
 
 
+# Rows ``dump_snapshots`` formats at a time, which bounds its memory.
+DUMP_ROWS = 1 << 14
+
 _CSV_FIELDS = ["test", "check", "value", "target", "tolerance", "passed",
                "se", "seed", "config_hash", "survival_fraction"]
 
@@ -667,8 +670,10 @@ def emit(report: TestReport, fmt: str, out_dir) -> Path:
 def dump_snapshots(farm, out_dir) -> Path:
     """Plot-ready long-format CSV ``snapshots.csv`` of a ``simulate_farm``
     result: one row per particle per replica per grid time (replica_id, t,
-    coord_1..coord_d), written a level at a time from the flat layout.
-    Floats are written by ``repr``."""
+    coord_1..coord_d), written from the flat layout ``DUMP_ROWS`` rows at a
+    time: a replica's rows in a block lie between its offsets clipped to
+    the block, so a replica may straddle two blocks.  Floats are written by
+    ``repr``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "snapshots.csv"
@@ -677,17 +682,16 @@ def dump_snapshots(farm, out_dir) -> Path:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for level in farm:
-            if not level.count:
-                continue
-            # a list's repr is the repr of each float, joined by ", "
-            columns = [repr(level.positions[:, c].tolist())[1:-1].split(", ")
-                       for c in range(dim)]
-            rows = columns[0] if dim == 1 else list(map(",".join, zip(*columns)))
-            offsets, t = level.offsets.tolist(), repr(level.t)
-            for i in np.flatnonzero(level.counts).tolist():
-                prefix = f"{i},{t},"
-                fh.write(prefix + ("\n" + prefix).join(rows[offsets[i]:offsets[i + 1]])
-                         + "\n")
+            t = repr(level.t)
+            for start in range(0, level.count, DUMP_ROWS):
+                block = level.positions[start:start + DUMP_ROWS]
+                # a list's repr is the repr of each float, joined by ", "
+                columns = [repr(block[:, c].tolist())[1:-1].split(", ") for c in range(dim)]
+                rows = columns[0] if dim == 1 else list(map(",".join, zip(*columns)))
+                cut = np.clip(level.offsets, start, start + len(block)) - start
+                for i in np.flatnonzero(np.diff(cut)).tolist():
+                    prefix = f"{i},{t},"
+                    fh.write(prefix + ("\n" + prefix).join(rows[cut[i]:cut[i + 1]]) + "\n")
     return path
 
 

@@ -5,15 +5,16 @@ the U-statistic over injective tuples only.  The U-statistic is an
 integer combination of V-statistics of merged kernels over the set
 partitions of the argument slots, weighted by the closed-form Moebius
 function of the partition lattice.  For a tensor-sum kernel both are
-polynomials in the per-replica sums of its slot functions, merged or not.
+polynomials in per-replica block sums, a block being the slots that one
+particle feeds, summed over the particles of its slots' values multiplied.
 One plan per kernel collects their like terms, so arity 4 of one repeated
 slot takes 5 products where the expansion has 15 merged kernels, and
-writes each slot sum as a combination of per-replica monomial sums, each
-monomial summed once per call.  A black box is enumerated replica by
-replica, over all m^n index tuples of m particles at arity n for its
-V-statistic and over those masked to the injective ones for its
-U-statistic; ``u_statistic(..., strategy="naive")`` runs that masked
-enumeration for any kernel: the reference the expansion is tested against.
+evaluates each distinct slot once per call: no slot polynomials are
+multiplied.  A black box is enumerated replica by replica, over all m^n
+index tuples of m particles at arity n for its V-statistic and over those
+masked to the injective ones for its U-statistic;
+``u_statistic(..., strategy="naive")`` runs that masked enumeration for
+any kernel: the reference the expansion is tested against.
 ``kernels.index_chunks`` refuses more than ``BLACKBOX_BUDGET`` tuples before
 the first evaluation.
 """
@@ -28,7 +29,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import Kernel, index_chunks, substitute_partition
+from .kernels import Factor, Kernel, index_chunks
+# unused here, but ``benchmarks/tracer.py`` patches this name on ``ustats``
+from .kernels import substitute_partition  # noqa: F401
 from .model import (
     MAX_ARITY,
     ArityCapError,
@@ -75,10 +78,10 @@ def partition_coefficients(n: int) -> dict[Partition, int]:
 #
 # The statistics are computed for every replica of a ``FarmLevel`` at once;
 # a snapshot is a one-replica level, and the per-snapshot functions unpack
-# its one value, so a level of several replicas is refused.  A plan takes
-# each monomial's per-replica sums by one segment-sum pass, over one
-# running power per coordinate (x^k = x^(k-1) x), so no table of powers is
-# held; black boxes are enumerated replica by replica.
+# its one value, so a level of several replicas is refused.  A plan
+# evaluates each distinct slot once per particle and takes each block's
+# per-replica sums by one segment-sum pass over a running product of slot
+# values; black boxes are enumerated replica by replica.
 
 
 def _enumerate(positions: np.ndarray, f: Kernel, injective: bool) -> float:
@@ -108,74 +111,56 @@ def _check_dim(level: FarmLevel, f: Kernel) -> None:
         raise ValueError("kernel dimension does not match snapshot")
 
 
-def _trie(monomials: dict[tuple[int, ...], int]) -> tuple:
-    """The exponent tuples, keyed to their indices, as a trie over the
-    coordinates: per node, (exponent, child) pairs in increasing exponent,
-    a child being the next coordinate's node or, at the last coordinate,
-    the monomial's index."""
-    heads = sorted({k[0] for k in monomials})
+def _trie(blocks: dict[tuple[Factor, ...], int]) -> tuple:
+    """The blocks, keyed to their indices, as a trie over their slots: per
+    node, (slot, index, child) triples, ``index`` being the block that ends
+    there (None if none) and ``child`` the node of the longer blocks."""
     out = []
-    for e in heads:
-        rest = {k[1:]: i for k, i in monomials.items() if k[0] == e}
-        out.append((e, rest[()] if () in rest else _trie(rest)))
+    for s in dict.fromkeys(b[0] for b in blocks):
+        rest = {b[1:]: i for b, i in blocks.items() if b[0] == s}
+        out.append((s, rest.pop((), None), _trie(rest)))
     return tuple(out)
 
 
-def _monomial_sums(node: tuple, level: FarmLevel, c: int, prefix, sums: list) -> None:
-    """Store in ``sums`` the per-replica sums of the monomials below a
-    ``_trie`` node of coordinate ``c``, given ``prefix``, the values of the
-    earlier coordinates' powers (None for 1).  Along the coordinate one
-    running array is multiplied up from the prefix, so a unit monomial gets
-    exactly the bits of Horner's rule."""
-    col = level.positions[:, c]
-    run, owned, power = prefix, False, 0
-    for e, child in node:
-        for _ in range(e - power):
-            if run is None:
-                run = col
-            elif owned:
-                np.multiply(run, col, out=run)
-            else:
-                run, owned = run * col, True
-        power = e
-        if isinstance(child, tuple):
-            _monomial_sums(child, level, c + 1, run, sums)
-        elif run is None:
-            sums[child] = level.counts.astype(float)
+def _block_sums(node: tuple, values: dict, level: FarmLevel, prefix, sums: dict,
+                owned: bool = False) -> None:
+    """Store in ``sums`` the per-replica sums of the blocks below a
+    ``_trie`` node, given ``prefix``, the earlier slots' values multiplied
+    (None for 1), ``owned`` if this walk made it: one running product per
+    depth, the last sibling's in place, so x^k gets its running power's bits."""
+    for k, (s, index, child) in enumerate(node):
+        if prefix is None:
+            run = values[s]
+        elif owned and k == len(node) - 1:
+            run = np.multiply(prefix, values[s], out=prefix)
         else:
-            sums[child] = level.segment_sum(run)
+            run = prefix * values[s]
+        if index is not None:
+            sums[index] = level.segment_sum(run)
+        if child:
+            _block_sums(child, values, level, run, sums, prefix is not None)
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """A tensor-sum statistic as a polynomial in per-replica slot sums."""
+    """A tensor-sum statistic as a polynomial in per-replica block sums."""
 
-    trie: tuple                                   # the monomials, see ``_trie``
-    n_monomials: int
-    # per distinct slot function: its (monomial index, coefficient) pairs
-    slots: tuple[tuple[tuple[int, float], ...], ...]
-    # like terms collected: (coefficient, slot indices in product order)
+    slots: tuple[Factor, ...]                     # the distinct slot functions
+    trie: tuple                                   # the blocks, see ``_trie``
+    # like terms collected: (coefficient, block indices in product order)
     terms: tuple[tuple[float, tuple[int, ...]], ...]
 
     def values(self, level: FarmLevel) -> np.ndarray:
-        """The polynomial per replica: each product takes its coefficient
-        first, then its slot sums in order."""
-        sums: list = [None] * self.n_monomials
-        _monomial_sums(self.trie, level, 0, None, sums)
-        slot_sums = []
-        for pairs in self.slots:
-            if len(pairs) == 1 and pairs[0][1] == 1.0:
-                slot_sums.append(sums[pairs[0][0]])
-                continue
-            total = 0.0
-            for k, c in pairs:
-                total = total + c * sums[k]
-            slot_sums.append(total)
+        """The polynomial per replica, each slot evaluated and each block
+        summed once; a product takes its coefficient, then its block sums."""
+        sums: dict = {}
+        values = {f: f(level.positions) for f in self.slots}
+        _block_sums(self.trie, values, level, None, sums)
         out = np.zeros(len(level))
         for coef, idx in self.terms:
             prod = coef
             for i in idx:
-                prod = prod * slot_sums[i]
+                prod = prod * sums[i]
             out += prod
         return out
 
@@ -184,29 +169,25 @@ class _Plan:
 def _plan(f: Kernel, injective: bool) -> _Plan:
     """The plan of a tensor-sum kernel's V-statistic, or with ``injective``
     of its U-statistic: sum_J a_J (V-statistic of the J-merged kernel)
-    over the set partitions J, merged by ``substitute_partition``.  Terms
-    whose slot functions form one multiset are collected, summing their
-    weighted coefficients, and terms that cancel are dropped.  Memoized for
-    the last few kernels, so a loop over snapshots plans its kernel once."""
-    expansion = ([(a, substitute_partition(f, J))
-                  for J, a in partition_coefficients(f.arity).items()]
-                 if injective else [(1, f)])
+    over the set partitions J.  Per J and term, a block is the sorted
+    tuple of the slot functions one particle feeds; terms of one block
+    multiset are collected, summing their weighted coefficients, and terms
+    that cancel are dropped with their slots.  Memoized for the last few
+    kernels, so a loop over snapshots plans its kernel once."""
+    expansion = (partition_coefficients(f.arity).items() if injective
+                 else [(tuple((i,) for i in range(1, f.arity + 1)), 1)])
     collected: dict[frozenset, list] = {}
-    for a, g in expansion:
-        for coef, slots in g.terms:
-            key = frozenset(Counter(slots).items())
-            if key in collected:
-                collected[key][0] += a * coef
-            else:
-                collected[key] = [a * coef, slots]
-    index: dict = {}  # slot function -> its position in ``slots``
-    terms = tuple((c, tuple(index.setdefault(s, len(index)) for s in slots))
-                  for c, slots in collected.values() if c != 0.0)
-    monomials: dict[tuple[int, ...], int] = {}
-    slots = tuple(tuple((monomials.setdefault(k, len(monomials)), float(fac.coeffs[k]))
-                        for k in map(tuple, np.argwhere(fac.coeffs).tolist()))
-                  for fac in index)
-    return _Plan(_trie(monomials), len(monomials), slots, terms)
+    for J, a in expansion:
+        for coef, slots in f.terms:
+            blocks = tuple(tuple(sorted((slots[i - 1] for i in b), key=lambda s: s._key))
+                           for b in J)
+            key = frozenset(Counter(blocks).items())
+            collected.setdefault(key, [0, blocks])[0] += a * coef
+    numbered: dict = {}  # block -> its position
+    terms = tuple((c, tuple(numbered.setdefault(b, len(numbered)) for b in blocks))
+                  for c, blocks in collected.values() if c != 0.0)
+    slots = tuple(dict.fromkeys(s for b in numbered for s in b))
+    return _Plan(slots, _trie(numbered), terms)
 
 
 def v_statistics(level: FarmLevel, f: Kernel) -> np.ndarray:

@@ -480,6 +480,21 @@ class TestEmit:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "22fd9cd950ab132e3a27d022da88967b7807d86d72c9e430c7b10952f97a10fa")
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 1 << 14])
+    def test_dump_snapshots_blocks_split_replicas(self, tmp_path, monkeypatch, rows):
+        # 2-D, three levels with extinct replicas; at small blocks most
+        # replicas straddle a block edge, and the text must not show it
+        params = ModelParams(lam=1.0, p=0.75, mu=0.5, sigma=2.0, dim=2,
+                             x0=(1.0, -1.0))
+        farm = simulate_farm(params, (0.5, 1.5, 2.5), 9, seed=6)
+        assert any(c > 3 for c in farm[-1].counts) and not all(farm[-1].counts)
+        want = ["replica_id,t,coord_1,coord_2"] + [
+            f"{i},{level.t!r}," + ",".join(repr(float(v)) for v in row)
+            for level in farm for i, s in enumerate(level) for row in s.positions]
+        monkeypatch.setattr(harness, "DUMP_ROWS", rows)
+        path = dump_snapshots(farm, tmp_path)
+        assert path.read_text() == "\n".join(want) + "\n"
+
 
 class TestReportBytes:
     # SHA-256 of the CSV report of one small config per runner; the digest

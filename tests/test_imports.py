@@ -26,7 +26,9 @@ keeps its own Isserlis path, names neither the array nor ``phi_mean``.  The
 farm places its particles by replica without a sort: ``simulator`` calls no
 ``argsort`` or ``sort``.  It takes its motion only from ``ou``: it imports
 ``clock`` and ``stationary_std`` from there and nothing else, and its batch
-calls the clock.
+calls the clock.  The statistics merge no slots by a product polynomial:
+``ustats`` calls neither ``substitute_partition``, ``Factor.times`` nor
+``poly_times``.
 """
 
 from __future__ import annotations
@@ -470,3 +472,15 @@ def test_farm_sorts_nothing_and_moves_by_the_ou_clock():
            "def f(x):\n    return np.argsort(x), x.sort(), sorted(x)\n")
     assert imported_from(toy, "ou") == {"a", "b"}
     assert owners(toy, "argsort", calls=True) == owners(toy, "sort", calls=True) == ["f"]
+
+
+def test_statistics_merge_no_slots():
+    # a statistic multiplies slot values per particle; a product polynomial
+    # of merged slots cancels in float64 and grows with the merged degree
+    source = (PACKAGE / "ustats.py").read_text()
+    merging = ("substitute_partition", "times", "poly_times")
+    assert [owners(source, name, calls=True) for name in merging] == [[], [], []]
+    toy = ("from .kernels import substitute_partition  # noqa: F401\n"
+           "def f(g, h, J):\n    return kernels.substitute_partition(g, J)\n"
+           "class P:\n    def v(self, a, b):\n        return a.times(b), poly_times(a, b)\n")
+    assert [owners(toy, name, calls=True) for name in merging] == [["f"], ["P.v"], ["P.v"]]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -188,7 +189,7 @@ from hypothesis import given, settings, strategies as st
 # ---------------------------------------------------------------------------
 # the one slot type, against numpy's polynomials and the Gauss-Hermite rule
 
-from numpy.polynomial.polynomial import polyder, polyval, polyval2d
+from numpy.polynomial.polynomial import polyder, polyval, polyval2d, polyval3d
 
 from branching_ou.limits import _pair_spectrum, gradient_phi_mean
 
@@ -261,3 +262,29 @@ def test_slot_polynomial_property(data, dim):
         n = np.arange(1, len(spectrum) + 1)
         got = mean * G.phi_mean(params) + spectrum @ np.exp(-2.0 * params.mu * n * s)
         close(got, w @ (evolved(F.coeffs) * evolved(G.coeffs)))
+
+
+class TestFactorCall:
+    def test_one_dim_is_polyval_bit_for_bit(self):
+        # the statistics' digests rest on these bits
+        rng = np.random.default_rng(38)
+        x = np.concatenate([rng.normal(0.0, 3.0, 500), [0.0, -0.0, 1e-300, -7.5]])
+        for degree in range(25):
+            coeffs = rng.normal(size=degree + 1) * 10.0 ** rng.integers(-5, 6, degree + 1)
+            assert np.array_equal(Factor(coeffs)(x[:, None]), polyval(x, coeffs))
+
+    def test_three_dim_degree_12_holds_order_dim_rows(self):
+        # nested Horner holds one row-length array per coordinate, where a
+        # tensor ``polyval`` along the first would hold 13^2 of them
+        rng = np.random.default_rng(12)
+        F = Factor(rng.normal(size=(13, 13, 13)))
+        m = 20_000
+        x = rng.normal(size=(m, 3))
+        want = polyval3d(x[:, 0], x[:, 1], x[:, 2], F.coeffs)
+        tracemalloc.start()
+        got = F(x)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 2 * 3 * m * 8
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=1e-12 * np.abs(want).max())

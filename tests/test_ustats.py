@@ -1,6 +1,9 @@
 import gc
+import itertools
 import math
 import weakref
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -250,19 +253,15 @@ class TestUStatistic:
         f = kernel_xy()
         assert u_statistic(snap(*values), f) == u_statistic(snap(*shuffled), f)
 
-    def test_merged_kernels_memoized_and_bounded(self, monkeypatch):
-        # an equal kernel reuses its plan, so it builds no merged kernel
-        # again and gives the same bits; a stream of fresh kernels stays
-        # within the cache bound, and black boxes are not cached
+    def test_merged_kernels_memoized_and_bounded(self):
+        # an equal kernel reuses its plan and gives the same bits; a stream
+        # of fresh kernels stays within the cache bound, and black boxes are
+        # not cached
         s = snap(0.5, -1.5, 2.0, 1.0)
         first = u_statistic(s, kernel_xy())
-
-        def no_merge(*args):
-            raise AssertionError("a merged kernel was built again")
-
-        with monkeypatch.context() as m:
-            m.setattr(ustats, "substitute_partition", no_merge)
-            assert u_statistic(s, kernel_xy()) == first
+        hits = ustats._plan.cache_info().hits
+        assert u_statistic(s, kernel_xy()) == first
+        assert ustats._plan.cache_info().hits == hits + 1
         for c in range(20):
             u_statistic(s, Kernel.from_slot_funcs(
                 [FUNC_X, Func1D.polynomial([float(c), 1.0])]))
@@ -593,3 +592,88 @@ class TestPlanAgainstEnumeration:
             if s.count < f.arity:
                 assert u[i] == 0.0
             assert abs(u[i] - u_statistic(s, f, "naive")) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# high-degree slots against exact rational sums
+
+
+def hermite_e(k):
+    """Integer power coefficients of He_k by He_{j+1} = x He_j - j He_{j-1}."""
+    prev, cur = [0], [1]
+    for j in range(k):
+        prev, cur = cur, [a - j * b for a, b in
+                          itertools.zip_longest([0] + cur, prev, fillvalue=0)]
+    return [float(c) for c in cur]
+
+
+def exact_slot(coeffs, point):
+    """The stored coefficient array at ``point`` in exact rationals, by
+    Horner's rule along the first coordinate."""
+    if coeffs.ndim == 0:
+        return Fraction(float(coeffs))
+    acc, x = Fraction(0), Fraction(float(point[0]))
+    for sub in coeffs[::-1]:
+        acc = acc * x + exact_slot(sub, point[1:])
+    return acc
+
+
+def exact_u(f, positions):
+    """(U-statistic, sum of |kernel| over the tuples), exactly, by
+    enumerating the injective tuples."""
+    total = spread = Fraction(0)
+    for coef, slots in f.terms:
+        values = [[exact_slot(s.coeffs, p) for p in positions] for s in slots]
+        for idx in itertools.permutations(range(len(positions)), f.arity):
+            prod = Fraction(coef)
+            for v, i in zip(values, idx):
+                prod *= v[i]
+            total += prod
+            spread += abs(prod)
+    return total, spread
+
+
+HIGH_DEGREE = {
+    # (slot coefficient vectors per coordinate, arity, particles, scale, seed)
+    "1d_he20_he20": ([hermite_e(20)], 2, 8, 1.5, 2),
+    "3d_arity2_degree12": ([hermite_e(12)] * 3, 2, 8, 0.7, 2),
+    "2d_arity3_degree8": ([hermite_e(8)] * 2, 3, 7, 1.5, 9),
+}
+
+
+class TestHighDegreeSlots:
+    @pytest.mark.parametrize("name", sorted(HIGH_DEGREE))
+    def test_u_statistic_matches_exact_rationals(self, name):
+        # power coefficients of merged slots cancel, losing about 1e-7 of
+        # these U-statistics; slot values multiplied per particle do not
+        vectors, arity, m, scale, seed = HIGH_DEGREE[name]
+        f = Kernel.from_slot_funcs([Factor.from_polys(vectors)] * arity)
+        positions = np.random.default_rng(seed).normal(0.0, scale, size=(m, len(vectors)))
+        want, spread = exact_u(f, positions)
+        assert spread <= 10 * abs(want)  # no cancellation in the statistic itself
+        got = u_statistic(ParticleSnapshot(t=1.0, positions=positions), f)
+        assert float(abs(Fraction(got) - want) / abs(want)) <= 1e-12
+
+    def test_one_segment_sum_per_distinct_block(self, monkeypatch):
+        # the sums run over products of slot values, one per multiset of
+        # slots that a particle feeds, never over the monomials of merged
+        # slots (up to 19^2 of them here)
+        rng = np.random.default_rng(6)
+        a, b, c = (Factor(rng.normal(size=(7, 7))) for _ in range(3))
+        f = Kernel.tensor_sum([(1.0, (a, b, a)), (-0.5, (c, c, b))], dim=2)
+        blocks = {frozenset(Counter(slots[i - 1] for i in block).items())
+                  for J in set_partitions(3) for _, slots in f.terms for block in J}
+        calls = []
+        original = FarmLevel.segment_sum
+
+        def counted(self, values):
+            calls.append(1)
+            return original(self, values)
+
+        level = ragged_level(COUNTS, 2, seed=6)
+        monkeypatch.setattr(FarmLevel, "segment_sum", counted)
+        u = u_statistics(level, f)
+        assert 0 < len(calls) <= len(blocks)
+        for i, s in enumerate(level):
+            want_u, scale = reference_u(s.positions, f)
+            assert abs(u[i] - want_u) <= 1e-9 * scale
